@@ -15,6 +15,7 @@ from .errors import (
     DomainNotFull,
     EmptySetInDomain,
     IdealMemberNotSubset,
+    MalformedDocument,
     NotPrincipal,
     ParseError,
     SetNotInDomain,

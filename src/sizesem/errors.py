@@ -48,6 +48,10 @@ class NotPrincipal(WorkbenchError):
         self.base = base
 
 
+class MalformedDocument(WorkbenchError):
+    """A system or choice-function document does not have the JSON file shape."""
+
+
 class DomainNotClosed(WorkbenchError):
     """A check needs a composite set (difference, union, ...) missing from the domain."""
 

@@ -43,6 +43,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport
 from .rules import RuleId, check_rule
+from .search import _letters
 from .setcore import Subset, Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, principal_mu
 
@@ -341,10 +342,6 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
     )
 
 
-def mu_rule_holds(mu: MuFunction, r: MuRuleId) -> bool:
-    return check_mu_rule(mu, r).holds
-
-
 def mu_to_rule_bridge(mu: MuFunction, r: RuleId) -> CheckReport:
     """Check a consequence-relation rule against the system induced by mu."""
     return check_rule(from_mu(mu), r)
@@ -395,10 +392,6 @@ def enumerate_mu_functions(universe: Universe) -> Iterator[MuFunction]:
             yield from rec(i + 1, acc)
 
     yield from rec(0, {})
-
-
-def _letters(n: int) -> list[str]:
-    return [chr(ord("a") + i) for i in range(n)]
 
 
 def counterexample_mu() -> MuFunction:

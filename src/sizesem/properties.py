@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import DomainNotClosed, WorkbenchError
 from .report import CheckReport
-from .setcore import Subset, canon_key, submasks
+from .setcore import Subset, canon_rank, submasks
 from .sizesys import SizeSystem, _label_key
 
 _VALID_TAGS = {
@@ -127,12 +127,13 @@ def parse_property(text: str) -> PropertyId:
 # --- internal scan helpers ---------------------------------------------------
 
 
-def _sorted_family(fam: frozenset[int]) -> list[int]:
-    return sorted(fam, key=canon_key)
+def _rank_key(s: SizeSystem):
+    """Canonical-order sort key for masks of s, as a table lookup."""
+    return canon_rank(s.universe.size).__getitem__
 
 
-def _filter_list(x: int, fam: frozenset[int]) -> list[int]:
-    return sorted((x & ~a for a in fam), key=canon_key)
+def _filter_list(x: int, fam: frozenset[int], key) -> list[int]:
+    return sorted([x & ~a for a in fam], key=key)
 
 
 def _cover_reach(family: list[int], limit: int) -> list[set[int]]:
@@ -191,10 +192,11 @@ def _check_opt(s: SizeSystem, sc: _Scan) -> None:
 def _check_im(s: SizeSystem, sc: _Scan) -> None:
     for x in s.domain_masks:
         fam = s.ideals[x]
-        for a in submasks(x):
+        subs = submasks(x)
+        for a in subs:
             if a in fam:
                 continue
-            for b in submasks(x):
+            for b in subs:
                 if a & ~b:
                     continue
                 sc.count += 1
@@ -205,8 +207,9 @@ def _check_im(s: SizeSystem, sc: _Scan) -> None:
 
 def _check_emi(s: SizeSystem, sc: _Scan) -> None:
     dom = s.domain_masks
+    key = _rank_key(s)
     for x in dom:
-        fam_x = _sorted_family(s.ideals[x])
+        fam_x = sorted(s.ideals[x], key=key)
         for y in dom:
             if x & ~y or x == y:
                 continue
@@ -220,7 +223,8 @@ def _check_emi(s: SizeSystem, sc: _Scan) -> None:
 
 def _check_emf(s: SizeSystem, sc: _Scan) -> None:
     dom = s.domain_masks
-    filters = {y: _filter_list(y, s.ideals[y]) for y in dom}
+    key = _rank_key(s)
+    filters = {y: _filter_list(y, s.ideals[y], key) for y in dom}
     for x in dom:
         fam_x = s.ideals[x]
         for y in dom:
@@ -237,6 +241,11 @@ def _check_emf(s: SizeSystem, sc: _Scan) -> None:
 
 def _check_union_disj(s: SizeSystem, sc: _Scan, on_filters: bool) -> None:
     dom = s.domain_masks
+    key = _rank_key(s)
+    if on_filters:
+        members = {x: _filter_list(x, fam, key) for x, fam in s.ideals.items()}
+    else:
+        members = {x: sorted(fam, key=key) for x, fam in s.ideals.items()}
     for x in dom:
         if not s.ideals[x]:
             continue
@@ -247,25 +256,19 @@ def _check_union_disj(s: SizeSystem, sc: _Scan, on_filters: bool) -> None:
             if u not in s.ideals:
                 raise DomainNotClosed(_label_key(s.universe, u), "disjoint union rule")
             fam_u = s.ideals[u]
-            if on_filters:
-                for a in _filter_list(x, s.ideals[x]):
-                    for b in _filter_list(y, s.ideals[y]):
-                        sc.count += 1
-                        if (u & ~(a | b)) not in fam_u:
-                            sc.fail(("X", x), ("Y", y), ("A", a), ("B", b))
-                            return
-            else:
-                for a in _sorted_family(s.ideals[x]):
-                    for b in _sorted_family(s.ideals[y]):
-                        sc.count += 1
-                        if (a | b) not in fam_u:
-                            sc.fail(("X", x), ("Y", y), ("A", a), ("B", b))
-                            return
+            for a in members[x]:
+                for b in members[y]:
+                    sc.count += 1
+                    ab = u & ~(a | b) if on_filters else a | b
+                    if ab not in fam_u:
+                        sc.fail(("X", x), ("Y", y), ("A", a), ("B", b))
+                        return
 
 
 def _check_n_star_s(s: SizeSystem, n: int, sc: _Scan) -> None:
+    key = _rank_key(s)
     for x in s.domain_masks:
-        fam = _sorted_family(s.ideals[x])
+        fam = sorted(s.ideals[x], key=key)
         if not fam:
             continue
         reach = _cover_reach(fam, n)
@@ -277,9 +280,10 @@ def _check_n_star_s(s: SizeSystem, n: int, sc: _Scan) -> None:
 
 
 def _check_iomega(s: SizeSystem, sc: _Scan) -> None:
+    key = _rank_key(s)
     for x in s.domain_masks:
         fam = s.ideals[x]
-        fam_sorted = _sorted_family(fam)
+        fam_sorted = sorted(fam, key=key)
         for a in fam_sorted:
             for b in fam_sorted:
                 sc.count += 1
@@ -321,8 +325,9 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
     dom = s.domain_masks
     ideals = s.ideals
     if variant == 4:
+        key = _rank_key(s)
         for x in dom:
-            fam = _sorted_family(ideals[x])
+            fam = sorted(ideals[x], key=key)
             for a in fam:
                 for b in fam:
                     if b == x:
@@ -337,6 +342,7 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
         return
     for x in dom:
         fam_x = ideals[x]
+        subs = submasks(x)
         for y in dom:
             if x & ~y:
                 continue
@@ -345,7 +351,7 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
                 if x in fam_y:
                     continue
-                for a in submasks(x):
+                for a in subs:
                     if (x & ~a) not in fam_x:
                         continue
                     sc.count += 1
@@ -356,7 +362,7 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
                 if (y & ~x) not in fam_y:
                     continue
-                for a in submasks(x):
+                for a in subs:
                     if a in fam_x:
                         continue
                     sc.count += 1
@@ -367,7 +373,7 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
                 if (y & ~x) not in fam_y:
                     continue
-                for a in submasks(x):
+                for a in subs:
                     if (x & ~a) not in fam_x:
                         continue
                     sc.count += 1
@@ -382,13 +388,14 @@ def _check_m_plus_plus(s: SizeSystem, variant: int, sc: _Scan) -> None:
     if variant == 3:
         for x in dom:
             fam_x = ideals[x]
+            subs = submasks(x)
             for y in dom:
                 if x & ~y:
                     continue
                 fam_y = ideals[y]
                 if x in fam_y:
                     continue  # X not in M+(Y)
-                for a in submasks(x):
+                for a in subs:
                     if a in fam_x:
                         continue
                     sc.count += 1
@@ -396,26 +403,31 @@ def _check_m_plus_plus(s: SizeSystem, variant: int, sc: _Scan) -> None:
                         sc.fail(("X", x), ("Y", y), ("A", a))
                         return
         return
+    key = _rank_key(s)
     for x in dom:
         fam_x = ideals[x]
         if variant == 1:
-            bases = _sorted_family(fam_x)
+            bases = sorted(fam_x, key=key)
         else:
-            bases = _filter_list(x, fam_x)
+            bases = _filter_list(x, fam_x, key)
+        if not bases:
+            continue
+        # The B side does not depend on A: B not big in X (premise) and
+        # B ≠ X (empty carrier), with the carrier's ideal, None if missing.
+        carriers = [
+            (b, x & ~b, ideals.get(x & ~b))
+            for b in submasks(x)
+            if (x & ~b) not in fam_x and b != x
+        ]
         for a in bases:
-            for b in submasks(x):
-                if (x & ~b) in fam_x:
-                    continue  # B ∈ F(X): premise false
-                if b == x:
-                    continue  # empty carrier
-                z = x & ~b
-                if z not in ideals:
+            for b, z, fam_z in carriers:
+                if fam_z is None:
                     raise DomainNotClosed(_label_key(s.universe, z), f"M++:{variant}")
                 sc.count += 1
                 if variant == 1:
-                    bad = (a & ~b) not in ideals[z]
+                    bad = (a & ~b) not in fam_z
                 else:
-                    bad = ((x & ~a) & ~b) not in ideals[z]
+                    bad = ((x & ~a) & ~b) not in fam_z
                 if bad:
                     sc.fail(("X", x), ("A", a), ("B", b))
                     return
@@ -513,10 +525,6 @@ def property_matrix(s: SizeSystem, ps: list[PropertyId]) -> list[CheckReport]:
                 )
             )
     return out
-
-
-def holds(s: SizeSystem, p: PropertyId) -> bool:
-    return check_property(s, p).holds
 
 
 # --- independent single-instance re-evaluation (used by the test suite) ------

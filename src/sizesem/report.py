@@ -48,11 +48,6 @@ class CheckReport:
             out["witness_system"] = self.witness_system
         return out
 
-    def witness_text(self) -> str:
-        if self.witness is None:
-            return ""
-        return " ".join(f"{name}={sub!r}" for name, sub in self.witness.items())
-
 
 @dataclass
 class CorrespondenceReport:

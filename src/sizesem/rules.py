@@ -502,7 +502,3 @@ def _rule_report(s: SizeSystem, r: RuleId, sc: _RuleScan) -> CheckReport:
         instances_checked=sc.count,
         notes=tuple(notes),
     )
-
-
-def rule_holds(s: SizeSystem, r: RuleId) -> bool:
-    return check_rule(s, r).holds

@@ -31,7 +31,7 @@ from .errors import CapacityExceeded
 from .properties import PropertyId, check_property
 from .report import CheckReport
 from .rules import RuleId, check_rule
-from .setcore import Subset, Universe, canon_key, submasks
+from .setcore import Subset, Universe, canon_rank, submasks
 from .sizesys import SizeSystem
 
 T = TypeVar("T")
@@ -154,29 +154,55 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _unpermute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i, target in enumerate(perm):
-        if mask >> target & 1:
-            out |= 1 << i
-    return out
+class _LexLeader:
+    """Lex-leader test for element relabelings, on family-index tuples.
 
+    A system is a tuple of indices, one per base set in domain order, into
+    that base set's family list.  The lists ascend by family code, so
+    comparing index tuples lexicographically compares code tuples.  For each
+    non-identity permutation p, the relabeled system has at position j the
+    image under p of the family at p's pre-image of domain[j]; its index
+    there comes from a table that maps the pre-image family's index to the
+    image family's index.  Every table starts empty and is memoised entry
+    by entry on first use: at |U| = 5 filled tables would run to a million
+    entries before the first system is out.
+    """
 
-def _is_canonical(
-    domain: tuple[int, ...],
-    ideals: dict[int, frozenset[int]],
-    perms: list[tuple[int, ...]],
-    codes: tuple[int, ...],
-) -> bool:
-    for perm in perms:
-        other = []
-        for x in domain:
-            pre = _unpermute_mask(x, perm)
-            fam = frozenset(_permute_mask(a, perm) for a in ideals[pre])
-            other.append(family_code(x, fam))
-        if tuple(other) < codes:
-            return False
-    return True
+    def __init__(self, n: int, domain: tuple[int, ...], per_set: list[tuple]):
+        self.per_set = per_set
+        self.positions: list[dict[frozenset[int], int] | None] = [None] * len(domain)
+        pos = {x: j for j, x in enumerate(domain)}
+        self.perms = []
+        for perm in itertools.permutations(range(n)):
+            if perm == tuple(range(n)):
+                continue
+            image = [_permute_mask(m, perm) for m in range(1 << n)]
+            pre = [0] * len(domain)
+            for k, x in enumerate(domain):
+                pre[pos[image[x]]] = k
+            self.perms.append((image, tuple(pre), [{} for _ in domain]))
+
+    def _image_index(self, image: list[int], j: int, k: int, i: int) -> int:
+        positions = self.positions[j]
+        if positions is None:
+            positions = {fam: t for t, fam in enumerate(self.per_set[j])}
+            self.positions[j] = positions
+        return positions[frozenset([image[a] for a in self.per_set[k][i]])]
+
+    def __call__(self, idx: tuple[int, ...]) -> bool:
+        """True iff no relabeling of the system has a smaller index tuple."""
+        for image, pre, tables in self.perms:
+            for j, table in enumerate(tables):
+                k = pre[j]
+                i = idx[k]
+                t = table.get(i)
+                if t is None:
+                    t = table[i] = self._image_index(image, j, k, i)
+                if t != idx[j]:
+                    if t < idx[j]:
+                        return False
+                    break
+        return True
 
 
 def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
@@ -200,18 +226,17 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
     domain = tuple(m for m in u.all_masks() if m)
     gen = _down_set_families if spec.monotone_only else _families_with_empty
     per_set = [tuple(gen(x)) for x in domain]
-    perms = None
     if spec.canonical_only:
-        perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
-    index = 0
-    for assignment in itertools.product(*per_set):
-        ideals = dict(zip(domain, assignment))
-        if perms:
-            codes = tuple(family_code(x, fam) for x, fam in zip(domain, assignment))
-            if not _is_canonical(domain, ideals, perms, codes):
-                continue
-        yield SizeSystem(u, domain, ideals, label=f"u{n}#{index}")
-        index += 1
+        is_leader = _LexLeader(n, domain, per_set)
+        assignments = (
+            tuple(fams[i] for fams, i in zip(per_set, idx))
+            for idx in itertools.product(*(range(len(fams)) for fams in per_set))
+            if is_leader(idx)
+        )
+    else:
+        assignments = itertools.product(*per_set)
+    for index, assignment in enumerate(assignments):
+        yield SizeSystem(u, domain, dict(zip(domain, assignment)), label=f"u{n}#{index}")
 
 
 # --- ordered, optionally parallel stream scans ---------------------------------
@@ -459,7 +484,8 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
 
     def eval_family(args: tuple[Universe, int, frozenset[int]]):
         u, x, fam = args
-        members = sorted(fam, key=canon_key, reverse=True)
+        key = canon_rank(u.size).__getitem__
+        members = sorted(fam, key=key, reverse=True)
         broken = None
         for i, a in enumerate(members):
             for b in members[i:]:
@@ -473,7 +499,7 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
         if x in fam:
             return "conclusion"  # X small in itself: X = X ∪ X fails 2*s
         covers2 = {a | b for a in fam for b in fam}
-        big_covers = sorted(covers2, key=canon_key, reverse=True)
+        big_covers = sorted(covers2, key=key, reverse=True)
         for z in submasks(x):
             if z == 0 or z in fam:
                 continue  # only carriers Z with Z not small are constrained
@@ -495,7 +521,8 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
             witness = {
                 "universe_size": n,
                 "ideal_at_base": [
-                    list(Subset(wu, m).labels()) for m in sorted(fam, key=canon_key)
+                    list(Subset(wu, m).labels())
+                    for m in sorted(fam, key=canon_rank(n).__getitem__)
                 ],
                 "union_gap": [
                     list(Subset(wu, broken[0]).labels()),

@@ -27,23 +27,52 @@ def canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-def submasks(mask: int) -> list[int]:
-    """All submasks of `mask` in canonical order."""
-    out = []
-    sub = 0
-    while True:
-        out.append(sub)
-        if sub == mask:
-            break
-        sub = (sub - mask) & mask
-    out.sort(key=canon_key)
-    return out
+_RANKS: dict[int, tuple[int, ...]] = {}
+
+
+def canon_rank(size: int) -> tuple[int, ...]:
+    """rank[mask] = position of mask in the canonical order of all masks over
+    `size` elements.  Built on first use per size, then shared.
+
+    `sorted(masks, key=canon_rank(n).__getitem__)` orders exactly like
+    `key=canon_key`, with a table lookup in place of a Python call per mask.
+    """
+    rank = _RANKS.get(size)
+    if rank is None:
+        table = [0] * (1 << size)
+        for pos, mask in enumerate(sorted(range(1 << size), key=canon_key)):
+            table[mask] = pos
+        rank = _RANKS[size] = tuple(table)
+    return rank
+
+
+_SUBMASKS: dict[int, tuple[int, ...]] = {}
+
+
+def submasks(mask: int) -> tuple[int, ...]:
+    """All submasks of `mask` in canonical order.
+
+    Filled lazily, one entry per mask asked for, and shared: the result is an
+    immutable tuple so no caller can corrupt another's copy.
+    """
+    subs = _SUBMASKS.get(mask)
+    if subs is None:
+        out = []
+        sub = 0
+        while True:
+            out.append(sub)
+            if sub == mask:
+                break
+            sub = (sub - mask) & mask
+        out.sort(key=canon_key)
+        subs = _SUBMASKS[mask] = tuple(out)
+    return subs
 
 
 class Universe:
     """An ordered list of distinct element labels; positions index bit vectors."""
 
-    __slots__ = ("elements", "capacity", "_index", "_all_masks")
+    __slots__ = ("elements", "capacity", "full_mask", "_index", "_all_masks")
 
     def __init__(self, elements: Iterable[str], capacity: int = DEFAULT_CAPACITY):
         elems = tuple(elements)
@@ -62,16 +91,13 @@ class Universe:
             seen.add(label)
         self.elements = elems
         self.capacity = capacity
+        self.full_mask = (1 << len(elems)) - 1
         self._index = {label: i for i, label in enumerate(elems)}
         self._all_masks: tuple[int, ...] | None = None
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.elements)) - 1
 
     def index(self, label: str) -> int:
         try:

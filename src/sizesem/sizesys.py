@@ -29,6 +29,7 @@ from .errors import (
     ChoiceNotSubset,
     EmptySetInDomain,
     IdealMemberNotSubset,
+    MalformedDocument,
     NotPrincipal,
     SetNotInDomain,
 )
@@ -340,24 +341,58 @@ def build_mu(
 # "choice"; omitted choice entries default to the identity.
 
 
-def _parse_universe(doc: Mapping) -> Universe:
-    return Universe(doc["universe"])
+# Shape errors name the offending key and raise MalformedDocument, so a bad
+# file never surfaces as a TypeError and a string is never read as a list of
+# one-letter labels.
+
+
+def _labels_at(value: object, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedDocument(f"{where} must be a list of element labels, got {value!r}")
+    return value
+
+
+def _object_at(doc: Mapping, key: str) -> Mapping:
+    value = doc.get(key, {})
+    if not isinstance(value, Mapping):
+        raise MalformedDocument(f'"{key}" must be an object, got {value!r}')
+    return value
+
+
+def _parse_universe(doc: object) -> Universe:
+    if not isinstance(doc, Mapping):
+        raise MalformedDocument(
+            f"top level must be an object with a \"universe\" key, got {type(doc).__name__}"
+        )
+    if "universe" not in doc:
+        raise MalformedDocument('missing key "universe"')
+    return Universe(_labels_at(doc["universe"], '"universe"'))
 
 
 def _parse_domain(doc: Mapping, u: Universe) -> list[Subset] | None:
     dom = doc.get("domain", "full")
     if dom == "full":
         return None
-    return [u.subset(labels) for labels in dom]
+    if not isinstance(dom, list):
+        raise MalformedDocument(f'"domain" must be "full" or a list of subsets, got {dom!r}')
+    return [u.subset(_labels_at(labels, f'"domain"[{i}]')) for i, labels in enumerate(dom)]
+
+
+def _base_at(u: Universe, key: str) -> Subset:
+    return u.subset(key.split(",")) if key else u.empty
 
 
 def system_from_dict(doc: Mapping, label: str = "system") -> SizeSystem:
     u = _parse_universe(doc)
     domain = _parse_domain(doc, u)
     ideals = {}
-    for key, families in doc.get("ideals", {}).items():
-        x = u.subset(key.split(",")) if key else u.empty
-        ideals[x] = [u.subset(labels) for labels in families]
+    for key, families in _object_at(doc, "ideals").items():
+        where = f'"ideals"["{key}"]'
+        if not isinstance(families, list):
+            raise MalformedDocument(f"{where} must be a list of subsets, got {families!r}")
+        ideals[_base_at(u, key)] = [
+            u.subset(_labels_at(labels, f"{where}[{i}]")) for i, labels in enumerate(families)
+        ]
     return build(u, domain, ideals, label=label)
 
 
@@ -365,9 +400,8 @@ def mu_from_dict(doc: Mapping, label: str = "mu") -> MuFunction:
     u = _parse_universe(doc)
     domain = _parse_domain(doc, u)
     choice = {}
-    for key, labels in doc.get("choice", {}).items():
-        x = u.subset(key.split(",")) if key else u.empty
-        choice[x] = u.subset(labels)
+    for key, labels in _object_at(doc, "choice").items():
+        choice[_base_at(u, key)] = u.subset(_labels_at(labels, f'"choice"["{key}"]'))
     return build_mu(u, domain, choice, label=label)
 
 

@@ -35,6 +35,31 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "EmptySetInDomain" in err
 
 
+def _check_all(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    return run_cli(capsys, "check", "--system", str(bad), "--all")
+
+
+def test_check_rejects_top_level_array(tmp_path, capsys):
+    code, out, err = _check_all(tmp_path, capsys, '[{"universe": ["x"]}]')
+    assert code == 2
+    assert "MalformedDocument" in err and "top level" in err and '"universe"' in err
+    assert out == ""
+
+
+def test_check_rejects_non_list_ideal(tmp_path, capsys):
+    code, _, err = _check_all(tmp_path, capsys, '{"universe": ["x", "y"], "ideals": {"x,y": 5}}')
+    assert code == 2
+    assert "MalformedDocument" in err and '"ideals"["x,y"]' in err
+
+
+def test_check_rejects_string_universe(tmp_path, capsys):
+    code, _, err = _check_all(tmp_path, capsys, '{"universe": "xy"}')
+    assert code == 2
+    assert "MalformedDocument" in err and '"universe"' in err
+
+
 def test_check_emf_example(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--system", data_path("fact34-1.json"), "--props", "eMF"

@@ -150,6 +150,14 @@ def test_domain_not_closed_names_missing_set():
     with pytest.raises(DomainNotClosed) as exc:
         check_property(s, m_plus_plus(1))
     assert exc.value.missing == "b"
+    # The missing carrier {a} = X−{b} comes after a violation at B = {a}:
+    # the scan reports that violation and never reaches the missing set.
+    s = build(u, [u.subset(["b"]), u.full], {u.subset(["b"]): [], u.full: [u.empty]})
+    rep = check_property(s, m_plus_plus(1))
+    assert not rep.holds
+    assert {k: v.labels() for k, v in rep.witness.items()} == {
+        "X": ("a", "b"), "A": (), "B": ("a",)
+    }
 
 
 def test_vacuous_parameter_note():

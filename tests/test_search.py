@@ -48,6 +48,11 @@ def test_down_set_counts_match_oracle(bits, count):
     codes = [family_code(bits, f) for f in fams]
     assert codes == sorted(codes)  # ascending family-code order
     assert all(0 in f for f in fams)
+    # The canonicity filter compares family indices in place of codes, which
+    # needs both generators to list families in strictly ascending code.
+    all_codes = [family_code(bits, f) for f in _families_with_empty(bits)]
+    assert all_codes == sorted(set(all_codes))
+    assert len(all_codes) == 2 ** (2 ** bin(bits).count("1") - 1)
 
 
 def test_enumeration_counts():
@@ -89,36 +94,35 @@ def test_capacity_guards():
     next(gen)  # permitted combination must start streaming
 
 
+def _least_relabeling_codes(s, n):
+    """Oracle: the least family-code tuple over every relabeling of s."""
+    best = None
+    for p in itertools.permutations(range(n)):
+        image = [sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        ideals = {image[x]: frozenset(image[a] for a in fam) for x, fam in s.ideals.items()}
+        codes = tuple(family_code(x, ideals[x]) for x in s.domain_masks)
+        if best is None or codes < best:
+            best = codes
+    return best
+
+
 def test_canonical_only_reduction():
-    full = list(enumerate_systems(SearchSpec(2, mode="count")))
-    reduced = list(enumerate_systems(SearchSpec(2, mode="count", canonical_only=True)))
-    assert len(reduced) < len(full)
-    # every discarded system must be a relabeling of an emitted one
-    def canon(s):
-        dom = s.domain_masks
-        perms = list(itertools.permutations(range(2)))
-        best = None
-        for p in perms:
-            def pm(m):
-                out = 0
-                for i, t in enumerate(p):
-                    if m >> i & 1:
-                        out |= 1 << t
-                return out
-            def un(m):
-                out = 0
-                for i, t in enumerate(p):
-                    if m >> t & 1:
-                        out |= 1 << i
-                return out
-            codes = tuple(
-                family_code(x, frozenset(pm(a) for a in s.ideals[un(x)])) for x in dom
+    # (|U|, monotone_only, number of relabeling classes)
+    for n, monotone, orbits in [(2, True, 13), (2, False, 20), (3, True, 3450)]:
+        full = list(enumerate_systems(SearchSpec(n, mode="count", monotone_only=monotone)))
+        reduced = list(
+            enumerate_systems(
+                SearchSpec(n, mode="count", monotone_only=monotone, canonical_only=True)
             )
-            if best is None or codes < best:
-                best = codes
-        return best
-    assert {canon(s) for s in full} == {canon(s) for s in reduced}
-    assert len(reduced) == len({canon(s) for s in full})
+        )
+        classes = {_least_relabeling_codes(s, n) for s in full}
+        assert len(reduced) == len(classes) == orbits
+        # each emitted system is the least member of its class, so every
+        # discarded system is a relabeling of exactly one emitted one
+        codes = [tuple(family_code(x, s.ideals[x]) for x in s.domain_masks) for s in reduced]
+        assert codes == [_least_relabeling_codes(s, n) for s in reduced]
+        assert codes == sorted(codes)  # stream order is kept
+        assert [s.label for s in reduced] == [f"u{n}#{i}" for i in range(len(reduced))]
 
 
 def test_property_verdicts_are_relabeling_invariant():
@@ -172,6 +176,16 @@ def test_find_counterexample_reproduces_rules_without_robustness():
     assert not check_property(system, n_star_s(3)).holds
     assert check_rule(system, or_n(3)).holds
     assert check_rule(system, cm_n(3)).holds
+
+
+def test_deep_find_pins_stream_label():
+    """The first M+omega:2 system violating M+omega:1 sits deep in the |U| = 4
+    stream; its label pins the enumeration order."""
+    system, rep = find_counterexample(
+        SearchSpec(4, (m_plus_omega(2),), m_plus_omega(1))
+    )
+    assert system.label == "u4#73333"
+    assert not rep.holds
 
 
 def test_find_counterexample_absent():

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from sizesem.errors import CapacityExceeded, UnknownElementLabel, WidthMismatch
 from sizesem.setcore import (
     Universe,
+    canon_rank,
     complement,
     enumerate_subsets,
     is_subset,
     relative_difference,
+    submasks,
 )
 
 
@@ -114,3 +116,26 @@ def test_ops_agree_with_python_sets(n, data):
     assert set((a - b).labels()) == a_labels - b_labels
     assert is_subset(a, b) == (a_labels <= b_labels)
     assert set(complement(u, a).labels()) == set(labels) - a_labels
+
+
+def test_submasks_match_brute_force_at_capacity_7():
+    u = Universe(list("abcdefg"), capacity=7)
+    for mask in range(u.full_mask + 1):
+        expected = sorted(
+            (m for m in range(u.full_mask + 1) if not m & ~mask),
+            key=lambda m: (bin(m).count("1"), m),
+        )
+        got = submasks(mask)
+        # a shared result must be immutable, or one caller could corrupt it
+        assert isinstance(got, tuple)
+        assert list(got) == expected
+        assert submasks(mask) == got
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_canon_rank_is_the_canonical_order(size):
+    masks = list(range(1 << size))
+    rank = canon_rank(size)
+    by_size_then_value = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    assert sorted(masks, key=rank.__getitem__) == by_size_then_value
+    assert sorted(rank) == masks
