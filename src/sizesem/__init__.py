@@ -83,7 +83,6 @@ from .sizesys import (
     medium_of,
     mplus_of,
     principal_mu,
-    save_system,
 )
 
 __version__ = "0.1.0"

@@ -25,13 +25,14 @@ import sys
 from . import fixtures
 from .errors import CapacityExceeded, WorkbenchError
 from .preferential import (
+    _MU_RULES,
+    check_mu_rule,
     parse_mu_rule,
     verify_correspondence_backward,
     verify_correspondence_forward,
-    _MU_RULES,
 )
-from .properties import parse_property, property_matrix
-from .report import CheckReport
+from .properties import check_property, parse_property
+from .report import guarded_report
 from .rules import check_rule, derive_relation, parse_rule
 from .search import (
     SearchSpec,
@@ -77,7 +78,10 @@ def _report_line(rec: dict) -> str:
     return line
 
 
-def _check_expect(payload: dict, path: str) -> int:
+def _check_expect(payload: dict, path: str | None) -> int:
+    """0 without an --expect file; else 1 if the payload mismatches it."""
+    if not path:
+        return 0
     with open(path, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     if "records" in expected and "records" in payload:
@@ -115,49 +119,33 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _run_checks(args, target, names: list[str], parse, check, usage: str) -> int:
+    """Parse check ids, run each on target (errors become records), emit."""
+    ids = [parse(n) for n in names if n]
+    if not ids:
+        print(usage, file=sys.stderr)
+        return 2
+    records = [guarded_report(check, target, cid).to_dict() for cid in ids]
+    payload = {"subject": target.label, "records": records}
+    _emit(payload, args.json, [_report_line(r) for r in records])
+    return _check_expect(payload, args.expect)
+
+
 def cmd_check(args) -> int:
     s = load_system(args.system)
     names = ALL_PROPS if args.all else (args.props or "").split(",")
-    props = [parse_property(n) for n in names if n]
-    if not props:
-        print("check needs --props or --all", file=sys.stderr)
-        return 2
-    records = [r.to_dict() for r in property_matrix(s, props)]
-    payload = {"subject": s.label, "records": records}
-    _emit(payload, args.json, [_report_line(r) for r in records])
-    if args.expect:
-        return _check_expect(payload, args.expect)
-    return 0
+    return _run_checks(
+        args, s, names, parse_property, check_property, "check needs --props or --all"
+    )
 
 
 def cmd_rules(args) -> int:
     s = load_system(args.system)
     names = ALL_RULES if args.all else (args.rules or "").split(",")
-    ids = [parse_rule(n) for n in names if n]
-    if not ids:
-        print("rules needs --rules or --all", file=sys.stderr)
-        return 2
-    records = []
-    for rid in ids:
-        try:
-            records.append(check_rule(s, rid).to_dict())
-        except WorkbenchError as exc:
-            records.append(
-                CheckReport(
-                    subject=s.label, condition=rid.name, holds=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                ).to_dict()
-            )
-    payload = {"subject": s.label, "records": records}
-    _emit(payload, args.json, [_report_line(r) for r in records])
-    if args.expect:
-        return _check_expect(payload, args.expect)
-    return 0
+    return _run_checks(args, s, names, parse_rule, check_rule, "rules needs --rules or --all")
 
 
 def cmd_mu(args) -> int:
-    from .preferential import check_mu_rule
-
     if args.row is not None:
         if args.direction not in ("fwd", "bwd"):
             print("mu --row needs --direction fwd|bwd", file=sys.stderr)
@@ -179,35 +167,14 @@ def cmd_mu(args) -> int:
                 f"{verdict}, systems={rec['systems_checked']}"
             ],
         )
-        if args.expect:
-            return _check_expect(payload, args.expect)
-        return 0
+        return _check_expect(payload, args.expect)
 
     if not args.mu:
         print("mu needs --mu or --row", file=sys.stderr)
         return 2
     mu = load_mu(args.mu)
     names = sorted(_MU_RULES) if args.all else (args.rules or "").split(",")
-    ids = [parse_mu_rule(n) for n in names if n]
-    if not ids:
-        print("mu needs --rules or --all", file=sys.stderr)
-        return 2
-    records = []
-    for rid in ids:
-        try:
-            records.append(check_mu_rule(mu, rid).to_dict())
-        except WorkbenchError as exc:
-            records.append(
-                CheckReport(
-                    subject=mu.label, condition=rid.name, holds=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                ).to_dict()
-            )
-    payload = {"subject": mu.label, "records": records}
-    _emit(payload, args.json, [_report_line(r) for r in records])
-    if args.expect:
-        return _check_expect(payload, args.expect)
-    return 0
+    return _run_checks(args, mu, names, parse_mu_rule, check_mu_rule, "mu needs --rules or --all")
 
 
 def cmd_derive(args) -> int:
@@ -219,9 +186,7 @@ def cmd_derive(args) -> int:
     }
     lines = [f"{{{','.join(a.labels())}}} |~ {{{','.join(b.labels())}}}" for a, b in pairs]
     _emit(payload, args.json, lines)
-    if args.expect:
-        return _check_expect(payload, args.expect)
-    return 0
+    return _check_expect(payload, args.expect)
 
 
 def cmd_search(args) -> int:
@@ -261,9 +226,7 @@ def cmd_search(args) -> int:
         rep = count_systems(spec)
         payload = {"spec": spec.to_dict(), "records": [rep.to_dict()]}
         _emit(payload, args.json, [f"{rep.instances_checked} systems"])
-    if args.expect:
-        return _check_expect(payload, args.expect)
-    return 0
+    return _check_expect(payload, args.expect)
 
 
 def cmd_repro(args) -> int:

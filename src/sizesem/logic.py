@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnboundAtom
 from .setcore import Subset, Universe
+from .sizesys import _labels_at, _object_at, _parse_universe, _read_document
 
 
 class Formula:
@@ -243,14 +244,14 @@ def classical_entails(f: Formula, g: Formula, i: Interpretation) -> bool:
 
 
 def interpretation_from_dict(u: Universe, atoms: dict[str, list[str]]) -> Interpretation:
-    return Interpretation(u, {name: u.subset(labels) for name, labels in atoms.items()})
+    assignment = {
+        name: u.subset(_labels_at(labels, f'"atoms"["{name}"]'))
+        for name, labels in atoms.items()
+    }
+    return Interpretation(u, assignment)
 
 
 def interpretation_from_system_file(path: str) -> Interpretation:
     """Read the optional "atoms" block of a system file."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    u = Universe(doc["universe"])
-    return interpretation_from_dict(u, doc.get("atoms", {}))
+    doc, _ = _read_document(path)
+    return interpretation_from_dict(_parse_universe(doc), _object_at(doc, "atoms"))

@@ -41,10 +41,10 @@ from .properties import (
     m_plus_omega,
     m_plus_plus,
 )
-from .report import CheckReport, CorrespondenceReport
+from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
 from .search import _letters
-from .setcore import Subset, Universe, submasks
+from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, principal_mu
 
 _MU_RULES = {
@@ -118,13 +118,17 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
     be in the domain when an instance needs their value: a missing nonempty
     carrier raises DomainNotClosed, an empty one skips the instance.
     """
+    count, witness, skipped = _scan_mu(mu, r.tag)
+    return scan_report(mu.label, r.name, mu.universe, count, witness, skipped=skipped)
+
+
+def _scan_mu(mu: MuFunction, tag: str) -> tuple[int, Witness, int]:
+    """(instances_checked, witness, instances skipped for an empty carrier)."""
     u = mu.universe
     dom = mu.domain_masks
     f = mu.choice
     count = 0
     skipped = 0
-    witness: list[tuple[str, int]] | None = None
-    tag = r.tag
 
     def need(mask: int, context: str) -> bool:
         """True if the carrier is usable; skips ∅, raises when missing."""
@@ -153,10 +157,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                 else:
                     ok = not fu & ~(f[x] | f[y])
                 if not ok:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag == "mu-PR":
         for x in dom:
@@ -165,10 +166,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                     continue
                 count += 1
                 if f[y] & x & ~f[x]:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag == "mu-PR'":
         for x in dom:
@@ -182,10 +180,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                     raise DomainNotClosed(_label_key(u, meet), tag)
                 count += 1
                 if lhs & ~f[meet]:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag in ("mu-CM", "mu-CUT", "mu-CUM"):
         for x in dom:
@@ -201,10 +196,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                 else:
                     ok = f[y] == fx
                 if not ok:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag == "mu-ResM":
         all_masks = u.all_masks()
@@ -219,12 +211,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                         continue
                     count += 1
                     if f[meet] & ~b:
-                        witness = [("X", x), ("A", a), ("B", b)]
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+                        return count, (("X", x), ("A", a), ("B", b)), skipped
 
     elif tag == "mu-sub-sup":
         for x in dom:
@@ -233,10 +220,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                     continue
                 count += 1
                 if f[x] != f[y]:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag in ("mu-RatM", "mu-eq"):
         for x in dom:
@@ -249,10 +233,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                 else:
                     ok = f[x] == f[y] & x
                 if not ok:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag == "mu-eq'":
         for y in dom:
@@ -265,10 +246,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                     raise DomainNotClosed(_label_key(u, meet), tag)
                 count += 1
                 if f[meet] != fy & x:
-                    witness = [("Y", y), ("X", x)]
-                    break
-            if witness:
-                break
+                    return count, (("Y", y), ("X", x)), skipped
 
     elif tag in ("mu-union", "mu-union'"):
         for x in dom:
@@ -285,10 +263,7 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                 else:
                     ok = f[un] == fx
                 if not ok:
-                    witness = [("X", x), ("Y", y)]
-                    break
-            if witness:
-                break
+                    return count, (("X", x), ("Y", y)), skipped
 
     elif tag == "mu-in":
         for x in dom:
@@ -298,7 +273,6 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                 if not rest & a:
                     continue
                 count += 1
-                found = False
                 for j in range(u.size):
                     b = 1 << j
                     if not x & b:
@@ -307,39 +281,20 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
                     if pair not in f:
                         raise DomainNotClosed(_label_key(u, pair), tag)
                     if not f[pair] & a:
-                        found = True
                         break
-                if not found:
-                    witness = [("X", x), ("a", a)]
-                    break
-            if witness:
-                break
+                else:
+                    return count, (("X", x), ("a", a)), skipped
 
     elif tag in ("mu-empty", "mu-empty-fin"):
         for x in dom:
             count += 1
             if f[x] == 0:
-                witness = [("X", x)]
-                break
+                return count, (("X", x),), skipped
 
     else:  # pragma: no cover
-        raise ValueError(f"unhandled mu rule {r!r}")
+        raise ValueError(f"unhandled mu rule {tag!r}")
 
-    named = None
-    if witness is not None:
-        named = {name: Subset(u, mask) for name, mask in witness}
-    notes: tuple[str, ...] = ()
-    if named is None and count == 0:
-        notes = ("vacuous: no instances to check",)
-    return CheckReport(
-        subject=mu.label,
-        condition=r.name,
-        holds=named is None,
-        witness=named,
-        instances_checked=count,
-        notes=notes,
-        skipped=skipped,
-    )
+    return count, None, skipped
 
 
 def mu_to_rule_bridge(mu: MuFunction, r: RuleId) -> CheckReport:
@@ -416,32 +371,7 @@ def verify_correspondence_forward(
     mu_rule = ROW_MU[row]
     checked = 0
     skipped = 0
-    notes: list[str] = []
     witness = None
-
-    if mu_rule is None:
-        # Intersection-closure of principal filters is structural; count the
-        # systems the row ranges over so the report is not an empty claim.
-        for size in range(1, max_universe + 1):
-            spec = SearchSpec(universe_size=size, required=[], target=None, mode="count")
-            for s in enumerate_systems(spec):
-                if all(check_property(s, p).holds for p in left):
-                    try:
-                        principal_mu(s)
-                    except NotPrincipal:
-                        skipped += 1
-                        continue
-                    checked += 1
-        notes.append("choice side is structural for principal filters")
-        return CorrespondenceReport(
-            row=row,
-            direction="forward",
-            universe_max=max_universe,
-            systems_checked=checked,
-            holds=True,
-            skipped_non_principal=skipped,
-            notes=tuple(notes),
-        )
 
     def eval_system(s: SizeSystem):
         for p in left:
@@ -451,7 +381,8 @@ def verify_correspondence_forward(
             mu = principal_mu(s)
         except NotPrincipal:
             return "skip"
-        rep = check_mu_rule(mu, mu_rule)
+        # Row 7's choice side is structural: only count the systems it ranges over.
+        rep = None if mu_rule is None else check_mu_rule(mu, mu_rule)
         return (s, mu, rep)
 
     for size in range(1, max_universe + 1):
@@ -465,7 +396,7 @@ def verify_correspondence_forward(
                 continue
             s, mu, rep = result
             checked += 1
-            if not rep.holds:
+            if rep is not None and not rep.holds:
                 witness = {
                     "system": s.to_dict(),
                     "mu": mu.to_dict(),
@@ -483,6 +414,7 @@ def verify_correspondence_forward(
         holds=witness is None,
         witness=witness,
         skipped_non_principal=skipped,
+        notes=("choice side is structural for principal filters",) if mu_rule is None else (),
     )
 
 

@@ -31,9 +31,10 @@ carrier missing from the domain raises DomainNotClosed instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainNotClosed, WorkbenchError
-from .report import CheckReport
+from .errors import DomainNotClosed
+from .report import CheckReport, Witness, guarded_report, scan_report
 from .setcore import Subset, canon_rank, submasks
 from .sizesys import SizeSystem, _label_key
 
@@ -167,29 +168,17 @@ def _first_cover(x: int, family: list[int], n: int, reach: list[set[int]]) -> li
     return picks
 
 
-class _Scan:
-    """Mutable verdict accumulator for one property scan."""
-
-    __slots__ = ("count", "witness", "notes")
-
-    def __init__(self):
-        self.count = 0
-        self.witness: list[tuple[str, int]] | None = None
-        self.notes: list[str] = []
-
-    def fail(self, *named: tuple[str, int]) -> None:
-        self.witness = list(named)
-
-
-def _check_opt(s: SizeSystem, sc: _Scan) -> None:
+def _check_opt(s: SizeSystem) -> tuple[int, Witness]:
+    count = 0
     for x in s.domain_masks:
-        sc.count += 1
+        count += 1
         if 0 not in s.ideals[x]:
-            sc.fail(("X", x))
-            return
+            return count, (("X", x),)
+    return count, None
 
 
-def _check_im(s: SizeSystem, sc: _Scan) -> None:
+def _check_im(s: SizeSystem) -> tuple[int, Witness]:
+    count = 0
     for x in s.domain_masks:
         fam = s.ideals[x]
         subs = submasks(x)
@@ -199,13 +188,14 @@ def _check_im(s: SizeSystem, sc: _Scan) -> None:
             for b in subs:
                 if a & ~b:
                     continue
-                sc.count += 1
+                count += 1
                 if b in fam:
-                    sc.fail(("X", x), ("A", a), ("B", b))
-                    return
+                    return count, (("X", x), ("A", a), ("B", b))
+    return count, None
 
 
-def _check_emi(s: SizeSystem, sc: _Scan) -> None:
+def _check_emi(s: SizeSystem) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     key = _rank_key(s)
     for x in dom:
@@ -215,13 +205,14 @@ def _check_emi(s: SizeSystem, sc: _Scan) -> None:
                 continue
             fam_y = s.ideals[y]
             for a in fam_x:
-                sc.count += 1
+                count += 1
                 if a not in fam_y:
-                    sc.fail(("X", x), ("Y", y), ("A", a))
-                    return
+                    return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
 
 
-def _check_emf(s: SizeSystem, sc: _Scan) -> None:
+def _check_emf(s: SizeSystem) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     key = _rank_key(s)
     filters = {y: _filter_list(y, s.ideals[y], key) for y in dom}
@@ -233,13 +224,14 @@ def _check_emf(s: SizeSystem, sc: _Scan) -> None:
             for a in filters[y]:
                 if a & ~x:
                     continue
-                sc.count += 1
+                count += 1
                 if (x & ~a) not in fam_x:
-                    sc.fail(("X", x), ("Y", y), ("A", a))
-                    return
+                    return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
 
 
-def _check_union_disj(s: SizeSystem, sc: _Scan, on_filters: bool) -> None:
+def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     key = _rank_key(s)
     if on_filters:
@@ -258,52 +250,53 @@ def _check_union_disj(s: SizeSystem, sc: _Scan, on_filters: bool) -> None:
             fam_u = s.ideals[u]
             for a in members[x]:
                 for b in members[y]:
-                    sc.count += 1
+                    count += 1
                     ab = u & ~(a | b) if on_filters else a | b
                     if ab not in fam_u:
-                        sc.fail(("X", x), ("Y", y), ("A", a), ("B", b))
-                        return
+                        return count, (("X", x), ("Y", y), ("A", a), ("B", b))
+    return count, None
 
 
-def _check_n_star_s(s: SizeSystem, n: int, sc: _Scan) -> None:
+def _check_n_star_s(s: SizeSystem, n: int) -> tuple[int, Witness]:
+    count = 0
     key = _rank_key(s)
     for x in s.domain_masks:
         fam = sorted(s.ideals[x], key=key)
         if not fam:
             continue
         reach = _cover_reach(fam, n)
-        sc.count += len(fam) ** n
+        count += len(fam) ** n
         if x in reach[n]:
             picks = _first_cover(x, fam, n, reach)
-            sc.fail(("X", x), *((f"A{i+1}", a) for i, a in enumerate(picks)))
-            return
+            return count, (("X", x), *((f"A{i+1}", a) for i, a in enumerate(picks)))
+    return count, None
 
 
-def _check_iomega(s: SizeSystem, sc: _Scan) -> None:
+def _check_iomega(s: SizeSystem) -> tuple[int, Witness]:
+    count = 0
     key = _rank_key(s)
     for x in s.domain_masks:
         fam = s.ideals[x]
         fam_sorted = sorted(fam, key=key)
         for a in fam_sorted:
             for b in fam_sorted:
-                sc.count += 1
+                count += 1
                 if (a | b) not in fam:
-                    sc.fail(("X", x), ("A", a), ("B", b))
-                    return
+                    return count, (("X", x), ("A", a), ("B", b))
+    return count, None
 
 
-def _check_m_plus_n(s: SizeSystem, n: int, sc: _Scan) -> None:
+def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     ideals = s.ideals
 
     def extend(chain: list[int]) -> bool:
-        """Depth-first over chains; returns True when a violation was found."""
+        """Depth-first over chains; True, with `chain` the violation, if found."""
+        nonlocal count
         if len(chain) == n:
-            sc.count += 1
-            if chain[0] in ideals[chain[-1]]:
-                sc.fail(*((f"X{i+1}", x) for i, x in enumerate(chain)))
-                return True
-            return False
+            count += 1
+            return chain[0] in ideals[chain[-1]]
         last = chain[-1]
         for nxt in dom:
             if last & ~nxt:
@@ -317,11 +310,14 @@ def _check_m_plus_n(s: SizeSystem, n: int, sc: _Scan) -> None:
         return False
 
     for first in dom:
-        if extend([first]):
-            return
+        chain = [first]
+        if extend(chain):
+            return count, tuple((f"X{i+1}", x) for i, x in enumerate(chain))
+    return count, None
 
 
-def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
+def _check_m_plus_omega(s: SizeSystem, variant: int) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     ideals = s.ideals
     if variant == 4:
@@ -335,11 +331,10 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                     z = x & ~b
                     if z not in ideals:
                         raise DomainNotClosed(_label_key(s.universe, z), "M+omega:4")
-                    sc.count += 1
+                    count += 1
                     if (a & ~b) not in ideals[z]:
-                        sc.fail(("X", x), ("A", a), ("B", b))
-                        return
-        return
+                        return count, (("X", x), ("A", a), ("B", b))
+        return count, None
     for x in dom:
         fam_x = ideals[x]
         subs = submasks(x)
@@ -354,10 +349,9 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 for a in subs:
                     if (x & ~a) not in fam_x:
                         continue
-                    sc.count += 1
+                    count += 1
                     if a in fam_y:
-                        sc.fail(("X", x), ("Y", y), ("A", a))
-                        return
+                        return count, (("X", x), ("Y", y), ("A", a))
             elif variant == 2:
                 # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
                 if (y & ~x) not in fam_y:
@@ -365,10 +359,9 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 for a in subs:
                     if a in fam_x:
                         continue
-                    sc.count += 1
+                    count += 1
                     if a in fam_y:
-                        sc.fail(("X", x), ("Y", y), ("A", a))
-                        return
+                        return count, (("X", x), ("Y", y), ("A", a))
             else:
                 # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
                 if (y & ~x) not in fam_y:
@@ -376,13 +369,14 @@ def _check_m_plus_omega(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 for a in subs:
                     if (x & ~a) not in fam_x:
                         continue
-                    sc.count += 1
+                    count += 1
                     if (y & ~a) not in fam_y:
-                        sc.fail(("X", x), ("Y", y), ("A", a))
-                        return
+                        return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
 
 
-def _check_m_plus_plus(s: SizeSystem, variant: int, sc: _Scan) -> None:
+def _check_m_plus_plus(s: SizeSystem, variant: int) -> tuple[int, Witness]:
+    count = 0
     dom = s.domain_masks
     ideals = s.ideals
     if variant == 3:
@@ -398,11 +392,10 @@ def _check_m_plus_plus(s: SizeSystem, variant: int, sc: _Scan) -> None:
                 for a in subs:
                     if a in fam_x:
                         continue
-                    sc.count += 1
+                    count += 1
                     if a in fam_y:
-                        sc.fail(("X", x), ("Y", y), ("A", a))
-                        return
-        return
+                        return count, (("X", x), ("Y", y), ("A", a))
+        return count, None
     key = _rank_key(s)
     for x in dom:
         fam_x = ideals[x]
@@ -423,64 +416,41 @@ def _check_m_plus_plus(s: SizeSystem, variant: int, sc: _Scan) -> None:
             for b, z, fam_z in carriers:
                 if fam_z is None:
                     raise DomainNotClosed(_label_key(s.universe, z), f"M++:{variant}")
-                sc.count += 1
+                count += 1
                 if variant == 1:
                     bad = (a & ~b) not in fam_z
                 else:
                     bad = ((x & ~a) & ~b) not in fam_z
                 if bad:
-                    sc.fail(("X", x), ("A", a), ("B", b))
-                    return
+                    return count, (("X", x), ("A", a), ("B", b))
+    return count, None
+
+
+# The property vocabulary: each tag's scan returns (instances_checked, witness).
+# Parameterised tags take the PropertyId's parameter as a second argument.
+_SCANS = {
+    "Opt": _check_opt,
+    "iM": _check_im,
+    "eMI": _check_emi,
+    "eMF": _check_emf,
+    "I-union-disj": partial(_check_union_disj, on_filters=False),
+    "F-union-disj": partial(_check_union_disj, on_filters=True),
+    "n*s": _check_n_star_s,
+    "I-omega": _check_iomega,
+    "M+n": _check_m_plus_n,
+    "M+omega": _check_m_plus_omega,
+    "M++": _check_m_plus_plus,
+}
 
 
 def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:
     """Decide one table property over all instances in s; canonical witness."""
-    sc = _Scan()
-    if p.tag in ("n*s", "M+n") and p.param is not None and p.param > s.universe.size + 1:
-        sc.notes.append(f"parameter {p.param} exceeds |U|+1; condition near-vacuous")
-    if p.tag == "Opt":
-        _check_opt(s, sc)
-    elif p.tag == "iM":
-        _check_im(s, sc)
-    elif p.tag == "eMI":
-        _check_emi(s, sc)
-    elif p.tag == "eMF":
-        _check_emf(s, sc)
-    elif p.tag == "I-union-disj":
-        _check_union_disj(s, sc, on_filters=False)
-    elif p.tag == "F-union-disj":
-        _check_union_disj(s, sc, on_filters=True)
-    elif p.tag == "n*s":
-        _check_n_star_s(s, p.param, sc)
-    elif p.tag == "I-omega":
-        _check_iomega(s, sc)
-    elif p.tag == "M+n":
-        _check_m_plus_n(s, p.param, sc)
-    elif p.tag == "M+omega":
-        _check_m_plus_omega(s, p.param, sc)
-    elif p.tag == "M++":
-        _check_m_plus_plus(s, p.param, sc)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled property {p!r}")
-    return _scan_report(s, p.name, sc)
-
-
-def _scan_report(s: SizeSystem, condition: str, sc: _Scan) -> CheckReport:
-    u = s.universe
-    witness = None
-    if sc.witness is not None:
-        witness = {name: Subset(u, mask) for name, mask in sc.witness}
-    notes = list(sc.notes)
-    if witness is None and sc.count == 0:
-        notes.append("vacuous: no instances to check")
-    return CheckReport(
-        subject=s.label,
-        condition=condition,
-        holds=witness is None,
-        witness=witness,
-        instances_checked=sc.count,
-        notes=tuple(notes),
-    )
+    scan = _SCANS[p.tag]
+    count, witness = scan(s) if p.param is None else scan(s, p.param)
+    notes = ()
+    if p.tag in ("n*s", "M+n") and p.param > s.universe.size + 1:
+        notes = (f"parameter {p.param} exceeds |U|+1; condition near-vacuous",)
+    return scan_report(s.label, p.name, s.universe, count, witness, notes)
 
 
 LEVEL_CONSTITUENTS = (OPT, IM, EMI, EMF)
@@ -511,20 +481,7 @@ def check_level(s: SizeSystem, x: int) -> CheckReport:
 
 def property_matrix(s: SizeSystem, ps: list[PropertyId]) -> list[CheckReport]:
     """One report per requested property; errors become error reports."""
-    out = []
-    for p in ps:
-        try:
-            out.append(check_property(s, p))
-        except WorkbenchError as exc:
-            out.append(
-                CheckReport(
-                    subject=s.label,
-                    condition=p.name,
-                    holds=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return out
+    return [guarded_report(check_property, s, p) for p in ps]
 
 
 # --- independent single-instance re-evaluation (used by the test suite) ------

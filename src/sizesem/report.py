@@ -9,8 +9,13 @@ timestamps), so identical inputs give byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .setcore import Subset
+from .errors import WorkbenchError
+from .setcore import Subset, Universe
+
+# What a scan finds: None, or the violating instance as (name, mask) pairs.
+Witness = tuple[tuple[str, int], ...] | None
 
 
 @dataclass
@@ -47,6 +52,49 @@ class CheckReport:
         if self.witness_system is not None:
             out["witness_system"] = self.witness_system
         return out
+
+
+def scan_report(
+    subject: str,
+    condition: str,
+    universe: Universe,
+    count: int,
+    witness: Witness,
+    notes: Iterable[str] = (),
+    skipped: int = 0,
+) -> CheckReport:
+    """The report of one property, rule or mu-rule scan.
+
+    `count` is the number of instances the scan examined and `witness` its
+    first violation; a scan with nothing to examine is vacuously true.
+    """
+    named = None
+    if witness is not None:
+        named = {name: Subset(universe, mask) for name, mask in witness}
+    elif count == 0:
+        notes = (*notes, "vacuous: no instances to check")
+    return CheckReport(
+        subject=subject,
+        condition=condition,
+        holds=named is None,
+        witness=named,
+        instances_checked=count,
+        notes=tuple(notes),
+        skipped=skipped,
+    )
+
+
+def guarded_report(check: Callable, target, cid) -> CheckReport:
+    """check(target, cid), or an error record if the check raises."""
+    try:
+        return check(target, cid)
+    except WorkbenchError as exc:
+        return CheckReport(
+            subject=target.label,
+            condition=cid.name,
+            holds=False,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 @dataclass

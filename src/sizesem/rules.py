@@ -49,7 +49,7 @@ from itertools import product
 
 from .errors import DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
-from .report import CheckReport
+from .report import CheckReport, scan_report
 from .setcore import Subset
 from .sizesys import SizeSystem
 
@@ -184,19 +184,16 @@ def _require_full(s: SizeSystem) -> None:
 # --- rule checking -----------------------------------------------------------
 
 
-class _RuleScan:
-    __slots__ = ("count", "witness", "notes")
-
-    def __init__(self):
-        self.count = 0
-        self.witness: list[tuple[str, int]] | None = None
-        self.notes: list[str] = []
-
-
 def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
     """Decide one rule over all model-set instantiations; canonical witness."""
     _require_full(s)
-    sc = _RuleScan()
+    count, witness, *notes = _scan_rule(s, r)
+    return scan_report(s.label, r.name, s.universe, count, witness, *notes)
+
+
+def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
+    """(instances_checked, witness), plus the notes for OR:2, CM:2 and CCL."""
+    count = 0
     ideals = s.ideals
     full = s.universe.full_mask
     masks = s.universe.all_masks()
@@ -213,18 +210,16 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
             for b in masks:
                 if a & ~b:
                     continue
-                sc.count += 1
+                count += 1
                 if (a & ~b) not in fam:  # a − b is ∅ here; fails iff Opt fails at a
-                    sc.witness = [("alpha", a), ("beta", b)]
-                    return _rule_report(s, r, sc)
+                    return count, (("alpha", a), ("beta", b))
 
     elif tag == "REF":
         for a in masks:
             for g in masks:
-                sc.count += 1
+                count += 1
                 if not nm(a & g, g):
-                    sc.witness = [("alpha", a), ("gamma", g)]
-                    return _rule_report(s, r, sc)
+                    return count, (("alpha", a), ("gamma", g))
 
     elif tag == "RW":
         for a in nonempty:
@@ -235,10 +230,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b2 in masks:
                     if b & ~b2:
                         continue
-                    sc.count += 1
+                    count += 1
                     if (a & ~b2) not in fam:
-                        sc.witness = [("alpha", a), ("beta", b), ("beta'", b2)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
 
     elif tag == "wOR":
         for a in nonempty:
@@ -247,10 +241,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b in masks:
                     if (a & ~b) not in fam or (a2 & ~b):
                         continue
-                    sc.count += 1
+                    count += 1
                     if not nm(a | a2, b):
-                        sc.witness = [("alpha", a), ("alpha'", a2), ("beta", b)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
 
     elif tag == "PR'":
         for a in nonempty:
@@ -261,10 +254,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b in masks:
                     if (a & ~b) not in fam or (a2 & ~a) & ~b:
                         continue
-                    sc.count += 1
+                    count += 1
                     if not nm(a2, b):
-                        sc.witness = [("alpha", a), ("alpha'", a2), ("beta", b)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
 
     elif tag == "wCM":
         for a in nonempty:
@@ -275,10 +267,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b in masks:
                     if (a & ~b) not in fam or (a & b) & ~a2:
                         continue
-                    sc.count += 1
+                    count += 1
                     if not nm(a2, b):
-                        sc.witness = [("alpha", a), ("alpha'", a2), ("beta", b)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
 
     elif tag == "disjOR":
         for p in nonempty:
@@ -293,37 +284,27 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                     for q2 in masks:
                         if (p2 & ~q2) not in fam_p2:
                             continue
-                        sc.count += 1
+                        count += 1
                         if not nm(p | p2, q | q2):
-                            sc.witness = [
-                                ("phi", p),
-                                ("phi'", p2),
-                                ("psi", q),
-                                ("psi'", q2),
-                            ]
-                            return _rule_report(s, r, sc)
+                            return count, (("phi", p), ("phi'", p2), ("psi", q), ("psi'", q2))
 
     elif tag == "CP":
         for p in nonempty:
-            sc.count += 1
+            count += 1
             if p in ideals[p]:
-                sc.witness = [("phi", p)]
-                return _rule_report(s, r, sc)
+                return count, (("phi", p),)
 
     elif tag == "AND":
         for a in nonempty:
             fam = ideals[a]
             small = [b for b in masks if (a & ~b) in fam]
             for combo in product(small, repeat=n):
-                sc.count += 1
+                count += 1
                 meet = a
                 for b in combo:
                     meet &= b
                 if meet == 0:
-                    sc.witness = [("alpha", a)] + [
-                        (f"beta{i+1}", b) for i, b in enumerate(combo)
-                    ]
-                    return _rule_report(s, r, sc)
+                    return count, (("alpha", a), *((f"beta{i+1}", b) for i, b in enumerate(combo)))
 
     elif tag == "AND:omega":
         for a in nonempty:
@@ -334,14 +315,12 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b2 in masks:
                     if (a & ~b2) not in fam:
                         continue
-                    sc.count += 1
+                    count += 1
                     if (a & ~(b & b2)) not in fam:
-                        sc.witness = [("alpha", a), ("beta", b), ("beta'", b2)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
 
     elif tag == "OR":
-        if n == 2:
-            sc.notes.append("OR:2 and CM:2 name the same rule")
+        notes = ("OR:2 and CM:2 name the same rule",) if n == 2 else ()
         for combo in product(nonempty, repeat=n - 1):
             for b in masks:
                 ok = True
@@ -351,15 +330,14 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                         break
                 if not ok:
                     continue
-                sc.count += 1
+                count += 1
                 union = 0
                 for a in combo:
                     union |= a
                 if (union & b) in ideals[union]:
-                    sc.witness = [
-                        (f"alpha{i+1}", a) for i, a in enumerate(combo)
-                    ] + [("beta", b)]
-                    return _rule_report(s, r, sc)
+                    alphas = ((f"alpha{i+1}", a) for i, a in enumerate(combo))
+                    return count, (*alphas, ("beta", b)), notes
+        return count, None, notes
 
     elif tag == "OR:omega":
         for a in nonempty:
@@ -369,27 +347,24 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b in masks:
                     if (a & ~b) not in fam or (a2 & ~b) not in fam2:
                         continue
-                    sc.count += 1
+                    count += 1
                     if ((a | a2) & ~b) not in ideals[a | a2]:
-                        sc.witness = [("alpha", a), ("alpha'", a2), ("beta", b)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
 
     elif tag == "CM":
-        if n == 2:
-            sc.notes.append("CM:2 and OR:2 name the same rule")
+        notes = ("CM:2 and OR:2 name the same rule",) if n == 2 else ()
         for a in nonempty:
             fam = ideals[a]
             small = [b for b in masks if (a & ~b) in fam]
             for combo in product(small, repeat=n - 1):
-                sc.count += 1
+                count += 1
                 t = a
                 for b in combo[:-1]:
                     t &= b
                 if nm(t, full & ~combo[-1]):
-                    sc.witness = [("alpha", a)] + [
-                        (f"beta{i+1}", b) for i, b in enumerate(combo)
-                    ]
-                    return _rule_report(s, r, sc)
+                    betas = ((f"beta{i+1}", b) for i, b in enumerate(combo))
+                    return count, (("alpha", a), *betas), notes
+        return count, None, notes
 
     elif tag == "CM:omega":
         for a in nonempty:
@@ -400,10 +375,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for b2 in masks:
                     if (a & ~b2) not in fam:
                         continue
-                    sc.count += 1
+                    count += 1
                     if not nm(a & b, b2):
-                        sc.witness = [("alpha", a), ("beta", b), ("beta'", b2)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
 
     elif tag == "RatM":
         for p in nonempty:
@@ -414,10 +388,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for q2 in masks:
                     if (p & q2) in fam:  # p |~ ¬q2: premise p ̸|~ ¬q2 false
                         continue
-                    sc.count += 1
+                    count += 1
                     if not nm(p & q2, q):
-                        sc.witness = [("phi", p), ("psi", q), ("psi'", q2)]
-                        return _rule_report(s, r, sc)
+                        return count, (("phi", p), ("psi", q), ("psi'", q2))
 
     elif tag == "CUT":
         for a in nonempty:
@@ -428,10 +401,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for g in masks:
                     if not nm(a & b, g):
                         continue
-                    sc.count += 1
+                    count += 1
                     if (a & ~g) not in fam:
-                        sc.witness = [("alpha", a), ("beta", b), ("gamma", g)]
-                        return _rule_report(s, r, sc)
+                        return count, (("alpha", a), ("beta", b), ("gamma", g))
 
     elif tag == "CUM":
         for p in nonempty:
@@ -440,10 +412,9 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 if (p & ~q) not in fam:
                     continue
                 for q2 in masks:
-                    sc.count += 1
+                    count += 1
                     if ((p & ~q2) in fam) != nm(p & q, q2):
-                        sc.witness = [("phi", p), ("psi", q), ("psi'", q2)]
-                        return _rule_report(s, r, sc)
+                        return count, (("phi", p), ("psi", q), ("psi'", q2))
 
     elif tag == "CCL":
         for a in nonempty:
@@ -452,19 +423,17 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
             closed_set = set(closed)
             for b in closed:
                 for b2 in closed:
-                    sc.count += 1
+                    count += 1
                     if b & b2 not in closed_set:
-                        sc.notes.append("consequences not closed under intersection")
-                        sc.witness = [("alpha", a), ("beta", b), ("beta'", b2)]
-                        return _rule_report(s, r, sc)
+                        witness = (("alpha", a), ("beta", b), ("beta'", b2))
+                        return count, witness, ("consequences not closed under intersection",)
                 for b2 in masks:
                     if b & ~b2:
                         continue
-                    sc.count += 1
+                    count += 1
                     if b2 not in closed_set:
-                        sc.notes.append("consequences not closed under superset")
-                        sc.witness = [("alpha", a), ("beta", b), ("beta'", b2)]
-                        return _rule_report(s, r, sc)
+                        witness = (("alpha", a), ("beta", b), ("beta'", b2))
+                        return count, witness, ("consequences not closed under superset",)
 
     elif tag == "M+derived":
         for g in nonempty:
@@ -475,30 +444,11 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
                 for a in masks:
                     if not nm(g & b, a):
                         continue
-                    sc.count += 1
+                    count += 1
                     if (g & a & b) in fam:  # γ |~ ¬(α∧β): conclusion fails
-                        sc.witness = [("gamma", g), ("beta", b), ("alpha", a)]
-                        return _rule_report(s, r, sc)
+                        return count, (("gamma", g), ("beta", b), ("alpha", a))
 
     else:  # pragma: no cover
         raise ValueError(f"unhandled rule {r!r}")
 
-    return _rule_report(s, r, sc)
-
-
-def _rule_report(s: SizeSystem, r: RuleId, sc: _RuleScan) -> CheckReport:
-    u = s.universe
-    witness = None
-    if sc.witness is not None:
-        witness = {name: Subset(u, mask) for name, mask in sc.witness}
-    notes = list(sc.notes)
-    if witness is None and sc.count == 0:
-        notes.append("vacuous: no instances to check")
-    return CheckReport(
-        subject=s.label,
-        condition=r.name,
-        holds=witness is None,
-        witness=witness,
-        instances_checked=sc.count,
-        notes=tuple(notes),
-    )
+    return count, None

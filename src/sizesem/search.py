@@ -318,7 +318,7 @@ def verify_implication(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
         if rep is not None and not rep.holds:
             return CheckReport(
                 subject=f"search:u{spec.universe_size}",
-                condition=_implication_name(spec),
+                condition=_implication_name(spec.required, spec.target),
                 holds=False,
                 witness=rep.witness,
                 instances_checked=satisfying,
@@ -327,7 +327,7 @@ def verify_implication(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
             )
     return CheckReport(
         subject=f"search:u{spec.universe_size}",
-        condition=_implication_name(spec),
+        condition=_implication_name(spec.required, spec.target),
         holds=True,
         instances_checked=satisfying,
     )
@@ -346,9 +346,37 @@ def count_systems(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
     )
 
 
-def _implication_name(spec: SearchSpec) -> str:
-    left = "+".join(c.name for c in spec.required) or "(all)"
-    return f"{left}=>{spec.target.name if spec.target else '?'}"
+def _implication_name(required: tuple[CheckId, ...], target: CheckId) -> str:
+    left = "+".join(c.name for c in required) or "(all)"
+    return f"{left}=>{target.name}"
+
+
+def _agreement_name(ids: list[CheckId]) -> str:
+    return "agree:" + "=".join(c.name for c in ids)
+
+
+def _merge_upto(
+    per_size: Callable[[int], CheckReport], max_universe: int, condition: str
+) -> CheckReport:
+    """Run one per-size check for sizes 1..max_universe, summing the counts.
+
+    The first failing report is returned with the summed count; if every size
+    holds, one holding report covers them all.
+    """
+    total = 0
+    for size in range(1, max_universe + 1):
+        rep = per_size(size)
+        total += rep.instances_checked
+        if not rep.holds:
+            rep.subject = f"search:u<={max_universe}"
+            rep.instances_checked = total
+            return rep
+    return CheckReport(
+        subject=f"search:u<={max_universe}",
+        condition=condition,
+        holds=True,
+        instances_checked=total,
+    )
 
 
 def verify_implication_upto(
@@ -360,36 +388,12 @@ def verify_implication_upto(
 ) -> CheckReport:
     """verify_implication over every universe size 1..max_universe, merged."""
     required = tuple(required)
-    total = 0
-    for size in range(1, max_universe + 1):
-        spec = SearchSpec(
-            universe_size=size,
-            required=required,
-            target=target,
-            mode="verify-implication",
-            monotone_only=monotone_only,
-        )
-        rep = verify_implication(spec, parallelism)
-        total += rep.instances_checked
-        if not rep.holds:
-            rep.subject = f"search:u<={max_universe}"
-            rep.instances_checked = total
-            return rep
-    name = _implication_name(
-        SearchSpec(
-            universe_size=max_universe,
-            required=required,
-            target=target,
-            mode="verify-implication",
-            monotone_only=monotone_only,
-        )
-    )
-    return CheckReport(
-        subject=f"search:u<={max_universe}",
-        condition=name,
-        holds=True,
-        instances_checked=total,
-    )
+
+    def per_size(size: int) -> CheckReport:
+        spec = SearchSpec(size, required, target, "verify-implication", monotone_only)
+        return verify_implication(spec, parallelism)
+
+    return _merge_upto(per_size, max_universe, _implication_name(required, target))
 
 
 def verify_agreement_upto(
@@ -399,19 +403,10 @@ def verify_agreement_upto(
     parallelism: int = 1,
 ) -> CheckReport:
     """verify_agreement over every universe size 1..max_universe, merged."""
-    total = 0
-    for size in range(1, max_universe + 1):
-        rep = verify_agreement(ids, size, monotone_only, parallelism)
-        total += rep.instances_checked
-        if not rep.holds:
-            rep.subject = f"search:u<={max_universe}"
-            rep.instances_checked = total
-            return rep
-    return CheckReport(
-        subject=f"search:u<={max_universe}",
-        condition="agree:" + "=".join(c.name for c in ids),
-        holds=True,
-        instances_checked=total,
+    return _merge_upto(
+        lambda size: verify_agreement(ids, size, monotone_only, parallelism),
+        max_universe,
+        _agreement_name(ids),
     )
 
 
@@ -427,7 +422,7 @@ def verify_agreement(
         mode="count",
         monotone_only=monotone_only,
     )
-    name = "agree:" + "=".join(c.name for c in ids)
+    name = _agreement_name(ids)
 
     def evaluate(s: SizeSystem):
         return (s, [evaluate_check(s, c).holds for c in ids])

@@ -23,6 +23,7 @@ whenever every filter has a least element.
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -405,23 +406,18 @@ def mu_from_dict(doc: Mapping, label: str = "mu") -> MuFunction:
     return build_mu(u, domain, choice, label=label)
 
 
-def load_system(path: str) -> SizeSystem:
+def _read_document(path: str) -> tuple[object, str]:
+    """The parsed JSON of a document file, and its label: the file's base name."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    import os
+    return doc, os.path.splitext(os.path.basename(path))[0]
 
-    return system_from_dict(doc, label=os.path.splitext(os.path.basename(path))[0])
+
+def load_system(path: str) -> SizeSystem:
+    doc, label = _read_document(path)
+    return system_from_dict(doc, label=label)
 
 
 def load_mu(path: str) -> MuFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    import os
-
-    return mu_from_dict(doc, label=os.path.splitext(os.path.basename(path))[0])
-
-
-def save_system(s: SizeSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(s.to_dict(), fh, indent=2)
-        fh.write("\n")
+    doc, label = _read_document(path)
+    return mu_from_dict(doc, label=label)

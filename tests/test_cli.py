@@ -3,6 +3,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 from sizesem.cli import main
 
 
@@ -203,3 +205,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+
+@pytest.mark.parametrize(
+    "argv, doc, errors",
+    [
+        (
+            ("check", "--system", "--props", "Opt,I-union-disj"),
+            {"universe": ["x", "y"], "domain": [["x"], ["y"]]},
+            [None, "DomainNotClosed: "],
+        ),
+        (
+            ("rules", "--system", "--rules", "SC,CP"),
+            {"universe": ["x", "y"], "domain": [["x"], ["x", "y"]]},
+            ["DomainNotFull: ", "DomainNotFull: "],
+        ),
+        (
+            ("mu", "--mu", "--rules", "mu-OR,mu-PR"),
+            {"universe": ["a", "b"], "domain": [["a"], ["b"]]},
+            ["DomainNotClosed: domain does not contain a,b (needed for mu-OR)", None],
+        ),
+    ],
+    ids=["check", "rules", "mu"],
+)
+def test_json_error_records_exit_zero(tmp_path, capsys, argv, doc, errors):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, argv[0], argv[1], str(path), *argv[2:], "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == len(errors)
+    for rec, error in zip(records, errors):
+        if error is None:
+            assert rec["holds"] and "error" not in rec
+        else:
+            assert rec["error"].startswith(error)
+            assert rec["holds"] is False and rec["witness"] is None
+            assert rec["instances_checked"] == 0

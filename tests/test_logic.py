@@ -171,3 +171,26 @@ def test_models_agree_with_per_world_evaluation():
             m = models(f, i)
             for world in u.elements:
                 assert (world in m) == _holds_at(f, i, world)
+
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"universe": ["x", "y"], "atoms": {"p": "xy"}}, '"atoms"["p"]'),
+        ({"universe": "xy", "atoms": {"p": ["x"]}}, '"universe"'),
+        ({"universe": ["x"], "atoms": [["x"]]}, '"atoms"'),
+    ],
+    ids=["string-atom", "string-universe", "non-object-atoms"],
+)
+def test_interpretation_from_system_file_rejects_malformed(tmp_path, doc, key):
+    import json
+
+    from sizesem.errors import MalformedDocument
+    from sizesem.logic import interpretation_from_system_file
+
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument) as info:
+        interpretation_from_system_file(str(path))
+    assert key in str(info.value)

@@ -231,3 +231,36 @@ def test_from_mu_with_nonempty_choices_has_basic_properties():
             assert check_property(s, IM).holds
             assert check_property(s, IOMEGA).holds
             assert check_property(s, n_star_s(1)).holds
+
+
+def test_vacuous_mu_rule_note():
+    # With f the identity, X − f(X) is empty, so mu-union has no instance.
+    rep = check_mu_rule(identity_mu(3), MuRuleId("mu-union"))
+    assert rep.holds and rep.witness is None and rep.instances_checked == 0
+    assert rep.notes == ("vacuous: no instances to check",)
+
+
+def test_mu_pr_prime_skipped_count():
+    # Pairs (X, Y) of nonempty subsets of a 3-set with X ∩ Y = ∅ are skipped:
+    # 3^3 − 2·2^3 + 1 = 12 of the 7·7 = 49 pairs.
+    rep = check_mu_rule(identity_mu(3), MuRuleId("mu-PR'"))
+    assert rep.holds
+    assert (rep.instances_checked, rep.skipped) == (37, 12)
+    assert rep.to_dict()["skipped"] == 12
+    # The scan stops at the witness; every disjoint pair came before it.
+    rep = check_mu_rule(counterexample_mu(), MuRuleId("mu-PR'"))
+    assert not rep.holds
+    assert (rep.instances_checked, rep.skipped) == (34, 12)
+
+
+def test_mu_resm_skipped_count():
+    # f ≡ ∅ meets every premise f(X) ⊆ A∩B, and the instance is skipped iff
+    # X ∩ A = ∅: sum over X of 2^(n−|X|) choices of A times 2^n of B, that is
+    # 2^n (3^n − 2^n) = 20 at n = 2 and 152 at n = 3.
+    for n, skipped, checked in ((2, 20, 28), (3, 152, 296)):
+        rep = check_mu_rule(constant_empty_mu(n), MuRuleId("mu-ResM"))
+        assert rep.holds
+        assert (rep.instances_checked, rep.skipped) == (checked, skipped)
+    # With f the identity, f(X) ⊆ A forces X ∩ A = X ≠ ∅: nothing is skipped.
+    rep = check_mu_rule(identity_mu(3), MuRuleId("mu-ResM"))
+    assert rep.skipped == 0 and "skipped" not in rep.to_dict()

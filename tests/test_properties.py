@@ -222,3 +222,18 @@ def test_instances_zero_is_vacuous_note():
     rep = check_property(s, IOMEGA)
     assert rep.holds and rep.instances_checked == 0
     assert any("vacuous" in n for n in rep.notes)
+
+
+def test_property_matrix_error_record_on_domain_not_closed():
+    u = Universe(["a", "b"])
+    s = build(u, [u.subset(["a"]), u.subset(["b"])], {}, label="split")
+    opt, union = property_matrix(s, [OPT, I_UNION_DISJ])
+    assert opt.holds and opt.error is None
+    assert union.to_dict() == {
+        "subject": "split",
+        "condition": "I-union-disj",
+        "holds": False,
+        "witness": None,
+        "instances_checked": 0,
+        "error": "DomainNotClosed: domain does not contain a,b (needed for disjoint union rule)",
+    }

@@ -288,3 +288,12 @@ def test_ratm_holds_trivially_fails_with_singleton_smallness():
 
     s = fixture_system("fact35-2")
     assert not check_rule(s, RATM).holds
+
+
+def test_vacuous_rule_note():
+    # With I({a}) = ∅ no β satisfies the premise {a} |~ β, so RW has no instance.
+    u = Universe(["a"])
+    s = build(u, None, {u.full: []})
+    rep = check_rule(s, RW)
+    assert rep.holds and rep.witness is None and rep.instances_checked == 0
+    assert rep.notes == ("vacuous: no instances to check",)
