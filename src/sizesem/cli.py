@@ -150,7 +150,10 @@ def cmd_mu(args) -> int:
         if args.direction not in ("fwd", "bwd"):
             print("mu --row needs --direction fwd|bwd", file=sys.stderr)
             return 2
-        max_size = args.max_size or 3
+        max_size = 3 if args.max_size is None else args.max_size
+        if max_size < 1:
+            print("mu --max-size must be at least 1", file=sys.stderr)
+            return 2
         if args.direction == "fwd":
             rep = verify_correspondence_forward(args.row, max_size)
         else:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainNotClosed, NotPrincipal
+from .errors import CapacityExceeded, DomainNotClosed, NotPrincipal
 from .properties import (
     EMF,
     EMI,
@@ -43,7 +43,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters
+from .search import SearchSpec, _letters, enumerate_systems, first_failure
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, principal_mu
 
@@ -332,6 +332,8 @@ ROW_MU: dict[int, MuRuleId | None] = {
 
 NEGATIVE_BACKWARD_ROWS = (8, 9, 10)
 
+CORRESPONDENCE_CEILING = 3
+
 
 def enumerate_mu_functions(universe: Universe) -> Iterator[MuFunction]:
     """Every choice function on the full domain, canonical order."""
@@ -359,52 +361,48 @@ def counterexample_mu() -> MuFunction:
     return MuFunction(u, dom, choice, label="cut-without-emi")
 
 
+def _refuse_beyond_ceiling(max_universe: int) -> None:
+    if max_universe > CORRESPONDENCE_CEILING:
+        raise CapacityExceeded(
+            f"correspondence scans are capped at size {CORRESPONDENCE_CEILING}; size 4 "
+            "has 2^32 choice functions and about 5.4e12 monotone systems"
+        )
+
+
 def verify_correspondence_forward(
     row: int, max_universe: int, parallelism: int = 1
 ) -> CorrespondenceReport:
     """Left side ⇒ choice side, over monotone principal systems up to size max."""
-    from .search import SearchSpec, enumerate_systems, scan_stream
-
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
+    _refuse_beyond_ceiling(max_universe)
     left = ROW_LEFT[row]
     mu_rule = ROW_MU[row]
-    checked = 0
-    skipped = 0
-    witness = None
 
-    def eval_system(s: SizeSystem):
+    def evaluate(s: SizeSystem):
         for p in left:
             if not check_property(s, p).holds:
                 return None
         try:
             mu = principal_mu(s)
         except NotPrincipal:
-            return "skip"
+            return False
         # Row 7's choice side is structural: only count the systems it ranges over.
-        rep = None if mu_rule is None else check_mu_rule(mu, mu_rule)
-        return (s, mu, rep)
+        if mu_rule is None:
+            return True
+        rep = check_mu_rule(mu, mu_rule)
+        return True if rep.holds else (s, mu, rep)
 
-    for size in range(1, max_universe + 1):
-        spec = SearchSpec(universe_size=size, required=[], target=None, mode="count")
-        stream = enumerate_systems(spec)
-        for result in scan_stream(stream, eval_system, parallelism):
-            if result is None:
-                continue
-            if result == "skip":
-                skipped += 1
-                continue
-            s, mu, rep = result
-            checked += 1
-            if rep is not None and not rep.holds:
-                witness = {
-                    "system": s.to_dict(),
-                    "mu": mu.to_dict(),
-                    "violation": rep.to_dict(),
-                }
-                break
-        if witness:
-            break
+    systems = (
+        s
+        for size in range(1, max_universe + 1)
+        for s in enumerate_systems(SearchSpec(size, mode="count"))
+    )
+    checked, skipped, failure = first_failure(systems, evaluate, parallelism)
+    witness = None
+    if failure is not None:
+        s, mu, rep = failure
+        witness = {"system": s.to_dict(), "mu": mu.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(
         row=row,
@@ -423,8 +421,6 @@ def verify_correspondence_backward(
 ) -> CorrespondenceReport:
     """Choice side ⇒ left side over all choice functions; rows 8–10 confirm
     the non-implication instead, exhibiting the known witness."""
-    from .search import scan_stream
-
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
     left = ROW_LEFT[row]
@@ -453,37 +449,25 @@ def verify_correspondence_backward(
             notes=("expected non-implication",),
         )
 
-    checked = 0
+    _refuse_beyond_ceiling(max_universe)
+
+    def evaluate(mu: MuFunction):
+        if mu_rule is not None and not check_mu_rule(mu, mu_rule).holds:
+            return None
+        system = from_mu(mu)
+        for p in left:
+            rep = check_property(system, p)
+            if not rep.holds:
+                return mu, system, rep
+        return True
+
+    universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
+    choices = (mu for u in universes for mu in enumerate_mu_functions(u))
+    checked, _, failure = first_failure(choices, evaluate, parallelism)
     witness = None
-    for size in range(1, max_universe + 1):
-        u = Universe(_letters(size))
-
-        def evaluate(mu: MuFunction):
-            if mu_rule is not None and not check_mu_rule(mu, mu_rule).holds:
-                return None
-            system = from_mu(mu)
-            for p in left:
-                rep = check_property(system, p)
-                if not rep.holds:
-                    return (mu, system, rep)
-            return "ok"
-
-        for result in scan_stream(enumerate_mu_functions(u), evaluate, parallelism):
-            if result is None:
-                continue
-            if result == "ok":
-                checked += 1
-                continue
-            mu, system, rep = result
-            checked += 1
-            witness = {
-                "mu": mu.to_dict(),
-                "system": system.to_dict(),
-                "violation": rep.to_dict(),
-            }
-            break
-        if witness:
-            break
+    if failure is not None:
+        mu, system, rep = failure
+        witness = {"mu": mu.to_dict(), "system": system.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(
         row=row,

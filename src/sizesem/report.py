@@ -27,7 +27,6 @@ class CheckReport:
     instances_checked: int = 0
     notes: tuple[str, ...] = ()
     skipped: int = 0
-    non_implication_confirmed: bool = False
     error: str | None = None
     witness_system: dict | None = None
 
@@ -45,8 +44,6 @@ class CheckReport:
             out["notes"] = list(self.notes)
         if self.skipped:
             out["skipped"] = self.skipped
-        if self.non_implication_confirmed:
-            out["non_implication_confirmed"] = True
         if self.error is not None:
             out["error"] = self.error
         if self.witness_system is not None:

@@ -277,21 +277,49 @@ def scan_stream(
             yield from head.result()
 
 
+def first_failure(
+    items: Iterable[T], evaluate: Callable[[T], object], parallelism: int = 1
+) -> tuple[int, int, object]:
+    """Scan items in stream order up to the first failure.
+
+    evaluate(item) returns None when the item is outside the scan (not
+    counted), False when it is skipped but tallied, True when it is counted
+    and passes, and any other value as the failure: the item is counted and
+    the scan stops.  Returns (counted, skipped, failure or None).  Every
+    tally is taken from the values read in stream order, never from a
+    counter kept by evaluate: at parallelism > 1, chunks past the failure
+    are evaluated too.
+    """
+    counted = skipped = 0
+    for result in scan_stream(items, evaluate, parallelism):
+        if result is None:
+            continue
+        if result is False:
+            skipped += 1
+            continue
+        counted += 1
+        if result is not True:
+            return counted, skipped, result
+    return counted, skipped, None
+
+
 def _scan_systems(
     spec: SearchSpec, parallelism: int
-) -> Iterator[tuple[SizeSystem, bool, CheckReport | None]]:
-    """(system, required_ok, target_report_if_required_ok) in canonical order."""
-    required = spec.required
-    target = spec.target
+) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
+    """(systems satisfying the required checks, the first of them violating
+    the target with its report, or None)."""
 
     def evaluate(s: SizeSystem):
-        for c in required:
+        for c in spec.required:
             if not evaluate_check(s, c).holds:
-                return (s, False, None)
-        rep = evaluate_check(s, target) if target is not None else None
-        return (s, True, rep)
+                return None
+        if spec.target is None:
+            return True
+        rep = evaluate_check(s, spec.target)
+        return True if rep.holds else (s, rep)
 
-    yield from scan_stream(enumerate_systems(spec), evaluate, parallelism)
+    satisfying, _, failure = first_failure(enumerate_systems(spec), evaluate, parallelism)
+    return satisfying, failure
 
 
 def find_counterexample(
@@ -300,44 +328,34 @@ def find_counterexample(
     """First system satisfying all required checks while violating the target."""
     if spec.mode != "find-counterexample":
         raise ValueError("spec.mode must be find-counterexample")
-    for s, ok, rep in _scan_systems(spec, parallelism):
-        if ok and rep is not None and not rep.holds:
-            return s, rep
-    return None, None
+    _, failure = _scan_systems(spec, parallelism)
+    return failure or (None, None)
 
 
 def verify_implication(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
     """No enumerated system may satisfy the required checks yet violate the target."""
     if spec.mode != "verify-implication":
         raise ValueError("spec.mode must be verify-implication")
-    satisfying = 0
-    for s, ok, rep in _scan_systems(spec, parallelism):
-        if not ok:
-            continue
-        satisfying += 1
-        if rep is not None and not rep.holds:
-            return CheckReport(
-                subject=f"search:u{spec.universe_size}",
-                condition=_implication_name(spec.required, spec.target),
-                holds=False,
-                witness=rep.witness,
-                instances_checked=satisfying,
-                notes=(f"violating system {s.label}",),
-                witness_system=s.to_dict(),
-            )
-    return CheckReport(
+    satisfying, failure = _scan_systems(spec, parallelism)
+    report = CheckReport(
         subject=f"search:u{spec.universe_size}",
         condition=_implication_name(spec.required, spec.target),
-        holds=True,
+        holds=failure is None,
         instances_checked=satisfying,
     )
+    if failure is not None:
+        s, rep = failure
+        report.witness = rep.witness
+        report.notes = (f"violating system {s.label}",)
+        report.witness_system = s.to_dict()
+    return report
 
 
 def count_systems(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
     """Count the systems satisfying the required checks."""
     if spec.mode != "count":
         raise ValueError("spec.mode must be count")
-    satisfying = sum(1 for _, ok, _ in _scan_systems(spec, parallelism) if ok)
+    satisfying, _ = _scan_systems(spec, parallelism)
     return CheckReport(
         subject=f"search:u{spec.universe_size}",
         condition="count:" + "+".join(c.name for c in spec.required),
@@ -422,32 +440,25 @@ def verify_agreement(
         mode="count",
         monotone_only=monotone_only,
     )
-    name = _agreement_name(ids)
 
     def evaluate(s: SizeSystem):
-        return (s, [evaluate_check(s, c).holds for c in ids])
+        verdicts = [evaluate_check(s, c).holds for c in ids]
+        return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
 
-    count = 0
-    for s, verdicts in scan_stream(enumerate_systems(spec), evaluate, parallelism):
-        count += 1
-        if any(v != verdicts[0] for v in verdicts):
-            return CheckReport(
-                subject=f"search:u{universe_size}",
-                condition=name,
-                holds=False,
-                instances_checked=count,
-                notes=(
-                    "verdicts "
-                    + ", ".join(f"{c.name}={v}" for c, v in zip(ids, verdicts)),
-                ),
-                witness_system=s.to_dict(),
-            )
-    return CheckReport(
+    count, _, failure = first_failure(enumerate_systems(spec), evaluate, parallelism)
+    report = CheckReport(
         subject=f"search:u{universe_size}",
-        condition=name,
-        holds=True,
+        condition=_agreement_name(ids),
+        holds=failure is None,
         instances_checked=count,
     )
+    if failure is not None:
+        s, verdicts = failure
+        report.notes = (
+            "verdicts " + ", ".join(f"{c.name}={v}" for c, v in zip(ids, verdicts)),
+        )
+        report.witness_system = s.to_dict()
+    return report
 
 
 # --- difference-robustness vs. union-closure ----------------------------------
@@ -474,59 +485,41 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
     covers any Z ⊆ X with Z not small.  That is what this scans, for every
     base-set size up to max_universe (a larger X restricts to this case).
     """
-    checked = 0
-    witness = None
+    universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
+    candidates = ((u, fam) for u in universes for fam in _families_with_empty(u.full_mask))
 
-    def eval_family(args: tuple[Universe, int, frozenset[int]]):
-        u, x, fam = args
+    def eval_family(args: tuple[Universe, frozenset[int]]):
+        u, fam = args
+        x = u.full_mask
         key = canon_rank(u.size).__getitem__
         members = sorted(fam, key=key, reverse=True)
-        broken = None
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if (a | b) not in fam:
-                    broken = (a, b)
-                    break
-            if broken:
-                break
+        broken = next(
+            ((a, b) for i, a in enumerate(members) for b in members[i:] if (a | b) not in fam),
+            None,
+        )
         if broken is None:
             return None  # union-closed: premise not triggered
         if x in fam:
-            return "conclusion"  # X small in itself: X = X ∪ X fails 2*s
+            return True  # X small in itself: X = X ∪ X fails 2*s
         covers2 = {a | b for a in fam for b in fam}
         big_covers = sorted(covers2, key=key, reverse=True)
         for z in submasks(x):
             if z == 0 or z in fam:
                 continue  # only carriers Z with Z not small are constrained
             if any(z & ~c == 0 for c in big_covers):
-                return "conclusion"  # some Y fails 2*s, as claimed
-        return ("counterexample", u, x, fam, broken)
+                return True  # some Y fails 2*s, as claimed
+        return u, fam, broken
 
-    for n in range(1, max_universe + 1):
-        u = Universe(_letters(n))
-        x = u.full_mask
-        candidates = ((u, x, fam) for fam in _families_with_empty(x))
-        for result in scan_stream(candidates, eval_family, parallelism):
-            if result is None:
-                continue
-            checked += 1
-            if result == "conclusion":
-                continue
-            _, wu, wx, fam, broken = result
-            witness = {
-                "universe_size": n,
-                "ideal_at_base": [
-                    list(Subset(wu, m).labels())
-                    for m in sorted(fam, key=canon_rank(n).__getitem__)
-                ],
-                "union_gap": [
-                    list(Subset(wu, broken[0]).labels()),
-                    list(Subset(wu, broken[1]).labels()),
-                ],
-            }
-            break
-        if witness:
-            break
+    checked, _, failure = first_failure(candidates, eval_family, parallelism)
+    witness = None
+    if failure is not None:
+        u, fam, broken = failure
+        order = sorted(fam, key=canon_rank(u.size).__getitem__)
+        witness = {
+            "universe_size": u.size,
+            "ideal_at_base": [list(Subset(u, m).labels()) for m in order],
+            "union_gap": [list(Subset(u, m).labels()) for m in broken],
+        }
 
     return CheckReport(
         subject=f"search:u<={max_universe}",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import (
     ChoiceNotSubset,
@@ -176,6 +176,29 @@ class MuFunction:
         return f"MuFunction({self.label!r}, |U|={self.universe.size})"
 
 
+def _domain_masks(universe: Universe, domain: Iterable[Subset] | None) -> tuple[int, ...]:
+    """The domain's masks in canonical order; None means every nonempty subset."""
+    if domain is None:
+        return full_domain_masks(universe)
+    masks = {_checked_mask(universe, x, "domain member") for x in domain}
+    if 0 in masks:
+        raise EmptySetInDomain("domain may not contain the empty set")
+    if not masks:
+        raise EmptySetInDomain("domain is empty")
+    return tuple(sorted(masks, key=canon_key))
+
+
+def _checked_mask(
+    universe: Universe, x: Subset, what: str, domain: Container[int] | None = None
+) -> int:
+    """x's mask, once x is known to be over universe (and in domain, if given)."""
+    if x.universe != universe:
+        raise SetNotInDomain(f"{what} {x!r} is over a different universe")
+    if domain is not None and x.mask not in domain:
+        raise SetNotInDomain(f"{what} {x!r} is not in the domain")
+    return x.mask
+
+
 def build(
     universe: Universe,
     domain: Iterable[Subset] | None = None,
@@ -192,35 +215,18 @@ def build(
     `require_monotone` flag additionally rejects ideals that are not closed
     downward.
     """
-    if domain is None:
-        domain_masks = full_domain_masks(universe)
-    else:
-        masks = []
-        for x in domain:
-            if x.universe != universe:
-                raise SetNotInDomain(f"domain member {x!r} is over a different universe")
-            if x.mask == 0:
-                raise EmptySetInDomain("domain may not contain the empty set")
-            masks.append(x.mask)
-        domain_masks = tuple(sorted(set(masks), key=canon_key))
-        if not domain_masks:
-            raise EmptySetInDomain("domain is empty")
-
+    domain_masks = _domain_masks(universe, domain)
     ideal_map: dict[int, frozenset[int]] = {m: frozenset((0,)) for m in domain_masks}
     if ideals is not None:
         for x, family in ideals.items():
-            if x.universe != universe:
-                raise SetNotInDomain(f"ideal base {x!r} is over a different universe")
-            if x.mask not in ideal_map:
-                raise SetNotInDomain(f"ideal base {x!r} is not in the domain")
+            base = _checked_mask(universe, x, "ideal base", ideal_map)
             fam = set()
             for a in family:
-                if a.universe != universe:
-                    raise SetNotInDomain(f"ideal member {a!r} is over a different universe")
-                if a.mask & ~x.mask:
+                member = _checked_mask(universe, a, "ideal member")
+                if member & ~base:
                     raise IdealMemberNotSubset(repr(x), repr(a))
-                fam.add(a.mask)
-            ideal_map[x.mask] = frozenset(fam)
+                fam.add(member)
+            ideal_map[base] = frozenset(fam)
 
     if require_monotone:
         for m, fam in ideal_map.items():
@@ -309,23 +315,14 @@ def build_mu(
     label: str = "mu",
 ) -> MuFunction:
     """Validated MuFunction; omitted choices default to the identity f(X)=X."""
-    if domain is None:
-        domain_masks = full_domain_masks(universe)
-    else:
-        masks = []
-        for x in domain:
-            if x.mask == 0:
-                raise EmptySetInDomain("domain may not contain the empty set")
-            masks.append(x.mask)
-        domain_masks = tuple(sorted(set(masks), key=canon_key))
+    domain_masks = _domain_masks(universe, domain)
     choice_map = {m: m for m in domain_masks}
     if choice is not None:
         for x, fx in choice.items():
-            if x.mask not in choice_map:
-                raise SetNotInDomain(f"choice base {x!r} is not in the domain")
-            if fx.mask & ~x.mask:
+            base = _checked_mask(universe, x, "choice base", choice_map)
+            if _checked_mask(universe, fx, "choice value") & ~base:
                 raise ChoiceNotSubset(f"f({x!r}) = {fx!r} is not a subset of {x!r}")
-            choice_map[x.mask] = fx.mask
+            choice_map[base] = fx.mask
     return MuFunction(universe, domain_masks, choice_map, label=label)
 
 

@@ -106,6 +106,36 @@ def test_mu_correspondence_verb(capsys):
     assert "non-implication confirmed" in out
 
 
+def test_validate_mu_rejects_empty_domain(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"universe": ["a"], "domain": []}')
+    code, out, err = run_cli(capsys, "validate", "--mu", str(bad))
+    assert code == 2
+    assert "EmptySetInDomain" in err and out == ""
+
+
+def test_mu_row_max_size_defaults_to_three(capsys):
+    code, out, _ = run_cli(capsys, "mu", "--row", "8", "--direction", "bwd")
+    assert code == 0
+    assert "(max size 3)" in out
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_mu_row_rejects_max_size_below_one(capsys, size):
+    code, out, err = run_cli(capsys, "mu", "--row", "1", "--direction", "fwd", "--max-size", size)
+    assert code == 2
+    assert "--max-size" in err and out == ""
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_mu_row_refuses_unfinishable_scan(capsys, direction):
+    code, out, err = run_cli(
+        capsys, "mu", "--row", "1", "--direction", direction, "--max-size", "4"
+    )
+    assert code == 3
+    assert "capacity" in err.lower() and out == ""
+
+
 def test_derive_verb(capsys):
     code, out, _ = run_cli(
         capsys, "derive", "--system", data_path("fact34-2.json"), "--json"

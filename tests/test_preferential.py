@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sizesem.errors import DomainNotClosed
@@ -13,6 +15,7 @@ from sizesem.preferential import (
     MU_RATM,
     MU_SUBSET_SUPSET,
     MU_WOR,
+    ROW_LEFT,
     MuRuleId,
     check_mu_rule,
     counterexample_mu,
@@ -22,7 +25,7 @@ from sizesem.preferential import (
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from sizesem.properties import IOMEGA, check_property
+from sizesem.properties import EMF, EMI, IOMEGA, check_property
 from sizesem.rules import AND_OMEGA, CP, CUT, RW, SC
 from sizesem.setcore import Universe
 from sizesem.sizesys import MuFunction, build_mu, from_mu, principal_mu
@@ -156,6 +159,70 @@ def test_backward_negative_rows_confirm():
         assert rep.witness["mu_rule"] == mu_rule
         assert rep.witness["fails"] == ["eMI"]
         assert rep.witness["system"]["ideals"] == {"a,b": [[], ["b"]]}
+
+
+@pytest.mark.parametrize("par", [1, 4])
+def test_forward_row_failure_is_pinned(monkeypatch, par):
+    # With no size-side premise, the first principal system that violates
+    # mu-wOR is reported after one non-principal system was skipped.
+    monkeypatch.setitem(ROW_LEFT, 1, ())
+    rep = verify_correspondence_forward(1, 3, parallelism=par)
+    assert json.dumps(rep.to_dict()) == json.dumps({
+        "row": 1,
+        "direction": "forward",
+        "universe_max": 3,
+        "systems_checked": 7,
+        "holds": False,
+        "witness": {
+            "system": {"universe": ["a", "b"], "domain": "full", "ideals": {"b": [[], ["b"]]}},
+            "mu": {
+                "universe": ["a", "b"],
+                "domain": "full",
+                "choice": {"a": ["a"], "b": [], "a,b": ["a", "b"]},
+            },
+            "violation": {
+                "subject": "u2#5",
+                "condition": "mu-wOR",
+                "holds": False,
+                "witness": {"X": ["b"], "Y": ["a"]},
+                "instances_checked": 4,
+            },
+        },
+        "skipped_non_principal": 1,
+    })
+
+
+@pytest.mark.parametrize("par", [1, 4])
+def test_backward_row_failure_is_pinned(monkeypatch, par):
+    # mu-OR does not give eMF, so adding it to row 2's size side must fail.
+    monkeypatch.setitem(ROW_LEFT, 2, (EMI, IOMEGA, EMF))
+    rep = verify_correspondence_backward(2, 3, parallelism=par)
+    assert json.dumps(rep.to_dict()) == json.dumps({
+        "row": 2,
+        "direction": "backward",
+        "universe_max": 3,
+        "systems_checked": 4,
+        "holds": False,
+        "witness": {
+            "mu": {
+                "universe": ["a", "b"],
+                "domain": "full",
+                "choice": {"a": [], "b": ["b"], "a,b": []},
+            },
+            "system": {
+                "universe": ["a", "b"],
+                "domain": "full",
+                "ideals": {"a": [[], ["a"]], "a,b": [[], ["a"], ["b"], ["a", "b"]]},
+            },
+            "violation": {
+                "subject": "mu2",
+                "condition": "eMF",
+                "holds": False,
+                "witness": {"X": ["b"], "Y": ["a", "b"], "A": []},
+                "instances_checked": 3,
+            },
+        },
+    })
 
 
 def test_row_validation():

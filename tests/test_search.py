@@ -22,6 +22,7 @@ from sizesem.search import (
     enumerate_systems,
     family_code,
     find_counterexample,
+    verify_agreement,
     verify_implication,
     verify_implication_upto,
     verify_two_s_breakdown,
@@ -255,6 +256,24 @@ def test_parallel_scan_is_deterministic():
     rep1 = verify_implication_upto((n_star_s(3), EMI), m_plus_n(3), 2, parallelism=1)
     rep4 = verify_implication_upto((n_star_s(3), EMI), m_plus_n(3), 2, parallelism=4)
     assert json.dumps(rep1.to_dict()) == json.dumps(rep4.to_dict())
+
+
+@pytest.mark.parametrize("par", [1, 4])
+def test_agreement_failure_is_pinned(par):
+    rep = verify_agreement([EMI, EMF], 2, parallelism=par)
+    assert json.dumps(rep.to_dict()) == json.dumps({
+        "subject": "search:u2",
+        "condition": "agree:eMI=eMF",
+        "holds": False,
+        "witness": None,
+        "instances_checked": 5,
+        "notes": ["verdicts eMI=True, eMF=False"],
+        "witness_system": {
+            "universe": ["a", "b"],
+            "domain": "full",
+            "ideals": {"a,b": [[], ["a"], ["b"], ["a", "b"]]},
+        },
+    })
 
 
 def test_two_s_breakdown_small_sizes():

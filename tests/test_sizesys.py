@@ -246,6 +246,25 @@ def test_build_mu_rejects_bad_choice():
         build_mu(u, None, {u.subset(["a"]): u.subset(["b"])})
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["empty-domain", "foreign-domain-member", "foreign-choice-base", "foreign-choice-value"],
+)
+def test_build_mu_rejects_bad_domain_and_foreign_sets(case):
+    u = Universe(["a", "b"])
+    v = Universe(["p", "q"])
+    domain, choice, error = {
+        "empty-domain": ([], None, EmptySetInDomain),
+        "foreign-domain-member": ([u.subset(["a"]), v.subset(["q"])], None, SetNotInDomain),
+        "foreign-choice-base": (None, {v.subset(["p"]): u.empty}, SetNotInDomain),
+        "foreign-choice-value": (None, {u.subset(["a"]): v.subset(["p"])}, SetNotInDomain),
+    }[case]
+    with pytest.raises(error):
+        build_mu(u, domain, choice)
+    with pytest.raises(error):
+        build(u, domain, None if choice is None else {x: [fx] for x, fx in choice.items()})
+
+
 def test_json_roundtrip(fact34_1):
     doc = fact34_1.to_dict()
     again = system_from_dict(doc)
