@@ -4,25 +4,15 @@ Each fixture id names one stored scenario: a small size system or choice
 function plus the exact verdicts the workbench must reproduce for it.  The
 systems live in data/*.json (the same files work with `--system`/`--mu` on
 the command line); the verdicts live in data/expected.json, so the expected
-outcomes are data, not code.
-
-    fact-3.4-1, fact-3.4-2     outer-monotony independence pair
-    fact-3.5:2|3|4             level-n vs level-(n+1) separation
-    fact-3.7:3                 union-robustness implications (ternary)
-    ex-3.8:3|4                 rules without the matching robustness
-    fact-3.9                   CM:omega ⇔ M+omega:4
-    fact-3.10                  the five omega-robustness implications
-    ex-3.11-1|2|3              independence of the M+omega variants
-    fact-3.12                  the three M++ variants agree
-    fact-3.13                  RatM ⇔ M++:1
-    fact-3.3                   M++ without union closure forces a 2*s failure
-    prop-4.1:<row>:<fwd|bwd>   correspondence table rows 1..10
+outcomes are data, not code.  `FIXTURES` is the one list of ids: it maps
+each id, in replay order, to the checks that produce its records.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import Callable
 
 from ..preferential import (
     verify_correspondence_backward,
@@ -34,6 +24,7 @@ from ..properties import (
     IM,
     IOMEGA,
     OPT,
+    PropertyId,
     check_level,
     m_plus_n,
     m_plus_omega,
@@ -43,6 +34,7 @@ from ..properties import (
 )
 from ..rules import RATM, CM_OMEGA, OR_OMEGA, check_rule, cm_n, or_n
 from ..search import (
+    CheckId,
     verify_agreement_upto,
     verify_implication_upto,
     verify_two_s_breakdown,
@@ -70,99 +62,106 @@ def expected_table() -> dict:
     return _load("expected.json")
 
 
-FIXTURE_IDS = (
-    ["fact-3.3", "fact-3.4-1", "fact-3.4-2"]
-    + [f"fact-3.5:{n}" for n in (2, 3, 4)]
-    + ["fact-3.7:3"]
-    + [f"ex-3.8:{n}" for n in (3, 4)]
-    + ["fact-3.9", "fact-3.10"]
-    + [f"ex-3.11-{k}" for k in (1, 2, 3)]
-    + ["fact-3.12", "fact-3.13"]
-    + [f"prop-4.1:{row}:{d}" for row in range(1, 11) for d in ("fwd", "bwd")]
-)
+# A fixture maps the degree of parallelism to its reports.  Every entry calls
+# the checks by their module-level names when it runs, never through a stored
+# function object, so rebinding such a name reaches every fixture.
+Fixture = Callable[[int], list]
+
+
+def _matrix(name: str, *props: PropertyId) -> Fixture:
+    return lambda par: property_matrix(fixture_system(name), list(props))
+
+
+def _levels(n: int) -> Fixture:
+    def run(par: int) -> list:
+        s = fixture_system(f"fact35-{n}")
+        return [check_level(s, n), check_level(s, n + 1)]
+
+    return run
+
+
+def _rules_and_robustness(n: int) -> Fixture:
+    def run(par: int) -> list:
+        s = fixture_system(f"ex38-{n}")
+        rules = [check_rule(s, or_n(n)), check_rule(s, cm_n(n))]
+        return rules + property_matrix(s, [m_plus_n(n), n_star_s(n)])
+
+    return run
+
+
+def _implications(*cases: tuple[tuple[CheckId, ...], CheckId]) -> Fixture:
+    return lambda par: [
+        verify_implication_upto(req, target, SEARCH_MAX, parallelism=par)
+        for req, target in cases
+    ]
+
+
+def _agreement(*ids: CheckId) -> Fixture:
+    return lambda par: [verify_agreement_upto(list(ids), SEARCH_MAX, parallelism=par)]
+
+
+def _forward(row: int) -> Fixture:
+    return lambda par: [verify_correspondence_forward(row, SEARCH_MAX, parallelism=par)]
+
+
+def _backward(row: int) -> Fixture:
+    return lambda par: [verify_correspondence_backward(row, SEARCH_MAX, parallelism=par)]
+
+
+_TERNARY = (n_star_s(3), EMI)
+_M_PLUS_OMEGA = [m_plus_omega(v) for v in (1, 2, 3, 4)]
+
+FIXTURES: dict[str, Fixture] = {
+    # M++ without union closure forces a 2*s failure
+    "fact-3.3": lambda par: [verify_two_s_breakdown(BREAKDOWN_MAX, parallelism=par)],
+    # outer-monotony independence pair
+    "fact-3.4-1": _matrix("fact34-1", OPT, IM, EMI, IOMEGA, EMF),
+    "fact-3.4-2": _matrix("fact34-2", OPT, IM, IOMEGA, EMF, EMI),
+    # level-n vs level-(n+1) separation
+    "fact-3.5:2": _levels(2),
+    "fact-3.5:3": _levels(3),
+    "fact-3.5:4": _levels(4),
+    # union-robustness implications (ternary)
+    "fact-3.7:3": _implications(
+        (_TERNARY, m_plus_n(3)), (_TERNARY, cm_n(3)), (_TERNARY, or_n(3))
+    ),
+    # rules without the matching robustness
+    "ex-3.8:3": _rules_and_robustness(3),
+    "ex-3.8:4": _rules_and_robustness(4),
+    # CM:omega ⇔ M+omega:4
+    "fact-3.9": _agreement(CM_OMEGA, m_plus_omega(4)),
+    # the five omega-robustness implications
+    "fact-3.10": _implications(
+        ((IOMEGA, EMI), OR_OMEGA),
+        ((IOMEGA, EMI), m_plus_omega(1)),
+        ((IOMEGA, EMF), m_plus_omega(2)),
+        ((IOMEGA, EMI), m_plus_omega(3)),
+        ((IOMEGA, EMF), m_plus_omega(4)),
+    ),
+    # independence of the M+omega variants
+    "ex-3.11-1": _matrix("ex311-1", *_M_PLUS_OMEGA),
+    "ex-3.11-2": _matrix("ex311-2", *_M_PLUS_OMEGA),
+    "ex-3.11-3": _matrix("ex311-3", *_M_PLUS_OMEGA),
+    # the three M++ variants agree
+    "fact-3.12": _agreement(m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)),
+    # RatM ⇔ M++:1
+    "fact-3.13": _agreement(RATM, m_plus_plus(1)),
+    # correspondence table rows 1..10, each direction
+    **{
+        f"prop-4.1:{row}:{direction}": fixture
+        for row in range(1, 11)
+        for direction, fixture in (("fwd", _forward(row)), ("bwd", _backward(row)))
+    },
+}
+
+FIXTURE_IDS = list(FIXTURES)
 
 
 def run_fixture(fid: str, parallelism: int = 1) -> dict:
     """Compute the records for one fixture id."""
-    records: list[dict]
-
-    if fid == "fact-3.4-1":
-        s = fixture_system("fact34-1")
-        records = [r.to_dict() for r in property_matrix(s, [OPT, IM, EMI, IOMEGA, EMF])]
-    elif fid == "fact-3.4-2":
-        s = fixture_system("fact34-2")
-        records = [r.to_dict() for r in property_matrix(s, [OPT, IM, IOMEGA, EMF, EMI])]
-    elif fid.startswith("fact-3.5:"):
-        n = int(fid.split(":")[1])
-        s = fixture_system(f"fact35-{n}")
-        records = [check_level(s, n).to_dict(), check_level(s, n + 1).to_dict()]
-    elif fid == "fact-3.7:3":
-        req = (n_star_s(3), EMI)
-        records = [
-            verify_implication_upto(req, target, SEARCH_MAX, parallelism=parallelism).to_dict()
-            for target in (m_plus_n(3), cm_n(3), or_n(3))
-        ]
-    elif fid.startswith("ex-3.8:"):
-        n = int(fid.split(":")[1])
-        s = fixture_system(f"ex38-{n}")
-        records = [
-            check_rule(s, or_n(n)).to_dict(),
-            check_rule(s, cm_n(n)).to_dict(),
-        ] + [r.to_dict() for r in property_matrix(s, [m_plus_n(n), n_star_s(n)])]
-    elif fid == "fact-3.9":
-        records = [
-            verify_agreement_upto(
-                [CM_OMEGA, m_plus_omega(4)], SEARCH_MAX, parallelism=parallelism
-            ).to_dict()
-        ]
-    elif fid == "fact-3.10":
-        cases = [
-            ((IOMEGA, EMI), OR_OMEGA),
-            ((IOMEGA, EMI), m_plus_omega(1)),
-            ((IOMEGA, EMF), m_plus_omega(2)),
-            ((IOMEGA, EMI), m_plus_omega(3)),
-            ((IOMEGA, EMF), m_plus_omega(4)),
-        ]
-        records = [
-            verify_implication_upto(req, target, SEARCH_MAX, parallelism=parallelism).to_dict()
-            for req, target in cases
-        ]
-    elif fid.startswith("ex-3.11-"):
-        k = int(fid.rsplit("-", 1)[1])
-        s = fixture_system(f"ex311-{k}")
-        records = [
-            r.to_dict() for r in property_matrix(s, [m_plus_omega(v) for v in (1, 2, 3, 4)])
-        ]
-    elif fid == "fact-3.12":
-        records = [
-            verify_agreement_upto(
-                [m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)],
-                SEARCH_MAX,
-                parallelism=parallelism,
-            ).to_dict()
-        ]
-    elif fid == "fact-3.13":
-        records = [
-            verify_agreement_upto(
-                [RATM, m_plus_plus(1)], SEARCH_MAX, parallelism=parallelism
-            ).to_dict()
-        ]
-    elif fid == "fact-3.3":
-        records = [verify_two_s_breakdown(BREAKDOWN_MAX, parallelism=parallelism).to_dict()]
-    elif fid.startswith("prop-4.1:"):
-        _, row_text, direction = fid.split(":")
-        row = int(row_text)
-        if direction == "fwd":
-            rep = verify_correspondence_forward(row, SEARCH_MAX, parallelism=parallelism)
-        elif direction == "bwd":
-            rep = verify_correspondence_backward(row, SEARCH_MAX, parallelism=parallelism)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        records = [rep.to_dict()]
-    else:
+    if fid not in FIXTURES:
         raise ValueError(f"unknown fixture id {fid!r}")
-
-    return {"fixture": fid, "records": records}
+    return {"fixture": fid, "records": [r.to_dict() for r in FIXTURES[fid](parallelism)]}
 
 
 def compare_records(produced: dict, expected: dict) -> list[str]:

@@ -27,6 +27,7 @@ that picks {a} from {a,b} and is the identity elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,9 +44,9 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import SearchSpec, _letters, enumerate_systems, first_failure
+from .search import SearchSpec, _letters, check_size, enumerate_systems, first_failure
 from .setcore import Universe, submasks
-from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, principal_mu
+from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
 _MU_RULES = {
     "mu-wOR",
@@ -336,32 +337,31 @@ CORRESPONDENCE_CEILING = 3
 
 
 def enumerate_mu_functions(universe: Universe) -> Iterator[MuFunction]:
-    """Every choice function on the full domain, canonical order."""
-    dom = tuple(m for m in universe.all_masks() if m)
+    """Every choice function on the full domain, canonical order.
+
+    Choices at earlier domain members vary slowest, each over the submasks of
+    its member in canonical order; a function is labelled mu<n>#<rank> with
+    its rank in this stream, as systems are labelled u<n>#<rank>.
+    """
+    dom = full_domain_masks(universe)
+    n = universe.size
     per_set = [submasks(m) for m in dom]
-
-    def rec(i: int, acc: dict[int, int]) -> Iterator[MuFunction]:
-        if i == len(dom):
-            yield MuFunction(universe, dom, dict(acc), label=f"mu{universe.size}")
-            return
-        for choice in per_set[i]:
-            acc[dom[i]] = choice
-            yield from rec(i + 1, acc)
-
-    yield from rec(0, {})
+    for rank, choices in enumerate(itertools.product(*per_set)):
+        yield MuFunction(universe, dom, dict(zip(dom, choices)), label=f"mu{n}#{rank}")
 
 
 def counterexample_mu() -> MuFunction:
     """The known witness: over {a,b,c}, pick {a} from {a,b}, identity elsewhere."""
     u = Universe(_letters(3))
-    dom = tuple(m for m in u.all_masks() if m)
+    dom = full_domain_masks(u)
     choice = {m: m for m in dom}
     ab = u.subset(["a", "b"]).mask
     choice[ab] = u.subset(["a"]).mask
     return MuFunction(u, dom, choice, label="cut-without-emi")
 
 
-def _refuse_beyond_ceiling(max_universe: int) -> None:
+def _check_scan_size(max_universe: int) -> None:
+    check_size(max_universe)
     if max_universe > CORRESPONDENCE_CEILING:
         raise CapacityExceeded(
             f"correspondence scans are capped at size {CORRESPONDENCE_CEILING}; size 4 "
@@ -375,7 +375,7 @@ def verify_correspondence_forward(
     """Left side ⇒ choice side, over monotone principal systems up to size max."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
-    _refuse_beyond_ceiling(max_universe)
+    _check_scan_size(max_universe)
     left = ROW_LEFT[row]
     mu_rule = ROW_MU[row]
 
@@ -420,7 +420,8 @@ def verify_correspondence_backward(
     row: int, max_universe: int, parallelism: int = 1
 ) -> CorrespondenceReport:
     """Choice side ⇒ left side over all choice functions; rows 8–10 confirm
-    the non-implication instead, exhibiting the known witness."""
+    the non-implication instead, exhibiting the known witness, which needs a
+    max_universe of at least 3."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
     left = ROW_LEFT[row]
@@ -428,6 +429,11 @@ def verify_correspondence_backward(
 
     if row in NEGATIVE_BACKWARD_ROWS:
         mu = counterexample_mu()
+        if max_universe < mu.universe.size:
+            raise ValueError(
+                f"row {row} is confirmed by a witness on {mu.universe.size} elements; "
+                f"max_universe {max_universe} excludes it"
+            )
         system = from_mu(mu)
         assert mu_rule is not None
         mu_rep = check_mu_rule(mu, mu_rule)
@@ -449,7 +455,7 @@ def verify_correspondence_backward(
             notes=("expected non-implication",),
         )
 
-    _refuse_beyond_ceiling(max_universe)
+    _check_scan_size(max_universe)
 
     def evaluate(mu: MuFunction):
         if mu_rule is not None and not check_mu_rule(mu, mu_rule).holds:

@@ -38,28 +38,18 @@ from .report import CheckReport, Witness, guarded_report, scan_report
 from .setcore import Subset, canon_rank, submasks
 from .sizesys import SizeSystem, _label_key
 
-_VALID_TAGS = {
-    "Opt",
-    "iM",
-    "eMI",
-    "eMF",
-    "I-union-disj",
-    "F-union-disj",
-    "n*s",
-    "I-omega",
-    "M+n",
-    "M+omega",
-    "M++",
-}
+_PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
 
 
 @dataclass(frozen=True)
 class PropertyId:
+    """One property of the vocabulary: a tag of `_SCANS`, and its parameter."""
+
     tag: str
     param: int | None = None
 
     def __post_init__(self):
-        if self.tag not in _VALID_TAGS:
+        if self.tag not in _SCANS:
             raise ValueError(f"unknown property tag {self.tag!r}")
         if self.tag == "n*s" and (self.param is None or self.param < 1):
             raise ValueError("n*s needs n >= 1")
@@ -69,7 +59,7 @@ class PropertyId:
             raise ValueError("M+omega variant must be 1..4")
         if self.tag == "M++" and self.param not in (1, 2, 3):
             raise ValueError("M++ variant must be 1..3")
-        if self.tag not in ("n*s", "M+n", "M+omega", "M++") and self.param is not None:
+        if self.tag not in _PARAM_TAGS and self.param is not None:
             raise ValueError(f"{self.tag} takes no parameter")
 
     @property
@@ -82,15 +72,6 @@ class PropertyId:
 
     def __str__(self) -> str:
         return self.name
-
-
-OPT = PropertyId("Opt")
-IM = PropertyId("iM")
-EMI = PropertyId("eMI")
-EMF = PropertyId("eMF")
-I_UNION_DISJ = PropertyId("I-union-disj")
-F_UNION_DISJ = PropertyId("F-union-disj")
-IOMEGA = PropertyId("I-omega")
 
 
 def n_star_s(n: int) -> PropertyId:
@@ -112,7 +93,7 @@ def m_plus_plus(variant: int) -> PropertyId:
 def parse_property(text: str) -> PropertyId:
     text = text.strip()
     base, _, arg = text.partition(":")
-    if base in ("Opt", "iM", "eMI", "eMF", "I-union-disj", "F-union-disj", "I-omega"):
+    if base in _SCANS and base not in _PARAM_TAGS:
         if arg:
             raise ValueError(f"{base} takes no parameter")
         return PropertyId(base)
@@ -441,6 +422,14 @@ _SCANS = {
     "M+omega": _check_m_plus_omega,
     "M++": _check_m_plus_plus,
 }
+
+OPT = PropertyId("Opt")
+IM = PropertyId("iM")
+EMI = PropertyId("eMI")
+EMF = PropertyId("eMF")
+I_UNION_DISJ = PropertyId("I-union-disj")
+F_UNION_DISJ = PropertyId("F-union-disj")
+IOMEGA = PropertyId("I-omega")
 
 
 def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:

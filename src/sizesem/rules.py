@@ -51,7 +51,7 @@ from .errors import DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
 from .report import CheckReport, scan_report
 from .setcore import Subset
-from .sizesys import SizeSystem
+from .sizesys import SizeSystem, full_domain_masks
 
 _PLAIN_RULES = {
     "SC",
@@ -132,10 +132,8 @@ def parse_rule(text: str) -> RuleId:
     if text in _PLAIN_RULES:
         return RuleId(text)
     base, _, arg = text.partition(":")
-    if base in _PARAM_RULES and arg and arg != "omega":
+    if base in _PARAM_RULES and arg:
         return RuleId(base, int(arg))
-    if base in _PARAM_RULES and arg == "omega":
-        return RuleId(f"{base}:omega")
     raise ValueError(f"unknown rule name {text!r}")
 
 
@@ -197,7 +195,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     ideals = s.ideals
     full = s.universe.full_mask
     masks = s.universe.all_masks()
-    nonempty = tuple(m for m in masks if m)
+    nonempty = full_domain_masks(s.universe)
 
     def nm(a: int, b: int) -> bool:
         return a == 0 or (a & ~b) in ideals[a]

@@ -31,8 +31,8 @@ from .errors import CapacityExceeded
 from .properties import PropertyId, check_property
 from .report import CheckReport
 from .rules import RuleId, check_rule
-from .setcore import Subset, Universe, canon_rank, submasks
-from .sizesys import SizeSystem
+from .setcore import CAPACITY, Subset, Universe, canon_rank, submasks
+from .sizesys import SizeSystem, full_domain_masks
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -70,6 +70,12 @@ class SearchSpec:
             "monotone_only": self.monotone_only,
             "canonical_only": self.canonical_only,
         }
+
+
+def check_size(size: int) -> None:
+    """Refuse a universe size below 1: every scan over it would check nothing."""
+    if size < 1:
+        raise ValueError(f"universe size must be at least 1, got {size}")
 
 
 def evaluate_check(s: SizeSystem, c: CheckId) -> CheckReport:
@@ -213,17 +219,16 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
     element-relabeling class is emitted.
     """
     n = spec.universe_size
-    if n < 1:
-        raise CapacityExceeded("universe size must be at least 1")
-    if n > 6:
-        raise CapacityExceeded("universe size beyond capacity 6")
+    check_size(n)
+    if n > CAPACITY:
+        raise CapacityExceeded(f"universe size beyond capacity {CAPACITY}")
     if n > EXHAUSTIVE_CEILING and not (spec.monotone_only and spec.canonical_only):
         raise CapacityExceeded(
             f"exhaustive enumeration is capped at size {EXHAUSTIVE_CEILING}; "
             "sizes 5-6 need monotone_only and canonical_only"
         )
     u = Universe(_letters(n))
-    domain = tuple(m for m in u.all_masks() if m)
+    domain = full_domain_masks(u)
     gen = _down_set_families if spec.monotone_only else _families_with_empty
     per_set = [tuple(gen(x)) for x in domain]
     if spec.canonical_only:
@@ -381,6 +386,7 @@ def _merge_upto(
     The first failing report is returned with the summed count; if every size
     holds, one holding report covers them all.
     """
+    check_size(max_universe)
     total = 0
     for size in range(1, max_universe + 1):
         rep = per_size(size)
@@ -401,14 +407,13 @@ def verify_implication_upto(
     required: Iterable[CheckId],
     target: CheckId,
     max_universe: int,
-    monotone_only: bool = True,
     parallelism: int = 1,
 ) -> CheckReport:
     """verify_implication over every universe size 1..max_universe, merged."""
     required = tuple(required)
 
     def per_size(size: int) -> CheckReport:
-        spec = SearchSpec(size, required, target, "verify-implication", monotone_only)
+        spec = SearchSpec(size, required, target, "verify-implication")
         return verify_implication(spec, parallelism)
 
     return _merge_upto(per_size, max_universe, _implication_name(required, target))
@@ -417,29 +422,21 @@ def verify_implication_upto(
 def verify_agreement_upto(
     ids: list[CheckId],
     max_universe: int,
-    monotone_only: bool = True,
     parallelism: int = 1,
 ) -> CheckReport:
     """verify_agreement over every universe size 1..max_universe, merged."""
     return _merge_upto(
-        lambda size: verify_agreement(ids, size, monotone_only, parallelism),
+        lambda size: verify_agreement(ids, size, parallelism),
         max_universe,
         _agreement_name(ids),
     )
 
 
 def verify_agreement(
-    ids: list[CheckId],
-    universe_size: int,
-    monotone_only: bool = True,
-    parallelism: int = 1,
+    ids: list[CheckId], universe_size: int, parallelism: int = 1
 ) -> CheckReport:
-    """All listed checks give one verdict on every enumerated system."""
-    spec = SearchSpec(
-        universe_size=universe_size,
-        mode="count",
-        monotone_only=monotone_only,
-    )
+    """All listed checks give one verdict on every monotone system of the size."""
+    spec = SearchSpec(universe_size, mode="count")
 
     def evaluate(s: SizeSystem):
         verdicts = [evaluate_check(s, c).holds for c in ids]
@@ -485,6 +482,7 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
     covers any Z ⊆ X with Z not small.  That is what this scans, for every
     base-set size up to max_universe (a larger X restricts to this case).
     """
+    check_size(max_universe)
     universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
     candidates = ((u, fam) for u in universes for fam in _families_with_empty(u.full_mask))
 

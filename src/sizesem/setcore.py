@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityExceeded, UnknownElementLabel, WidthMismatch
 
-DEFAULT_CAPACITY = 6
+CAPACITY = 6  # most elements a universe may have
 
 
 def canon_key(mask: int) -> tuple[int, int]:
@@ -72,16 +72,14 @@ def submasks(mask: int) -> tuple[int, ...]:
 class Universe:
     """An ordered list of distinct element labels; positions index bit vectors."""
 
-    __slots__ = ("elements", "capacity", "full_mask", "_index", "_all_masks")
+    __slots__ = ("elements", "full_mask", "_index", "_all_masks")
 
-    def __init__(self, elements: Iterable[str], capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, elements: Iterable[str]):
         elems = tuple(elements)
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         if not elems:
             raise ValueError("universe needs at least one element")
-        if len(elems) > capacity:
-            raise CapacityExceeded(f"{len(elems)} elements exceed capacity {capacity}")
+        if len(elems) > CAPACITY:
+            raise CapacityExceeded(f"{len(elems)} elements exceed capacity {CAPACITY}")
         seen = set()
         for label in elems:
             if not isinstance(label, str) or not label:
@@ -90,7 +88,6 @@ class Universe:
                 raise ValueError(f"duplicate element label {label!r}")
             seen.add(label)
         self.elements = elems
-        self.capacity = capacity
         self.full_mask = (1 << len(elems)) - 1
         self._index = {label: i for i, label in enumerate(elems)}
         self._all_masks: tuple[int, ...] | None = None

@@ -204,16 +204,13 @@ def build(
     domain: Iterable[Subset] | None = None,
     ideals: Mapping[Subset, Iterable[Subset]] | None = None,
     label: str = "system",
-    require_monotone: bool = False,
 ) -> SizeSystem:
     """Validated construction.
 
     `domain=None` means the full powerset minus the empty set.  Domain members
     missing from `ideals` get the trivial ideal {∅}.  Only structural
     invariants are enforced (∅ not in the domain, ideal members inside their
-    base set); table properties stay checkable, not structural.  The optional
-    `require_monotone` flag additionally rejects ideals that are not closed
-    downward.
+    base set); table properties stay checkable, not structural.
     """
     domain_masks = _domain_masks(universe, domain)
     ideal_map: dict[int, frozenset[int]] = {m: frozenset((0,)) for m in domain_masks}
@@ -227,18 +224,6 @@ def build(
                     raise IdealMemberNotSubset(repr(x), repr(a))
                 fam.add(member)
             ideal_map[base] = frozenset(fam)
-
-    if require_monotone:
-        for m, fam in ideal_map.items():
-            for a in fam:
-                for sub in submasks(a):
-                    if sub not in fam:
-                        raise IdealMemberNotSubset(
-                            _label_key(universe, m) or "{}",
-                            f"missing subset {_label_key(universe, sub) or '{}'} of "
-                            f"{_label_key(universe, a) or '{}'}",
-                        )
-
     return SizeSystem(universe, domain_masks, ideal_map, label=label)
 
 
@@ -272,7 +257,7 @@ def medium_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
     )
 
 
-def principal_mu(s: SizeSystem, label: str | None = None) -> MuFunction:
+def principal_mu(s: SizeSystem) -> MuFunction:
     """Extract f(X) = the ⊆-least element of F(X).
 
     Raises NotPrincipal naming the first X (canonical order) whose filter has
@@ -293,10 +278,10 @@ def principal_mu(s: SizeSystem, label: str | None = None) -> MuFunction:
         if least not in set(filt):
             raise NotPrincipal(_label_key(u, m))
         choice[m] = least
-    return MuFunction(u, s.domain_masks, choice, label=label or s.label)
+    return MuFunction(u, s.domain_masks, choice, label=s.label)
 
 
-def from_mu(mu: MuFunction, label: str | None = None) -> SizeSystem:
+def from_mu(mu: MuFunction) -> SizeSystem:
     """The principal-filter system F(X) = {X' : f(X) ⊆ X' ⊆ X}.
 
     Equivalently I(X) = {A ⊆ X : A ∩ f(X) = ∅}; principal_mu inverts this.
@@ -305,7 +290,7 @@ def from_mu(mu: MuFunction, label: str | None = None) -> SizeSystem:
     for m in mu.domain_masks:
         f = mu.choice[m]
         ideals[m] = frozenset(submasks(m & ~f))
-    return SizeSystem(mu.universe, mu.domain_masks, ideals, label=label or mu.label)
+    return SizeSystem(mu.universe, mu.domain_masks, ideals, label=mu.label)
 
 
 def build_mu(

@@ -1,9 +1,10 @@
 """Acceptance suite: every criterion prints one pass/fail line (run with -s).
 
 Criteria 1-4 replay the stored fixture scenarios exactly (verdicts and
-witnesses), 5-11 are the exhaustive small-universe verifications, 12 is the
-choice-function round trip, and 13 re-runs everything at parallelism degrees
-1 and 4 and demands byte-identical serialized reports.
+witnesses), 5-11 replay the fixtures of the exhaustive small-universe
+verifications, 12 is the choice-function round trip, and 13 re-runs
+everything at parallelism degrees 1 and 4 and demands byte-identical
+serialized reports.
 """
 
 import json
@@ -11,30 +12,10 @@ import time
 
 from sizesem import fixtures
 from sizesem.cli import main as cli_main
-from sizesem.preferential import (
-    enumerate_mu_functions,
-    verify_correspondence_backward,
-    verify_correspondence_forward,
-)
-from sizesem.properties import (
-    EMF,
-    EMI,
-    IOMEGA,
-    m_plus_n,
-    m_plus_omega,
-    m_plus_plus,
-    n_star_s,
-)
-from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, cm_n, or_n
-from sizesem.search import (
-    verify_agreement_upto,
-    verify_implication_upto,
-    verify_two_s_breakdown,
-)
+from sizesem.preferential import enumerate_mu_functions
 from sizesem.setcore import Universe
 from sizesem.sizesys import from_mu, principal_mu
 
-MAX3 = 3
 _CACHE: dict[int, dict] = {}
 
 
@@ -79,55 +60,34 @@ def _crit4(par):
 
 
 def _crit5(par):
-    req = (n_star_s(3), EMI)
-    return {
-        t.name: verify_implication_upto(req, t, MAX3, parallelism=par).to_dict()
-        for t in (m_plus_n(3), cm_n(3), or_n(3))
-    }
+    return _records("fact-3.7:3", par)
 
 
 def _crit6(par):
-    return verify_agreement_upto([CM_OMEGA, m_plus_omega(4)], MAX3, parallelism=par).to_dict()
+    return _records("fact-3.9", par)[0]
 
 
 def _crit7(par):
-    cases = [
-        ((IOMEGA, EMI), OR_OMEGA),
-        ((IOMEGA, EMI), m_plus_omega(1)),
-        ((IOMEGA, EMF), m_plus_omega(2)),
-        ((IOMEGA, EMI), m_plus_omega(3)),
-        ((IOMEGA, EMF), m_plus_omega(4)),
-    ]
-    return [
-        verify_implication_upto(req, t, MAX3, parallelism=par).to_dict()
-        for req, t in cases
-    ]
+    return _records("fact-3.10", par)
 
 
 def _crit8(par):
-    return verify_agreement_upto(
-        [m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)], MAX3, parallelism=par
-    ).to_dict()
+    return _records("fact-3.12", par)[0]
 
 
 def _crit9(par):
-    return verify_agreement_upto([RATM, m_plus_plus(1)], MAX3, parallelism=par).to_dict()
+    return _records("fact-3.13", par)[0]
 
 
 def _crit10(par):
-    forward = [
-        verify_correspondence_forward(row, MAX3, parallelism=par).to_dict()
-        for row in range(1, 11)
-    ]
-    backward = [
-        verify_correspondence_backward(row, MAX3, parallelism=par).to_dict()
-        for row in range(1, 11)
-    ]
-    return {"forward": forward, "backward": backward}
+    return {
+        direction: [_records(f"prop-4.1:{row}:{d}", par)[0] for row in range(1, 11)]
+        for direction, d in (("forward", "fwd"), ("backward", "bwd"))
+    }
 
 
 def _crit11(par):
-    return verify_two_s_breakdown(4, parallelism=par).to_dict()
+    return _records("fact-3.3", par)[0]
 
 
 def _crit12(par):
@@ -199,8 +159,8 @@ def test_criterion_4_fixture_m_plus_omega_variants():
 def test_criterion_5_exhaustive_ternary_robustness():
     t = time.time()
     payload = _payload(5)
-    ok = all(rec["holds"] for rec in payload.values())
-    ok &= all(rec["instances_checked"] > 0 for rec in payload.values())
+    ok = all(rec["holds"] for rec in payload)
+    ok &= all(rec["instances_checked"] > 0 for rec in payload)
     elapsed = time.time() - t
     _report(5, ok and elapsed < 60, elapsed, "n*s:3 + eMI force M+n/CM/OR at 3")
     assert ok and elapsed < 60

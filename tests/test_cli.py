@@ -127,6 +127,15 @@ def test_mu_row_rejects_max_size_below_one(capsys, size):
     assert "--max-size" in err and out == ""
 
 
+@pytest.mark.parametrize("size", ["1", "2"])
+@pytest.mark.parametrize("row", ["8", "9", "10"])
+def test_mu_negative_row_refuses_size_below_its_witness(capsys, row, size):
+    # the non-implication witness lives on {a,b,c}, outside a smaller universe
+    code, out, err = run_cli(capsys, "mu", "--row", row, "--direction", "bwd", "--max-size", size)
+    assert code == 2
+    assert "3 elements" in err and out == ""
+
+
 @pytest.mark.parametrize("direction", ["fwd", "bwd"])
 def test_mu_row_refuses_unfinishable_scan(capsys, direction):
     code, out, err = run_cli(
@@ -151,6 +160,34 @@ def test_search_verb_capacity(capsys):
     )
     assert code == 3
     assert "capacity" in err.lower()
+
+
+def test_search_verb_refuses_size_zero(capsys):
+    code, out, err = run_cli(capsys, "search", "--size", "0", "--mode", "count")
+    assert code == 2
+    assert "at least 1" in err and out == ""
+
+
+def test_search_verb_count_mode(capsys):
+    # monotone eMI systems at |U| = 2: I({a}) and I({b}) are each {∅} or hold
+    # their singleton, and I({a,b}) must hold those singletons: 5 + 3 + 3 + 2
+    code, out, _ = run_cli(
+        capsys, "search", "--size", "2", "--mode", "count", "--required", "eMI", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["records"][0]["instances_checked"] == 13
+
+
+def test_search_verb_verify_implication_mode(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "search", "--size", "2", "--mode", "verify-implication",
+        "--required", "eMI", "--target", "eMF", "--json",
+    )
+    assert code == 0
+    (rec,) = json.loads(out)["records"]
+    assert (rec["holds"], rec["instances_checked"]) == (False, 5)
+    assert rec["notes"] == ["violating system u2#4"]
 
 
 def test_search_verb_counterexample(capsys):

@@ -215,7 +215,7 @@ def test_backward_row_failure_is_pinned(monkeypatch, par):
                 "ideals": {"a": [[], ["a"]], "a,b": [[], ["a"], ["b"], ["a", "b"]]},
             },
             "violation": {
-                "subject": "mu2",
+                "subject": "mu2#4",
                 "condition": "eMF",
                 "holds": False,
                 "witness": {"X": ["b"], "Y": ["a", "b"], "A": []},
@@ -223,6 +223,17 @@ def test_backward_row_failure_is_pinned(monkeypatch, par):
             },
         },
     })
+
+
+@pytest.mark.parametrize("verify", [verify_correspondence_forward, verify_correspondence_backward])
+def test_correspondence_sizes_below_one_are_refused(verify):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify(2, 0)
+
+
+def test_mu_functions_are_labelled_by_stream_rank():
+    labels = [mu.label for mu in enumerate_mu_functions(Universe(["a", "b"]))]
+    assert labels == [f"mu2#{rank}" for rank in range(16)]
 
 
 def test_row_validation():

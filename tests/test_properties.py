@@ -216,6 +216,22 @@ def test_witness_soundness_over_enumeration():
     assert seen_failures > 0
 
 
+def test_m_plus_plus_3_witness_soundness_at_size_3():
+    # M++:3 fails on no system at |U| <= 2, so the test above never sees one
+    # of its witnesses; it fails on 2 038 of the 3 450 canonical monotone
+    # systems at |U| = 3.
+    p = m_plus_plus(3)
+    spec = SearchSpec(universe_size=3, mode="count", canonical_only=True)
+    systems = failures = 0
+    for s in enumerate_systems(spec):
+        systems += 1
+        rep = check_property(s, p)
+        if not rep.holds:
+            failures += 1
+            assert witness_violates(s, p, rep.witness), s.label
+    assert (systems, failures) == (3450, 2038)
+
+
 def test_instances_zero_is_vacuous_note():
     u = Universe(["a"])
     s = build(u, [u.subset(["a"])], {u.subset(["a"]): []})

@@ -23,6 +23,7 @@ from sizesem.search import (
     family_code,
     find_counterexample,
     verify_agreement,
+    verify_agreement_upto,
     verify_implication,
     verify_implication_upto,
     verify_two_s_breakdown,
@@ -233,6 +234,39 @@ def test_verify_implication_equivalence_both_ways():
     bwd = verify_implication_upto((m_plus_omega(4),), CM_OMEGA, 2)
     assert fwd.holds and bwd.holds
     assert fwd.instances_checked > 0 and bwd.instances_checked > 0
+
+
+def test_implication_upto_merges_a_failure_across_sizes():
+    # 2 eMI systems at |U| = 1 hold eMF; the fifth at |U| = 2 is the first to fail.
+    rep = verify_implication_upto((EMI,), EMF, 2)
+    assert json.dumps(rep.to_dict()) == json.dumps({
+        "subject": "search:u<=2",
+        "condition": "eMI=>eMF",
+        "holds": False,
+        "witness": {"X": ["a"], "Y": ["a", "b"], "A": []},
+        "instances_checked": 7,
+        "notes": ["violating system u2#4"],
+        "witness_system": {
+            "universe": ["a", "b"],
+            "domain": "full",
+            "ideals": {"a,b": [[], ["a"], ["b"], ["a", "b"]]},
+        },
+    })
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: verify_two_s_breakdown(0),
+        lambda: verify_implication_upto((EMI,), EMF, 0),
+        lambda: verify_agreement_upto([EMI, EMF], -1),
+        lambda: list(enumerate_systems(SearchSpec(0, mode="count"))),
+    ],
+    ids=["two_s_breakdown", "implication_upto", "agreement_upto", "enumerate_systems"],
+)
+def test_sizes_below_one_are_refused(scan):
+    with pytest.raises(ValueError, match="at least 1"):
+        scan()
 
 
 def test_count_mode():

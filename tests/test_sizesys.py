@@ -67,14 +67,6 @@ def test_build_rejects_ideal_base_outside_domain():
         build(u, [u.subset(["a"])], {u.subset(["b"]): [u.empty]})
 
 
-def test_require_monotone_flag():
-    u = Universe(["a", "b"])
-    ab = u.full
-    with pytest.raises(IdealMemberNotSubset):
-        build(u, None, {ab: [u.empty, ab]}, require_monotone=True)
-    build(u, None, {ab: [u.empty, u.subset(["a"])]}, require_monotone=True)
-
-
 def test_filter_of_examples(fact34_1, ex38_3):
     u = fact34_1.universe
     filt = filter_of(fact34_1, u.full)
