@@ -3,6 +3,16 @@
 A choice function f picks the "normal" part f(X) ⊆ X of every domain member.
 It induces the principal-filter system F(X) = {A : f(X) ⊆ A ⊆ X}; conversely
 a system whose every filter has a least element yields a choice function.
+
+`_MU_RULES` maps each of the 19 mu-rule tags to its scan.  Fifteen rules
+quantify over pairs X, Y of domain members, and `_pair_scan` builds each of
+their scans from one table row: a premise, a carrier that must be nonempty,
+and a conclusion.  mu-ResM, mu-in and mu-empty(-fin) have scans of their own.
+The carrier policy sits in `check_mu_rule` alone: a composite set (X∪Y, X∩Y,
+X∩A, {a,b}) that an instance needs f at but the domain lacks raises
+DomainNotClosed naming it; an instance whose carrier is empty is skipped and
+counted in the report's `skipped`.
+
 `verify_correspondence_forward` and `_backward` check, by exhaustion over
 small universes, the ten rows tying size properties to choice-function rules:
 
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapacityExceeded, DomainNotClosed, NotPrincipal
 from .properties import (
@@ -48,31 +58,171 @@ from .search import SearchSpec, _letters, check_size, enumerate_systems, first_f
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
-_MU_RULES = {
-    "mu-wOR",
-    "mu-disjOR",
-    "mu-OR",
-    "mu-PR",
-    "mu-PR'",
-    "mu-CM",
-    "mu-ResM",
-    "mu-CUT",
-    "mu-CUM",
-    "mu-sub-sup",
-    "mu-RatM",
-    "mu-eq",
-    "mu-eq'",
-    "mu-parallel",
-    "mu-union",
-    "mu-union'",
-    "mu-in",
-    "mu-empty",
-    "mu-empty-fin",
+# --- choice-function rules ----------------------------------------------------
+#
+# A scan returns (instances_checked, witness, instances skipped for an empty
+# carrier) and looks f up at every composite carrier an instance needs.
+
+MuScan = Callable[[MuFunction], tuple[int, Witness, int]]
+PairTest = Callable[[dict, int, int], object]  # (f, X, Y) -> truthy or falsy
+
+
+def _pair_scan(
+    names: str, guard: PairTest, carrier: Callable[[int, int], int] | None, holds: PairTest
+) -> MuScan:
+    """The scan of "for all X, Y in the domain: guard ⇒ holds".
+
+    Pairs come in domain order, the first name's variable outermost.  A pair
+    the guard admits whose carrier is empty is skipped and tallied.
+    """
+    outer, inner = names
+
+    def scan(mu: MuFunction) -> tuple[int, Witness, int]:
+        f = mu.choice
+        dom = mu.domain_masks
+        count = skipped = 0
+        for x in dom:
+            for y in dom:
+                if not guard(f, x, y):
+                    continue
+                if carrier is not None and not carrier(x, y):
+                    skipped += 1
+                    continue
+                count += 1
+                if not holds(f, x, y):
+                    return count, ((outer, x), (inner, y)), skipped
+        return count, None, skipped
+
+    return scan
+
+
+def _every_pair(f, x, y):
+    return True
+
+
+def _meet(x, y):
+    return x & y
+
+
+def _disjoint(f, x, y):
+    """X ∩ Y = ∅."""
+    return not x & y
+
+
+def _inside(f, x, y):
+    """X ⊆ Y."""
+    return not x & ~y
+
+
+def _between(f, x, y):
+    """f(X) ⊆ Y ⊆ X."""
+    return not f[x] & ~y and not y & ~x
+
+
+def _choices_inside(f, x, y):
+    """f(X) ⊆ Y and f(Y) ⊆ X."""
+    return not f[x] & ~y and not f[y] & ~x
+
+
+def _inside_meeting(f, x, y):
+    """X ⊆ Y and X ∩ f(Y) ≠ ∅."""
+    return not x & ~y and x & f[y]
+
+
+def _choice_meets(f, y, x):
+    """f(Y) ∩ X ≠ ∅."""
+    return f[y] & x
+
+
+def _meets_rest(f, x, y):
+    """f(Y) ∩ (X − f(X)) ≠ ∅."""
+    return f[y] & x & ~f[x]
+
+
+def _parallel(f, x, y):
+    """f(X∪Y) is f(X), f(Y) or f(X) ∪ f(Y)."""
+    return f[x | y] in (f[x], f[y], f[x] | f[y])
+
+
+def _scan_res_m(mu: MuFunction) -> tuple[int, Witness, int]:
+    """f(X) ⊆ A∩B ⇒ f(X∩A) ⊆ B, A and B over the supersets of f(X)."""
+    f = mu.choice
+    all_masks = mu.universe.all_masks()
+    count = skipped = 0
+    for x in mu.domain_masks:
+        fx = f[x]
+        supersets = [a for a in all_masks if not fx & ~a]
+        for a in supersets:
+            meet = x & a
+            if not meet:
+                skipped += len(supersets)
+                continue
+            f_meet = f[meet]
+            for b in supersets:
+                count += 1
+                if f_meet & ~b:
+                    return count, (("X", x), ("A", a), ("B", b)), skipped
+    return count, None, skipped
+
+
+def _scan_in(mu: MuFunction) -> tuple[int, Witness, int]:
+    """Every a ∈ X − f(X) has some b ∈ X with a ∉ f({a,b})."""
+    f = mu.choice
+    points = [1 << i for i in range(mu.universe.size)]
+    count = 0
+    for x in mu.domain_masks:
+        rest = x & ~f[x]
+        for a in points:
+            if not rest & a:
+                continue
+            count += 1
+            for b in points:
+                if x & b and not f[a | b] & a:
+                    break
+            else:
+                return count, (("X", x), ("a", a)), 0
+    return count, None, 0
+
+
+def _scan_empty(mu: MuFunction) -> tuple[int, Witness, int]:
+    """f(X) ≠ ∅ for every X; on a finite domain mu-empty-fin says the same."""
+    f = mu.choice
+    for count, x in enumerate(mu.domain_masks, 1):
+        if not f[x]:
+            return count, (("X", x),), 0
+    return len(mu.domain_masks), None, 0
+
+
+# The choice-function rule vocabulary.  A pair-scan row reads: variable names,
+# the premise that makes (X, Y) an instance, the carrier that must be nonempty,
+# and the conclusion.
+_MU_RULES: dict[str, MuScan] = {
+    "mu-wOR": _pair_scan("XY", _every_pair, None, lambda f, x, y: not f[x | y] & ~(f[x] | y)),
+    "mu-disjOR": _pair_scan("XY", _disjoint, None, lambda f, x, y: not f[x | y] & ~(f[x] | f[y])),
+    "mu-OR": _pair_scan("XY", _every_pair, None, lambda f, x, y: not f[x | y] & ~(f[x] | f[y])),
+    "mu-PR": _pair_scan("XY", _inside, None, lambda f, x, y: not f[y] & x & ~f[x]),
+    "mu-PR'": _pair_scan("XY", _every_pair, _meet, lambda f, x, y: not f[x] & y & ~f[x & y]),
+    "mu-CM": _pair_scan("XY", _between, None, lambda f, x, y: not f[y] & ~f[x]),
+    "mu-ResM": _scan_res_m,
+    "mu-CUT": _pair_scan("XY", _between, None, lambda f, x, y: not f[x] & ~f[y]),
+    "mu-CUM": _pair_scan("XY", _between, None, lambda f, x, y: f[y] == f[x]),
+    "mu-sub-sup": _pair_scan("XY", _choices_inside, None, lambda f, x, y: f[x] == f[y]),
+    "mu-RatM": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: not f[x] & ~(f[y] & x)),
+    "mu-eq": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: f[x] == f[y] & x),
+    "mu-eq'": _pair_scan("YX", _choice_meets, None, lambda f, y, x: f[y & x] == f[y] & x),
+    "mu-parallel": _pair_scan("XY", _every_pair, None, _parallel),
+    "mu-union": _pair_scan("XY", _meets_rest, None, lambda f, x, y: not f[x | y] & y),
+    "mu-union'": _pair_scan("XY", _meets_rest, None, lambda f, x, y: f[x | y] == f[x]),
+    "mu-in": _scan_in,
+    "mu-empty": _scan_empty,
+    "mu-empty-fin": _scan_empty,
 }
 
 
 @dataclass(frozen=True)
 class MuRuleId:
+    """One choice-function rule: a tag of `_MU_RULES`."""
+
     tag: str
 
     def __post_init__(self):
@@ -115,187 +265,16 @@ def parse_mu_rule(text: str) -> MuRuleId:
 def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
     """Decide one choice-function rule over all instances; canonical witness.
 
-    X and Y range over the domain; composite carriers (X∪Y, X∩A, {a,b}) must
-    be in the domain when an instance needs their value: a missing nonempty
-    carrier raises DomainNotClosed, an empty one skips the instance.
+    X and Y range over the domain.  The carrier policy lives here: a scan
+    that looks f up at a composite carrier (X∪Y, X∩Y, X∩A, {a,b}) outside the
+    domain raises KeyError, reported as DomainNotClosed for that set; an
+    instance whose carrier is empty was skipped, and tallied, before any lookup.
     """
-    count, witness, skipped = _scan_mu(mu, r.tag)
+    try:
+        count, witness, skipped = _MU_RULES[r.tag](mu)
+    except KeyError as exc:
+        raise DomainNotClosed(_label_key(mu.universe, exc.args[0]), r.tag) from None
     return scan_report(mu.label, r.name, mu.universe, count, witness, skipped=skipped)
-
-
-def _scan_mu(mu: MuFunction, tag: str) -> tuple[int, Witness, int]:
-    """(instances_checked, witness, instances skipped for an empty carrier)."""
-    u = mu.universe
-    dom = mu.domain_masks
-    f = mu.choice
-    count = 0
-    skipped = 0
-
-    def need(mask: int, context: str) -> bool:
-        """True if the carrier is usable; skips ∅, raises when missing."""
-        nonlocal skipped
-        if mask == 0:
-            skipped += 1
-            return False
-        if mask not in f:
-            raise DomainNotClosed(_label_key(u, mask), context)
-        return True
-
-    if tag in ("mu-wOR", "mu-disjOR", "mu-OR", "mu-parallel"):
-        for x in dom:
-            for y in dom:
-                if tag == "mu-disjOR" and x & y:
-                    continue
-                un = x | y
-                if un not in f:
-                    raise DomainNotClosed(_label_key(u, un), tag)
-                count += 1
-                fu = f[un]
-                if tag == "mu-wOR":
-                    ok = not fu & ~(f[x] | y)
-                elif tag == "mu-parallel":
-                    ok = fu in (f[x], f[y], f[x] | f[y])
-                else:
-                    ok = not fu & ~(f[x] | f[y])
-                if not ok:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag == "mu-PR":
-        for x in dom:
-            for y in dom:
-                if x & ~y:
-                    continue
-                count += 1
-                if f[y] & x & ~f[x]:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag == "mu-PR'":
-        for x in dom:
-            for y in dom:
-                lhs = f[x] & y
-                meet = x & y
-                if meet == 0:
-                    skipped += 1  # lhs ⊆ x∩y is empty too; nothing to test
-                    continue
-                if meet not in f:
-                    raise DomainNotClosed(_label_key(u, meet), tag)
-                count += 1
-                if lhs & ~f[meet]:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag in ("mu-CM", "mu-CUT", "mu-CUM"):
-        for x in dom:
-            fx = f[x]
-            for y in dom:
-                if fx & ~y or y & ~x:
-                    continue
-                count += 1
-                if tag == "mu-CM":
-                    ok = not f[y] & ~fx
-                elif tag == "mu-CUT":
-                    ok = not fx & ~f[y]
-                else:
-                    ok = f[y] == fx
-                if not ok:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag == "mu-ResM":
-        all_masks = u.all_masks()
-        for x in dom:
-            fx = f[x]
-            for a in all_masks:
-                meet = x & a
-                for b in all_masks:
-                    if fx & ~(a & b):
-                        continue
-                    if not need(meet, tag):
-                        continue
-                    count += 1
-                    if f[meet] & ~b:
-                        return count, (("X", x), ("A", a), ("B", b)), skipped
-
-    elif tag == "mu-sub-sup":
-        for x in dom:
-            for y in dom:
-                if f[x] & ~y or f[y] & ~x:
-                    continue
-                count += 1
-                if f[x] != f[y]:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag in ("mu-RatM", "mu-eq"):
-        for x in dom:
-            for y in dom:
-                if x & ~y or not x & f[y]:
-                    continue
-                count += 1
-                if tag == "mu-RatM":
-                    ok = not f[x] & ~(f[y] & x)
-                else:
-                    ok = f[x] == f[y] & x
-                if not ok:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag == "mu-eq'":
-        for y in dom:
-            fy = f[y]
-            for x in dom:
-                if not fy & x:
-                    continue
-                meet = y & x  # nonempty: it contains f(Y)∩X
-                if meet not in f:
-                    raise DomainNotClosed(_label_key(u, meet), tag)
-                count += 1
-                if f[meet] != fy & x:
-                    return count, (("Y", y), ("X", x)), skipped
-
-    elif tag in ("mu-union", "mu-union'"):
-        for x in dom:
-            fx = f[x]
-            for y in dom:
-                if not f[y] & (x & ~fx):
-                    continue
-                un = x | y
-                if un not in f:
-                    raise DomainNotClosed(_label_key(u, un), tag)
-                count += 1
-                if tag == "mu-union":
-                    ok = not f[un] & y
-                else:
-                    ok = f[un] == fx
-                if not ok:
-                    return count, (("X", x), ("Y", y)), skipped
-
-    elif tag == "mu-in":
-        for x in dom:
-            rest = x & ~f[x]
-            for i in range(u.size):
-                a = 1 << i
-                if not rest & a:
-                    continue
-                count += 1
-                for j in range(u.size):
-                    b = 1 << j
-                    if not x & b:
-                        continue
-                    pair = a | b
-                    if pair not in f:
-                        raise DomainNotClosed(_label_key(u, pair), tag)
-                    if not f[pair] & a:
-                        break
-                else:
-                    return count, (("X", x), ("a", a)), skipped
-
-    elif tag in ("mu-empty", "mu-empty-fin"):
-        for x in dom:
-            count += 1
-            if f[x] == 0:
-                return count, (("X", x),), skipped
-
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled mu rule {tag!r}")
-
-    return count, None, skipped
 
 
 def mu_to_rule_bridge(mu: MuFunction, r: RuleId) -> CheckReport:

@@ -58,6 +58,8 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.target is None and self.mode != "count":
             raise ValueError(f"mode {self.mode!r} needs a target")
+        if self.target is not None and self.mode == "count":
+            raise ValueError("count mode takes no target")
         if self.target is not None and self.target in self.required:
             raise ValueError("target may not be in required")
 

@@ -84,6 +84,8 @@ class Universe:
         for label in elems:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"bad element label {label!r}")
+            if "," in label:  # "," joins labels in the set keys of system files
+                raise ValueError(f"element label {label!r} may not contain ','")
             if label in seen:
                 raise ValueError(f"duplicate element label {label!r}")
             seen.add(label)

@@ -37,6 +37,15 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "EmptySetInDomain" in err
 
 
+def test_validate_rejects_comma_in_element_label(tmp_path, capsys):
+    # The set key "x,y,z" would not read back: "," joins labels in set keys.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"universe": ["x,y", "z"], "ideals": {"x,y,z": [[]]}}')
+    code, out, err = run_cli(capsys, "validate", "--system", str(bad))
+    assert code == 2
+    assert "may not contain ','" in err and out == ""
+
+
 def _check_all(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -176,6 +185,15 @@ def test_search_verb_count_mode(capsys):
     )
     assert code == 0
     assert json.loads(out)["records"][0]["instances_checked"] == 13
+
+
+def test_search_verb_count_mode_refuses_target(capsys):
+    # A target used to stop the count at its first violation: "5 systems".
+    code, out, err = run_cli(
+        capsys, "search", "--size", "2", "--mode", "count", "--required", "eMI", "--target", "eMF"
+    )
+    assert code == 2
+    assert "count mode takes no target" in err and out == ""
 
 
 def test_search_verb_verify_implication_mode(capsys):

@@ -27,8 +27,9 @@ from sizesem.preferential import (
 )
 from sizesem.properties import EMF, EMI, IOMEGA, check_property
 from sizesem.rules import AND_OMEGA, CP, CUT, RW, SC
+from sizesem.search import SearchSpec, enumerate_systems
 from sizesem.setcore import Universe
-from sizesem.sizesys import MuFunction, build_mu, from_mu, principal_mu
+from sizesem.sizesys import MuFunction, build_mu, from_mu, full_domain_masks, principal_mu
 
 
 def identity_mu(n):
@@ -78,10 +79,40 @@ def test_mu_in_on_picky_choice():
 
 
 def test_mu_rule_requires_composite_sets():
-    u = Universe(["a", "b"])
-    mu = build_mu(u, [u.subset(["a"]), u.subset(["b"])], {})
-    with pytest.raises(DomainNotClosed):
-        check_mu_rule(mu, MU_OR)
+    # One partial domain per composite carrier; the error names the first
+    # missing set in scan order and the rule that needed it.
+    ab = Universe(["a", "b"])
+    abc = Universe(["a", "b", "c"])
+    singletons = build_mu(ab, [ab.subset(["a"]), ab.subset(["b"])], {})
+    two_pairs = build_mu(abc, [abc.subset(["a", "b"]), abc.subset(["a", "c"])], {})
+    crossed = build_mu(
+        abc,
+        [abc.subset(["a", "b"]), abc.subset(["a", "c"])],
+        {abc.subset(["a", "b"]): abc.subset(["b"]), abc.subset(["a", "c"]): abc.subset(["a"])},
+    )
+    picky_pair = build_mu(ab, [ab.full], {ab.full: ab.subset(["a"])})
+    picky_top = build_mu(abc, [abc.full], {abc.full: abc.subset(["a"])})
+    cases = [
+        # X∪Y
+        (singletons, "mu-wOR", "a,b"),
+        (singletons, "mu-disjOR", "a,b"),
+        (singletons, "mu-OR", "a,b"),
+        (singletons, "mu-parallel", "a,b"),
+        (crossed, "mu-union", "a,b,c"),
+        (crossed, "mu-union'", "a,b,c"),
+        # X∩Y
+        (two_pairs, "mu-PR'", "a"),
+        (two_pairs, "mu-eq'", "a"),
+        # X∩A
+        (picky_pair, "mu-ResM", "a"),
+        # {a,b}
+        (picky_top, "mu-in", "a,b"),
+    ]
+    for mu, tag, missing in cases:
+        with pytest.raises(DomainNotClosed) as caught:
+            check_mu_rule(mu, MuRuleId(tag))
+        assert caught.value.missing == missing, tag
+        assert str(caught.value) == f"domain does not contain {missing} (needed for {tag})"
 
 
 def test_bridge_identity_choice():
@@ -342,3 +373,65 @@ def test_mu_resm_skipped_count():
     # With f the identity, f(X) ⊆ A forces X ∩ A = X ≠ ∅: nothing is skipped.
     rep = check_mu_rule(identity_mu(3), MuRuleId("mu-ResM"))
     assert rep.skipped == 0 and "skipped" not in rep.to_dict()
+
+
+# Functions on the full domain at |U| = 2 and 3 that satisfy each rule.
+MU_HOLDING_COUNTS = {
+    2: {
+        "mu-CM": 13, "mu-CUM": 9, "mu-CUT": 12, "mu-OR": 9, "mu-PR": 9, "mu-PR'": 9,
+        "mu-RatM": 16, "mu-ResM": 13, "mu-disjOR": 9, "mu-empty": 3, "mu-empty-fin": 3,
+        "mu-eq": 9, "mu-eq'": 9, "mu-in": 16, "mu-parallel": 8, "mu-sub-sup": 9,
+        "mu-union": 9, "mu-union'": 9, "mu-wOR": 9,
+    },
+    3: {
+        "mu-CM": 1253, "mu-CUM": 246, "mu-CUT": 834, "mu-OR": 216, "mu-PR": 216,
+        "mu-PR'": 216, "mu-RatM": 1792, "mu-ResM": 1253, "mu-disjOR": 216,
+        "mu-empty": 189, "mu-empty-fin": 189, "mu-eq": 159, "mu-eq'": 159, "mu-in": 3375,
+        "mu-parallel": 50, "mu-sub-sup": 246, "mu-union": 159, "mu-union'": 136,
+        "mu-wOR": 216,
+    },
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mu_rule_holding_counts(n):
+    from sizesem.preferential import _MU_RULES
+
+    u = Universe([chr(ord("a") + i) for i in range(n)])
+    mus = list(enumerate_mu_functions(u))
+    holding = {
+        tag: [check_mu_rule(mu, MuRuleId(tag)).holds for mu in mus] for tag in sorted(_MU_RULES)
+    }
+    assert {tag: sum(v) for tag, v in holding.items()} == MU_HOLDING_COUNTS[n]
+    # mu-empty and mu-empty-fin hold iff every f(X) is nonempty: 2^|X| − 1
+    # choices at each X.
+    nonempty = 1
+    for x in full_domain_masks(u):
+        nonempty *= 2 ** x.bit_count() - 1
+    assert sum(holding["mu-empty"]) == sum(holding["mu-empty-fin"]) == nonempty
+    # On a full domain mu-wOR, mu-OR and mu-PR are one rule (rows 1–3): they
+    # agree function by function, not just in number.
+    assert holding["mu-wOR"] == holding["mu-OR"] == holding["mu-PR"]
+
+
+def test_forward_row3_counts_every_small_system():
+    # eMI + I-omega systems: 2 at |U| = 1, 9 at 2 and 216 at 3; all principal.
+    rep = verify_correspondence_forward(3, 3)
+    assert rep.holds
+    assert (rep.systems_checked, rep.skipped_non_principal) == (2 + 9 + 216, 0)
+
+
+@pytest.mark.parametrize("n,count", [(2, 9), (3, 216)])
+def test_principal_mu_is_a_bijection_onto_mu_pr(n, count):
+    u = Universe([chr(ord("a") + i) for i in range(n)])
+    systems = [
+        s
+        for s in enumerate_systems(SearchSpec(n, mode="count"))
+        if check_property(s, EMI).holds and check_property(s, IOMEGA).holds
+    ]
+    images = [principal_mu(s) for s in systems]
+    for s, mu in zip(systems, images):
+        assert from_mu(mu).to_dict() == s.to_dict()
+    pr = {mu for mu in enumerate_mu_functions(u) if check_mu_rule(mu, MU_PR).holds}
+    assert len(systems) == len(set(images)) == len(pr) == count
+    assert set(images) == pr

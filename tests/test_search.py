@@ -150,6 +150,19 @@ def test_spec_validation():
         SearchSpec(2, mode="nope", target=OPT)
     with pytest.raises(ValueError):
         SearchSpec(2, mode="verify-implication")  # needs a target
+    with pytest.raises(ValueError, match="count mode takes no target"):
+        SearchSpec(2, required=(EMI,), target=EMF, mode="count")
+
+
+@pytest.mark.parametrize(
+    "required,counts", [((EMI,), (13, 2171)), ((EMI, IOMEGA), (9, 216))]
+)
+def test_count_systems_pinned(required, counts):
+    got = tuple(
+        count_systems(SearchSpec(n, required=required, mode="count")).instances_checked
+        for n in (2, 3)
+    )
+    assert got == counts
 
 
 def test_find_counterexample_reproduces_outer_monotony_gap():

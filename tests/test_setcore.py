@@ -72,6 +72,9 @@ def test_universe_validation():
         Universe(["a", "a"])
     with pytest.raises(ValueError):
         Universe(["a", ""])
+    # Set keys in system and choice files join labels with ",".
+    with pytest.raises(ValueError, match="may not contain ','"):
+        Universe(["x,y", "z"])
     with pytest.raises(CapacityExceeded):
         Universe(list("abcdefg"))
 

@@ -2,11 +2,15 @@
 
 `bench/tracing.py` looks its boundaries up with getattr at install time, so a
 refactor that renames or drops one would only fail the traced benchmark run.
-This reads the tracer's tables and checks every name here instead.
+This reads the tracer's tables and checks every name here instead, and
+checks the names `bench/workloads.py` takes from `sizesem` the same way.
 """
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
+from types import ModuleType
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +36,38 @@ def test_traced_names_exist_and_are_callable():
         if not callable(cls.__dict__.get(attr))
     ]
     assert missing == []
+
+
+WORKLOADS = TRACING.with_name("workloads.py")
+
+MU_TAGS_IN_SCAN_ORDER = [
+    "mu-CM", "mu-CUM", "mu-CUT", "mu-OR", "mu-PR", "mu-PR'", "mu-RatM", "mu-ResM",
+    "mu-disjOR", "mu-empty", "mu-empty-fin", "mu-eq", "mu-eq'", "mu-in", "mu-parallel",
+    "mu-sub-sup", "mu-union", "mu-union'", "mu-wOR",
+]
+
+
+def test_benchmark_imports_exist(monkeypatch):
+    # Loading the workloads resolves every `from sizesem... import name`; the
+    # module attributes they reach at run time are checked from the source.
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # for `import gen`
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    modules = {
+        name: value
+        for name, value in vars(workloads).items()
+        if isinstance(value, ModuleType) and value.__name__.startswith("sizesem")
+    }
+    assert modules
+    missing = sorted(
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and not hasattr(modules[node.value.id], node.attr)
+    )
+    assert missing == []
+    assert [r.tag for r in workloads.MU_RULES] == MU_TAGS_IN_SCAN_ORDER
