@@ -40,6 +40,14 @@ Checked rules (n-ary families take their parameter from the RuleId):
 
 OR:2 and CM:2 are the same formula (α |~ β ⇒ α ̸|~ ¬β); both names map to one
 checker and the report notes the aliasing.
+
+Every scan and `derive_relation` read the relation from one place,
+`_Consequences`: for an antecedent a, every b with a |~ b in canonical order
+(every set when a = ∅), filled on first use, so a scan that stops at its first
+witness pays only for the antecedents it reached.
+An n-ary rule whose scan would exceed RULE_SCAN_CEILING instances — Σₐ |rel(a)|ⁿ
+for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
+refused with CapacityExceeded before it starts.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DomainNotFull, SetNotInDomain
+from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
 from .report import CheckReport, scan_report
 from .setcore import Subset
@@ -161,17 +169,21 @@ def derive_relation(s: SizeSystem) -> list[tuple[Subset, Subset]]:
     """All pairs (a, b) with a |~ b, canonical order; for report diffing."""
     _require_full(s)
     u = s.universe
-    ideals = s.ideals
-    out = []
-    for a in u.all_masks():
-        if a == 0:
-            out.extend((Subset(u, 0), Subset(u, b)) for b in u.all_masks())
-            continue
-        fam = ideals[a]
-        for b in u.all_masks():
-            if (a & ~b) in fam:
-                out.append((Subset(u, a), Subset(u, b)))
-    return out
+    rel = _Consequences(s)
+    return [(Subset(u, a), Subset(u, b)) for a in u.all_masks() for b in rel[a]]
+
+
+class _Consequences(dict):
+    """a ↦ [b : a |~ b] in canonical order, each a filled on first use."""
+
+    def __init__(self, s: SizeSystem):
+        self.ideals = s.ideals
+        self.masks = s.universe.all_masks()
+
+    def __missing__(self, a: int) -> list[int]:
+        fam = self.ideals[a] if a else (0,)
+        out = self[a] = [b for b in self.masks if (a & ~b) in fam]
+        return out
 
 
 def _require_full(s: SizeSystem) -> None:
@@ -181,6 +193,13 @@ def _require_full(s: SizeSystem) -> None:
 
 # --- rule checking -----------------------------------------------------------
 
+# The most instances an n-ary scan (AND:n, OR:n, CM:n) may face; a larger
+# parameter would run for hours, so it is refused before the scan starts.
+# AND:n and CM:n form their exact space Σₐ |rel(a)|ᵏ only when the bound
+# |nonempty| · |masks|ᵏ is above the ceiling, since the sum fills rel(a) for
+# every a, which a scan that stops early would not.
+RULE_SCAN_CEILING = 10**7
+
 
 def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
     """Decide one rule over all model-set instantiations; canonical witness."""
@@ -189,10 +208,18 @@ def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
     return scan_report(s.label, r.name, s.universe, count, witness, *notes)
 
 
+def _refuse_above_ceiling(r: RuleId, space: int) -> None:
+    if space > RULE_SCAN_CEILING:
+        raise CapacityExceeded(
+            f"{r.name} would examine up to {space} instances, above the ceiling {RULE_SCAN_CEILING}"
+        )
+
+
 def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     """(instances_checked, witness), plus the notes for OR:2, CM:2 and CCL."""
     count = 0
     ideals = s.ideals
+    rel = _Consequences(s)
     full = s.universe.full_mask
     masks = s.universe.all_masks()
     nonempty = full_domain_masks(s.universe)
@@ -222,9 +249,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "RW":
         for a in nonempty:
             fam = ideals[a]
-            for b in masks:
-                if (a & ~b) not in fam:
-                    continue
+            for b in rel[a]:
                 for b2 in masks:
                     if b & ~b2:
                         continue
@@ -234,10 +259,9 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "wOR":
         for a in nonempty:
-            fam = ideals[a]
             for a2 in masks:
-                for b in masks:
-                    if (a & ~b) not in fam or (a2 & ~b):
+                for b in rel[a]:
+                    if a2 & ~b:
                         continue
                     count += 1
                     if not nm(a | a2, b):
@@ -245,12 +269,11 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "PR'":
         for a in nonempty:
-            fam = ideals[a]
             for a2 in nonempty:
                 if a & ~a2:
                     continue
-                for b in masks:
-                    if (a & ~b) not in fam or (a2 & ~a) & ~b:
+                for b in rel[a]:
+                    if (a2 & ~a) & ~b:
                         continue
                     count += 1
                     if not nm(a2, b):
@@ -258,12 +281,11 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "wCM":
         for a in nonempty:
-            fam = ideals[a]
             for a2 in nonempty:
                 if a2 & ~a:
                     continue
-                for b in masks:
-                    if (a & ~b) not in fam or (a & b) & ~a2:
+                for b in rel[a]:
+                    if (a & b) & ~a2:
                         continue
                     count += 1
                     if not nm(a2, b):
@@ -271,17 +293,11 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "disjOR":
         for p in nonempty:
-            fam_p = ideals[p]
             for p2 in nonempty:
                 if p & p2:
                     continue
-                fam_p2 = ideals[p2]
-                for q in masks:
-                    if (p & ~q) not in fam_p:
-                        continue
-                    for q2 in masks:
-                        if (p2 & ~q2) not in fam_p2:
-                            continue
+                for q in rel[p]:
+                    for q2 in rel[p2]:
                         count += 1
                         if not nm(p | p2, q | q2):
                             return count, (("phi", p), ("phi'", p2), ("psi", q), ("psi'", q2))
@@ -293,10 +309,10 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
                 return count, (("phi", p),)
 
     elif tag == "AND":
+        if len(nonempty) * len(masks) ** n > RULE_SCAN_CEILING:
+            _refuse_above_ceiling(r, sum(len(rel[a]) ** n for a in nonempty))
         for a in nonempty:
-            fam = ideals[a]
-            small = [b for b in masks if (a & ~b) in fam]
-            for combo in product(small, repeat=n):
+            for combo in product(rel[a], repeat=n):
                 count += 1
                 meet = a
                 for b in combo:
@@ -307,18 +323,15 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "AND:omega":
         for a in nonempty:
             fam = ideals[a]
-            for b in masks:
-                if (a & ~b) not in fam:
-                    continue
-                for b2 in masks:
-                    if (a & ~b2) not in fam:
-                        continue
+            for b in rel[a]:
+                for b2 in rel[a]:
                     count += 1
                     if (a & ~(b & b2)) not in fam:
                         return count, (("alpha", a), ("beta", b), ("beta'", b2))
 
     elif tag == "OR":
         notes = ("OR:2 and CM:2 name the same rule",) if n == 2 else ()
+        _refuse_above_ceiling(r, len(nonempty) ** (n - 1) * len(masks))
         for combo in product(nonempty, repeat=n - 1):
             for b in masks:
                 ok = True
@@ -339,11 +352,10 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "OR:omega":
         for a in nonempty:
-            fam = ideals[a]
             for a2 in nonempty:
                 fam2 = ideals[a2]
-                for b in masks:
-                    if (a & ~b) not in fam or (a2 & ~b) not in fam2:
+                for b in rel[a]:
+                    if (a2 & ~b) not in fam2:
                         continue
                     count += 1
                     if ((a | a2) & ~b) not in ideals[a | a2]:
@@ -351,10 +363,10 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "CM":
         notes = ("CM:2 and OR:2 name the same rule",) if n == 2 else ()
+        if len(nonempty) * len(masks) ** (n - 1) > RULE_SCAN_CEILING:
+            _refuse_above_ceiling(r, sum(len(rel[a]) ** (n - 1) for a in nonempty))
         for a in nonempty:
-            fam = ideals[a]
-            small = [b for b in masks if (a & ~b) in fam]
-            for combo in product(small, repeat=n - 1):
+            for combo in product(rel[a], repeat=n - 1):
                 count += 1
                 t = a
                 for b in combo[:-1]:
@@ -366,13 +378,8 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "CM:omega":
         for a in nonempty:
-            fam = ideals[a]
-            for b in masks:
-                if (a & ~b) not in fam:
-                    continue
-                for b2 in masks:
-                    if (a & ~b2) not in fam:
-                        continue
+            for b in rel[a]:
+                for b2 in rel[a]:
                     count += 1
                     if not nm(a & b, b2):
                         return count, (("alpha", a), ("beta", b), ("beta'", b2))
@@ -380,9 +387,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "RatM":
         for p in nonempty:
             fam = ideals[p]
-            for q in masks:
-                if (p & ~q) not in fam:
-                    continue
+            for q in rel[p]:
                 for q2 in masks:
                     if (p & q2) in fam:  # p |~ ¬q2: premise p ̸|~ ¬q2 false
                         continue
@@ -393,12 +398,8 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "CUT":
         for a in nonempty:
             fam = ideals[a]
-            for b in masks:
-                if (a & ~b) not in fam:
-                    continue
-                for g in masks:
-                    if not nm(a & b, g):
-                        continue
+            for b in rel[a]:
+                for g in rel[a & b]:
                     count += 1
                     if (a & ~g) not in fam:
                         return count, (("alpha", a), ("beta", b), ("gamma", g))
@@ -406,9 +407,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "CUM":
         for p in nonempty:
             fam = ideals[p]
-            for q in masks:
-                if (p & ~q) not in fam:
-                    continue
+            for q in rel[p]:
                 for q2 in masks:
                     count += 1
                     if ((p & ~q2) in fam) != nm(p & q, q2):
@@ -416,11 +415,9 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     elif tag == "CCL":
         for a in nonempty:
-            fam = ideals[a]
-            closed = [b for b in masks if (a & ~b) in fam]
-            closed_set = set(closed)
-            for b in closed:
-                for b2 in closed:
+            closed_set = set(rel[a])
+            for b in rel[a]:
+                for b2 in rel[a]:
                     count += 1
                     if b & b2 not in closed_set:
                         witness = (("alpha", a), ("beta", b), ("beta'", b2))
@@ -439,9 +436,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
             for b in masks:
                 if (g & b) in fam:  # γ |~ ¬β: premise γ ̸|~ ¬β false
                     continue
-                for a in masks:
-                    if not nm(g & b, a):
-                        continue
+                for a in rel[g & b]:
                     count += 1
                     if (g & a & b) in fam:  # γ |~ ¬(α∧β): conclusion fails
                         return count, (("gamma", g), ("beta", b), ("alpha", a))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (
     ChoiceNotSubset,
@@ -75,9 +75,6 @@ class SizeSystem:
 
     def is_full_domain(self) -> bool:
         return len(self.domain_masks) == self.universe.full_mask
-
-    def in_domain(self, mask: int) -> bool:
-        return mask in self.ideals
 
     def ideal_of(self, x: Subset) -> tuple[Subset, ...]:
         fam = self._ideal(self._domain_mask(x))
@@ -145,9 +142,6 @@ class MuFunction:
         if x.mask not in self.choice:
             raise SetNotInDomain(f"{x!r} is not in the domain")
         return Subset(self.universe, self.choice[x.mask])
-
-    def in_domain(self, mask: int) -> bool:
-        return mask in self.choice
 
     def to_dict(self) -> dict:
         u = self.universe
@@ -358,22 +352,37 @@ def _parse_domain(doc: Mapping, u: Universe) -> list[Subset] | None:
         return None
     if not isinstance(dom, list):
         raise MalformedDocument(f'"domain" must be "full" or a list of subsets, got {dom!r}')
-    return [u.subset(_labels_at(labels, f'"domain"[{i}]')) for i, labels in enumerate(dom)]
+    members = [u.subset(_labels_at(labels, f'"domain"[{i}]')) for i, labels in enumerate(dom)]
+    for i, x in enumerate(members):
+        if x in members[:i]:
+            raise MalformedDocument(f'"domain"[{i}] repeats "domain"[{members.index(x)}]: {dom[i]!r}')
+    return members
 
 
-def _base_at(u: Universe, key: str) -> Subset:
-    return u.subset(key.split(",")) if key else u.empty
+def _keyed_sets(u: Universe, doc: Mapping, name: str) -> Iterator[tuple[Subset, str, object]]:
+    """(set, key, value) for each entry of a set-keyed object such as "ideals".
+
+    Two keys that name one set, such as "a,b" and "b,a", are refused: one of
+    them would silently win.
+    """
+    seen: dict[Subset, str] = {}
+    for key, value in _object_at(doc, name).items():
+        base = u.subset(key.split(",")) if key else u.empty
+        if base in seen:
+            raise MalformedDocument(f'"{name}" keys "{seen[base]}" and "{key}" name one set')
+        seen[base] = key
+        yield base, key, value
 
 
 def system_from_dict(doc: Mapping, label: str = "system") -> SizeSystem:
     u = _parse_universe(doc)
     domain = _parse_domain(doc, u)
     ideals = {}
-    for key, families in _object_at(doc, "ideals").items():
+    for base, key, families in _keyed_sets(u, doc, "ideals"):
         where = f'"ideals"["{key}"]'
         if not isinstance(families, list):
             raise MalformedDocument(f"{where} must be a list of subsets, got {families!r}")
-        ideals[_base_at(u, key)] = [
+        ideals[base] = [
             u.subset(_labels_at(labels, f"{where}[{i}]")) for i, labels in enumerate(families)
         ]
     return build(u, domain, ideals, label=label)
@@ -383,15 +392,25 @@ def mu_from_dict(doc: Mapping, label: str = "mu") -> MuFunction:
     u = _parse_universe(doc)
     domain = _parse_domain(doc, u)
     choice = {}
-    for key, labels in _object_at(doc, "choice").items():
-        choice[_base_at(u, key)] = u.subset(_labels_at(labels, f'"choice"["{key}"]'))
+    for base, key, labels in _keyed_sets(u, doc, "choice"):
+        choice[base] = u.subset(_labels_at(labels, f'"choice"["{key}"]'))
     return build_mu(u, domain, choice, label=label)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; plain json keeps the last of two."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedDocument(f'key "{key}" appears twice in one object')
+        out[key] = value
+    return out
 
 
 def _read_document(path: str) -> tuple[object, str]:
     """The parsed JSON of a document file, and its label: the file's base name."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     return doc, os.path.splitext(os.path.basename(path))[0]
 
 

@@ -46,6 +46,41 @@ def test_validate_rejects_comma_in_element_label(tmp_path, capsys):
     assert "may not contain ','" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        (
+            "--mu",
+            '{"universe": ["a", "b"], "choice": {"a,b": ["a"], "b,a": ["b"]}}',
+            '"choice" keys "a,b" and "b,a" name one set',
+        ),
+        (
+            "--system",
+            '{"universe": ["a", "b"], "ideals": {"a,b": [[], ["a"]], "b,a": [[], ["b"]]}}',
+            '"ideals" keys "a,b" and "b,a" name one set',
+        ),
+        (
+            "--mu",
+            '{"universe": ["a", "b"], "choice": {"a,b": ["a"], "a,b": ["b"]}}',
+            'key "a,b" appears twice in one object',
+        ),
+        (
+            "--system",
+            '{"universe": ["a", "b"], "domain": [["a"], ["b"], ["a"]]}',
+            '"domain"[2] repeats "domain"[0]',
+        ),
+    ],
+    ids=["choice-keys", "ideal-keys", "identical-keys", "domain"],
+)
+def test_validate_rejects_a_set_named_twice(tmp_path, capsys, flag, text, message):
+    # Each of these used to load, keeping one of the two entries silently.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "validate", flag, str(bad))
+    assert code == 2
+    assert message in err and "MalformedDocument" in err and out == ""
+
+
 def _check_all(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -307,12 +342,18 @@ def test_console_entry_point_runs():
             ["DomainNotFull: ", "DomainNotFull: "],
         ),
         (
+            ("rules", "--system", "--rules", "AND:14,OR:10,CM:14,SC"),
+            {"universe": ["a", "b", "c"]},
+            ["CapacityExceeded: AND:14 ", "CapacityExceeded: OR:10 ", "CapacityExceeded: CM:14 ",
+             None],
+        ),
+        (
             ("mu", "--mu", "--rules", "mu-OR,mu-PR"),
             {"universe": ["a", "b"], "domain": [["a"], ["b"]]},
             ["DomainNotClosed: domain does not contain a,b (needed for mu-OR)", None],
         ),
     ],
-    ids=["check", "rules", "mu"],
+    ids=["check", "rules", "rules-ceiling", "mu"],
 )
 def test_json_error_records_exit_zero(tmp_path, capsys, argv, doc, errors):
     path = tmp_path / "doc.json"

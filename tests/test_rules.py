@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from sizesem.errors import DomainNotFull, SetNotInDomain
+from sizesem.cli import ALL_RULES
+from sizesem.errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from sizesem.logic import Interpretation, parse_formula
 from sizesem.properties import (
     IM,
@@ -160,6 +162,21 @@ def test_trivial_system_rules():
         assert check_rule(s, r).holds, r.name
 
 
+def test_n_ary_rules_refuse_a_scan_above_the_ceiling():
+    # On the trivial 3-element system these ran for minutes; now they are
+    # refused before the scan starts.
+    s = all_trivial(3)
+    for r in (and_n(14), or_n(10), cm_n(14)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded, match=r.name):
+            check_rule(s, r)
+        assert time.perf_counter() - start < 1.0
+    # Below the ceiling nothing changes: α |~ β iff α ⊆ β, so the 3 singletons
+    # have 4 consequences each, the 3 pairs 2 and U itself 1.
+    rep = check_rule(s, and_n(9))
+    assert rep.holds and rep.instances_checked == 3 * 4**9 + 3 * 2**9 + 1 == 787_969
+
+
 def test_and3_fails_on_singleton_smallness():
     from sizesem.fixtures import fixture_system
 
@@ -297,3 +314,56 @@ def test_vacuous_rule_note():
     rep = check_rule(s, RW)
     assert rep.holds and rep.witness is None and rep.instances_checked == 0
     assert rep.notes == ("vacuous: no instances to check",)
+
+
+# (systems where the rule holds, Σ instances_checked) for every rule of
+# `cli.ALL_RULES` but SC and REF, which are derived in the test.  Size 2 is all
+# 32 full systems, monotone or not; size 3 is the 3 450 canonical monotone
+# systems.  The sums catch a scan that changes its order or its counts while
+# keeping its verdicts.
+RULE_PINS = {
+    2: {
+        "RW": (20, 496), "wOR": (18, 509), "PR'": (18, 289), "wCM": (20, 282),
+        "disjOR": (17, 243), "CP": (4, 56), "AND:1": (4, 84), "AND:2": (3, 135),
+        "AND:3": (3, 239), "AND:omega": (28, 836), "OR:2": (3, 82), "OR:3": (3, 108),
+        "OR:omega": (17, 407), "CM:2": (3, 82), "CM:3": (3, 135), "CM:omega": (22, 796),
+        "RatM": (25, 208), "CUT": (13, 760), "CUM": (9, 891), "CCL": (16, 1256),
+        "M+derived": (14, 183),
+    },
+    3: {
+        "RW": (3450, 350948), "wOR": (441, 199789), "PR'": (441, 108941),
+        "wCM": (1163, 124389), "disjOR": (326, 193454), "CP": (228, 9711),
+        "AND:1": (228, 29140), "AND:2": (59, 96308), "AND:3": (52, 371291),
+        "AND:omega": (752, 599210), "OR:2": (59, 26879), "OR:3": (44, 38936),
+        "OR:omega": (249, 98095), "CM:2": (59, 26879), "CM:3": (37, 96128),
+        "CM:omega": (383, 532273), "RatM": (1412, 217735), "CUT": (296, 554888),
+        "CUM": (56, 597941), "CCL": (752, 872848), "M+derived": (65, 127397),
+    },
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rule_holding_counts(n):
+    if n == 2:
+        spec = SearchSpec(2, mode="count", monotone_only=False)
+    else:
+        spec = SearchSpec(3, mode="count", canonical_only=True)
+    systems = list(enumerate_systems(spec))
+    reports = {name: [check_rule(s, parse_rule(name)) for s in systems] for name in ALL_RULES}
+    pins = {
+        name: (sum(r.holds for r in reps), sum(r.instances_checked for r in reps))
+        for name, reps in reports.items()
+    }
+    # SC and REF hold everywhere: one instance per pair α ⊆ β with α ≠ ∅
+    # (3ⁿ − 2ⁿ of them), and one per pair (α, γ) (4ⁿ).
+    assert pins.pop("SC") == (len(systems), len(systems) * (3**n - 2**n))
+    assert pins.pop("REF") == (len(systems), len(systems) * 4**n)
+    assert pins == RULE_PINS[n]
+
+    def bare(rep):
+        return rep.holds, rep.instances_checked, rep.witness and list(rep.witness.values())
+
+    # OR:2 and CM:2 are one checker under two names.
+    assert list(map(bare, reports["OR:2"])) == list(map(bare, reports["CM:2"]))
+    # φ |~ ∅ iff φ ∈ I(φ), so CP and AND:1 agree system by system.
+    assert [r.holds for r in reports["CP"]] == [r.holds for r in reports["AND:1"]]

@@ -3,7 +3,9 @@
 `bench/tracing.py` looks its boundaries up with getattr at install time, so a
 refactor that renames or drops one would only fail the traced benchmark run.
 This reads the tracer's tables and checks every name here instead, and
-checks the names `bench/workloads.py` takes from `sizesem` the same way.
+checks the names `bench/workloads.py` takes from `sizesem` the same way.  A
+few benchmark queries also run end to end here, through their own `run` and
+`check`, so a fault that would stop the benchmark run shows up in the suite.
 """
 
 import ast
@@ -47,14 +49,19 @@ MU_TAGS_IN_SCAN_ORDER = [
 ]
 
 
-def test_benchmark_imports_exist(monkeypatch):
-    # Loading the workloads resolves every `from sizesem... import name`; the
-    # module attributes they reach at run time are checked from the source.
+def _load_workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # for `import gen`
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_imports_exist(monkeypatch):
+    # Loading the workloads resolves every `from sizesem... import name`; the
+    # module attributes they reach at run time are checked from the source.
+    workloads = _load_workloads(monkeypatch)
     modules = {
         name: value
         for name, value in vars(workloads).items()
@@ -71,3 +78,25 @@ def test_benchmark_imports_exist(monkeypatch):
     )
     assert missing == []
     assert [r.tag for r in workloads.MU_RULES] == MU_TAGS_IN_SCAN_ORDER
+
+
+def test_benchmark_queries_run_clean(monkeypatch):
+    # One check batch, two repro fixtures and one search, each through the
+    # benchmark's own run and check: every query must answer without a problem.
+    from sizesem import fixtures
+
+    workloads = _load_workloads(monkeypatch)
+    table = fixtures.expected_table()
+    queries = workloads.check_queries(1, 0, table)
+    queries += [workloads.repro_query(fid, table) for fid in ("ex-3.8:3", "ex-3.8:4")]
+    queries += [
+        q
+        for q in workloads.search_queries(1, 0, table)
+        if q.name == "implies-canon-u3:I-omega+eMI=>OR:omega"
+    ]
+    assert len(queries) == 18
+    problems = []
+    for q in queries:
+        answer, _ = q.run(workloads.dumps)
+        problems += q.check(answer)
+    assert problems == []
