@@ -54,7 +54,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import SearchSpec, _letters, check_size, enumerate_systems, first_failure
+from .search import _letters, check_size, first_failure, scan_classes
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -372,12 +372,8 @@ def verify_correspondence_forward(
         rep = check_mu_rule(mu, mu_rule)
         return True if rep.holds else (s, mu, rep)
 
-    systems = (
-        s
-        for size in range(1, max_universe + 1)
-        for s in enumerate_systems(SearchSpec(size, mode="count"))
-    )
-    checked, skipped, failure = first_failure(systems, evaluate, parallelism)
+    sizes = range(1, max_universe + 1)
+    checked, skipped, failure = scan_classes(sizes, True, evaluate, parallelism)
     witness = None
     if failure is not None:
         s, mu, rep = failure
@@ -447,8 +443,8 @@ def verify_correspondence_backward(
         return True
 
     universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
-    choices = (mu for u in universes for mu in enumerate_mu_functions(u))
-    checked, _, failure = first_failure(choices, evaluate, parallelism)
+    choices = ((1, mu) for u in universes for mu in enumerate_mu_functions(u))
+    checked, _, failure, _ = first_failure(choices, evaluate, parallelism)
     witness = None
     if failure is not None:
         mu, system, rep = failure

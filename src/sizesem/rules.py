@@ -150,13 +150,11 @@ def parse_rule(text: str) -> RuleId:
 
 def nm_entails(s: SizeSystem, a: Subset, b: Subset) -> bool:
     """a |~ b: the b-part of a is big in a.  True by convention when a = ∅."""
-    if a.mask == 0:
-        return True
-    if a.universe != s.universe or a.mask not in s.ideals:
+    if a.universe != s.universe or (a.mask and a.mask not in s.ideals):
         raise SetNotInDomain(f"antecedent {a!r} is not in the domain")
     if b.universe != s.universe:
         raise SetNotInDomain(f"consequent {b!r} is over a different universe")
-    return (a.mask & ~b.mask) in s.ideals[a.mask]
+    return a.mask == 0 or (a.mask & ~b.mask) in s.ideals[a.mask]
 
 
 def nm_entails_formulas(

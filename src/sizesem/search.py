@@ -14,17 +14,29 @@ Ordering is canonical everywhere: families are ordered by their code (the
 bitmask recording which subsets belong to the family, indexed in canonical
 subset order), assignments are ordered lexicographically across base sets,
 and with `canonical_only` only the lexicographically least system of each
-element-relabeling class is emitted.  First findings are therefore
-reproducible, also under parallel scanning, which splits the stream into
-contiguous chunks and merges verdicts in stream order.
+element-relabeling class (its lex-leader) is emitted.  First findings are
+therefore reproducible, also under parallel scanning, which splits the
+stream into contiguous chunks and merges verdicts in stream order.
+
+Every property and rule is invariant under relabeling the elements, so the
+scans over the raw stream (`find_counterexample`, `verify_implication` and
+`count_systems` without `canonical_only`, `verify_agreement` and the forward
+correspondence rows) run on the lex-leaders alone, each weighted by the size
+of its class (`scan_classes`).  They report what a scan of every system
+would: the same first failing system with its raw label, and exact counts,
+also when the failure falls inside a class.  The leaders come from one walk
+that prunes block by block (the base sets of one cardinality), after the
+lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
@@ -162,22 +174,37 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-class _LexLeader:
-    """Lex-leader test for element relabelings, on family-index tuples.
+class _SystemSpace:
+    """The systems of one universe size, as tuples of family indices.
 
     A system is a tuple of indices, one per base set in domain order, into
     that base set's family list.  The lists ascend by family code, so
-    comparing index tuples lexicographically compares code tuples.  For each
-    non-identity permutation p, the relabeled system has at position j the
-    image under p of the family at p's pre-image of domain[j]; its index
-    there comes from a table that maps the pre-image family's index to the
-    image family's index.  Every table starts empty and is memoised entry
-    by entry on first use: at |U| = 5 filled tables would run to a million
-    entries before the first system is out.
+    comparing index tuples lexicographically compares code tuples, and the
+    raw stream (`itertools.product` order) is ascending in the tuple's
+    mixed-radix rank.
+
+    A relabeling p of the elements maps a system to the system that has at
+    position j the image under p of the family at p's pre-image of domain[j];
+    its index there comes from a table that maps the pre-image family's index
+    to the image family's index.  Every table starts empty and is memoised
+    entry by entry on first use: at |U| = 5 filled tables would run to a
+    million entries before the first system is out.
     """
 
-    def __init__(self, n: int, domain: tuple[int, ...], per_set: list[tuple]):
-        self.per_set = per_set
+    def __init__(self, n: int, monotone: bool):
+        self.universe = Universe(_letters(n))
+        self.domain = domain = full_domain_masks(self.universe)
+        gen = _down_set_families if monotone else _families_with_empty
+        self.per_set = [tuple(gen(x)) for x in domain]
+        self.radices = [len(fams) for fams in self.per_set]
+        self.strides = [1] * len(domain)
+        for j in range(len(domain) - 1, 0, -1):
+            self.strides[j - 1] = self.strides[j] * self.radices[j]
+        # A relabeling maps the base sets of one cardinality onto themselves,
+        # and the domain lists them block by block.
+        bounds = [0, *itertools.accumulate(comb(n, k) for k in range(1, n + 1))]
+        self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
+        self.relabelings = factorial(n)
         self.positions: list[dict[frozenset[int], int] | None] = [None] * len(domain)
         pos = {x: j for j, x in enumerate(domain)}
         self.perms = []
@@ -190,27 +217,92 @@ class _LexLeader:
                 pre[pos[image[x]]] = k
             self.perms.append((image, tuple(pre), [{} for _ in domain]))
 
-    def _image_index(self, image: list[int], j: int, k: int, i: int) -> int:
-        positions = self.positions[j]
-        if positions is None:
-            positions = {fam: t for t, fam in enumerate(self.per_set[j])}
-            self.positions[j] = positions
-        return positions[frozenset([image[a] for a in self.per_set[k][i]])]
+    def system(self, idx: tuple[int, ...], label: str) -> SizeSystem:
+        fams = map(operator.getitem, self.per_set, idx)
+        return SizeSystem(self.universe, self.domain, dict(zip(self.domain, fams)), label=label)
 
-    def __call__(self, idx: tuple[int, ...]) -> bool:
-        """True iff no relabeling of the system has a smaller index tuple."""
-        for image, pre, tables in self.perms:
-            for j, table in enumerate(tables):
-                k = pre[j]
-                i = idx[k]
-                t = table.get(i)
-                if t is None:
-                    t = table[i] = self._image_index(image, j, k, i)
-                if t != idx[j]:
-                    if t < idx[j]:
-                        return False
-                    break
-        return True
+    def rank(self, idx: tuple[int, ...]) -> int:
+        """Position of the system in the raw stream."""
+        return sum(map(operator.mul, idx, self.strides))
+
+    def _image_index(self, perm: tuple, j: int, i: int) -> int:
+        """Index at position j of the relabeling of a system with index i at
+        the pre-image position."""
+        image, pre, tables = perm
+        t = tables[j].get(i)
+        if t is None:
+            positions = self.positions[j]
+            if positions is None:
+                positions = {fam: k for k, fam in enumerate(self.per_set[j])}
+                self.positions[j] = positions
+            fam = self.per_set[pre[j]][i]
+            t = tables[j][i] = positions[frozenset([image[a] for a in fam])]
+        return t
+
+    def leaders(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(index tuple, order of its stabilizer) of every lex-leader, i.e.
+        every system no relabeling makes smaller, in raw-stream order.
+
+        The walk runs block by block, each block's tuples in product order,
+        and carries the relabelings whose image still equals the prefix.
+        One whose image is smaller on a block prunes every completion of
+        that prefix; one whose image is larger drops out.  The relabelings
+        left at the end, with the identity, are the stabilizer; once none is
+        left, the rest of the walk is the plain product.
+        """
+        ranges = [range(r) for r in self.radices]
+        image_index = self._image_index
+
+        def walk(b: int, prefix: tuple[int, ...], live: list) -> Iterator:
+            if not live:
+                for rest in itertools.product(*ranges[len(prefix):]):
+                    yield prefix + rest, 1
+                return
+            if b == len(self.blocks):
+                yield prefix, len(live) + 1
+                return
+            block = self.blocks[b]
+            lo = block.start
+            for part in itertools.product(*ranges[lo : block.stop]):
+                kept = []
+                for perm in live:
+                    pre = perm[1]
+                    for j in block:
+                        t = image_index(perm, j, part[pre[j] - lo])
+                        if t != part[j - lo]:
+                            break
+                    else:
+                        kept.append(perm)
+                        continue
+                    if t < part[j - lo]:
+                        break  # a smaller relabeling: no completion is a leader
+                else:
+                    yield from walk(b + 1, prefix + part, kept)
+
+        return walk(0, (), self.perms)
+
+    def images_upto(self, idx: tuple[int, ...], bound: tuple[int, ...]) -> int:
+        """Distinct relabelings of the leader idx (itself included) whose
+        index tuple is at most bound, for a bound not below idx."""
+        images = {idx}
+        for perm in self.perms:
+            pre = perm[1]
+            image = tuple(self._image_index(perm, j, idx[k]) for j, k in enumerate(pre))
+            if image <= bound:
+                images.add(image)
+        return len(images)
+
+
+def _system_space(n: int, monotone: bool, canonical: bool) -> _SystemSpace:
+    check_size(n)
+    if n > CAPACITY:
+        raise CapacityExceeded(f"universe size beyond capacity {CAPACITY}")
+    if n > EXHAUSTIVE_CEILING and not (monotone and canonical):
+        raise CapacityExceeded(
+            f"exhaustive enumeration is capped at size {EXHAUSTIVE_CEILING}; "
+            "sizes 5-6 need monotone_only and canonical_only"
+        )
+    return _SystemSpace(n, monotone)
 
 
 def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
@@ -218,31 +310,16 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
 
     Deterministic canonical order; with monotone_only the ideals are also
     downward closed, with canonical_only exactly one representative per
-    element-relabeling class is emitted.
+    element-relabeling class is emitted, labelled by its position among them.
     """
     n = spec.universe_size
-    check_size(n)
-    if n > CAPACITY:
-        raise CapacityExceeded(f"universe size beyond capacity {CAPACITY}")
-    if n > EXHAUSTIVE_CEILING and not (spec.monotone_only and spec.canonical_only):
-        raise CapacityExceeded(
-            f"exhaustive enumeration is capped at size {EXHAUSTIVE_CEILING}; "
-            "sizes 5-6 need monotone_only and canonical_only"
-        )
-    u = Universe(_letters(n))
-    domain = full_domain_masks(u)
-    gen = _down_set_families if spec.monotone_only else _families_with_empty
-    per_set = [tuple(gen(x)) for x in domain]
+    space = _system_space(n, spec.monotone_only, spec.canonical_only)
     if spec.canonical_only:
-        is_leader = _LexLeader(n, domain, per_set)
-        assignments = (
-            tuple(fams[i] for fams, i in zip(per_set, idx))
-            for idx in itertools.product(*(range(len(fams)) for fams in per_set))
-            if is_leader(idx)
-        )
-    else:
-        assignments = itertools.product(*per_set)
-    for index, assignment in enumerate(assignments):
+        for index, (idx, _) in enumerate(space.leaders()):
+            yield space.system(idx, f"u{n}#{index}")
+        return
+    u, domain = space.universe, space.domain
+    for index, assignment in enumerate(itertools.product(*space.per_set)):
         yield SizeSystem(u, domain, dict(zip(domain, assignment)), label=f"u{n}#{index}")
 
 
@@ -284,30 +361,94 @@ def scan_stream(
             yield from head.result()
 
 
-def first_failure(
-    items: Iterable[T], evaluate: Callable[[T], object], parallelism: int = 1
-) -> tuple[int, int, object]:
-    """Scan items in stream order up to the first failure.
+_OUTSIDE, _SKIPPED, _COUNTED = 0, 1, 2
 
-    evaluate(item) returns None when the item is outside the scan (not
-    counted), False when it is skipped but tallied, True when it is counted
-    and passes, and any other value as the failure: the item is counted and
-    the scan stops.  Returns (counted, skipped, failure or None).  Every
-    tally is taken from the values read in stream order, never from a
-    counter kept by evaluate: at parallelism > 1, chunks past the failure
-    are evaluated too.
+
+def first_failure(
+    items: Iterable[tuple[int, T]], evaluate: Callable[[T], object], parallelism: int = 1
+) -> tuple[int, int, object, bytearray]:
+    """Scan weighted items in stream order up to the first failure.
+
+    Items come as (weight, item): the number of stream members the item
+    stands for, and the item.  evaluate(item) returns None when the item is
+    outside the scan (not counted), False when it is skipped but tallied,
+    True when it is counted and passes, and any other value as the failure:
+    the item is counted and the scan stops.  Returns (counted, skipped,
+    failure or None, outcomes): the tallies add weights, and outcomes holds
+    one byte per item read, the failure included (_OUTSIDE, _SKIPPED or
+    _COUNTED).  Every tally is taken from the values read in stream order,
+    never from a counter kept by evaluate: at parallelism > 1, chunks past
+    the failure are evaluated too.
     """
     counted = skipped = 0
-    for result in scan_stream(items, evaluate, parallelism):
+    outcomes = bytearray()
+    weighed = scan_stream(items, lambda item: (item[0], evaluate(item[1])), parallelism)
+    for weight, result in weighed:
         if result is None:
+            outcomes.append(_OUTSIDE)
             continue
         if result is False:
-            skipped += 1
+            outcomes.append(_SKIPPED)
+            skipped += weight
             continue
-        counted += 1
+        outcomes.append(_COUNTED)
+        counted += weight
         if result is not True:
-            return counted, skipped, result
-    return counted, skipped, None
+            return counted, skipped, result, outcomes
+    return counted, skipped, None, outcomes
+
+
+def scan_classes(
+    sizes: Iterable[int],
+    monotone: bool,
+    evaluate: Callable[[SizeSystem], object],
+    parallelism: int,
+) -> tuple[int, int, object]:
+    """first_failure over the raw system streams of the given sizes in turn,
+    run on one system per relabeling class.
+
+    Every check is invariant under relabeling the elements, so a class
+    leader's verdict is its whole class's, and the leader stands for
+    n!/|Stab| systems.  The first failing system of the raw stream is the
+    leader of its class, so it is found with the same report and labelled
+    u<n>#<raw rank> as the raw stream labels it.  On a failure at raw rank
+    r the tallies are those of the raw stream up to r: each counted or
+    skipped leader of that size adds its distinct relabelings ranked at
+    most r (the failing leader adds itself alone), found by walking the
+    leaders again, without checks, beside their outcomes; leaders of an
+    earlier size add their whole class.  Returns (counted, skipped,
+    failure or None).
+    """
+    spaces = [_system_space(n, monotone, False) for n in sizes]
+
+    def stream() -> Iterator[tuple[int, tuple[_SystemSpace, tuple[int, ...]]]]:
+        for space in spaces:
+            for idx, stab in space.leaders():
+                yield space.relabelings // stab, (space, idx)
+
+    def judge(item: tuple[_SystemSpace, tuple[int, ...]]):
+        space, idx = item
+        label = f"u{space.universe.size}#{space.rank(idx)}"
+        result = evaluate(space.system(idx, label))
+        if result is None or result is True or result is False:
+            return result
+        return space, idx, result
+
+    counted, skipped, failure, outcomes = first_failure(stream(), judge, parallelism)
+    if failure is None:
+        return counted, skipped, None
+    at, bound, failure = failure
+    counted = skipped = 0
+    for (weight, (space, idx)), outcome in zip(stream(), outcomes):
+        if outcome == _OUTSIDE:
+            continue
+        if space is at:
+            weight = space.images_upto(idx, bound)
+        if outcome == _COUNTED:
+            counted += weight
+        else:
+            skipped += weight
+    return counted, skipped, failure
 
 
 def _scan_systems(
@@ -325,7 +466,12 @@ def _scan_systems(
         rep = evaluate_check(s, spec.target)
         return True if rep.holds else (s, rep)
 
-    satisfying, _, failure = first_failure(enumerate_systems(spec), evaluate, parallelism)
+    if spec.canonical_only:
+        systems = ((1, s) for s in enumerate_systems(spec))
+        satisfying, _, failure, _ = first_failure(systems, evaluate, parallelism)
+    else:
+        sizes = [spec.universe_size]
+        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, evaluate, parallelism)
     return satisfying, failure
 
 
@@ -438,13 +584,11 @@ def verify_agreement(
     ids: list[CheckId], universe_size: int, parallelism: int = 1
 ) -> CheckReport:
     """All listed checks give one verdict on every monotone system of the size."""
-    spec = SearchSpec(universe_size, mode="count")
-
     def evaluate(s: SizeSystem):
         verdicts = [evaluate_check(s, c).holds for c in ids]
         return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
 
-    count, _, failure = first_failure(enumerate_systems(spec), evaluate, parallelism)
+    count, _, failure = scan_classes([universe_size], True, evaluate, parallelism)
     report = CheckReport(
         subject=f"search:u{universe_size}",
         condition=_agreement_name(ids),
@@ -486,7 +630,7 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
     """
     check_size(max_universe)
     universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
-    candidates = ((u, fam) for u in universes for fam in _families_with_empty(u.full_mask))
+    candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))
 
     def eval_family(args: tuple[Universe, frozenset[int]]):
         u, fam = args
@@ -510,7 +654,7 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
                 return True  # some Y fails 2*s, as claimed
         return u, fam, broken
 
-    checked, _, failure = first_failure(candidates, eval_family, parallelism)
+    checked, _, failure, _ = first_failure(candidates, eval_family, parallelism)
     witness = None
     if failure is not None:
         u, fam, broken = failure

@@ -1,0 +1,218 @@
+"""Tallies of the exhaustive system scans, against a brute force over the raw stream.
+
+Every scan here must report what a scan of the raw `enumerate_systems` stream
+reports: the same verdict, the same first failing system and the same count
+of systems checked (and skipped), also when the failure cuts the stream in
+the middle of a relabeling class.  The brute force below walks the raw
+stream itself and shares no code with the scans beyond the checks.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from sizesem.cli import ALL_PROPS, ALL_RULES
+from sizesem.errors import NotPrincipal
+from sizesem.preferential import (
+    ROW_LEFT,
+    ROW_MU,
+    check_mu_rule,
+    verify_correspondence_forward,
+)
+from sizesem.properties import EMF, EMI, IOMEGA, OPT, check_property, m_plus_plus, parse_property
+from sizesem.rules import CM_OMEGA, parse_rule
+from sizesem.search import (
+    SearchSpec,
+    _SystemSpace,
+    count_systems,
+    enumerate_systems,
+    evaluate_check,
+    verify_agreement,
+    verify_implication,
+)
+from sizesem.sizesys import principal_mu
+
+PROPS = [parse_property(n) for n in ALL_PROPS]
+CHECKS = PROPS + [parse_rule(n) for n in ALL_RULES]
+
+
+class Verdicts(dict):
+    """check -> holds on one system, each evaluated on first lookup."""
+
+    def __init__(self, system):
+        super().__init__()
+        self.system = system
+
+    def __missing__(self, check):
+        holds = self[check] = evaluate_check(self.system, check).holds
+        return holds
+
+
+def raw_verdicts(n: int, monotone: bool):
+    """(system, its Verdicts) for every system of the raw stream, in order."""
+    spec = SearchSpec(n, mode="count", monotone_only=monotone)
+    return ((s, Verdicts(s)) for s in enumerate_systems(spec))
+
+
+@lru_cache(maxsize=None)
+def small_verdicts(monotone: bool) -> list:
+    """raw_verdicts at |U| = 2, kept for the sweeps over every check."""
+    return list(raw_verdicts(2, monotone))
+
+
+def raw_implication(rows, required, target):
+    """(systems satisfying required, up to and including the first that
+    violates target; that system or None)."""
+    counted = 0
+    for s, v in rows:
+        if all(v[c] for c in required):
+            counted += 1
+            if not v[target]:
+                return counted, s
+    return counted, None
+
+
+def implication_mismatches(n, monotone, pairs):
+    mismatches, failures = [], 0
+    for required, target in pairs:
+        spec = SearchSpec(n, required, target, "verify-implication", monotone_only=monotone)
+        rep = verify_implication(spec)
+        rows = small_verdicts(monotone) if n == 2 else raw_verdicts(n, monotone)
+        counted, failing = raw_implication(rows, required, target)
+        if failing is None:
+            expected = (True, counted, (), None)
+        else:
+            failures += 1
+            witness = evaluate_check(failing, target).witness
+            expected = (False, counted, (f"violating system {failing.label}",), witness)
+        got = (rep.holds, rep.instances_checked, rep.notes, rep.witness)
+        if got != expected:
+            mismatches.append((spec.to_dict(), got, expected))
+    return mismatches, failures
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+def test_implication_tallies_match_the_raw_stream(monotone):
+    # No required check, or each property alone, against every check.
+    pairs = [
+        (required, target)
+        for required in [()] + [(p,) for p in PROPS]
+        for target in CHECKS
+        if target not in required
+    ]
+    mismatches, failures = implication_mismatches(2, monotone, pairs)
+    assert mismatches == []
+    assert 0 < failures < len(pairs)
+
+
+def test_implication_tallies_match_the_raw_stream_at_size_3():
+    # Failures deep in the |U| = 3 stream, past many split classes.
+    pairs = [
+        ((EMI,), parse_property("I-union-disj")),  # u3#3083, 1 046 checked
+        ((EMF,), parse_property("1*s")),  # u3#2375, 622 checked
+        ((CM_OMEGA,), parse_property("n*s:3")),  # u3#2375, 127 checked
+        ((parse_rule("wOR"),), parse_rule("disjOR")),  # u3#3083, 1 046 checked
+    ]
+    mismatches, failures = implication_mismatches(3, True, pairs)
+    assert mismatches == []
+    assert failures == len(pairs)
+
+
+def test_count_tallies_match_the_raw_stream():
+    mismatches = []
+    for monotone in (True, False):
+        rows = small_verdicts(monotone)
+        requireds = [()] + [(p,) for p in PROPS] + [(EMI, IOMEGA), (OPT, EMF)]
+        for required in requireds:
+            spec = SearchSpec(2, required, mode="count", monotone_only=monotone)
+            expected = sum(all(v[c] for c in required) for _, v in rows)
+            got = count_systems(spec).instances_checked
+            if got != expected:
+                mismatches.append((spec.to_dict(), got, expected))
+    assert mismatches == []
+
+
+def test_agreement_tallies_match_the_raw_stream():
+    rows = small_verdicts(True)
+    mismatches, failures = [], 0
+    for i, a in enumerate(CHECKS):
+        for b in CHECKS[i + 1 :]:
+            rep = verify_agreement([a, b], 2)
+            counted, failing = 0, None
+            for s, v in rows:
+                counted += 1
+                if v[a] != v[b]:
+                    failing = s
+                    break
+            expected = (failing is None, counted, None if failing is None else failing.to_dict())
+            failures += failing is not None
+            got = (rep.holds, rep.instances_checked, rep.witness_system)
+            if got != expected:
+                mismatches.append((a.name, b.name, got, expected))
+    assert mismatches == []
+    assert failures > 0
+
+
+def raw_forward(left, mu_rule, max_universe):
+    """(systems checked, non-principal systems skipped, first failing system)."""
+    checked = skipped = 0
+    for n in range(1, max_universe + 1):
+        for s in enumerate_systems(SearchSpec(n, mode="count")):
+            if not all(check_property(s, p).holds for p in left):
+                continue
+            try:
+                mu = principal_mu(s)
+            except NotPrincipal:
+                skipped += 1
+                continue
+            checked += 1
+            if mu_rule is not None and not check_mu_rule(mu, mu_rule).holds:
+                return checked, skipped, s
+    return checked, skipped, None
+
+
+@pytest.mark.parametrize(
+    "row,left",
+    [(row, ()) for row in (1, 2, 3, 4, 5, 6, 8, 9, 10)]
+    + [(8, (m_plus_plus(1),)), (9, (EMF,)), (1, (OPT,))],
+    ids=lambda v: str(v) if isinstance(v, int) else "+".join(p.name for p in v) or "none",
+)
+def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left):
+    monkeypatch.setitem(ROW_LEFT, row, left)
+    checked, skipped, failing = raw_forward(left, ROW_MU[row], 3)
+    assert failing is not None
+    rep = verify_correspondence_forward(row, 3)
+    got = (rep.holds, rep.systems_checked, rep.skipped_non_principal, rep.witness["system"])
+    assert got == (False, checked, skipped, failing.to_dict())
+    assert rep.witness["violation"]["subject"] == failing.label
+
+
+@pytest.mark.parametrize(
+    "monotone,raw,classes",
+    [(True, (2, 20, 19_000), (2, 13, 3_450)), (False, (2, 32, 524_288), (2, 20, 89_472))],
+    ids=["monotone", "non-monotone"],
+)
+def test_class_sizes_sum_to_the_raw_stream(monotone, raw, classes):
+    for n, raw_count, class_count in zip((1, 2, 3), raw, classes):
+        space = _SystemSpace(n, monotone)
+        sizes = [space.relabelings // stab for _, stab in space.leaders()]
+        assert (sum(sizes), len(sizes)) == (raw_count, class_count)
+        spec = SearchSpec(n, mode="count", monotone_only=monotone, canonical_only=True)
+        assert sum(1 for _ in enumerate_systems(spec)) == class_count
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
+def test_leaders_carry_their_raw_rank_and_class(monotone):
+    # At |U| = 2 the one relabeling swaps a and b: each leader sits at its
+    # rank in the raw stream, and its class is itself and its mirror image.
+    raw = list(enumerate_systems(SearchSpec(2, mode="count", monotone_only=monotone)))
+    swap = {0: 0, 1: 2, 2: 1, 3: 3}
+    space = _SystemSpace(2, monotone)
+    last = tuple(r - 1 for r in space.radices)
+    for idx, stab in space.leaders():
+        leader = raw[space.rank(idx)]
+        assert space.system(idx, leader.label).to_dict() == leader.to_dict()
+        mirror = {swap[x]: frozenset(swap[a] for a in fam) for x, fam in leader.ideals.items()}
+        members = [s for s in raw if s.ideals in (leader.ideals, mirror)]
+        assert members[0] is leader
+        assert len(members) == space.relabelings // stab == space.images_upto(idx, last)

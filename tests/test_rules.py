@@ -94,6 +94,14 @@ def test_nm_entails_empty_antecedent_convention(fact34_1):
     assert nm_entails(fact34_1, u.empty, u.subset(["x"]))
 
 
+def test_nm_entails_refuses_sets_of_another_universe(fact34_1):
+    # The empty antecedent is no exception: both universes are checked first.
+    u, other = fact34_1.universe, Universe(["p", "q"])
+    for a, b in [(other.empty, other.full), (other.full, u.full), (u.empty, other.empty)]:
+        with pytest.raises(SetNotInDomain):
+            nm_entails(fact34_1, a, b)
+
+
 def test_nm_entails_outside_domain(fact34_1):
     u = fact34_1.universe
     restricted = build(u, [u.full], {u.full: [u.empty]})

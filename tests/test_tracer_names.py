@@ -81,20 +81,23 @@ def test_benchmark_imports_exist(monkeypatch):
 
 
 def test_benchmark_queries_run_clean(monkeypatch):
-    # One check batch, two repro fixtures and one search, each through the
-    # benchmark's own run and check: every query must answer without a problem.
+    # One check batch, two repro fixtures and three searches, each through
+    # the benchmark's own run and check: every query must answer without a
+    # problem.  The raw count and the raw deep find run on class leaders and
+    # must still give the raw stream's count (524 288) and label (u4#73333).
     from sizesem import fixtures
 
     workloads = _load_workloads(monkeypatch)
     table = fixtures.expected_table()
     queries = workloads.check_queries(1, 0, table)
     queries += [workloads.repro_query(fid, table) for fid in ("ex-3.8:3", "ex-3.8:4")]
-    queries += [
-        q
-        for q in workloads.search_queries(1, 0, table)
-        if q.name == "implies-canon-u3:I-omega+eMI=>OR:omega"
-    ]
-    assert len(queries) == 18
+    searches = (
+        "implies-canon-u3:I-omega+eMI=>OR:omega",
+        "count-opt-nonmono-u3",
+        "find-u4:M+omega:2=>M+omega:1",
+    )
+    queries += [q for q in workloads.search_queries(1, 0, table) if q.name in searches]
+    assert len(queries) == 20
     problems = []
     for q in queries:
         answer, _ = q.run(workloads.dumps)
