@@ -97,11 +97,9 @@ def parse_property(text: str) -> PropertyId:
         if arg:
             raise ValueError(f"{base} takes no parameter")
         return PropertyId(base)
-    if text.endswith("*s") and not arg:
+    if text.endswith("*s") and not arg and text[:-2].isdecimal():
         return n_star_s(int(text[:-2]))
-    if base == "n*s":
-        return n_star_s(int(arg))
-    if base in ("M+n", "M+omega", "M++"):
+    if base in _PARAM_TAGS and arg.isdecimal():
         return PropertyId(base, int(arg))
     raise ValueError(f"unknown property name {text!r}")
 

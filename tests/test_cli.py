@@ -124,6 +124,20 @@ def test_check_json_is_stable(capsys):
     assert payload["records"][0]["condition"] == "Opt"
 
 
+@pytest.mark.parametrize(
+    "verb, flag, name, kind",
+    [
+        ("rules", "--rules", "AND:x", "rule"),
+        ("check", "--props", "M+n:x", "property"),
+        ("check", "--props", "n*s:x", "property"),
+    ],
+)
+def test_a_bad_parameter_names_the_check_id(capsys, verb, flag, name, kind):
+    code, out, err = run_cli(capsys, verb, "--system", data_path("fact34-1.json"), flag, name)
+    assert code == 2 and out == ""
+    assert f"unknown {kind} name {name!r}" in err
+
+
 def test_rules_verb(capsys):
     code, out, _ = run_cli(
         capsys, "rules", "--system", data_path("ex38-3.json"), "--rules", "OR:3,CM:3,RatM"

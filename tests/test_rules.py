@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -40,7 +41,7 @@ from sizesem.rules import (
 )
 from sizesem.search import SearchSpec, enumerate_systems
 from sizesem.setcore import Universe
-from sizesem.sizesys import SizeSystem, build
+from sizesem.sizesys import MuFunction, SizeSystem, build, from_mu
 
 
 def all_trivial(n):
@@ -327,7 +328,9 @@ def test_vacuous_rule_note():
 # (systems where the rule holds, Σ instances_checked) for every rule of
 # `cli.ALL_RULES` but SC and REF, which are derived in the test.  Size 2 is all
 # 32 full systems, monotone or not; size 3 is the 3 450 canonical monotone
-# systems.  The sums catch a scan that changes its order or its counts while
+# systems; size 4 is the first 400 canonical monotone systems and 40 seeded
+# principal ones, where a consequence set counts 2^(|U|−|α|) copies of each
+# small set.  The sums catch a scan that changes its order or its counts while
 # keeping its verdicts.
 RULE_PINS = {
     2: {
@@ -347,16 +350,38 @@ RULE_PINS = {
         "CM:omega": (383, 532273), "RatM": (1412, 217735), "CUT": (296, 554888),
         "CUM": (56, 597941), "CCL": (752, 872848), "M+derived": (65, 127397),
     },
+    4: {
+        "RW": (440, 95958), "wOR": (302, 245750), "PR'": (302, 79638),
+        "wCM": (39, 32365), "disjOR": (302, 589290), "CP": (436, 6600),
+        "AND:1": (436, 34004), "AND:2": (242, 194879), "AND:3": (158, 1278196),
+        "AND:omega": (68, 181646), "OR:2": (242, 32205), "OR:3": (199, 130642),
+        "OR:omega": (302, 188913), "CM:2": (242, 32205), "CM:3": (155, 191595),
+        "CM:omega": (8, 170819), "RatM": (3, 277409), "CUT": (201, 190501),
+        "CUM": (7, 457372), "CCL": (68, 265647), "M+derived": (123, 451417),
+    },
 }
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_rule_holding_counts(n):
+def _pinned_systems(n):
     if n == 2:
-        spec = SearchSpec(2, mode="count", monotone_only=False)
-    else:
-        spec = SearchSpec(3, mode="count", canonical_only=True)
-    systems = list(enumerate_systems(spec))
+        return list(enumerate_systems(SearchSpec(2, mode="count", monotone_only=False)))
+    spec = SearchSpec(n, mode="count", canonical_only=True)
+    if n == 3:
+        return list(enumerate_systems(spec))
+    # The first 400 canonical monotone systems, then 40 seeded principal ones.
+    systems = list(islice(enumerate_systems(spec), 400))
+    u = Universe("abcd")
+    domain = tuple(m for m in u.all_masks() if m)
+    rng = random.Random(4)
+    for i in range(40):
+        choice = {x: (rng.randrange(16) & x) or x for x in domain}
+        systems.append(from_mu(MuFunction(u, domain, choice, label=f"mu{i}")))
+    return systems
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rule_holding_counts(n):
+    systems = _pinned_systems(n)
     reports = {name: [check_rule(s, parse_rule(name)) for s in systems] for name in ALL_RULES}
     pins = {
         name: (sum(r.holds for r in reps), sum(r.instances_checked for r in reps))
