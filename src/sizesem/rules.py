@@ -80,7 +80,7 @@ instance the walk skips on a premise:
 
 with a the unit's antecedent (φ or γ where the rule names it so),
 |rel(a)| = |I(a)|·2ᵏ and |rel(∅)| = 2^|U|; OR:n and OR:omega count rel sets
-as bit sets (`_follows`).  Members of I(a) are subsets of a, as `build`
+as bit sets (`_Follows`).  Members of I(a) are subsets of a, as `build`
 ensures.  Only the first unit that may fail is walked instance by instance,
 by the loops below its test, so counts, witnesses and notes are those of a
 walk over every instance.  SC, REF and CP walk their instances directly.
@@ -262,18 +262,25 @@ def _rel_size(ideals, size: int, a: int) -> int:
     return len(ideals[a]) << (size - a.bit_count()) if a else 1 << size
 
 
-def _follows(ideals, size: int, a: int) -> int:
-    """rel(a) as an int with bit b set iff a |~ b."""
-    outside = 1  # bit c for every c ⊆ U − a
-    rest = ((1 << size) - 1) & ~a
-    while rest:
-        low = rest & -rest
-        outside |= outside << low
-        rest ^= low
-    out = 0
-    for x in ideals[a]:
-        out |= outside << (a & ~x)
-    return out
+class _Follows(dict):
+    """a ↦ rel(a) as an int with bit b set iff a |~ b, filled on first use."""
+
+    def __init__(self, s: SizeSystem):
+        self.ideals = s.ideals
+        self.full = s.universe.full_mask
+
+    def __missing__(self, a: int) -> int:
+        outside = 1  # bit c for every c ⊆ U − a
+        rest = self.full & ~a
+        while rest:
+            low = rest & -rest
+            outside |= outside << low
+            rest ^= low
+        out = 0
+        for x in self.ideals[a]:
+            out |= outside << (a & ~x)
+        self[a] = out
+        return out
 
 
 def _down_closed(fam: frozenset[int]) -> bool:
@@ -599,7 +606,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "OR":
         notes = ("OR:2 and CM:2 name the same rule",) if n == 2 else ()
         _refuse_above_ceiling(r, len(nonempty) ** (n - 1) * len(masks))
-        bits = {}  # a ↦ _follows(a), filled for OR:3 and up
+        bits = _Follows(s)
         for combo in product(nonempty, repeat=n - 1):
             union = 0
             for a in combo:
@@ -611,8 +618,6 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
                     continue
                 shared = -1
                 for a in combo:
-                    if a not in bits:
-                        bits[a] = _follows(ideals, size, a)
                     shared &= bits[a]
                 count += shared.bit_count()
                 continue
@@ -631,9 +636,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
         return count, None, notes
 
     elif tag == "OR:omega":
-        bits = {}
-        for a in nonempty:
-            bits[a] = _follows(ideals, size, a)
+        bits = _Follows(s)
         for a in nonempty:
             for a2 in nonempty:
                 shared = bits[a] & bits[a2]
