@@ -613,7 +613,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
                 union |= a
             # Premises and conclusion read β only through t = β ∩ union.
             if not _jointly_small(ideals, combo, union):
-                if n == 2:
+                if n == 2:  # |rel(α₁)|, without building its bit set
                     count += _rel_size(ideals, size, union)
                     continue
                 shared = -1
