@@ -436,7 +436,7 @@ def test_rules_match_the_reference_scan(part):
 
 def test_the_oracle_decides_every_verdict_at_two_elements():
     # At |U| ≤ 2 every instantiation can be tried: a rule holds iff the oracle
-    # finds no violating one, and the first witness is one of them.
+    # finds no violating one, and a failing report names the rule's variables.
     for s in every_small_system():
         u = s.universe
         for r in RULES:
