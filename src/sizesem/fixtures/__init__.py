@@ -62,18 +62,18 @@ def expected_table() -> dict:
     return _load("expected.json")
 
 
-# A fixture maps the degree of parallelism to its reports.  Every entry calls
-# the checks by their module-level names when it runs, never through a stored
-# function object, so rebinding such a name reaches every fixture.
-Fixture = Callable[[int], list]
+# A fixture returns its reports.  Every entry calls the checks by their
+# module-level names when it runs, never through a stored function object, so
+# rebinding such a name reaches every fixture.
+Fixture = Callable[[], list]
 
 
 def _matrix(name: str, *props: PropertyId) -> Fixture:
-    return lambda par: property_matrix(fixture_system(name), list(props))
+    return lambda: property_matrix(fixture_system(name), list(props))
 
 
 def _levels(n: int) -> Fixture:
-    def run(par: int) -> list:
+    def run() -> list:
         s = fixture_system(f"fact35-{n}")
         return [check_level(s, n), check_level(s, n + 1)]
 
@@ -81,7 +81,7 @@ def _levels(n: int) -> Fixture:
 
 
 def _rules_and_robustness(n: int) -> Fixture:
-    def run(par: int) -> list:
+    def run() -> list:
         s = fixture_system(f"ex38-{n}")
         rules = [check_rule(s, or_n(n)), check_rule(s, cm_n(n))]
         return rules + property_matrix(s, [m_plus_n(n), n_star_s(n)])
@@ -90,22 +90,19 @@ def _rules_and_robustness(n: int) -> Fixture:
 
 
 def _implications(*cases: tuple[tuple[CheckId, ...], CheckId]) -> Fixture:
-    return lambda par: [
-        verify_implication_upto(req, target, SEARCH_MAX, parallelism=par)
-        for req, target in cases
-    ]
+    return lambda: [verify_implication_upto(req, target, SEARCH_MAX) for req, target in cases]
 
 
 def _agreement(*ids: CheckId) -> Fixture:
-    return lambda par: [verify_agreement_upto(list(ids), SEARCH_MAX, parallelism=par)]
+    return lambda: [verify_agreement_upto(list(ids), SEARCH_MAX)]
 
 
 def _forward(row: int) -> Fixture:
-    return lambda par: [verify_correspondence_forward(row, SEARCH_MAX, parallelism=par)]
+    return lambda: [verify_correspondence_forward(row, SEARCH_MAX)]
 
 
 def _backward(row: int) -> Fixture:
-    return lambda par: [verify_correspondence_backward(row, SEARCH_MAX, parallelism=par)]
+    return lambda: [verify_correspondence_backward(row, SEARCH_MAX)]
 
 
 _TERNARY = (n_star_s(3), EMI)
@@ -113,7 +110,7 @@ _M_PLUS_OMEGA = [m_plus_omega(v) for v in (1, 2, 3, 4)]
 
 FIXTURES: dict[str, Fixture] = {
     # M++ without union closure forces a 2*s failure
-    "fact-3.3": lambda par: [verify_two_s_breakdown(BREAKDOWN_MAX, parallelism=par)],
+    "fact-3.3": lambda: [verify_two_s_breakdown(BREAKDOWN_MAX)],
     # outer-monotony independence pair
     "fact-3.4-1": _matrix("fact34-1", OPT, IM, EMI, IOMEGA, EMF),
     "fact-3.4-2": _matrix("fact34-2", OPT, IM, IOMEGA, EMF, EMI),
@@ -157,11 +154,13 @@ FIXTURES: dict[str, Fixture] = {
 FIXTURE_IDS = list(FIXTURES)
 
 
-def run_fixture(fid: str, parallelism: int = 1) -> dict:
+def run_fixture(
+    fid: str, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
+) -> dict:
     """Compute the records for one fixture id."""
     if fid not in FIXTURES:
         raise ValueError(f"unknown fixture id {fid!r}")
-    return {"fixture": fid, "records": [r.to_dict() for r in FIXTURES[fid](parallelism)]}
+    return {"fixture": fid, "records": [r.to_dict() for r in FIXTURES[fid]()]}
 
 
 def compare_records(produced: dict, expected: dict) -> list[str]:

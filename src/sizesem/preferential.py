@@ -348,9 +348,7 @@ def _check_scan_size(max_universe: int) -> None:
         )
 
 
-def verify_correspondence_forward(
-    row: int, max_universe: int, parallelism: int = 1
-) -> CorrespondenceReport:
+def verify_correspondence_forward(row: int, max_universe: int) -> CorrespondenceReport:
     """Left side ⇒ choice side, over monotone principal systems up to size max."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
@@ -373,7 +371,7 @@ def verify_correspondence_forward(
         return True if rep.holds else (s, mu, rep)
 
     sizes = range(1, max_universe + 1)
-    checked, skipped, failure = scan_classes(sizes, True, evaluate, parallelism)
+    checked, skipped, failure = scan_classes(sizes, True, evaluate)
     witness = None
     if failure is not None:
         s, mu, rep = failure
@@ -391,9 +389,7 @@ def verify_correspondence_forward(
     )
 
 
-def verify_correspondence_backward(
-    row: int, max_universe: int, parallelism: int = 1
-) -> CorrespondenceReport:
+def verify_correspondence_backward(row: int, max_universe: int) -> CorrespondenceReport:
     """Choice side ⇒ left side over all choice functions; rows 8–10 confirm
     the non-implication instead, exhibiting the known witness, which needs a
     max_universe of at least 3."""
@@ -444,7 +440,7 @@ def verify_correspondence_backward(
 
     universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
     choices = ((1, mu) for u in universes for mu in enumerate_mu_functions(u))
-    checked, _, failure, _ = first_failure(choices, evaluate, parallelism)
+    checked, _, failure, _ = first_failure(choices, evaluate)
     witness = None
     if failure is not None:
         mu, system, rep = failure

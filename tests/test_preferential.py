@@ -192,12 +192,11 @@ def test_backward_negative_rows_confirm():
         assert rep.witness["system"]["ideals"] == {"a,b": [[], ["b"]]}
 
 
-@pytest.mark.parametrize("par", [1, 4])
-def test_forward_row_failure_is_pinned(monkeypatch, par):
+def test_forward_row_failure_is_pinned(monkeypatch):
     # With no size-side premise, the first principal system that violates
     # mu-wOR is reported after one non-principal system was skipped.
     monkeypatch.setitem(ROW_LEFT, 1, ())
-    rep = verify_correspondence_forward(1, 3, parallelism=par)
+    rep = verify_correspondence_forward(1, 3)
     assert json.dumps(rep.to_dict()) == json.dumps({
         "row": 1,
         "direction": "forward",
@@ -223,11 +222,10 @@ def test_forward_row_failure_is_pinned(monkeypatch, par):
     })
 
 
-@pytest.mark.parametrize("par", [1, 4])
-def test_backward_row_failure_is_pinned(monkeypatch, par):
+def test_backward_row_failure_is_pinned(monkeypatch):
     # mu-OR does not give eMF, so adding it to row 2's size side must fail.
     monkeypatch.setitem(ROW_LEFT, 2, (EMI, IOMEGA, EMF))
-    rep = verify_correspondence_backward(2, 3, parallelism=par)
+    rep = verify_correspondence_backward(2, 3)
     assert json.dumps(rep.to_dict()) == json.dumps({
         "row": 2,
         "direction": "backward",

@@ -3,13 +3,17 @@
 `bench/tracing.py` looks its boundaries up with getattr at install time, so a
 refactor that renames or drops one would only fail the traced benchmark run.
 This reads the tracer's tables and checks every name here instead, and
-checks the names `bench/workloads.py` takes from `sizesem` the same way.  A
-few benchmark queries also run end to end here, through their own `run` and
-`check`, so a fault that would stop the benchmark run shows up in the suite.
+checks the names `bench/workloads.py` takes from `sizesem` the same way, and
+every keyword the benchmark passes to a `sizesem` function against that
+function's signature.  A few benchmark queries also run end to end here,
+through their own `run` and `check`, so a fault that would stop the
+benchmark run shows up in the suite.
 """
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -102,4 +106,69 @@ def test_benchmark_queries_run_clean(monkeypatch):
     for q in queries:
         answer, _ = q.run(workloads.dumps)
         problems += q.check(answer)
+    assert problems == []
+
+
+def _sizesem_imports(tree: ast.AST) -> dict[str, object]:
+    """Every name a module binds with `from sizesem... import`, at any depth."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sizesem"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if value is None:
+                    value = importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = value
+    return bound
+
+
+def _callees(func: ast.expr, bound: dict, assigned: dict) -> list:
+    """The `sizesem` callables a call's function expression may name: a bound
+    name, an attribute of one, or a local name assigned from such expressions."""
+    if isinstance(func, ast.Attribute):
+        owners = _callees(func.value, bound, assigned)
+        return [getattr(owner, func.attr) for owner in owners if hasattr(owner, func.attr)]
+    if not isinstance(func, ast.Name):
+        return []
+    if func.id in bound:
+        return [bound[func.id]]
+    return [
+        callee
+        for value in assigned.get(func.id, ())
+        for node in ast.walk(value)
+        if isinstance(node, (ast.Attribute, ast.Name))
+        for callee in _callees(node, bound, {})
+    ]
+
+
+def test_benchmark_keywords_are_accepted():
+    # A keyword that a `sizesem` function no longer takes would stop the
+    # benchmark run with a TypeError; check each against the signature here.
+    checked, problems = [], []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _sizesem_imports(tree)
+        assigned: dict[str, list[ast.expr]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = [k.arg for k in node.keywords if k.arg]
+            if not keywords:
+                continue
+            for callee in _callees(node.func, bound, assigned):
+                if not callable(callee) or not str(callee.__module__).startswith("sizesem"):
+                    continue
+                where = f"{path.name}:{node.lineno} {callee.__qualname__}({', '.join(keywords)})"
+                checked.append(where)
+                try:
+                    inspect.signature(callee).bind_partial(**dict.fromkeys(keywords))
+                except TypeError as exc:
+                    problems.append(f"{where}: {exc}")
+    assert checked
     assert problems == []
