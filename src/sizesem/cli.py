@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import fixtures
-from .errors import CapacityExceeded, WorkbenchError
+from .errors import CapacityExceeded, MalformedDocument, WorkbenchError
 from .preferential import (
     _MU_RULES,
     check_mu_rule,
@@ -84,6 +84,9 @@ def _check_expect(payload: dict, path: str | None) -> int:
         return 0
     with open(path, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
+    records = expected.get("records", []) if isinstance(expected, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise MalformedDocument('--expect needs a JSON object whose "records" is a list of objects')
     if "records" in expected and "records" in payload:
         mismatches = fixtures.compare_records(payload, expected)
     else:

@@ -54,7 +54,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, check_size, first_failure, scan_classes
+from .search import _letters, first_failure, scan_classes, sizes_upto
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -340,7 +340,6 @@ def counterexample_mu() -> MuFunction:
 
 
 def _check_scan_size(max_universe: int) -> None:
-    check_size(max_universe)
     if max_universe > CORRESPONDENCE_CEILING:
         raise CapacityExceeded(
             f"correspondence scans are capped at size {CORRESPONDENCE_CEILING}; size 4 "
@@ -352,6 +351,7 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
     """Left side ⇒ choice side, over monotone principal systems up to size max."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
+    sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
     left = ROW_LEFT[row]
     mu_rule = ROW_MU[row]
@@ -370,7 +370,6 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
         rep = check_mu_rule(mu, mu_rule)
         return True if rep.holds else (s, mu, rep)
 
-    sizes = range(1, max_universe + 1)
     checked, skipped, failure = scan_classes(sizes, True, evaluate)
     witness = None
     if failure is not None:
@@ -426,6 +425,7 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
             notes=("expected non-implication",),
         )
 
+    sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
 
     def evaluate(mu: MuFunction):
@@ -438,7 +438,7 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
                 return mu, system, rep
         return True
 
-    universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
+    universes = (Universe(_letters(n)) for n in sizes)
     choices = ((1, mu) for u in universes for mu in enumerate_mu_functions(u))
     checked, _, failure, _ = first_failure(choices, evaluate)
     witness = None

@@ -20,12 +20,13 @@ reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
-`count_systems` without `canonical_only`, `verify_agreement` and the forward
-correspondence rows) run on the lex-leaders alone, each weighted by the size
-of its class (`scan_classes`).  They report what a scan of every system
-would: the same first failing system with its raw label, and exact counts,
-also when the failure falls inside a class.  The leaders come from one walk
-that prunes block by block (the base sets of one cardinality), after the
+`count_systems` without `canonical_only`, `verify_agreement`, the `_upto`
+verifiers and the forward correspondence rows) run on the lex-leaders
+alone, each weighted by the size of its class (`scan_classes`), sizes 1..n
+chained into one stream.  They report what a scan of every system would:
+the same first failing system with its raw label, and exact counts, also
+when the failure falls inside a class.  The leaders come from one walk that
+prunes block by block (the base sets of one cardinality), after the
 lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 """
 
@@ -89,6 +90,12 @@ def check_size(size: int) -> None:
     """Refuse a universe size below 1: every scan over it would check nothing."""
     if size < 1:
         raise ValueError(f"universe size must be at least 1, got {size}")
+
+
+def sizes_upto(max_universe: int) -> range:
+    """The universe sizes 1..max_universe, refusing a max below 1."""
+    check_size(max_universe)
+    return range(1, max_universe + 1)
 
 
 def evaluate_check(s: SizeSystem, c: CheckId) -> CheckReport:
@@ -418,9 +425,12 @@ def scan_classes(
     return counted, skipped, failure
 
 
-def _scan_systems(spec: SearchSpec) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
-    """(systems satisfying the required checks, the first of them violating
-    the target with its report, or None)."""
+def _scan_systems(
+    spec: SearchSpec, sizes: Iterable[int]
+) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
+    """(systems of the given sizes satisfying the required checks, the first
+    of them violating the target with its report, or None).  With
+    canonical_only the scan runs over the spec's own size alone."""
 
     def evaluate(s: SizeSystem):
         for c in spec.required:
@@ -435,7 +445,6 @@ def _scan_systems(spec: SearchSpec) -> tuple[int, tuple[SizeSystem, CheckReport]
         systems = ((1, s) for s in enumerate_systems(spec))
         satisfying, _, failure, _ = first_failure(systems, evaluate)
     else:
-        sizes = [spec.universe_size]
         satisfying, _, failure = scan_classes(sizes, spec.monotone_only, evaluate)
     return satisfying, failure
 
@@ -446,20 +455,16 @@ def find_counterexample(
     """First system satisfying all required checks while violating the target."""
     if spec.mode != "find-counterexample":
         raise ValueError("spec.mode must be find-counterexample")
-    _, failure = _scan_systems(spec)
+    _, failure = _scan_systems(spec, [spec.universe_size])
     return failure or (None, None)
 
 
-def verify_implication(
-    spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
-) -> CheckReport:
-    """No enumerated system may satisfy the required checks yet violate the target."""
-    if spec.mode != "verify-implication":
-        raise ValueError("spec.mode must be verify-implication")
-    satisfying, failure = _scan_systems(spec)
+def _implication_report(spec: SearchSpec, sizes: Iterable[int], subject: str) -> CheckReport:
+    satisfying, failure = _scan_systems(spec, sizes)
+    left = "+".join(c.name for c in spec.required) or "(all)"
     report = CheckReport(
-        subject=f"search:u{spec.universe_size}",
-        condition=_implication_name(spec.required, spec.target),
+        subject=subject,
+        condition=f"{left}=>{spec.target.name}",
         holds=failure is None,
         instances_checked=satisfying,
     )
@@ -471,13 +476,31 @@ def verify_implication(
     return report
 
 
+def verify_implication(
+    spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
+) -> CheckReport:
+    """No enumerated system may satisfy the required checks yet violate the target."""
+    if spec.mode != "verify-implication":
+        raise ValueError("spec.mode must be verify-implication")
+    return _implication_report(spec, [spec.universe_size], f"search:u{spec.universe_size}")
+
+
+def verify_implication_upto(
+    required: Iterable[CheckId], target: CheckId, max_universe: int
+) -> CheckReport:
+    """verify_implication over every universe size 1..max_universe as one scan."""
+    sizes = sizes_upto(max_universe)
+    spec = SearchSpec(max_universe, required, target, "verify-implication")
+    return _implication_report(spec, sizes, f"search:u<={max_universe}")
+
+
 def count_systems(
     spec: SearchSpec, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
 ) -> CheckReport:
     """Count the systems satisfying the required checks."""
     if spec.mode != "count":
         raise ValueError("spec.mode must be count")
-    satisfying, _ = _scan_systems(spec)
+    satisfying, _ = _scan_systems(spec, [spec.universe_size])
     return CheckReport(
         subject=f"search:u{spec.universe_size}",
         condition="count:" + "+".join(c.name for c in spec.required),
@@ -486,68 +509,15 @@ def count_systems(
     )
 
 
-def _implication_name(required: tuple[CheckId, ...], target: CheckId) -> str:
-    left = "+".join(c.name for c in required) or "(all)"
-    return f"{left}=>{target.name}"
-
-
-def _agreement_name(ids: list[CheckId]) -> str:
-    return "agree:" + "=".join(c.name for c in ids)
-
-
-def _merge_upto(
-    per_size: Callable[[int], CheckReport], max_universe: int, condition: str
-) -> CheckReport:
-    """Run one per-size check for sizes 1..max_universe, summing the counts.
-
-    The first failing report is returned with the summed count; if every size
-    holds, one holding report covers them all.
-    """
-    check_size(max_universe)
-    total = 0
-    for size in range(1, max_universe + 1):
-        rep = per_size(size)
-        total += rep.instances_checked
-        if not rep.holds:
-            rep.subject = f"search:u<={max_universe}"
-            rep.instances_checked = total
-            return rep
-    return CheckReport(
-        subject=f"search:u<={max_universe}",
-        condition=condition,
-        holds=True,
-        instances_checked=total,
-    )
-
-
-def verify_implication_upto(
-    required: Iterable[CheckId], target: CheckId, max_universe: int
-) -> CheckReport:
-    """verify_implication over every universe size 1..max_universe, merged."""
-    required = tuple(required)
-
-    def per_size(size: int) -> CheckReport:
-        spec = SearchSpec(size, required, target, "verify-implication")
-        return verify_implication(spec)
-
-    return _merge_upto(per_size, max_universe, _implication_name(required, target))
-
-
-def verify_agreement_upto(ids: list[CheckId], max_universe: int) -> CheckReport:
-    """verify_agreement over every universe size 1..max_universe, merged."""
-    return _merge_upto(lambda size: verify_agreement(ids, size), max_universe, _agreement_name(ids))
-
-
-def verify_agreement(ids: list[CheckId], universe_size: int) -> CheckReport:
-    """All listed checks give one verdict on every monotone system of the size."""
+def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
     def evaluate(s: SizeSystem):
         verdicts = [evaluate_check(s, c).holds for c in ids]
         return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
 
-    count, _, failure = scan_classes([universe_size], True, evaluate)
+    count, _, failure = scan_classes(sizes, True, evaluate)
     report = CheckReport(
-        subject=f"search:u{universe_size}",
-        condition=_agreement_name(ids),
+        subject=subject,
+        condition="agree:" + "=".join(c.name for c in ids),
         holds=failure is None,
         instances_checked=count,
     )
@@ -558,6 +528,16 @@ def verify_agreement(ids: list[CheckId], universe_size: int) -> CheckReport:
         )
         report.witness_system = s.to_dict()
     return report
+
+
+def verify_agreement(ids: list[CheckId], universe_size: int) -> CheckReport:
+    """All listed checks give one verdict on every monotone system of the size."""
+    return _agreement_report(ids, [universe_size], f"search:u{universe_size}")
+
+
+def verify_agreement_upto(ids: list[CheckId], max_universe: int) -> CheckReport:
+    """verify_agreement over every universe size 1..max_universe as one scan."""
+    return _agreement_report(ids, sizes_upto(max_universe), f"search:u<={max_universe}")
 
 
 # --- difference-robustness vs. union-closure ----------------------------------
@@ -586,8 +566,7 @@ def verify_two_s_breakdown(
     covers any Z ⊆ X with Z not small.  That is what this scans, for every
     base-set size up to max_universe (a larger X restricts to this case).
     """
-    check_size(max_universe)
-    universes = (Universe(_letters(n)) for n in range(1, max_universe + 1))
+    universes = (Universe(_letters(n)) for n in sizes_upto(max_universe))
     candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))
 
     def eval_family(args: tuple[Universe, frozenset[int]]):

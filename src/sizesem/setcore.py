@@ -157,9 +157,6 @@ class Subset:
             label for i, label in enumerate(self.universe.elements) if self.mask >> i & 1
         )
 
-    def canon_key(self) -> tuple[int, int]:
-        return canon_key(self.mask)
-
     def __contains__(self, label: str) -> bool:
         return bool(self.mask >> self.universe.index(label) & 1)
 

@@ -77,7 +77,7 @@ class SizeSystem:
         return len(self.domain_masks) == self.universe.full_mask
 
     def ideal_of(self, x: Subset) -> tuple[Subset, ...]:
-        fam = self._ideal(self._domain_mask(x))
+        fam = self.ideals[self._domain_mask(x)]
         u = self.universe
         return tuple(Subset(u, m) for m in sorted(fam, key=canon_key))
 
@@ -87,9 +87,6 @@ class SizeSystem:
         if x.mask not in self.ideals:
             raise SetNotInDomain(f"{x!r} is not in the domain")
         return x.mask
-
-    def _ideal(self, mask: int) -> frozenset[int]:
-        return self.ideals[mask]
 
     def to_dict(self) -> dict:
         """JSON form; trivial ideals {∅} are omitted, full domains abbreviated."""
@@ -224,7 +221,7 @@ def build(
 def filter_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
     """F(x) = {A ⊆ x : x−A ∈ I(x)}, canonical order."""
     m = s._domain_mask(x)
-    fam = s._ideal(m)
+    fam = s.ideals[m]
     u = s.universe
     return tuple(
         Subset(u, m & ~a) for a in sorted(fam, key=lambda a: canon_key(m & ~a))
@@ -234,7 +231,7 @@ def filter_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
 def mplus_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
     """M+(x) = P(x) − I(x): the subsets of x that are not small."""
     m = s._domain_mask(x)
-    fam = s._ideal(m)
+    fam = s.ideals[m]
     u = s.universe
     return tuple(Subset(u, a) for a in submasks(m) if a not in fam)
 
@@ -242,7 +239,7 @@ def mplus_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
 def medium_of(s: SizeSystem, x: Subset) -> tuple[Subset, ...]:
     """Subsets of x that are neither small nor big."""
     m = s._domain_mask(x)
-    fam = s._ideal(m)
+    fam = s.ideals[m]
     u = s.universe
     return tuple(
         Subset(u, a)

@@ -311,6 +311,23 @@ def test_expect_mismatch_exits_one(tmp_path, capsys):
     assert "expect" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [[1], "records", {"records": [1]}, {"records": {"a": 1}}, {"records": None}],
+    ids=["list", "string", "record-not-object", "records-object", "records-null"],
+)
+def test_malformed_expect_document_exits_two(tmp_path, capsys, document):
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps(document))
+    code, _, err = run_cli(
+        capsys,
+        "check", "--system", data_path("fact34-1.json"), "--props", "eMI",
+        "--expect", str(expect),
+    )
+    assert code == 2
+    assert "MalformedDocument" in err and "--expect" in err
+
+
 def test_expect_match_exits_zero(tmp_path, capsys):
     expect = tmp_path / "expect.json"
     expect.write_text(json.dumps({"records": [{"condition": "eMF", "holds": False}]}))

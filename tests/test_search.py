@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sizesem import fixtures, search
 from sizesem.errors import CapacityExceeded
 from sizesem.properties import (
     EMF,
@@ -13,9 +14,10 @@ from sizesem.properties import (
     check_property,
     m_plus_n,
     m_plus_omega,
+    m_plus_plus,
     n_star_s,
 )
-from sizesem.rules import check_rule, cm_n, or_n
+from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, check_rule, cm_n, or_n
 from sizesem.search import (
     SearchSpec,
     count_systems,
@@ -265,6 +267,69 @@ def test_implication_upto_merges_a_failure_across_sizes():
             "ideals": {"a,b": [[], ["a"], ["b"], ["a", "b"]]},
         },
     })
+    # The same system is the first whose eMI and eMF verdicts differ.
+    rep = verify_agreement_upto([EMI, EMF], 2)
+    assert json.dumps(rep.to_dict()) == json.dumps({
+        "subject": "search:u<=2",
+        "condition": "agree:eMI=eMF",
+        "holds": False,
+        "witness": None,
+        "instances_checked": 7,
+        "notes": ["verdicts eMI=True, eMF=False"],
+        "witness_system": {
+            "universe": ["a", "b"],
+            "domain": "full",
+            "ideals": {"a,b": [[], ["a"], ["b"], ["a", "b"]]},
+        },
+    })
+
+
+def _reference_upto(per_size, max_universe):
+    """The record of a scan over sizes 1..max_universe pieced together from
+    single-size scans: the first failing size's record, or the last holding
+    one, with the subject of the whole range and the counts summed."""
+    total = 0
+    for n in range(1, max_universe + 1):
+        record = per_size(n).to_dict()
+        total += record["instances_checked"]
+        if not record["holds"]:
+            break
+    record.update(subject=f"search:u<={max_universe}", instances_checked=total)
+    return record
+
+
+_TERNARY = (n_star_s(3), EMI)
+_CHAINED_FIXTURES = {
+    "fact-3.7:3": [(_TERNARY, m_plus_n(3)), (_TERNARY, cm_n(3)), (_TERNARY, or_n(3))],
+    "fact-3.9": [CM_OMEGA, m_plus_omega(4)],
+    "fact-3.10": [
+        ((IOMEGA, EMI), OR_OMEGA),
+        ((IOMEGA, EMI), m_plus_omega(1)),
+        ((IOMEGA, EMF), m_plus_omega(2)),
+        ((IOMEGA, EMI), m_plus_omega(3)),
+        ((IOMEGA, EMF), m_plus_omega(4)),
+    ],
+    "fact-3.12": [m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)],
+    "fact-3.13": [RATM, m_plus_plus(1)],
+}
+
+
+@pytest.mark.parametrize("fid", list(_CHAINED_FIXTURES))
+def test_chained_fixture_records_match_single_size_scans(fid):
+    # Each record of these fixtures is one scan over |U| = 1..3; it must
+    # equal what the single-size verifiers report size by size.
+    assert fixtures.SEARCH_MAX == 3
+    cases = _CHAINED_FIXTURES[fid]
+    if isinstance(cases[0], tuple):
+        expected = [
+            _reference_upto(
+                lambda n: verify_implication(SearchSpec(n, req, target, "verify-implication")), 3
+            )
+            for req, target in cases
+        ]
+    else:
+        expected = [_reference_upto(lambda n: verify_agreement(cases, n), 3)]
+    assert fixtures.run_fixture(fid)["records"] == expected
 
 
 @pytest.mark.parametrize(
@@ -279,6 +344,23 @@ def test_implication_upto_merges_a_failure_across_sizes():
 )
 def test_sizes_below_one_are_refused(scan):
     with pytest.raises(ValueError, match="at least 1"):
+        scan()
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: verify_implication_upto((EMI,), EMF, 5),
+        lambda: verify_agreement_upto([EMI, EMF], 5),
+    ],
+    ids=["implication_upto", "agreement_upto"],
+)
+def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a system was checked before the refusal")
+
+    monkeypatch.setattr(search, "evaluate_check", no_check)
+    with pytest.raises(CapacityExceeded, match="capped at size 4"):
         scan()
 
 
