@@ -14,8 +14,18 @@ whether or not those subsets are themselves in 𝒴).  The checkable vocabulary:
     1*s / n*s:k    no k small subsets of X union to X
     I-omega        small sets are closed under union
     M+n:k          X₁ ∈ F(X₂), …, X_{k−1} ∈ F(X_k) ⇒ X₁ ∉ I(X_k)
-    M+omega:1..4   robustness of "not small" under one base-set change
-    M++:1..3       robustness of "not small" under shrinking by a non-big set
+    M+omega:1      A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+    M+omega:2      A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
+    M+omega:3      A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
+    M+omega:4      A, B ∈ I(X) ⇒ A − B ∈ I(X − B)
+    M++:1          A ∈ I(X), B ∉ F(X) ⇒ A − B ∈ I(X − B)
+    M++:2          A ∈ F(X), B ∉ F(X) ⇒ A − B ∈ F(X − B)
+    M++:3          A ∈ M+(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+
+where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
+Nine of these relate a set's size class in two base sets; each is one row
+of one of two scan factories: `_nested_scan` (eMI, eMF, M+omega:1–3, M++:3)
+and `_carrier_scan` (M+omega:4, M++:1–2).
 
 A failed check reports the canonically first violating instantiation (subset
 order: ascending cardinality, then bit value; tuples ordered lexicographically
@@ -23,15 +33,16 @@ in the variables' order of appearance).  `instances_checked` counts the
 instantiations the scan examined before reaching its verdict; a check with
 nothing to examine is vacuously true and says so in its notes.
 
-Instances of the difference-shaped conditions (M+omega:4, M++:1/2) whose
-carrier X−B would be empty are skipped: no domain may contain ∅.  A nonempty
-carrier missing from the domain raises DomainNotClosed instead.
+Instances of the carrier rows (M+omega:4, M++:1/2) whose carrier X−B would
+be empty are skipped: no domain may contain ∅.  A nonempty carrier missing
+from the domain raises DomainNotClosed instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from typing import Callable
 
 from .errors import DomainNotClosed
 from .report import CheckReport, Witness, guarded_report, scan_report
@@ -39,6 +50,8 @@ from .setcore import Subset, canon_rank, submasks
 from .sizesys import SizeSystem, _label_key
 
 _PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
+
+Scan = Callable[[SizeSystem], tuple[int, Witness]]
 
 
 @dataclass(frozen=True)
@@ -55,10 +68,9 @@ class PropertyId:
             raise ValueError("n*s needs n >= 1")
         if self.tag == "M+n" and (self.param is None or self.param < 3):
             raise ValueError("M+n needs n >= 3")
-        if self.tag == "M+omega" and self.param not in (1, 2, 3, 4):
-            raise ValueError("M+omega variant must be 1..4")
-        if self.tag == "M++" and self.param not in (1, 2, 3):
-            raise ValueError("M++ variant must be 1..3")
+        rows = _VARIANTS.get(self.tag)
+        if rows is not None and self.param not in rows:
+            raise ValueError(f"{self.tag} variant must be 1..{len(rows)}")
         if self.tag not in _PARAM_TAGS and self.param is not None:
             raise ValueError(f"{self.tag} takes no parameter")
 
@@ -110,10 +122,6 @@ def parse_property(text: str) -> PropertyId:
 def _rank_key(s: SizeSystem):
     """Canonical-order sort key for masks of s, as a table lookup."""
     return canon_rank(s.universe.size).__getitem__
-
-
-def _filter_list(x: int, fam: frozenset[int], key) -> list[int]:
-    return sorted([x & ~a for a in fam], key=key)
 
 
 def _cover_reach(family: list[int], limit: int) -> list[set[int]]:
@@ -173,48 +181,12 @@ def _check_im(s: SizeSystem) -> tuple[int, Witness]:
     return count, None
 
 
-def _check_emi(s: SizeSystem) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
-    key = _rank_key(s)
-    for x in dom:
-        fam_x = sorted(s.ideals[x], key=key)
-        for y in dom:
-            if x & ~y or x == y:
-                continue
-            fam_y = s.ideals[y]
-            for a in fam_x:
-                count += 1
-                if a not in fam_y:
-                    return count, (("X", x), ("Y", y), ("A", a))
-    return count, None
-
-
-def _check_emf(s: SizeSystem) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
-    key = _rank_key(s)
-    filters = {y: _filter_list(y, s.ideals[y], key) for y in dom}
-    for x in dom:
-        fam_x = s.ideals[x]
-        for y in dom:
-            if x & ~y or x == y:
-                continue
-            for a in filters[y]:
-                if a & ~x:
-                    continue
-                count += 1
-                if (x & ~a) not in fam_x:
-                    return count, (("X", x), ("Y", y), ("A", a))
-    return count, None
-
-
 def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple[int, Witness]:
     count = 0
     dom = s.domain_masks
     key = _rank_key(s)
     if on_filters:
-        members = {x: _filter_list(x, fam, key) for x, fam in s.ideals.items()}
+        members = {x: sorted([x & ~a for a in fam], key=key) for x, fam in s.ideals.items()}
     else:
         members = {x: sorted(fam, key=key) for x, fam in s.ideals.items()}
     for x in dom:
@@ -295,130 +267,138 @@ def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
     return count, None
 
 
-def _check_m_plus_omega(s: SizeSystem, variant: int) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
-    ideals = s.ideals
-    if variant == 4:
-        key = _rank_key(s)
-        for x in dom:
-            fam = sorted(ideals[x], key=key)
-            for a in fam:
-                for b in fam:
-                    if b == x:
-                        continue  # empty carrier X−B
-                    z = x & ~b
-                    if z not in ideals:
-                        raise DomainNotClosed(_label_key(s.universe, z), "M+omega:4")
+# --- two-level properties: size classes and two scan factories ---------------
+#
+# A subset A of X has one of four size classes in X: small (A ∈ I(X)), big
+# (A ∈ F(X), i.e. X − A ∈ I(X)), not small (A ∈ M+(X)) or not big.  A class
+# is the pair (complemented, member): A is in it iff whether X − A (if
+# complemented) or A is in I(X) equals member.
+
+_SMALL = (False, True)
+_BIG = (True, True)
+_NOT_SMALL = (False, False)
+_NOT_BIG = (True, False)
+
+
+@lru_cache(maxsize=64)
+def _nesting(domain: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """X ↦ (the members Y ⊇ X of the domain in domain order, X included; the
+    subsets of X in canonical order).  Every system on one domain shares the
+    result: read it, never change it."""
+    return {x: (tuple(y for y in domain if not x & ~y), submasks(x)) for x in domain}
+
+
+def _nested_scan(link, sides: str, premise, conclusion) -> Scan:
+    """The scan of "for all X ⊆ Y in the domain and A ⊆ X: X in class link of
+    Y, and A in class premise of one set ⇒ A in class conclusion of the
+    other".  `sides` "XY" reads the premise at X and the conclusion at Y, "YX"
+    the other way round; a link of None asks X ≠ Y instead of a class.
+
+    Instances come as (X, Y, A): X, then Y in domain order, A in canonical
+    order.  Where premise and conclusion are one class, the pair Y = X holds
+    on every A and adds their number at once (members of I(X) are subsets of
+    X, as `build` ensures).
+    """
+    at_y = sides == "YX"
+    lc, lm = link or (False, False)
+    pc, pm = premise
+    cc, cm = conclusion
+    same = premise == conclusion
+
+    def scan(s: SizeSystem) -> tuple[int, Witness]:
+        ideals = s.ideals
+        nesting = _nesting(s.domain_masks)
+        count = 0
+        for x in s.domain_masks:
+            fam_x = ideals[x]
+            ups, subs = nesting[x]
+            for y in ups:
+                fam_y = ideals[y]
+                if y == x if link is None else ((y & ~x if lc else x) in fam_y) != lm:
+                    continue  # X ≠ Y, or X in class link of Y, fails
+                if same and y == x:  # one instance per A in the class
+                    count += len(fam_x) if pm else len(subs) - len(fam_x)
+                    continue
+                p, fam_p, q, fam_q = (y, fam_y, x, fam_x) if at_y else (x, fam_x, y, fam_y)
+                for a in subs:
+                    if ((p & ~a if pc else a) in fam_p) != pm:
+                        continue
                     count += 1
-                    if (a & ~b) not in ideals[z]:
+                    if ((q & ~a if cc else a) in fam_q) != cm:
+                        return count, (("X", x), ("Y", y), ("A", a))
+        return count, None
+
+    return scan
+
+
+def _carrier_scan(premise, cut, conclusion) -> Scan:
+    """The scan of "for all X in the domain, A in class premise of X, small
+    or big, and B ≠ X in class cut of X: A − B in class conclusion of the
+    carrier X − B".
+
+    Instances come as (X, A, B): X in domain order, A, then B in canonical
+    order.  B ≠ X keeps the carrier nonempty; a carrier missing from the
+    domain raises KeyError when its first instance is reached, and
+    `check_property` reports it as DomainNotClosed.
+    """
+    big, same = premise == _BIG, cut == premise
+    bc, bm = cut
+    cc, cm = conclusion
+
+    def scan(s: SizeSystem) -> tuple[int, Witness]:
+        ideals = s.ideals
+        key = _rank_key(s)
+        count = 0
+        for x in s.domain_masks:
+            fam_x = ideals[x]
+            bases = sorted([x & ~a for a in fam_x] if big else fam_x, key=key)  # F(X) or I(X)
+            if same:
+                cuts = bases
+            else:
+                cuts = [b for b in submasks(x) if ((x & ~b if bc else b) in fam_x) == bm]
+            for a in bases:
+                for b in cuts:
+                    if b == x:
+                        continue
+                    z = x & ~b
+                    count += 1
+                    # A − B in class conclusion of Z = X − B; Z − (A − B) = Z − A
+                    if ((z & ~a if cc else a & ~b) in ideals[z]) != cm:
                         return count, (("X", x), ("A", a), ("B", b))
         return count, None
-    for x in dom:
-        fam_x = ideals[x]
-        subs = submasks(x)
-        for y in dom:
-            if x & ~y:
-                continue
-            fam_y = ideals[y]
-            if variant == 1:
-                # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
-                if x in fam_y:
-                    continue
-                for a in subs:
-                    if (x & ~a) not in fam_x:
-                        continue
-                    count += 1
-                    if a in fam_y:
-                        return count, (("X", x), ("Y", y), ("A", a))
-            elif variant == 2:
-                # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
-                if (y & ~x) not in fam_y:
-                    continue
-                for a in subs:
-                    if a in fam_x:
-                        continue
-                    count += 1
-                    if a in fam_y:
-                        return count, (("X", x), ("Y", y), ("A", a))
-            else:
-                # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
-                if (y & ~x) not in fam_y:
-                    continue
-                for a in subs:
-                    if (x & ~a) not in fam_x:
-                        continue
-                    count += 1
-                    if (y & ~a) not in fam_y:
-                        return count, (("X", x), ("Y", y), ("A", a))
-    return count, None
+
+    return scan
 
 
-def _check_m_plus_plus(s: SizeSystem, variant: int) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
-    ideals = s.ideals
-    if variant == 3:
-        for x in dom:
-            fam_x = ideals[x]
-            subs = submasks(x)
-            for y in dom:
-                if x & ~y:
-                    continue
-                fam_y = ideals[y]
-                if x in fam_y:
-                    continue  # X not in M+(Y)
-                for a in subs:
-                    if a in fam_x:
-                        continue
-                    count += 1
-                    if a in fam_y:
-                        return count, (("X", x), ("Y", y), ("A", a))
-        return count, None
-    key = _rank_key(s)
-    for x in dom:
-        fam_x = ideals[x]
-        if variant == 1:
-            bases = sorted(fam_x, key=key)
-        else:
-            bases = _filter_list(x, fam_x, key)
-        if not bases:
-            continue
-        # The B side does not depend on A: B not big in X (premise) and
-        # B ≠ X (empty carrier), with the carrier's ideal, None if missing.
-        carriers = [
-            (b, x & ~b, ideals.get(x & ~b))
-            for b in submasks(x)
-            if (x & ~b) not in fam_x and b != x
-        ]
-        for a in bases:
-            for b, z, fam_z in carriers:
-                if fam_z is None:
-                    raise DomainNotClosed(_label_key(s.universe, z), f"M++:{variant}")
-                count += 1
-                if variant == 1:
-                    bad = (a & ~b) not in fam_z
-                else:
-                    bad = ((x & ~a) & ~b) not in fam_z
-                if bad:
-                    return count, (("X", x), ("A", a), ("B", b))
-    return count, None
-
+# M+omega and M++ are families of variants, one row each.
+_VARIANTS = {
+    "M+omega": {
+        1: _nested_scan(_NOT_SMALL, "XY", _BIG, _NOT_SMALL),  # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+        2: _nested_scan(_BIG, "XY", _NOT_SMALL, _NOT_SMALL),  # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
+        3: _nested_scan(_BIG, "XY", _BIG, _BIG),  # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
+        4: _carrier_scan(_SMALL, _SMALL, _SMALL),  # A, B ∈ I(X) ⇒ A − B ∈ I(X − B)
+    },
+    "M++": {
+        1: _carrier_scan(_SMALL, _NOT_BIG, _SMALL),  # A ∈ I(X), B ∉ F(X) ⇒ A − B ∈ I(X − B)
+        2: _carrier_scan(_BIG, _NOT_BIG, _BIG),  # A ∈ F(X), B ∉ F(X) ⇒ A − B ∈ F(X − B)
+        3: _nested_scan(_NOT_SMALL, "XY", _NOT_SMALL, _NOT_SMALL),  # A ∈ M+(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+    },
+}
 
 # The property vocabulary: each tag's scan returns (instances_checked, witness).
 # Parameterised tags take the PropertyId's parameter as a second argument.
 _SCANS = {
     "Opt": _check_opt,
     "iM": _check_im,
-    "eMI": _check_emi,
-    "eMF": _check_emf,
+    "eMI": _nested_scan(None, "XY", _SMALL, _SMALL),  # X ≠ Y, A ∈ I(X) ⇒ A ∈ I(Y)
+    "eMF": _nested_scan(None, "YX", _BIG, _BIG),  # X ≠ Y, A ∈ F(Y) ⇒ A ∈ F(X)
     "I-union-disj": partial(_check_union_disj, on_filters=False),
     "F-union-disj": partial(_check_union_disj, on_filters=True),
     "n*s": _check_n_star_s,
     "I-omega": _check_iomega,
     "M+n": _check_m_plus_n,
-    "M+omega": _check_m_plus_omega,
-    "M++": _check_m_plus_plus,
+    "M+omega": lambda s, v: _VARIANTS["M+omega"][v](s),
+    "M++": lambda s, v: _VARIANTS["M++"][v](s),
 }
 
 OPT = PropertyId("Opt")
@@ -433,7 +413,10 @@ IOMEGA = PropertyId("I-omega")
 def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:
     """Decide one table property over all instances in s; canonical witness."""
     scan = _SCANS[p.tag]
-    count, witness = scan(s) if p.param is None else scan(s, p.param)
+    try:
+        count, witness = scan(s) if p.param is None else scan(s, p.param)
+    except KeyError as exc:  # a carrier X − B outside the domain
+        raise DomainNotClosed(_label_key(s.universe, exc.args[0]), p.name) from None
     notes = ()
     if p.tag in ("n*s", "M+n") and p.param > s.universe.size + 1:
         notes = (f"parameter {p.param} exceeds |U|+1; condition near-vacuous",)

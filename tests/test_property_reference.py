@@ -1,0 +1,263 @@
+"""The two-level size properties against the scans they were once written as.
+
+eMI, eMF, M+omega:1–4 and M++:1–3 each had a hand-written scan.  They are now
+rows of two scan factories in `properties`; `reference_scan` keeps the old
+loops as they were, and `check_property` must report exactly what they
+report: the same count and the same first witness, or a `DomainNotClosed`
+with the same message.  Every failing witness must also be a violation by
+`witness_violates`, which re-reads the formula without either scan.
+"""
+
+import random
+from itertools import islice
+
+import pytest
+
+from sizesem.errors import DomainNotClosed
+from sizesem.properties import check_property, parse_property, witness_violates
+from sizesem.report import scan_report
+from sizesem.search import SearchSpec, enumerate_systems
+from sizesem.setcore import canon_rank, submasks
+from sizesem.sizesys import MuFunction, SizeSystem, _label_key, from_mu
+from test_rule_reference import _letters, _random_family, every_small_system
+
+PROPS = [
+    parse_property(name)
+    for name in ("eMI", "eMF", "M+omega:1", "M+omega:2", "M+omega:3", "M+omega:4",
+                 "M++:1", "M++:2", "M++:3")
+]
+
+
+# --- the old scans ------------------------------------------------------------
+
+
+def _rank_key(s: SizeSystem):
+    return canon_rank(s.universe.size).__getitem__
+
+
+def _filter_list(x: int, fam: frozenset[int], key) -> list[int]:
+    return sorted([x & ~a for a in fam], key=key)
+
+
+def _check_emi(s: SizeSystem) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    key = _rank_key(s)
+    for x in dom:
+        fam_x = sorted(s.ideals[x], key=key)
+        for y in dom:
+            if x & ~y or x == y:
+                continue
+            fam_y = s.ideals[y]
+            for a in fam_x:
+                count += 1
+                if a not in fam_y:
+                    return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
+
+
+def _check_emf(s: SizeSystem) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    key = _rank_key(s)
+    filters = {y: _filter_list(y, s.ideals[y], key) for y in dom}
+    for x in dom:
+        fam_x = s.ideals[x]
+        for y in dom:
+            if x & ~y or x == y:
+                continue
+            for a in filters[y]:
+                if a & ~x:
+                    continue
+                count += 1
+                if (x & ~a) not in fam_x:
+                    return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
+
+
+def _check_m_plus_omega(s: SizeSystem, variant: int) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    ideals = s.ideals
+    if variant == 4:
+        key = _rank_key(s)
+        for x in dom:
+            fam = sorted(ideals[x], key=key)
+            for a in fam:
+                for b in fam:
+                    if b == x:
+                        continue  # empty carrier X−B
+                    z = x & ~b
+                    if z not in ideals:
+                        raise DomainNotClosed(_label_key(s.universe, z), "M+omega:4")
+                    count += 1
+                    if (a & ~b) not in ideals[z]:
+                        return count, (("X", x), ("A", a), ("B", b))
+        return count, None
+    for x in dom:
+        fam_x = ideals[x]
+        subs = submasks(x)
+        for y in dom:
+            if x & ~y:
+                continue
+            fam_y = ideals[y]
+            if variant == 1:
+                # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+                if x in fam_y:
+                    continue
+                for a in subs:
+                    if (x & ~a) not in fam_x:
+                        continue
+                    count += 1
+                    if a in fam_y:
+                        return count, (("X", x), ("Y", y), ("A", a))
+            elif variant == 2:
+                # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
+                if (y & ~x) not in fam_y:
+                    continue
+                for a in subs:
+                    if a in fam_x:
+                        continue
+                    count += 1
+                    if a in fam_y:
+                        return count, (("X", x), ("Y", y), ("A", a))
+            else:
+                # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
+                if (y & ~x) not in fam_y:
+                    continue
+                for a in subs:
+                    if (x & ~a) not in fam_x:
+                        continue
+                    count += 1
+                    if (y & ~a) not in fam_y:
+                        return count, (("X", x), ("Y", y), ("A", a))
+    return count, None
+
+
+def _check_m_plus_plus(s: SizeSystem, variant: int) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    ideals = s.ideals
+    if variant == 3:
+        for x in dom:
+            fam_x = ideals[x]
+            subs = submasks(x)
+            for y in dom:
+                if x & ~y:
+                    continue
+                fam_y = ideals[y]
+                if x in fam_y:
+                    continue  # X not in M+(Y)
+                for a in subs:
+                    if a in fam_x:
+                        continue
+                    count += 1
+                    if a in fam_y:
+                        return count, (("X", x), ("Y", y), ("A", a))
+        return count, None
+    key = _rank_key(s)
+    for x in dom:
+        fam_x = ideals[x]
+        if variant == 1:
+            bases = sorted(fam_x, key=key)
+        else:
+            bases = _filter_list(x, fam_x, key)
+        if not bases:
+            continue
+        # The B side does not depend on A: B not big in X (premise) and
+        # B ≠ X (empty carrier), with the carrier's ideal, None if missing.
+        carriers = [
+            (b, x & ~b, ideals.get(x & ~b))
+            for b in submasks(x)
+            if (x & ~b) not in fam_x and b != x
+        ]
+        for a in bases:
+            for b, z, fam_z in carriers:
+                if fam_z is None:
+                    raise DomainNotClosed(_label_key(s.universe, z), f"M++:{variant}")
+                count += 1
+                if variant == 1:
+                    bad = (a & ~b) not in fam_z
+                else:
+                    bad = ((x & ~a) & ~b) not in fam_z
+                if bad:
+                    return count, (("X", x), ("A", a), ("B", b))
+    return count, None
+
+
+def reference_scan(s: SizeSystem, p) -> tuple:
+    """(instances_checked, witness) of the old scan of p."""
+    if p.tag == "eMI":
+        return _check_emi(s)
+    if p.tag == "eMF":
+        return _check_emf(s)
+    if p.tag == "M+omega":
+        return _check_m_plus_omega(s, p.param)
+    return _check_m_plus_plus(s, p.param)
+
+
+# --- the corpus ---------------------------------------------------------------
+
+
+def canonical_u3():
+    return enumerate_systems(SearchSpec(3, mode="count", canonical_only=True))
+
+
+def sampled_u3_leaders():
+    """Every 7th lex-leader of the |U| = 3 systems whose ideals need not be
+    down-closed (12 782 systems)."""
+    spec = SearchSpec(3, mode="count", monotone_only=False, canonical_only=True)
+    return islice(enumerate_systems(spec), 0, None, 7)
+
+
+def seeded_systems():
+    """Down-closed, principal and arbitrary systems at |U| = 4 and 5, and
+    systems on a partial domain, where a carrier X−B may be missing."""
+    rng = random.Random(19)
+    for n, per_kind in ((4, 24), (5, 16)):
+        u = _letters(n)
+        full = tuple(m for m in u.all_masks() if m)
+        for i in range(per_kind):
+            top = {m for m in submasks(u.full_mask) if rng.random() < 0.3}
+            down = {d for m in top for d in submasks(m)} | {0}
+            ideals = {x: frozenset(d & x for d in down) for x in full}
+            yield SizeSystem(u, full, ideals, label=f"mono{n}#{i}")
+            choice = {x: (rng.randrange(1 << n) & x) or x for x in full}
+            yield from_mu(MuFunction(u, full, choice, label=f"mu{n}#{i}"))
+            arb = {x: _random_family(rng, x, rng.choice((0.2, 0.5, 0.8))) for x in full}
+            yield SizeSystem(u, full, arb, label=f"arb{n}#{i}")
+            domain = tuple(x for x in full if x == u.full_mask or rng.random() < 0.7)
+            pick = ideals if i % 2 else arb
+            yield SizeSystem(u, domain, {x: pick[x] for x in domain}, label=f"part{n}#{i}")
+
+
+CORPUS = {
+    "small": every_small_system,
+    "canonical-u3": canonical_u3,
+    "sampled-u3": sampled_u3_leaders,
+    "seeded": seeded_systems,
+}
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except DomainNotClosed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("part", sorted(CORPUS))
+def test_properties_match_the_reference_scan(part):
+    failures = errors = 0
+    for s in CORPUS[part]():
+        for p in PROPS:
+            got = _outcome(lambda: check_property(s, p))
+            want = _outcome(lambda: scan_report(s.label, p.name, s.universe, *reference_scan(s, p)))
+            assert got == want, (s.label, p.name)
+            if isinstance(got, str):
+                errors += 1
+            elif not got.holds:
+                failures += 1
+                assert witness_violates(s, p, got.witness), (s.label, p.name)
+    assert failures > 0
+    assert errors > 0 or part != "seeded"
