@@ -40,7 +40,7 @@ from .search import (
     find_counterexample,
     verify_implication,
 )
-from .sizesys import load_mu, load_system
+from .sizesys import _read_document, load_mu, load_system
 
 ALL_PROPS = [
     "Opt", "iM", "eMI", "eMF", "I-union-disj", "F-union-disj",
@@ -82,8 +82,7 @@ def _check_expect(payload: dict, path: str | None) -> int:
     """0 without an --expect file; else 1 if the payload mismatches it."""
     if not path:
         return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        expected = json.load(fh)
+    expected, _ = _read_document(path)
     records = expected.get("records", []) if isinstance(expected, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise MalformedDocument('--expect needs a JSON object whose "records" is a list of objects')

@@ -50,15 +50,18 @@ bit set, which OR:n and OR:omega intersect to decide or count a unit.
 ceilings of the n-ary scans.
 
 Units.  A scan walks its instances in canonical order, grouped into units:
-one antecedent a, or the outer tuple where the outer loop binds more than one
-variable — (φ, φ') for disjOR, (α, α') for OR:omega, the α-combo for OR:n.
-An instance reads each consequent b only through its trace a − b ∈ I(a); the
-2^k choices of b outside a (k = |U| − |a|) repeat the same test.  So each
-unit is first decided from I = I(a) and the ideals of a's subsets, and a unit
-that holds adds its instance count in closed form, leaving out every
-instance the walk skips on a premise:
+one antecedent a (every a ⊆ U for REF, ∅ included), or, where walking a whole
+antecedent on failure would cost too much, the outer tuple: (φ, φ') for
+disjOR, the α-combo for OR:n.  An instance reads each consequent b only
+through its trace a − b ∈ I(a); the 2^k choices of b outside a
+(k = |U| − |a|) repeat the same test.  So each unit is first decided from
+I = I(a) and the ideals of a's subsets, and a unit that holds adds its
+instance count in closed form, leaving out every instance the walk skips on a
+premise:
 
     rule       the unit holds iff                            its instances
+    SC         ∅ ∈ I                                         2ᵏ
+    REF        ∅ ∈ I(t) for every ∅ ≠ t ⊆ a                  2^|U|
     RW         I is down-closed                              3ᵏ·Σ_{x∈I} 2^|x|
     wOR        I ⊆ I(a ∪ d) for every d ⊆ U − a              3ᵏ·Σ_{x∈I} 2^|a−x|
     PR'        as wOR                                        |I|·3ᵏ
@@ -66,10 +69,11 @@ instance the walk skips on a premise:
                (a − x) ∪ e ≠ ∅
     disjOR     x' ∪ y' ∈ I(φ ∪ φ') for x' ⊆ x ∈ I(φ),        |rel(φ)|·|rel(φ')|
                y' ⊆ y ∈ I(φ')
+    CP         a ∉ I                                         1
     AND:n      no n members of I have union a                |rel(a)|ⁿ
     AND:omega  I is closed under ∪                           |rel(a)|²
     OR:n       no t ∈ I(∪αᵢ) has αᵢ − t ∈ I(αᵢ) for all i   |rel(α₁) ∩ … ∩ rel(α_{n−1})|
-    OR:omega   rel(α) ∩ rel(α') ⊆ rel(α ∪ α')                |rel(α) ∩ rel(α')|
+    OR:omega   rel(α) ∩ rel(α') ⊆ rel(α ∪ α') for α' ≠ ∅     Σ_{α'} |rel(α) ∩ rel(α')|
     CM:n       every t = a − v, v a union of n − 2 members   |rel(a)|ⁿ⁻¹
                of I (v = ∅ for n = 2), is nonempty and has
                t − x ∉ I(t) for x ∈ I
@@ -85,9 +89,10 @@ instance the walk skips on a premise:
 with a the unit's antecedent (φ or γ where the rule names it so),
 |rel(a)| = |I(a)|·2ᵏ and |rel(∅)| = 2^|U|; OR:n and OR:omega count rel sets
 as bit sets (`_Follows`).  Members of I(a) are subsets of a, as `build`
-ensures.  Only the first unit that may fail is walked instance by instance,
-by the loops below its test, so counts, witnesses and notes are those of a
-walk over every instance.  SC, REF and CP walk their instances directly.
+ensures.  `_UNITS` maps each rule tag to its unit test, and `_scan_rule` runs
+every rule through one loop: it adds each unit's count until the first unit
+whose test returns None, then walks that unit alone, instance by instance.
+So counts, witnesses and notes are those of a walk over every instance.
 
 An n-ary rule whose scan would exceed RULE_SCAN_CEILING instances — Σₐ |rel(a)|ⁿ
 for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
@@ -97,7 +102,9 @@ refused with CapacityExceeded before it starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import product
+from operator import or_
 
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
@@ -105,41 +112,25 @@ from .report import CheckReport, scan_report
 from .setcore import Subset, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
-_PLAIN_RULES = {
-    "SC",
-    "REF",
-    "RW",
-    "wOR",
-    "PR'",
-    "wCM",
-    "disjOR",
-    "CP",
-    "AND:omega",
-    "OR:omega",
-    "CM:omega",
-    "RatM",
-    "CUT",
-    "CUM",
-    "CCL",
-    "M+derived",
-}
 _PARAM_RULES = {"AND": 1, "OR": 2, "CM": 2}  # minimal n per family
 
 
 @dataclass(frozen=True)
 class RuleId:
+    """One rule: a tag of `_UNITS`, and n for the AND, OR and CM families."""
+
     tag: str
     param: int | None = None
 
     def __post_init__(self):
-        if self.tag in _PLAIN_RULES:
+        if self.tag not in _UNITS:
+            raise ValueError(f"unknown rule tag {self.tag!r}")
+        least = _PARAM_RULES.get(self.tag)
+        if least is None:
             if self.param is not None:
                 raise ValueError(f"{self.tag} takes no parameter")
-        elif self.tag in _PARAM_RULES:
-            if self.param is None or self.param < _PARAM_RULES[self.tag]:
-                raise ValueError(f"{self.tag}:n needs n >= {_PARAM_RULES[self.tag]}")
-        else:
-            raise ValueError(f"unknown rule tag {self.tag!r}")
+        elif self.param is None or self.param < least:
+            raise ValueError(f"{self.tag}:n needs n >= {least}")
 
     @property
     def name(self) -> str:
@@ -147,24 +138,6 @@ class RuleId:
 
     def __str__(self) -> str:
         return self.name
-
-
-SC = RuleId("SC")
-REF = RuleId("REF")
-RW = RuleId("RW")
-WOR = RuleId("wOR")
-PR_PRIME = RuleId("PR'")
-WCM = RuleId("wCM")
-DISJ_OR = RuleId("disjOR")
-CP = RuleId("CP")
-AND_OMEGA = RuleId("AND:omega")
-OR_OMEGA = RuleId("OR:omega")
-CM_OMEGA = RuleId("CM:omega")
-RATM = RuleId("RatM")
-CUT = RuleId("CUT")
-CUM = RuleId("CUM")
-CCL = RuleId("CCL")
-M_PLUS_DERIVED = RuleId("M+derived")
 
 
 def and_n(n: int) -> RuleId:
@@ -181,7 +154,7 @@ def cm_n(n: int) -> RuleId:
 
 def parse_rule(text: str) -> RuleId:
     text = text.strip()
-    if text in _PLAIN_RULES:
+    if text in _UNITS and text not in _PARAM_RULES:
         return RuleId(text)
     base, _, arg = text.partition(":")
     if base in _PARAM_RULES and arg.isdecimal():
@@ -243,8 +216,8 @@ RULE_SCAN_CEILING = 10**7
 def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
     """Decide one rule over all model-set instantiations; canonical witness."""
     _require_full(s)
-    count, witness, *notes = _scan_rule(s, r)
-    return scan_report(s.label, r.name, s.universe, count, witness, *notes)
+    count, witness, notes = _scan_rule(s, r)
+    return scan_report(s.label, r.name, s.universe, count, witness, notes)
 
 
 def _refuse_above_ceiling(r: RuleId, space: int) -> None:
@@ -256,9 +229,10 @@ def _refuse_above_ceiling(r: RuleId, space: int) -> None:
 
 # --- units -------------------------------------------------------------------
 #
-# Each helper decides one unit of a scan (see the module docstring): its
-# instance count when no instance fails, else None, or a bool where the count
-# is a one-liner at the call site.
+# Each `_*_unit(ideals, size, unit)` decides one unit of a scan (see the
+# module docstring): its instance count when no instance fails, else None.
+# A test that needs more (n, a `_Follows`, the nonempty masks, disjOR's
+# down-closures) takes it before the unit, bound positionally with `partial`.
 
 
 def _rel_size(ideals, size: int, a: int) -> int:
@@ -287,26 +261,6 @@ class _Follows(dict):
         return out
 
 
-def _down_closed(fam: frozenset[int]) -> bool:
-    """Every subset of a member is a member (one element off at a time)."""
-    for x in fam:
-        rest = x
-        while rest:
-            low = rest & -rest
-            if x ^ low not in fam:
-                return False
-            rest ^= low
-    return True
-
-
-def _union_closed(fam: frozenset[int]) -> bool:
-    for x in fam:
-        for y in fam:
-            if x | y not in fam:
-                return False
-    return True
-
-
 def _unions(fam: frozenset[int], j: int, stop: int) -> set[int]:
     """The unions of j members of fam, repeats allowed, so of 1 to j distinct
     ones; cut short once stop is among them."""
@@ -321,19 +275,38 @@ def _unions(fam: frozenset[int], j: int, stop: int) -> set[int]:
     return reach
 
 
-def _superset_unit(ideals, size: int, a: int) -> int | None:
-    """RW and CCL's ⊇ half: a − β' ⊆ a − β = x for β ⊆ β', so no instance
-    fails iff I(a) is down-closed; β has 2^(|U|−|β|) supersets."""
-    fam = ideals[a]
-    if not _down_closed(fam):
-        return None
-    return 3 ** (size - a.bit_count()) * sum(1 << x.bit_count() for x in fam)
-
-
 def _grows(ideals, size: int, a: int) -> bool:
     """wOR and PR': the small sets that fail are x ∈ I(a) outside I(a ∪ d)."""
     fam = ideals[a]
     return all(fam <= ideals[a | d] for d in submasks(((1 << size) - 1) & ~a))
+
+
+def _sc_unit(ideals, size: int, a: int) -> int | None:
+    """SC at α: α − β = ∅ for each of the 2ᵏ supersets β of α."""
+    return 1 << size - a.bit_count() if 0 in ideals[a] else None
+
+
+def _ref_unit(ideals, size: int, a: int) -> int | None:
+    """REF at α: (α ∩ γ) − γ = ∅ for each of the 2^|U| choices of γ, and
+    α ∩ γ is every t ⊆ α (t = ∅ holds by convention)."""
+    for t in submasks(a):
+        if t and 0 not in ideals[t]:
+            return None
+    return 1 << size
+
+
+def _superset_unit(ideals, size: int, a: int) -> int | None:
+    """RW and CCL's ⊇ half: a − β' ⊆ a − β = x for β ⊆ β', so no instance
+    fails iff I(a) is down-closed; β has 2^(|U|−|β|) supersets."""
+    fam = ideals[a]
+    for x in fam:  # one element off at a time
+        rest = x
+        while rest:
+            low = rest & -rest
+            if x ^ low not in fam:
+                return None
+            rest ^= low
+    return 3 ** (size - a.bit_count()) * sum(1 << x.bit_count() for x in fam)
 
 
 def _wor_unit(ideals, size: int, a: int) -> int | None:
@@ -342,6 +315,11 @@ def _wor_unit(ideals, size: int, a: int) -> int | None:
         return None
     width = a.bit_count()
     return 3 ** (size - width) * sum(1 << width - x.bit_count() for x in ideals[a])
+
+
+def _pr_unit(ideals, size: int, a: int) -> int | None:
+    """PR' at a: as wOR; each x ∈ I(a) has 3ᵏ choices of α' ⊇ a and β."""
+    return len(ideals[a]) * 3 ** (size - a.bit_count()) if _grows(ideals, size, a) else None
 
 
 def _wcm_unit(ideals, size: int, a: int) -> int | None:
@@ -356,43 +334,90 @@ def _wcm_unit(ideals, size: int, a: int) -> int | None:
     return total << size - a.bit_count()
 
 
-def _joins_small(big: frozenset[int], down: set[int], down2: set[int]) -> bool:
+def _disj_or_unit(ideals, size: int, down, pair: tuple[int, int]) -> int | None:
     """disjOR at (φ, φ'): (φ ∪ φ') − (ψ ∪ ψ') is x' ∪ y' for any x' ⊆ x ∈ I(φ)
-    and y' ⊆ y ∈ I(φ')."""
-    for x in down:
-        for y in down2:
+    and y' ⊆ y ∈ I(φ'); `down` maps φ to the down-closure of I(φ)."""
+    p, p2 = pair
+    big = ideals[p | p2]
+    for x in down[p]:
+        for y in down[p2]:
             if x | y not in big:
-                return False
-    return True
+                return None
+    return _rel_size(ideals, size, p) * _rel_size(ideals, size, p2)
 
 
-def _jointly_small(ideals, combo: tuple[int, ...], union: int) -> bool:
-    """OR:n at a combo: some t ∈ I(union) has a − t ∈ I(a) for every a."""
+def _cp_unit(ideals, size: int, p: int) -> int | None:
+    """CP at φ: its one instance fails iff φ |~ ⊥, i.e. φ ∈ I(φ)."""
+    return None if p in ideals[p] else 1
+
+
+def _and_unit(ideals, size: int, n: int, a: int) -> int | None:
+    """AND:n at a: a ∩ β₁ ∩ … ∩ βₙ = ∅ iff the sets a − βᵢ ∈ I(a) cover a."""
+    if a in _unions(ideals[a], n, a):
+        return None
+    return _rel_size(ideals, size, a) ** n
+
+
+def _and_omega_unit(ideals, size: int, a: int) -> int | None:
+    """AND:omega at a: a − (β ∩ β') = x ∪ y for x, y ∈ I(a), so I(a) must be
+    closed under ∪."""
+    fam = ideals[a]
+    for x in fam:
+        for y in fam:
+            if x | y not in fam:
+                return None
+    return _rel_size(ideals, size, a) ** 2
+
+
+def _or_unit(ideals, size: int, bits, combo: tuple[int, ...]) -> int | None:
+    """OR:n at a combo: premises and conclusion read β only through
+    t = β ∩ ∪αᵢ, so an instance fails iff some t ∈ I(∪αᵢ) has αᵢ − t ∈ I(αᵢ)
+    for every i."""
+    union = 0
+    for a in combo:
+        union |= a
     for t in ideals[union]:
         for a in combo:
             if a & ~t not in ideals[a]:
                 break
         else:
-            return True
-    return False
+            return None
+    if len(combo) == 1:  # |rel(α₁)|, without building its bit set
+        return _rel_size(ideals, size, union)
+    shared = -1
+    for a in combo:
+        shared &= bits[a]
+    return shared.bit_count()
 
 
-def _cover_meets_small(ideals, a: int, covers) -> bool:
-    """CM:n at a: some t = a − v, v a union of n − 2 members of I(a), is ∅
-    or has t − x ∈ I(t) for an x ∈ I(a)."""
+def _or_omega_unit(ideals, size: int, bits, nonempty, a: int) -> int | None:
+    """OR:omega at α: rel(α) ∩ rel(α') ⊆ rel(α ∪ α') for every α' ≠ ∅."""
+    mine = bits[a]
+    total = 0
+    for a2 in nonempty:
+        shared = mine & bits[a2]
+        if shared & ~bits[a | a2]:
+            return None
+        total += shared.bit_count()
+    return total
+
+
+def _cm_unit(ideals, size: int, n: int, a: int) -> int | None:
+    """CM:n at a: an instance fails iff some t = a − v, v a union of n − 2
+    members of I(a), is ∅ or has t − x ∈ I(t) for an x ∈ I(a)."""
     fam = ideals[a]
-    for v in covers:
+    for v in _unions(fam, n - 2, a) if n > 2 else (0,):
         t = a & ~v
         if t == 0:
-            return True
+            return None
         small = ideals[t]
         for x in fam:
             if t & ~x in small:
-                return True
-    return False
+                return None
+    return _rel_size(ideals, size, a) ** (n - 1)
 
 
-def _cm_omega_holds(ideals, a: int) -> bool:
+def _cm_omega_unit(ideals, size: int, a: int) -> int | None:
     """CM:omega at a: (a ∩ β) − β' = y − x for x, y ∈ I(a)."""
     fam = ideals[a]
     for x in fam:
@@ -400,8 +425,8 @@ def _cm_omega_holds(ideals, a: int) -> bool:
             small = ideals[a & ~x]
             for y in fam:
                 if y & ~x not in small:
-                    return False
-    return True
+                    return None
+    return _rel_size(ideals, size, a) ** 2
 
 
 def _ratm_unit(ideals, size: int, p: int) -> int | None:
@@ -432,7 +457,7 @@ def _cut_unit(ideals, size: int, a: int) -> int | None:
     return total << size - a.bit_count()
 
 
-def _cum_holds(ideals, p: int) -> bool:
+def _cum_unit(ideals, size: int, p: int) -> int | None:
     """CUM at φ: with t = φ − x, c ∈ I(φ) ⇔ (t = ∅ or t ∩ c ∈ I(t)) for every
     c ⊆ φ (c = φ − ψ')."""
     fam = ideals[p]
@@ -441,13 +466,20 @@ def _cum_holds(ideals, p: int) -> bool:
         t = p & ~x
         if not t:
             if len(fam) != len(subs):
-                return False
+                return None
             continue
         small = ideals[t]
         for c in subs:
             if (c in fam) != (t & c in small):
-                return False
-    return True
+                return None
+    return _rel_size(ideals, size, p) << size
+
+
+def _ccl_unit(ideals, size: int, a: int) -> int | None:
+    """CCL at a: AND:omega's test for ∩, RW's for ⊇."""
+    meets = _and_omega_unit(ideals, size, a)
+    supersets = _superset_unit(ideals, size, a)
+    return None if meets is None or supersets is None else meets + supersets
 
 
 def _m_plus_derived_unit(ideals, size: int, g: int) -> int | None:
@@ -465,302 +497,267 @@ def _m_plus_derived_unit(ideals, size: int, g: int) -> int | None:
     return total << size - g.bit_count()
 
 
-# --- the scans ----------------------------------------------------------------
+# The rule tags, each with the test of one of its units.
+_UNITS = {
+    "SC": _sc_unit,
+    "REF": _ref_unit,
+    "RW": _superset_unit,
+    "wOR": _wor_unit,
+    "PR'": _pr_unit,
+    "wCM": _wcm_unit,
+    "disjOR": _disj_or_unit,
+    "CP": _cp_unit,
+    "AND": _and_unit,
+    "AND:omega": _and_omega_unit,
+    "OR": _or_unit,
+    "OR:omega": _or_omega_unit,
+    "CM": _cm_unit,
+    "CM:omega": _cm_omega_unit,
+    "RatM": _ratm_unit,
+    "CUT": _cut_unit,
+    "CUM": _cum_unit,
+    "CCL": _ccl_unit,
+    "M+derived": _m_plus_derived_unit,
+}
+
+# OR:2 and CM:2 are one formula; a report under either name notes the other.
+_ALIASES = {"OR:2": "CM:2", "CM:2": "OR:2"}
+
+SC = RuleId("SC")
+REF = RuleId("REF")
+RW = RuleId("RW")
+WOR = RuleId("wOR")
+PR_PRIME = RuleId("PR'")
+WCM = RuleId("wCM")
+DISJ_OR = RuleId("disjOR")
+CP = RuleId("CP")
+AND_OMEGA = RuleId("AND:omega")
+OR_OMEGA = RuleId("OR:omega")
+CM_OMEGA = RuleId("CM:omega")
+RATM = RuleId("RatM")
+CUT = RuleId("CUT")
+CUM = RuleId("CUM")
+CCL = RuleId("CCL")
+M_PLUS_DERIVED = RuleId("M+derived")
+
+
+# --- the scan -----------------------------------------------------------------
 
 
 def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
-    """(instances_checked, witness), plus the notes for OR:2, CM:2 and CCL."""
-    count = 0
+    """(instances_checked, witness, notes): units add their counts until a test
+    returns None, and that unit alone is walked instance by instance."""
     ideals = s.ideals
-    rel = _Consequences(s)
     size = s.universe.size
-    full = s.universe.full_mask
     masks = s.universe.all_masks()
     nonempty = full_domain_masks(s.universe)
+    tag, n = r.tag, r.param
+    alias = _ALIASES.get(r.name)
+    notes = (f"{r.name} and {alias} name the same rule",) if alias else ()
+
+    units = nonempty
+    test = partial(_UNITS[tag], ideals, size)
+    if tag == "REF":
+        units = masks
+    elif tag == "disjOR":
+        units = ((p, p2) for p in nonempty for p2 in nonempty if not p & p2)
+        down = {p: {d for x in ideals[p] for d in submasks(x)} for p in nonempty}
+        test = partial(test, down)
+    elif tag == "OR:omega":
+        test = partial(test, _Follows(s), nonempty)
+    elif tag == "OR":
+        _refuse_above_ceiling(r, len(nonempty) ** (n - 1) * len(masks))
+        units = product(nonempty, repeat=n - 1)
+        test = partial(test, _Follows(s))
+    elif tag in ("AND", "CM"):
+        power = n if tag == "AND" else n - 1
+        _refuse_above_ceiling(r, sum(_rel_size(ideals, size, a) ** power for a in nonempty))
+        test = partial(test, n)
+
+    count = 0
+    for unit in units:
+        held = test(unit)
+        if held is None:
+            break
+        count += held
+    else:
+        return count, None, notes
+
+    rel = _Consequences(s)
 
     def nm(a: int, b: int) -> bool:
         return a == 0 or (a & ~b) in ideals[a]
 
-    tag, n = r.tag, r.param
+    a = unit  # the antecedent, unless the unit is a pair or a combo
 
     if tag == "SC":
-        for a in nonempty:
-            fam = ideals[a]
-            for b in masks:
-                if a & ~b:
-                    continue
-                count += 1
-                if (a & ~b) not in fam:  # a − b is ∅ here; fails iff Opt fails at a
-                    return count, (("alpha", a), ("beta", b))
+        for b in masks:
+            if a & ~b:
+                continue
+            count += 1
+            if (a & ~b) not in ideals[a]:  # a − b is ∅ here; fails iff Opt fails at a
+                return count, (("alpha", a), ("beta", b)), notes
 
     elif tag == "REF":
-        for a in masks:
-            for g in masks:
-                count += 1
-                if not nm(a & g, g):
-                    return count, (("alpha", a), ("gamma", g))
+        for g in masks:
+            count += 1
+            if not nm(a & g, g):
+                return count, (("alpha", a), ("gamma", g)), notes
 
     elif tag == "RW":
-        for a in nonempty:
-            held = _superset_unit(ideals, size, a)
-            if held is not None:
-                count += held
-                continue
-            fam = ideals[a]
-            for b in rel[a]:
-                for b2 in masks:
-                    if b & ~b2:
-                        continue
-                    count += 1
-                    if (a & ~b2) not in fam:
-                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
+        for b in rel[a]:
+            for b2 in masks:
+                if b & ~b2:
+                    continue
+                count += 1
+                if (a & ~b2) not in ideals[a]:
+                    return count, (("alpha", a), ("beta", b), ("beta'", b2)), notes
 
     elif tag == "wOR":
-        for a in nonempty:
-            held = _wor_unit(ideals, size, a)
-            if held is not None:
-                count += held
-                continue
-            for a2 in masks:
-                for b in rel[a]:
-                    if a2 & ~b:
-                        continue
-                    count += 1
-                    if not nm(a | a2, b):
-                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
+        for a2 in masks:
+            for b in rel[a]:
+                if a2 & ~b:
+                    continue
+                count += 1
+                if not nm(a | a2, b):
+                    return count, (("alpha", a), ("alpha'", a2), ("beta", b)), notes
 
     elif tag == "PR'":
-        for a in nonempty:
-            if _grows(ideals, size, a):
-                count += len(ideals[a]) * 3 ** (size - a.bit_count())
+        for a2 in nonempty:
+            if a & ~a2:
                 continue
-            for a2 in nonempty:
-                if a & ~a2:
+            for b in rel[a]:
+                if (a2 & ~a) & ~b:
                     continue
-                for b in rel[a]:
-                    if (a2 & ~a) & ~b:
-                        continue
-                    count += 1
-                    if not nm(a2, b):
-                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
+                count += 1
+                if not nm(a2, b):
+                    return count, (("alpha", a), ("alpha'", a2), ("beta", b)), notes
 
     elif tag == "wCM":
-        for a in nonempty:
-            held = _wcm_unit(ideals, size, a)
-            if held is not None:
-                count += held
+        for a2 in nonempty:
+            if a2 & ~a:
                 continue
-            for a2 in nonempty:
-                if a2 & ~a:
+            for b in rel[a]:
+                if (a & b) & ~a2:
                     continue
-                for b in rel[a]:
-                    if (a & b) & ~a2:
-                        continue
-                    count += 1
-                    if not nm(a2, b):
-                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
+                count += 1
+                if not nm(a2, b):
+                    return count, (("alpha", a), ("alpha'", a2), ("beta", b)), notes
 
     elif tag == "disjOR":
-        down = {p: {d for x in ideals[p] for d in submasks(x)} for p in nonempty}
-        for p in nonempty:
-            for p2 in nonempty:
-                if p & p2:
-                    continue
-                if _joins_small(ideals[p | p2], down[p], down[p2]):
-                    count += _rel_size(ideals, size, p) * _rel_size(ideals, size, p2)
-                    continue
-                for q in rel[p]:
-                    for q2 in rel[p2]:
-                        count += 1
-                        if not nm(p | p2, q | q2):
-                            return count, (("phi", p), ("phi'", p2), ("psi", q), ("psi'", q2))
+        p, p2 = unit
+        for q in rel[p]:
+            for q2 in rel[p2]:
+                count += 1
+                if not nm(p | p2, q | q2):
+                    return count, (("phi", p), ("phi'", p2), ("psi", q), ("psi'", q2)), notes
 
     elif tag == "CP":
-        for p in nonempty:
-            count += 1
-            if p in ideals[p]:
-                return count, (("phi", p),)
+        count += 1
+        if a in ideals[a]:
+            return count, (("phi", a),), notes
 
     elif tag == "AND":
-        _refuse_above_ceiling(r, sum(_rel_size(ideals, size, a) ** n for a in nonempty))
-        for a in nonempty:
-            if a not in _unions(ideals[a], n, a):  # no n small sets of a cover a
-                count += _rel_size(ideals, size, a) ** n
-                continue
-            for combo in product(rel[a], repeat=n):
-                count += 1
-                meet = a
-                for b in combo:
-                    meet &= b
-                if meet == 0:
-                    return count, (("alpha", a), *((f"beta{i+1}", b) for i, b in enumerate(combo)))
+        for combo in product(rel[a], repeat=n):
+            count += 1
+            meet = a
+            for b in combo:
+                meet &= b
+            if meet == 0:
+                betas = ((f"beta{i+1}", b) for i, b in enumerate(combo))
+                return count, (("alpha", a), *betas), notes
 
     elif tag == "AND:omega":
-        for a in nonempty:
-            fam = ideals[a]
-            if _union_closed(fam):  # a − (β ∩ β') = x ∪ y
-                count += _rel_size(ideals, size, a) ** 2
-                continue
-            for b in rel[a]:
-                for b2 in rel[a]:
-                    count += 1
-                    if (a & ~(b & b2)) not in fam:
-                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
+        for b in rel[a]:
+            for b2 in rel[a]:
+                count += 1
+                if (a & ~(b & b2)) not in ideals[a]:
+                    return count, (("alpha", a), ("beta", b), ("beta'", b2)), notes
 
     elif tag == "OR":
-        notes = ("OR:2 and CM:2 name the same rule",) if n == 2 else ()
-        _refuse_above_ceiling(r, len(nonempty) ** (n - 1) * len(masks))
-        bits = _Follows(s)
-        for combo in product(nonempty, repeat=n - 1):
-            union = 0
-            for a in combo:
-                union |= a
-            # Premises and conclusion read β only through t = β ∩ union.
-            if not _jointly_small(ideals, combo, union):
-                if n == 2:  # |rel(α₁)|, without building its bit set
-                    count += _rel_size(ideals, size, union)
-                    continue
-                shared = -1
-                for a in combo:
-                    shared &= bits[a]
-                count += shared.bit_count()
-                continue
-            for b in masks:
-                ok = True
-                for a in combo:
-                    if (a & ~b) not in ideals[a]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+        union = reduce(or_, unit)
+        for b in masks:
+            for x in unit:
+                if (x & ~b) not in ideals[x]:
+                    break
+            else:
                 count += 1
                 if (union & b) in ideals[union]:
-                    alphas = ((f"alpha{i+1}", a) for i, a in enumerate(combo))
+                    alphas = ((f"alpha{i+1}", x) for i, x in enumerate(unit))
                     return count, (*alphas, ("beta", b)), notes
-        return count, None, notes
 
     elif tag == "OR:omega":
-        bits = _Follows(s)
-        for a in nonempty:
-            for a2 in nonempty:
-                shared = bits[a] & bits[a2]
-                if not shared & ~bits[a | a2]:
-                    count += shared.bit_count()
+        for a2 in nonempty:
+            for b in rel[a]:
+                if (a2 & ~b) not in ideals[a2]:
                     continue
-                fam2 = ideals[a2]
-                for b in rel[a]:
-                    if (a2 & ~b) not in fam2:
-                        continue
-                    count += 1
-                    if ((a | a2) & ~b) not in ideals[a | a2]:
-                        return count, (("alpha", a), ("alpha'", a2), ("beta", b))
+                count += 1
+                if ((a | a2) & ~b) not in ideals[a | a2]:
+                    return count, (("alpha", a), ("alpha'", a2), ("beta", b)), notes
 
     elif tag == "CM":
-        notes = ("CM:2 and OR:2 name the same rule",) if n == 2 else ()
-        _refuse_above_ceiling(r, sum(_rel_size(ideals, size, a) ** (n - 1) for a in nonempty))
-        for a in nonempty:
-            covers = _unions(ideals[a], n - 2, a) if n > 2 else (0,)
-            if not _cover_meets_small(ideals, a, covers):
-                count += _rel_size(ideals, size, a) ** (n - 1)
-                continue
-            for combo in product(rel[a], repeat=n - 1):
-                count += 1
-                t = a
-                for b in combo[:-1]:
-                    t &= b
-                if nm(t, full & ~combo[-1]):
-                    betas = ((f"beta{i+1}", b) for i, b in enumerate(combo))
-                    return count, (("alpha", a), *betas), notes
-        return count, None, notes
+        for combo in product(rel[a], repeat=n - 1):
+            count += 1
+            t = a
+            for b in combo[:-1]:
+                t &= b
+            if nm(t, s.universe.full_mask & ~combo[-1]):
+                betas = ((f"beta{i+1}", b) for i, b in enumerate(combo))
+                return count, (("alpha", a), *betas), notes
 
     elif tag == "CM:omega":
-        for a in nonempty:
-            if _cm_omega_holds(ideals, a):
-                count += _rel_size(ideals, size, a) ** 2
-                continue
-            for b in rel[a]:
-                for b2 in rel[a]:
-                    count += 1
-                    if not nm(a & b, b2):
-                        return count, (("alpha", a), ("beta", b), ("beta'", b2))
+        for b in rel[a]:
+            for b2 in rel[a]:
+                count += 1
+                if not nm(a & b, b2):
+                    return count, (("alpha", a), ("beta", b), ("beta'", b2)), notes
 
     elif tag == "RatM":
-        for p in nonempty:
-            held = _ratm_unit(ideals, size, p)
-            if held is not None:
-                count += held
-                continue
-            fam = ideals[p]
-            for q in rel[p]:
-                for q2 in masks:
-                    if (p & q2) in fam:  # p |~ ¬q2: premise p ̸|~ ¬q2 false
-                        continue
-                    count += 1
-                    if not nm(p & q2, q):
-                        return count, (("phi", p), ("psi", q), ("psi'", q2))
+        for q in rel[a]:
+            for q2 in masks:
+                if (a & q2) in ideals[a]:  # φ |~ ¬ψ': premise φ ̸|~ ¬ψ' false
+                    continue
+                count += 1
+                if not nm(a & q2, q):
+                    return count, (("phi", a), ("psi", q), ("psi'", q2)), notes
 
     elif tag == "CUT":
-        for a in nonempty:
-            held = _cut_unit(ideals, size, a)
-            if held is not None:
-                count += held
-                continue
-            fam = ideals[a]
-            for b in rel[a]:
-                for g in rel[a & b]:
-                    count += 1
-                    if (a & ~g) not in fam:
-                        return count, (("alpha", a), ("beta", b), ("gamma", g))
+        for b in rel[a]:
+            for g in rel[a & b]:
+                count += 1
+                if (a & ~g) not in ideals[a]:
+                    return count, (("alpha", a), ("beta", b), ("gamma", g)), notes
 
     elif tag == "CUM":
-        for p in nonempty:
-            if _cum_holds(ideals, p):
-                count += _rel_size(ideals, size, p) << size
-                continue
-            fam = ideals[p]
-            for q in rel[p]:
-                for q2 in masks:
-                    count += 1
-                    if ((p & ~q2) in fam) != nm(p & q, q2):
-                        return count, (("phi", p), ("psi", q), ("psi'", q2))
+        for q in rel[a]:
+            for q2 in masks:
+                count += 1
+                if ((a & ~q2) in ideals[a]) != nm(a & q, q2):
+                    return count, (("phi", a), ("psi", q), ("psi'", q2)), notes
 
     elif tag == "CCL":
-        for a in nonempty:
-            held = _superset_unit(ideals, size, a)
-            if held is not None and _union_closed(ideals[a]):
-                count += _rel_size(ideals, size, a) ** 2 + held
-                continue
-            closed_set = set(rel[a])
-            for b in rel[a]:
-                for b2 in rel[a]:
-                    count += 1
-                    if b & b2 not in closed_set:
-                        witness = (("alpha", a), ("beta", b), ("beta'", b2))
-                        return count, witness, ("consequences not closed under intersection",)
-                for b2 in masks:
-                    if b & ~b2:
-                        continue
-                    count += 1
-                    if b2 not in closed_set:
-                        witness = (("alpha", a), ("beta", b), ("beta'", b2))
-                        return count, witness, ("consequences not closed under superset",)
+        closed_set = set(rel[a])
+        for b in rel[a]:
+            for b2 in rel[a]:
+                count += 1
+                if b & b2 not in closed_set:
+                    witness = (("alpha", a), ("beta", b), ("beta'", b2))
+                    return count, witness, ("consequences not closed under intersection",)
+            for b2 in masks:
+                if b & ~b2:
+                    continue
+                count += 1
+                if b2 not in closed_set:
+                    witness = (("alpha", a), ("beta", b), ("beta'", b2))
+                    return count, witness, ("consequences not closed under superset",)
 
     elif tag == "M+derived":
-        for g in nonempty:
-            held = _m_plus_derived_unit(ideals, size, g)
-            if held is not None:
-                count += held
+        for b in masks:
+            if (a & b) in ideals[a]:  # γ |~ ¬β: premise γ ̸|~ ¬β false
                 continue
-            fam = ideals[g]
-            for b in masks:
-                if (g & b) in fam:  # γ |~ ¬β: premise γ ̸|~ ¬β false
-                    continue
-                for a in rel[g & b]:
-                    count += 1
-                    if (g & a & b) in fam:  # γ |~ ¬(α∧β): conclusion fails
-                        return count, (("gamma", g), ("beta", b), ("alpha", a))
+            for a2 in rel[a & b]:
+                count += 1
+                if (a & a2 & b) in ideals[a]:  # γ |~ ¬(α∧β): conclusion fails
+                    return count, (("gamma", a), ("beta", b), ("alpha", a2)), notes
 
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled rule {r!r}")
-
-    return count, None
+    assert False, f"{r.name} at {unit}: the unit fails its test but no instance fails"

@@ -407,7 +407,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _read_document(path: str) -> tuple[object, str]:
     """The parsed JSON of a document file, and its label: the file's base name."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise MalformedDocument(f"{path}: JSON nested too deeply to read") from None
     return doc, os.path.splitext(os.path.basename(path))[0]
 
 

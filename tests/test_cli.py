@@ -328,6 +328,19 @@ def test_malformed_expect_document_exits_two(tmp_path, capsys, document):
     assert "MalformedDocument" in err and "--expect" in err
 
 
+def test_expect_document_refuses_a_repeated_key(tmp_path, capsys):
+    # --expect is read like a system document, which refuses repeated keys.
+    expect = tmp_path / "expect.json"
+    expect.write_text('{"records": [{"condition": "eMF", "holds": true, "holds": false}]}')
+    code, _, err = run_cli(
+        capsys,
+        "check", "--system", data_path("fact34-1.json"), "--props", "eMF",
+        "--expect", str(expect),
+    )
+    assert code == 2
+    assert 'key "holds" appears twice' in err
+
+
 def test_expect_match_exits_zero(tmp_path, capsys):
     expect = tmp_path / "expect.json"
     expect.write_text(json.dumps({"records": [{"condition": "eMF", "holds": False}]}))
@@ -356,6 +369,30 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "--system"], '{"universe": ' + "[" * 1500 + "]" * 1500 + "}"),
+        (
+            ["rules", "--system", data_path("fact34-1.json"), "--rules", "SC", "--json", "--expect"],
+            "[" * 100_000 + "]" * 100_000,
+        ),
+    ],
+    ids=["system", "expect"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, argv, text):
+    # Exit 1 means a verdict mismatch, so a document too deep for the JSON
+    # reader is refused as malformed, without a traceback.
+    doc = tmp_path / "deep.json"
+    doc.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sizesem.cli", *argv, str(doc)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "MalformedDocument" in proc.stderr and "nested too deeply" in proc.stderr
 
 
 

@@ -4,7 +4,8 @@ from itertools import islice
 
 import pytest
 
-from sizesem.cli import ALL_RULES
+from sizesem import properties, rules
+from sizesem.cli import ALL_PROPS, ALL_RULES
 from sizesem.errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from sizesem.logic import Interpretation, parse_formula
 from sizesem.properties import (
@@ -15,6 +16,7 @@ from sizesem.properties import (
     check_property,
     m_plus_omega,
     n_star_s,
+    parse_property,
 )
 from sizesem.rules import (
     AND_OMEGA,
@@ -30,6 +32,7 @@ from sizesem.rules import (
     SC,
     WCM,
     WOR,
+    RuleId,
     and_n,
     check_rule,
     cm_n,
@@ -70,6 +73,38 @@ def test_rule_names_roundtrip():
         parse_rule("OR:1")
     with pytest.raises(ValueError):
         parse_rule("nope")
+
+
+RULE_NAME_ERRORS = [
+    (RuleId, ("x",), "unknown rule tag 'x'"),
+    (RuleId, ("SC", 1), "SC takes no parameter"),
+    (RuleId, ("AND:omega", 2), "AND:omega takes no parameter"),
+    (RuleId, ("AND",), "AND:n needs n >= 1"),
+    (RuleId, ("CM", 1), "CM:n needs n >= 2"),
+    (parse_rule, ("AND",), "unknown rule name 'AND'"),
+    (parse_rule, ("AND:0",), "AND:n needs n >= 1"),
+    (parse_rule, ("OR:1",), "OR:n needs n >= 2"),
+    (parse_rule, ("SC:1",), "unknown rule name 'SC:1'"),
+    (parse_rule, ("OR:x",), "unknown rule name 'OR:x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    RULE_NAME_ERRORS,
+    ids=[f"{make.__name__}{args!r}" for make, args, _ in RULE_NAME_ERRORS],
+)
+def test_rule_name_errors_are_pinned(make, args, message):
+    with pytest.raises(ValueError) as exc:
+        make(*args)
+    assert str(exc.value) == message
+
+
+def test_every_rule_and_property_row_is_listed():
+    # The reference and holding-count tests iterate cli.ALL_RULES and
+    # cli.ALL_PROPS, so a row missing from those lists would go unchecked.
+    assert {parse_rule(n).tag for n in ALL_RULES} == set(rules._UNITS)
+    assert {parse_property(n).tag for n in ALL_PROPS} == set(properties._SCANS)
 
 
 def test_nm_entails_fact34_1(fact34_1):
