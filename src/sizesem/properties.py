@@ -46,7 +46,7 @@ from typing import Callable
 
 from .errors import DomainNotClosed
 from .report import CheckReport, Witness, guarded_report, scan_report
-from .setcore import Subset, canon_rank, submasks
+from .setcore import Subset, Universe, canon_rank, submasks
 from .sizesys import SizeSystem, _label_key
 
 _PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
@@ -400,6 +400,18 @@ _SCANS = {
     "M+omega": lambda s, v: _VARIANTS["M+omega"][v](s),
     "M++": lambda s, v: _VARIANTS["M++"][v](s),
 }
+
+# The local tags: each scan reads I(X) alone for one base set X at a time, so
+# a system has the property iff every one-base-set system X ↦ I(X) has it.
+LOCAL_TAGS = frozenset({"Opt", "iM", "n*s", "I-omega"})
+
+
+def holds_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> bool:
+    """Whether the local property p holds on the one-base-set system X ↦ fam."""
+    scan = _SCANS[p.tag]
+    s = SizeSystem(u, (x,), {x: fam})
+    return (scan(s) if p.param is None else scan(s, p.param))[1] is None
+
 
 OPT = PropertyId("Opt")
 IM = PropertyId("iM")

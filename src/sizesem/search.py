@@ -28,6 +28,17 @@ the same first failing system with its raw label, and exact counts, also
 when the failure falls inside a class.  The leaders come from one walk that
 prunes block by block (the base sets of one cardinality), after the
 lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
+
+The walk also prunes by the local required properties (Opt, iM, I-omega,
+n*s:k), which hold on a system iff they hold at every base set X on I(X)
+alone.  Each is decided once per base set and family, by its own scan on the
+one-base-set system, and the walk takes only the families that pass; the
+other checks are evaluated on the leaders left.  A local property is
+invariant under relabeling, so the pruned walk yields exactly the leaders
+that have it, with their stabilizers, raw ranks and weights, and the systems
+it drops are those the scan would have left outside.  `canonical_only`
+streams stay unpruned: they label a leader by its position among all
+leaders, which a pruned walk does not know.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
-from .properties import PropertyId, check_property
+from .properties import LOCAL_TAGS, PropertyId, check_property, holds_at
 from .report import CheckReport
 from .rules import RuleId, check_rule
 from .setcore import CAPACITY, Subset, Universe, canon_rank, submasks
@@ -102,6 +113,12 @@ def evaluate_check(s: SizeSystem, c: CheckId) -> CheckReport:
     if isinstance(c, PropertyId):
         return check_property(s, c)
     return check_rule(s, c)
+
+
+def split_local(checks: tuple[CheckId, ...]) -> tuple[tuple[PropertyId, ...], tuple[CheckId, ...]]:
+    """(the local properties among checks, the other checks), each in order."""
+    local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
+    return local, tuple(c for c in checks if c not in local)
 
 
 # --- family enumeration -------------------------------------------------------
@@ -245,23 +262,34 @@ class _SystemSpace:
             t = tables[j][i] = positions[frozenset([image[a] for a in fam])]
         return t
 
-    def leaders(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
+        """Per position, the indices of the families on which every local
+        property holds, each decided once on the one-base-set system."""
+        u = self.universe
+        return [
+            [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in local)]
+            for x, fams in zip(self.domain, self.per_set)
+        ]
+
+    def leaders(self, allowed: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader, i.e.
-        every system no relabeling makes smaller, in raw-stream order.
+        every system no relabeling makes smaller, whose index at each
+        position is in allowed[position] (ascending), in raw-stream order.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
         One whose image is smaller on a block prunes every completion of
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer; once none is
-        left, the rest of the walk is the plain product.
+        left, the rest of the walk is the plain product.  The images are
+        compared whether or not they are allowed, so a leader is yielded
+        with the same stabilizer as in the unpruned walk.
         """
-        ranges = [range(r) for r in self.radices]
         image_index = self._image_index
 
         def walk(b: int, prefix: tuple[int, ...], live: list) -> Iterator:
             if not live:
-                for rest in itertools.product(*ranges[len(prefix):]):
+                for rest in itertools.product(*allowed[len(prefix):]):
                     yield prefix + rest, 1
                 return
             if b == len(self.blocks):
@@ -269,7 +297,7 @@ class _SystemSpace:
                 return
             block = self.blocks[b]
             lo = block.start
-            for part in itertools.product(*ranges[lo : block.stop]):
+            for part in itertools.product(*allowed[lo : block.stop]):
                 kept = []
                 for perm in live:
                     pre = perm[1]
@@ -321,7 +349,8 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
     n = spec.universe_size
     space = _system_space(n, spec.monotone_only, spec.canonical_only)
     if spec.canonical_only:
-        for index, (idx, _) in enumerate(space.leaders()):
+        # Unpruned: the label is the position among all leaders.
+        for index, (idx, _) in enumerate(space.leaders(space.passing(()))):
             yield space.system(idx, f"u{n}#{index}")
         return
     u, domain = space.universe, space.domain
@@ -376,10 +405,19 @@ def first_failure(
 
 
 def scan_classes(
-    sizes: Iterable[int], monotone: bool, evaluate: Callable[[SizeSystem], object]
+    sizes: Iterable[int],
+    monotone: bool,
+    local: tuple[PropertyId, ...],
+    evaluate: Callable[[SizeSystem], object] | None,
 ) -> tuple[int, int, object]:
-    """first_failure over the raw system streams of the given sizes in turn,
-    run on one system per relabeling class.
+    """first_failure over the systems of the given sizes, in turn, that
+    satisfy every local property, run on one system per relabeling class.
+
+    The local properties prune the walk: each is decided once per base set
+    and family (`_SystemSpace.passing`), and the walk takes only the
+    families that pass, so the systems that fail one are neither built nor
+    counted, as if evaluate had returned None on them.  An evaluate of None
+    counts every system left without building one.
 
     Every check is invariant under relabeling the elements, so a class
     leader's verdict is its whole class's, and the leader stands for
@@ -394,11 +432,15 @@ def scan_classes(
     failure or None).
     """
     spaces = [_system_space(n, monotone, False) for n in sizes]
+    allowed = [space.passing(local) for space in spaces]
 
     def stream() -> Iterator[tuple[int, tuple[_SystemSpace, tuple[int, ...]]]]:
-        for space in spaces:
-            for idx, stab in space.leaders():
+        for space, lists in zip(spaces, allowed):
+            for idx, stab in space.leaders(lists):
                 yield space.relabelings // stab, (space, idx)
+
+    if evaluate is None:
+        return sum(weight for weight, _ in stream()), 0, None
 
     def judge(item: tuple[_SystemSpace, tuple[int, ...]]):
         space, idx = item
@@ -430,10 +472,16 @@ def _scan_systems(
 ) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems of the given sizes satisfying the required checks, the first
     of them violating the target with its report, or None).  With
-    canonical_only the scan runs over the spec's own size alone."""
+    canonical_only the scan runs over the spec's own size alone, unpruned;
+    otherwise the local required properties prune the leader walk and only
+    the other checks are evaluated."""
+    if spec.canonical_only:
+        local, rest = (), spec.required
+    else:
+        local, rest = split_local(spec.required)
 
     def evaluate(s: SizeSystem):
-        for c in spec.required:
+        for c in rest:
             if not evaluate_check(s, c).holds:
                 return None
         if spec.target is None:
@@ -445,7 +493,10 @@ def _scan_systems(
         systems = ((1, s) for s in enumerate_systems(spec))
         satisfying, _, failure, _ = first_failure(systems, evaluate)
     else:
-        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, evaluate)
+        some_check = rest or spec.target is not None
+        satisfying, _, failure = scan_classes(
+            sizes, spec.monotone_only, local, evaluate if some_check else None
+        )
     return satisfying, failure
 
 
@@ -514,7 +565,7 @@ def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) ->
         verdicts = [evaluate_check(s, c).holds for c in ids]
         return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
 
-    count, _, failure = scan_classes(sizes, True, evaluate)
+    count, _, failure = scan_classes(sizes, True, (), evaluate)
     report = CheckReport(
         subject=subject,
         condition="agree:" + "=".join(c.name for c in ids),

@@ -317,19 +317,29 @@ def build_mu(
 
 # Shape errors name the offending key and raise MalformedDocument, so a bad
 # file never surfaces as a TypeError and a string is never read as a list of
-# one-letter labels.
+# one-letter labels.  They quote the offending value through _quote, cut to
+# _QUOTE_LIMIT characters, so a huge or deeply nested value cannot flood the
+# error line.
+
+_QUOTE_LIMIT = 60
+
+
+def _quote(value: object) -> str:
+    """repr(value), cut to _QUOTE_LIMIT characters; "…" marks a cut."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 1] + "…"
 
 
 def _labels_at(value: object, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise MalformedDocument(f"{where} must be a list of element labels, got {value!r}")
+        raise MalformedDocument(f"{where} must be a list of element labels, got {_quote(value)}")
     return value
 
 
 def _object_at(doc: Mapping, key: str) -> Mapping:
     value = doc.get(key, {})
     if not isinstance(value, Mapping):
-        raise MalformedDocument(f'"{key}" must be an object, got {value!r}')
+        raise MalformedDocument(f'"{key}" must be an object, got {_quote(value)}')
     return value
 
 
@@ -348,11 +358,11 @@ def _parse_domain(doc: Mapping, u: Universe) -> list[Subset] | None:
     if dom == "full":
         return None
     if not isinstance(dom, list):
-        raise MalformedDocument(f'"domain" must be "full" or a list of subsets, got {dom!r}')
+        raise MalformedDocument(f'"domain" must be "full" or a list of subsets, got {_quote(dom)}')
     members = [u.subset(_labels_at(labels, f'"domain"[{i}]')) for i, labels in enumerate(dom)]
     for i, x in enumerate(members):
         if x in members[:i]:
-            raise MalformedDocument(f'"domain"[{i}] repeats "domain"[{members.index(x)}]: {dom[i]!r}')
+            raise MalformedDocument(f'"domain"[{i}] repeats "domain"[{members.index(x)}]: {_quote(dom[i])}')
     return members
 
 
@@ -378,7 +388,7 @@ def system_from_dict(doc: Mapping, label: str = "system") -> SizeSystem:
     for base, key, families in _keyed_sets(u, doc, "ideals"):
         where = f'"ideals"["{key}"]'
         if not isinstance(families, list):
-            raise MalformedDocument(f"{where} must be a list of subsets, got {families!r}")
+            raise MalformedDocument(f"{where} must be a list of subsets, got {_quote(families)}")
         ideals[base] = [
             u.subset(_labels_at(labels, f"{where}[{i}]")) for i, labels in enumerate(families)
         ]

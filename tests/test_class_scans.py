@@ -19,7 +19,19 @@ from sizesem.preferential import (
     check_mu_rule,
     verify_correspondence_forward,
 )
-from sizesem.properties import EMF, EMI, IOMEGA, OPT, check_property, m_plus_plus, parse_property
+from sizesem.properties import (
+    EMF,
+    EMI,
+    IM,
+    IOMEGA,
+    LOCAL_TAGS,
+    OPT,
+    check_property,
+    holds_at,
+    m_plus_plus,
+    n_star_s,
+    parse_property,
+)
 from sizesem.rules import CM_OMEGA, parse_rule
 from sizesem.search import (
     SearchSpec,
@@ -34,6 +46,7 @@ from sizesem.sizesys import principal_mu
 
 PROPS = [parse_property(n) for n in ALL_PROPS]
 CHECKS = PROPS + [parse_rule(n) for n in ALL_RULES]
+LOCAL_PROPS = [OPT, IM, IOMEGA] + [n_star_s(k) for k in (1, 2, 3, 4)]
 
 
 class Verdicts(dict):
@@ -112,6 +125,9 @@ def test_implication_tallies_match_the_raw_stream_at_size_3():
         ((EMF,), parse_property("1*s")),  # u3#2375, 622 checked
         ((CM_OMEGA,), parse_property("n*s:3")),  # u3#2375, 127 checked
         ((parse_rule("wOR"),), parse_rule("disjOR")),  # u3#3083, 1 046 checked
+        # A local required check prunes the leader walk.
+        ((IOMEGA, EMF), parse_property("n*s:2")),  # u3#2375, 118 checked
+        ((parse_property("n*s:3"), m_plus_plus(1)), parse_rule("CUM")),  # u3#590, 19 checked
     ]
     mismatches, failures = implication_mismatches(3, True, pairs)
     assert mismatches == []
@@ -187,6 +203,31 @@ def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left
     assert rep.witness["violation"]["subject"] == failing.label
 
 
+def local_split_mismatches(systems):
+    """(system, property) where a local property's verdict is not the
+    conjunction of its verdicts on the one-base-set systems."""
+    mismatches = []
+    for s in systems:
+        for p in LOCAL_PROPS:
+            per_family = all(holds_at(s.universe, x, s.ideals[x], p) for x in s.domain_masks)
+            if check_property(s, p).holds != per_family:
+                mismatches.append((s.label, p.name))
+    return mismatches
+
+
+def test_local_properties_split_by_base_set():
+    assert {p.tag for p in LOCAL_PROPS} == LOCAL_TAGS
+    systems = [
+        s
+        for n in (1, 2)
+        for monotone in (True, False)
+        for s in enumerate_systems(SearchSpec(n, mode="count", monotone_only=monotone))
+    ]
+    systems += enumerate_systems(SearchSpec(3, mode="count", canonical_only=True))
+    assert len(systems) == 2 + 2 + 20 + 32 + 3_450
+    assert local_split_mismatches(systems) == []
+
+
 @pytest.mark.parametrize(
     "monotone,raw,classes",
     [(True, (2, 20, 19_000), (2, 13, 3_450)), (False, (2, 32, 524_288), (2, 20, 89_472))],
@@ -195,7 +236,7 @@ def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left
 def test_class_sizes_sum_to_the_raw_stream(monotone, raw, classes):
     for n, raw_count, class_count in zip((1, 2, 3), raw, classes):
         space = _SystemSpace(n, monotone)
-        sizes = [space.relabelings // stab for _, stab in space.leaders()]
+        sizes = [space.relabelings // stab for _, stab in space.leaders(space.passing(()))]
         assert (sum(sizes), len(sizes)) == (raw_count, class_count)
         spec = SearchSpec(n, mode="count", monotone_only=monotone, canonical_only=True)
         assert sum(1 for _ in enumerate_systems(spec)) == class_count
@@ -209,7 +250,7 @@ def test_leaders_carry_their_raw_rank_and_class(monotone):
     swap = {0: 0, 1: 2, 2: 1, 3: 3}
     space = _SystemSpace(2, monotone)
     last = tuple(r - 1 for r in space.radices)
-    for idx, stab in space.leaders():
+    for idx, stab in space.leaders(space.passing(())):
         leader = raw[space.rank(idx)]
         assert space.system(idx, leader.label).to_dict() == leader.to_dict()
         mirror = {swap[x]: frozenset(swap[a] for a in fam) for x, fam in leader.ideals.items()}

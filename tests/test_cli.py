@@ -395,6 +395,33 @@ def test_deeply_nested_json_exits_two(tmp_path, argv, text):
     assert "MalformedDocument" in proc.stderr and "nested too deeply" in proc.stderr
 
 
+def test_malformed_value_is_quoted_short(tmp_path):
+    # A value deep enough to print thousands of brackets, but shallow enough
+    # to parse, is quoted cut short.
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"universe": ' + "[" * 900 + "]" * 900 + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sizesem.cli", "validate", "--system", str(doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith('MalformedDocument: "universe" must be a list of element labels')
+    assert line.endswith("…") and len(line) < 200
+
+
+def test_search_counts_non_monotone_opt_systems(capsys):
+    # Opt holds on every family with ∅: all 2³ · 8³ · 128 raw systems at |U| = 3.
+    code, out, _ = run_cli(
+        capsys, "search", "--size", "3", "--mode", "count", "--required", "Opt",
+        "--no-monotone", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["records"][0]["instances_checked"] == 524_288
+
+
 
 @pytest.mark.parametrize(
     "argv, doc, errors",

@@ -157,11 +157,23 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "required,counts", [((EMI,), (13, 2171)), ((EMI, IOMEGA), (9, 216))]
+    "required,monotone,counts",
+    [
+        ((EMI,), True, (13, 2171)),
+        ((EMI, IOMEGA), True, (9, 216)),
+        # Local checks alone: the pruned walk counts without building a system.
+        ((IOMEGA,), True, (16, 4096)),
+        ((OPT,), False, (32, 524_288)),
+        ((n_star_s(3),), True, (3, 270)),
+    ],
+    # The ids of the first two rows predate the monotone column.
+    ids=[f"required{i}-counts{i}" for i in range(5)],
 )
-def test_count_systems_pinned(required, counts):
+def test_count_systems_pinned(required, monotone, counts):
     got = tuple(
-        count_systems(SearchSpec(n, required=required, mode="count")).instances_checked
+        count_systems(
+            SearchSpec(n, required=required, mode="count", monotone_only=monotone)
+        ).instances_checked
         for n in (2, 3)
     )
     assert got == counts
@@ -370,8 +382,8 @@ def test_count_mode():
     assert 0 < rep.instances_checked <= 20
 
 
-def test_parallel_scan_is_deterministic():
-    # Two runs of the same scans give the same bytes.
+def test_repeated_scans_are_deterministic():
+    # Two runs of the same scans give the same bytes, a pruned scan included.
     spec = SearchSpec(
         3,
         required=(OPT, IM, EMI, IOMEGA),
@@ -383,6 +395,10 @@ def test_parallel_scan_is_deterministic():
     assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
     reps = [verify_implication_upto((n_star_s(3), EMI), m_plus_n(3), 2) for _ in range(2)]
+    assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
+
+    reps = [verify_implication_upto((IOMEGA, EMI), OR_OMEGA, 3) for _ in range(2)]
+    assert reps[0].holds
     assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
 
 
