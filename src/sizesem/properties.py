@@ -23,9 +23,13 @@ whether or not those subsets are themselves in 𝒴).  The checkable vocabulary:
     M++:3          A ∈ M+(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
 
 where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
-Nine of these relate a set's size class in two base sets; each is one row
-of one of two scan factories: `_nested_scan` (eMI, eMF, M+omega:1–3, M++:3)
-and `_carrier_scan` (M+omega:4, M++:1–2).
+Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
+decides every base set X from I(X) alone by one test, ∅ ∈ I(X) or one of
+`setcore.down_closed`, `union_closed` and `unions`.  The rules, the pruned
+search walk and fact-3.3 read the same rows or tests.  Nine properties
+relate a set's size class in two base sets; each is one row of one of two
+scan factories: `_nested_scan` (eMI, eMF, M+omega:1–3, M++:3) and
+`_carrier_scan` (M+omega:4, M++:1–2).
 
 A failed check reports the canonically first violating instantiation (subset
 order: ascending cardinality, then bit value; tuples ordered lexicographically
@@ -46,7 +50,7 @@ from typing import Callable
 
 from .errors import DomainNotClosed
 from .report import CheckReport, Witness, guarded_report, scan_report
-from .setcore import Subset, Universe, canon_rank, submasks
+from .setcore import Subset, Universe, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, _label_key
 
 _PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
@@ -124,63 +128,6 @@ def _rank_key(s: SizeSystem):
     return canon_rank(s.universe.size).__getitem__
 
 
-def _cover_reach(family: list[int], limit: int) -> list[set[int]]:
-    """reach[k] = unions achievable from at most k family members."""
-    reach = [{0}]
-    cur = {0}
-    for _ in range(limit):
-        nxt = set(cur)
-        for r in cur:
-            for a in family:
-                nxt.add(r | a)
-        reach.append(nxt)
-        cur = nxt
-    return reach
-
-
-def _first_cover(x: int, family: list[int], n: int, reach: list[set[int]]) -> list[int]:
-    """Lexicographically first n-tuple from `family` whose union is x."""
-    picks: list[int] = []
-    cur = 0
-    for i in range(n):
-        left = n - i - 1
-        for a in family:
-            need = x & ~(cur | a)
-            if any(u & need == need for u in reach[left]):
-                picks.append(a)
-                cur |= a
-                break
-        else:  # pragma: no cover - guarded by the reach test before calling
-            raise AssertionError("cover reconstruction failed")
-    return picks
-
-
-def _check_opt(s: SizeSystem) -> tuple[int, Witness]:
-    count = 0
-    for x in s.domain_masks:
-        count += 1
-        if 0 not in s.ideals[x]:
-            return count, (("X", x),)
-    return count, None
-
-
-def _check_im(s: SizeSystem) -> tuple[int, Witness]:
-    count = 0
-    for x in s.domain_masks:
-        fam = s.ideals[x]
-        subs = submasks(x)
-        for a in subs:
-            if a in fam:
-                continue
-            for b in subs:
-                if a & ~b:
-                    continue
-                count += 1
-                if b in fam:
-                    return count, (("X", x), ("A", a), ("B", b))
-    return count, None
-
-
 def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple[int, Witness]:
     count = 0
     dom = s.domain_masks
@@ -208,63 +155,106 @@ def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple[int, Witness]:
     return count, None
 
 
-def _check_n_star_s(s: SizeSystem, n: int) -> tuple[int, Witness]:
-    count = 0
-    key = _rank_key(s)
-    for x in s.domain_masks:
-        fam = sorted(s.ideals[x], key=key)
-        if not fam:
-            continue
-        reach = _cover_reach(fam, n)
-        count += len(fam) ** n
-        if x in reach[n]:
-            picks = _first_cover(x, fam, n, reach)
-            return count, (("X", x), *((f"A{i+1}", a) for i, a in enumerate(picks)))
-    return count, None
-
-
-def _check_iomega(s: SizeSystem) -> tuple[int, Witness]:
-    count = 0
-    key = _rank_key(s)
-    for x in s.domain_masks:
-        fam = s.ideals[x]
-        fam_sorted = sorted(fam, key=key)
-        for a in fam_sorted:
-            for b in fam_sorted:
-                count += 1
-                if (a | b) not in fam:
-                    return count, (("X", x), ("A", a), ("B", b))
-    return count, None
-
-
 def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
     count = 0
     dom = s.domain_masks
     ideals = s.ideals
-
-    def extend(chain: list[int]) -> bool:
-        """Depth-first over chains; True, with `chain` the violation, if found."""
-        nonlocal count
-        if len(chain) == n:
-            count += 1
-            return chain[0] in ideals[chain[-1]]
-        last = chain[-1]
-        for nxt in dom:
-            if last & ~nxt:
-                continue
-            if (nxt & ~last) not in ideals[nxt]:
-                continue
-            chain.append(nxt)
-            if extend(chain):
-                return True
-            chain.pop()
-        return False
-
-    for first in dom:
-        chain = [first]
-        if extend(chain):
+    links: dict[int, list[int]] = {}  # X ↦ the Y that may follow X in a chain
+    chain: list[int] = []
+    todo = [iter(dom)]  # per chain length, the sets left to try next
+    while todo:
+        x = next(todo[-1], None)
+        if x is None:  # none left: back up one link
+            todo.pop()
+            del chain[-1:]
+            continue
+        chain.append(x)
+        if len(chain) < n:
+            if x not in links:
+                links[x] = [y for y in dom if not x & ~y and (y & ~x) in ideals[y]]
+            todo.append(iter(links[x]))
+            continue
+        count += 1
+        if chain[0] in ideals[x]:
             return count, tuple((f"X{i+1}", x) for i, x in enumerate(chain))
+        chain.pop()
     return count, None
+
+
+# --- local properties: one row per base set -----------------------------------
+#
+# A row at(X, I(X), key[, k]) returns (the instances at X, the witness after
+# X, or None), with key the canonical sort key.  Where its test holds, X's
+# count comes in closed form; only a failing X is walked, in canonical order.
+
+
+def _opt_at(x: int, fam, key) -> tuple[int, Witness]:
+    """Opt at X: one instance, failing iff ∅ ∉ I(X)."""
+    return 1, None if 0 in fam else ()
+
+
+def _im_at(x: int, fam, key) -> tuple[int, Witness]:
+    """iM at X: instances (A, B), A ∉ I(X) and A ⊆ B ⊆ X, so 2^|X−A| per A."""
+    subs = submasks(x)
+    if down_closed(fam):
+        return sum(1 << (x & ~a).bit_count() for a in subs if a not in fam), None
+    count = 0
+    for a in subs:
+        if a in fam:
+            continue
+        for b in subs:
+            if a & ~b:
+                continue
+            count += 1
+            if b in fam:
+                return count, (("A", a), ("B", b))
+
+
+def _iomega_at(x: int, fam, key) -> tuple[int, Witness]:
+    """I-omega at X: instances (A, B), A and B in I(X)."""
+    if union_closed(fam):
+        return len(fam) ** 2, None
+    members = sorted(fam, key=key)
+    count = 0
+    for a in members:
+        for b in members:
+            count += 1
+            if a | b not in fam:
+                return count, (("A", a), ("B", b))
+
+
+def _cover_at(x: int, fam, key, n: int) -> tuple[int, Witness]:
+    """n*s:n at X: instances the n-tuples over I(X), failing where they cover
+    X.  The first such tuple takes, at each place, the first member that the
+    places left can complete to a cover."""
+    if x not in unions(fam, n, x):
+        return len(fam) ** n, None
+    members = sorted(fam, key=key)
+    picks, cur = [], 0
+    for left in range(n - 1, -1, -1):
+        reach = unions(fam, left, x) | {0} if left else {0}  # unions of ≤ left members
+        a = next(a for a in members if any(not x & ~(cur | a | u) for u in reach))
+        picks.append(a)
+        cur |= a
+    return len(fam) ** n, tuple((f"A{i+1}", a) for i, a in enumerate(picks))
+
+
+def _local_scan(at) -> Scan:
+    """The scan of a local property: its row at each X in domain order, the
+    counts added up to the first X with a witness."""
+
+    def scan(s: SizeSystem, *param: int) -> tuple[int, Witness]:
+        ideals = s.ideals
+        key = _rank_key(s)
+        count = 0
+        for x in s.domain_masks:
+            held, rest = at(x, ideals[x], key, *param)
+            count += held
+            if rest is not None:
+                return count, (("X", x), *rest)
+        return count, None
+
+    return scan
 
 
 # --- two-level properties: size classes and two scan factories ---------------
@@ -385,32 +375,34 @@ _VARIANTS = {
     },
 }
 
+_LOCAL = {"Opt": _opt_at, "iM": _im_at, "n*s": _cover_at, "I-omega": _iomega_at}
+
 # The property vocabulary: each tag's scan returns (instances_checked, witness).
 # Parameterised tags take the PropertyId's parameter as a second argument.
 _SCANS = {
-    "Opt": _check_opt,
-    "iM": _check_im,
+    **{tag: _local_scan(at) for tag, at in _LOCAL.items()},
     "eMI": _nested_scan(None, "XY", _SMALL, _SMALL),  # X ≠ Y, A ∈ I(X) ⇒ A ∈ I(Y)
     "eMF": _nested_scan(None, "YX", _BIG, _BIG),  # X ≠ Y, A ∈ F(Y) ⇒ A ∈ F(X)
     "I-union-disj": partial(_check_union_disj, on_filters=False),
     "F-union-disj": partial(_check_union_disj, on_filters=True),
-    "n*s": _check_n_star_s,
-    "I-omega": _check_iomega,
     "M+n": _check_m_plus_n,
     "M+omega": lambda s, v: _VARIANTS["M+omega"][v](s),
     "M++": lambda s, v: _VARIANTS["M++"][v](s),
 }
 
-# The local tags: each scan reads I(X) alone for one base set X at a time, so
-# a system has the property iff every one-base-set system X ↦ I(X) has it.
-LOCAL_TAGS = frozenset({"Opt", "iM", "n*s", "I-omega"})
+# The local tags: a system has the property iff its row holds at every X.
+LOCAL_TAGS = frozenset(_LOCAL)
+
+
+def row_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> tuple[int, Witness]:
+    """The row of the local property p at the base set X, on I(X) = fam alone."""
+    at, key = _LOCAL[p.tag], canon_rank(u.size).__getitem__
+    return at(x, fam, key) if p.param is None else at(x, fam, key, p.param)
 
 
 def holds_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> bool:
-    """Whether the local property p holds on the one-base-set system X ↦ fam."""
-    scan = _SCANS[p.tag]
-    s = SizeSystem(u, (x,), {x: fam})
-    return (scan(s) if p.param is None else scan(s, p.param))[1] is None
+    """Whether the local property p holds at the base set X on I(X) = fam."""
+    return row_at(u, x, fam, p)[1] is None
 
 
 OPT = PropertyId("Opt")

@@ -89,10 +89,12 @@ premise:
 with a the unit's antecedent (φ or γ where the rule names it so),
 |rel(a)| = |I(a)|·2ᵏ and |rel(∅)| = 2^|U|; OR:n and OR:omega count rel sets
 as bit sets (`_Follows`).  Members of I(a) are subsets of a, as `build`
-ensures.  `_UNITS` maps each rule tag to its unit test, and `_scan_rule` runs
-every rule through one loop: it adds each unit's count until the first unit
-whose test returns None, then walks that unit alone, instance by instance.
-So counts, witnesses and notes are those of a walk over every instance.
+ensures.  RW, AND:omega, AND:n, CM:n and CCL read the tests of the local
+size properties: `setcore.down_closed`, `union_closed` and `unions`.
+`_UNITS` maps each rule tag to its unit test, and `_scan_rule` runs every
+rule through one loop: it adds each unit's count until the first unit whose
+test returns None, then walks that unit alone, instance by instance.  So
+counts, witnesses and notes are those of a walk over every instance.
 
 An n-ary rule whose scan would exceed RULE_SCAN_CEILING instances — Σₐ |rel(a)|ⁿ
 for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
@@ -109,7 +111,7 @@ from operator import or_
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
 from .report import CheckReport, scan_report
-from .setcore import Subset, submasks
+from .setcore import Subset, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, full_domain_masks
 
 _PARAM_RULES = {"AND": 1, "OR": 2, "CM": 2}  # minimal n per family
@@ -261,20 +263,6 @@ class _Follows(dict):
         return out
 
 
-def _unions(fam: frozenset[int], j: int, stop: int) -> set[int]:
-    """The unions of j members of fam, repeats allowed, so of 1 to j distinct
-    ones; cut short once stop is among them."""
-    reach = set(fam)
-    for _ in range(j - 1):
-        if stop in reach:
-            break
-        grown = {x | y for x in reach for y in fam}  # ⊇ reach: x | x = x
-        if len(grown) == len(reach):
-            break
-        reach = grown
-    return reach
-
-
 def _grows(ideals, size: int, a: int) -> bool:
     """wOR and PR': the small sets that fail are x ∈ I(a) outside I(a ∪ d)."""
     fam = ideals[a]
@@ -299,13 +287,8 @@ def _superset_unit(ideals, size: int, a: int) -> int | None:
     """RW and CCL's ⊇ half: a − β' ⊆ a − β = x for β ⊆ β', so no instance
     fails iff I(a) is down-closed; β has 2^(|U|−|β|) supersets."""
     fam = ideals[a]
-    for x in fam:  # one element off at a time
-        rest = x
-        while rest:
-            low = rest & -rest
-            if x ^ low not in fam:
-                return None
-            rest ^= low
+    if not down_closed(fam):
+        return None
     return 3 ** (size - a.bit_count()) * sum(1 << x.bit_count() for x in fam)
 
 
@@ -353,7 +336,7 @@ def _cp_unit(ideals, size: int, p: int) -> int | None:
 
 def _and_unit(ideals, size: int, n: int, a: int) -> int | None:
     """AND:n at a: a ∩ β₁ ∩ … ∩ βₙ = ∅ iff the sets a − βᵢ ∈ I(a) cover a."""
-    if a in _unions(ideals[a], n, a):
+    if a in unions(ideals[a], n, a):
         return None
     return _rel_size(ideals, size, a) ** n
 
@@ -361,12 +344,7 @@ def _and_unit(ideals, size: int, n: int, a: int) -> int | None:
 def _and_omega_unit(ideals, size: int, a: int) -> int | None:
     """AND:omega at a: a − (β ∩ β') = x ∪ y for x, y ∈ I(a), so I(a) must be
     closed under ∪."""
-    fam = ideals[a]
-    for x in fam:
-        for y in fam:
-            if x | y not in fam:
-                return None
-    return _rel_size(ideals, size, a) ** 2
+    return _rel_size(ideals, size, a) ** 2 if union_closed(ideals[a]) else None
 
 
 def _or_unit(ideals, size: int, bits, combo: tuple[int, ...]) -> int | None:
@@ -406,7 +384,7 @@ def _cm_unit(ideals, size: int, n: int, a: int) -> int | None:
     """CM:n at a: an instance fails iff some t = a − v, v a union of n − 2
     members of I(a), is ∅ or has t − x ∈ I(t) for an x ∈ I(a)."""
     fam = ideals[a]
-    for v in _unions(fam, n - 2, a) if n > 2 else (0,):
+    for v in unions(fam, n - 2, a) if n > 2 else (0,):
         t = a & ~v
         if t == 0:
             return None

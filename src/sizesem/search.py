@@ -31,14 +31,14 @@ lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
 The walk also prunes by the local required properties (Opt, iM, I-omega,
 n*s:k), which hold on a system iff they hold at every base set X on I(X)
-alone.  Each is decided once per base set and family, by its own scan on the
-one-base-set system, and the walk takes only the families that pass; the
-other checks are evaluated on the leaders left.  A local property is
-invariant under relabeling, so the pruned walk yields exactly the leaders
-that have it, with their stabilizers, raw ranks and weights, and the systems
-it drops are those the scan would have left outside.  `canonical_only`
-streams stay unpruned: they label a leader by its position among all
-leaders, which a pruned walk does not know.
+alone.  Each is decided once per base set and family, by its row at that
+base set (`properties.holds_at`), so no system is built, and the walk takes
+only the families that pass; the other checks are evaluated on the leaders
+left.  A local property is invariant under relabeling, so the pruned walk
+yields exactly the leaders that have it, with their stabilizers, raw ranks
+and weights, and the systems it drops are those the scan would have left
+outside.  `canonical_only` streams stay unpruned: they label a leader by its
+position among all leaders, which a pruned walk does not know.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
-from .properties import LOCAL_TAGS, PropertyId, check_property, holds_at
+from .properties import IOMEGA, LOCAL_TAGS, PropertyId, check_property, holds_at, row_at
 from .report import CheckReport
 from .rules import RuleId, check_rule
 from .setcore import CAPACITY, Subset, Universe, canon_rank, submasks
@@ -264,7 +264,7 @@ class _SystemSpace:
 
     def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
         """Per position, the indices of the families on which every local
-        property holds, each decided once on the one-base-set system."""
+        property holds at that position's base set."""
         u = self.universe
         return [
             [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in local)]
@@ -617,35 +617,26 @@ def verify_two_s_breakdown(
     covers any Z ⊆ X with Z not small.  That is what this scans, for every
     base-set size up to max_universe (a larger X restricts to this case).
 
-    The scan cannot fail: if I(X) is not union-closed, A, B ∈ I(X) with
-    A ∪ B ∉ I(X) make Z = A ∪ B a carrier that is not small and is covered
-    by a pairwise union.  Up to size 4 the premise fires on 30 356 of 32 906
-    families, 14 132 decided by X ∈ I(X) and 16 224 by such a union.
+    The premise is that I(X) is not union-closed, as the I-omega row at X
+    (`properties.row_at`) decides by `setcore.union_closed`.  Where it fires,
+    the row gives the first A, B ∈ I(X) with A ∪ B ∉ I(X), and the family is
+    checked on them: Z = A ∪ B is a carrier that is not small and is covered
+    by the pairwise union A ∪ B.  So the scan cannot fail.  Up to size 4 the
+    premise fires on 30 356 of 32 906 families.
     """
     universes = (Universe(_letters(n)) for n in sizes_upto(max_universe))
     candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))
 
     def eval_family(args: tuple[Universe, frozenset[int]]):
         u, fam = args
-        x = u.full_mask
-        key = canon_rank(u.size).__getitem__
-        members = sorted(fam, key=key, reverse=True)
-        broken = next(
-            ((a, b) for i, a in enumerate(members) for b in members[i:] if (a | b) not in fam),
-            None,
-        )
-        if broken is None:
+        gap = row_at(u, u.full_mask, fam, IOMEGA)[1]
+        if gap is None:
             return None  # union-closed: premise not triggered
-        if x in fam:
-            return True  # X small in itself: X = X ∪ X fails 2*s
-        covers2 = {a | b for a in fam for b in fam}
-        big_covers = sorted(covers2, key=key, reverse=True)
-        for z in submasks(x):
-            if z == 0 or z in fam:
-                continue  # only carriers Z with Z not small are constrained
-            if any(z & ~c == 0 for c in big_covers):
-                return True  # some Y fails 2*s, as claimed
-        return u, fam, broken
+        (_, a), (_, b) = gap
+        z = a | b
+        if z not in fam and not z & ~(a | b):
+            return True  # the carrier Z = A ∪ B is not small, and A ∪ B covers it
+        return u, fam, (a, b)
 
     checked, _, failure, _ = first_failure(candidates, eval_family)
     witness = None

@@ -10,7 +10,9 @@ module fixes the two conventions the rest of the package relies on:
   workbench means first in this order, which keeps reports reproducible.
 
 Values are immutable; operations on subsets of different universes raise
-WidthMismatch instead of coercing.
+WidthMismatch instead of coercing.  `down_closed`, `union_closed` and
+`unions` test a family of masks; the local size properties and the rules
+decide a base set or antecedent by them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,42 @@ def submasks(mask: int) -> tuple[int, ...]:
         out.sort(key=canon_key)
         subs = _SUBMASKS[mask] = tuple(out)
     return subs
+
+
+def down_closed(fam) -> bool:
+    """Whether every subset of a member of fam is a member, checked one
+    element off at a time."""
+    for x in fam:
+        rest = x
+        while rest:
+            low = rest & -rest
+            if x ^ low not in fam:
+                return False
+            rest ^= low
+    return True
+
+
+def union_closed(fam) -> bool:
+    """Whether the union of any two members of fam is a member."""
+    for x in fam:
+        for y in fam:
+            if x | y not in fam:
+                return False
+    return True
+
+
+def unions(fam, j: int, stop: int) -> set[int]:
+    """The unions of j members of fam, repeats allowed, so of 1 to j distinct
+    ones; cut short once stop is among them."""
+    reach = set(fam)
+    for _ in range(j - 1):
+        if stop in reach:
+            break
+        grown = {x | y for x in reach for y in fam}  # ⊇ reach: x | x = x
+        if len(grown) == len(reach):
+            break
+        reach = grown
+    return reach
 
 
 class Universe:

@@ -371,6 +371,20 @@ def test_console_entry_point_runs():
     assert "PASS" in proc.stdout
 
 
+def test_a_long_m_plus_n_chain_runs_clean():
+    # Each of the chains that M+n:3000 walks is 3 000 sets long.
+    proc = subprocess.run(
+        [sys.executable, "-m", "sizesem.cli", "check", "--system", data_path("fact34-1.json"),
+         "--props", "M+n:3000", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [record] = json.loads(proc.stdout)["records"]
+    assert (record["holds"], record["instances_checked"]) == (True, 9004)
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -45,6 +45,7 @@ from sizesem.rules import (
 from sizesem.search import SearchSpec, enumerate_systems
 from sizesem.setcore import Universe
 from sizesem.sizesys import MuFunction, SizeSystem, build, from_mu
+from test_rule_reference import canonical_u3, every_small_system
 
 
 def all_trivial(n):
@@ -286,6 +287,31 @@ def test_ccl_iff_monotone_union_closed():
 def test_and2_iff_two_star_s():
     for s in _correspondence_systems():
         assert check_rule(s, and_n(2)).holds == check_property(s, n_star_s(2)).holds
+
+
+def test_rules_agree_with_their_local_size_properties():
+    # Each rule below is decided at an antecedent a by the local size
+    # property's test at the base set a, so on a full domain the two give one
+    # verdict; ideals without ∅ and empty ones included at |U| ≤ 2.
+    pairs = [
+        ([RW], [IM]),
+        ([AND_OMEGA], [IOMEGA]),
+        ([SC], [OPT]),
+        ([CP, and_n(1)], [n_star_s(1)]),
+        ([and_n(2)], [n_star_s(2)]),
+        ([and_n(3)], [n_star_s(3)]),
+        ([CCL], [IM, IOMEGA]),
+    ]
+    systems = failing = 0
+    for s in chain(every_small_system(), canonical_u3()):
+        systems += 1
+        for rs, ps in pairs:
+            verdicts = {check_rule(s, r).holds for r in rs}
+            verdicts.add(all(check_property(s, p).holds for p in ps))
+            assert len(verdicts) == 1, (s.label, rs[0].name)
+            failing += not verdicts.pop()
+    assert systems == 260 + 3_450
+    assert failing > 0
 
 
 def test_disj_or_iff_filter_union_over_monotone_space():

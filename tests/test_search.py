@@ -430,15 +430,18 @@ def test_two_s_breakdown_fires_on_every_family_not_closed_under_union():
     # Z = A ∪ B a carrier that is not small and is covered by a pairwise
     # union, so the claim holds on every family the premise fires on: the
     # count is that of the families with ∅ that are not union-closed.
+    # Pinned at every max up to 4; each count runs over the sizes 1..max.
     not_closed = 0
+    counts = []
     for n in (1, 2, 3, 4):
         others = range(1, 1 << n)
         for bits in range(1 << len(others)):
             fam = {0, *(m for i, m in enumerate(others) if bits >> i & 1)}
             not_closed += any((a | b) not in fam for a in fam for b in fam)
-    assert not_closed == 30356
-    rep = verify_two_s_breakdown(4)
-    assert rep.holds and rep.instances_checked == not_closed
+        rep = verify_two_s_breakdown(n)
+        assert rep.holds and rep.instances_checked == not_closed
+        counts.append(not_closed)
+    assert counts == [0, 1, 68, 30356]
 
 
 def test_two_s_breakdown_matches_whole_system_scan_at_size_2():
