@@ -54,7 +54,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, first_failure, scan_classes, sizes_upto, split_local
+from .search import _letters, first_failure, scan_classes, sizes_upto, split_prunable
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -353,7 +353,7 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
         raise ValueError("row must be 1..10")
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
-    local, rest = split_local(ROW_LEFT[row])
+    prunable, rest = split_prunable(ROW_LEFT[row])
     mu_rule = ROW_MU[row]
 
     def evaluate(s: SizeSystem):
@@ -370,7 +370,7 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
         rep = check_mu_rule(mu, mu_rule)
         return True if rep.holds else (s, mu, rep)
 
-    checked, skipped, failure = scan_classes(sizes, True, local, evaluate)
+    checked, skipped, failure = scan_classes(sizes, True, prunable, evaluate)
     witness = None
     if failure is not None:
         s, mu, rep = failure

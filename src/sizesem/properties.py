@@ -26,10 +26,15 @@ where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
 Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
 decides every base set X from I(X) alone by one test, ∅ ∈ I(X) or one of
 `setcore.down_closed`, `union_closed` and `unions`.  The rules, the pruned
-search walk and fact-3.3 read the same rows or tests.  Nine properties
-relate a set's size class in two base sets; each is one row of one of two
-scan factories: `_nested_scan` (eMI, eMF, M+omega:1–3, M++:3) and
-`_carrier_scan` (M+omega:4, M++:1–2).
+search walk and fact-3.3 read the same rows or tests.  Eleven properties
+relate two base sets; each is a row of one of three factories:
+`_nested_row` (eMI, eMF, M+omega:1–3, M++:3), `_carrier_row` (M+omega:4,
+M++:1–2) and `_union_row` (I-union-disj, F-union-disj).  Every instance of
+such a row reads I(Y) of one base set Y and the ideals of subsets of Y
+alone: the larger set of a nested pair, the base of the carriers X − B, or
+the union X ∪ Y.  So the row holds iff it holds below every Y
+(`holds_below`), which is what the pruned search walk reads.  M+n reads a
+chain of sets and is decided per first set X1.
 
 A failed check reports the canonically first violating instantiation (subset
 order: ascending cardinality, then bit value; tuples ordered lexicographically
@@ -45,7 +50,8 @@ from the domain raises DomainNotClosed instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 from .errors import DomainNotClosed
@@ -128,56 +134,71 @@ def _rank_key(s: SizeSystem):
     return canon_rank(s.universe.size).__getitem__
 
 
-def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
-    key = _rank_key(s)
-    if on_filters:
-        members = {x: sorted([x & ~a for a in fam], key=key) for x, fam in s.ideals.items()}
-    else:
-        members = {x: sorted(fam, key=key) for x, fam in s.ideals.items()}
-    for x in dom:
-        if not s.ideals[x]:
-            continue
-        for y in dom:
-            if x & y or not s.ideals[y]:
-                continue
-            u = x | y
-            if u not in s.ideals:
-                raise DomainNotClosed(_label_key(s.universe, u), "disjoint union rule")
-            fam_u = s.ideals[u]
-            for a in members[x]:
-                for b in members[y]:
-                    count += 1
-                    ab = u & ~(a | b) if on_filters else a | b
-                    if ab not in fam_u:
-                        return count, (("X", x), ("Y", y), ("A", a), ("B", b))
-    return count, None
+class _Links(dict):
+    """X ↦ the Y that may follow X in an M+n chain (X ∈ F(Y)), in domain
+    order, listed on first use."""
+
+    def __init__(self, s: SizeSystem):
+        super().__init__()
+        self.domain, self.ideals = s.domain_masks, s.ideals
+
+    def __missing__(self, x: int) -> list[int]:
+        ideals = self.ideals
+        nxt = self[x] = [y for y in self.domain if not x & ~y and (y & ~x) in ideals[y]]
+        return nxt
 
 
 def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
-    count = 0
-    dom = s.domain_masks
+    """Instances the chains X1, …, Xn of domain members with each X_i ∈
+    F(X_{i+1}), failing where X1 ∈ I(Xn); X1 in domain order, then each next
+    link in domain order.
+
+    A first set X1 is decided by the sets it reaches in n − 1 links: it fails
+    iff X1 ∈ I(Y) for one of them.  Where it holds, its chains are counted in
+    closed form, link by link.  Only the first failing X1 is walked, in chain
+    order; a set that the walk has finished at the same place in a chain adds
+    its chains at once."""
     ideals = s.ideals
-    links: dict[int, list[int]] = {}  # X ↦ the Y that may follow X in a chain
-    chain: list[int] = []
-    todo = [iter(dom)]  # per chain length, the sets left to try next
-    while todo:
-        x = next(todo[-1], None)
-        if x is None:  # none left: back up one link
-            todo.pop()
-            del chain[-1:]
+    links = _Links(s)
+    count = 0
+    for x1 in s.domain_masks:
+        front = dict.fromkeys(links[x1], 1)  # the sets one link on, with their chains
+        for _ in range(n - 3):
+            step: dict[int, int] = {}
+            for x, chains in front.items():
+                for y in links[x]:
+                    step[y] = step.get(y, 0) + chains
+            front = step
+        for x in front:  # the last link
+            for y in links[x]:
+                if x1 in ideals[y]:
+                    break
+            else:
+                continue
+            break
+        else:
+            count += sum(map(mul, front.values(), map(len, map(links.__getitem__, front))))
             continue
-        chain.append(x)
-        if len(chain) < n:
-            if x not in links:
-                links[x] = [y for y in dom if not x & ~y and (y & ~x) in ideals[y]]
-            todo.append(iter(links[x]))
-            continue
-        count += 1
-        if chain[0] in ideals[x]:
-            return count, tuple((f"X{i+1}", x) for i, x in enumerate(chain))
-        chain.pop()
+        done: dict[tuple[int, int], int] = {}  # (i, X) ↦ the chains on from X as X_i
+        chain, todo, subtotals = [x1], [iter(links[x1])], [0]
+        while True:
+            y = next(todo[-1], None)
+            if y is None:  # every chain through the last set is counted
+                x, finished = chain.pop(), subtotals.pop()
+                done[len(chain) + 1, x] = finished
+                todo.pop()
+                subtotals[-1] += finished
+            elif len(chain) == n - 1:
+                subtotals[-1] += 1
+                if x1 in ideals[y]:
+                    chain.append(y)
+                    return count + sum(subtotals), tuple((f"X{i+1}", x) for i, x in enumerate(chain))
+            elif (len(chain) + 1, y) in done:
+                subtotals[-1] += done[len(chain) + 1, y]
+            else:
+                chain.append(y)
+                todo.append(iter(links[y]))
+                subtotals.append(0)
     return count, None
 
 
@@ -257,17 +278,24 @@ def _local_scan(at) -> Scan:
     return scan
 
 
-# --- two-level properties: size classes and two scan factories ---------------
+# --- two-level properties: size classes and their rows -------------------------
 #
 # A subset A of X has one of four size classes in X: small (A ∈ I(X)), big
 # (A ∈ F(X), i.e. X − A ∈ I(X)), not small (A ∈ M+(X)) or not big.  A class
 # is the pair (complemented, member): A is in it iff whether X − A (if
 # complemented) or A is in I(X) equals member.
+#
+# Each two-level property is a row (scan, below): the scan of a system, and
+# below(Y, ideals), whether every instance whose largest set is Y holds.  Such
+# an instance reads I(Y) and the ideals of subsets of Y alone: Y is the larger
+# set of a nested pair, the base of the carriers X − B or the union X ∪ Y.
 
 _SMALL = (False, True)
 _BIG = (True, True)
 _NOT_SMALL = (False, False)
 _NOT_BIG = (True, False)
+
+Below = Callable[[int, dict], bool]
 
 
 @lru_cache(maxsize=64)
@@ -278,8 +306,8 @@ def _nesting(domain: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], tuple[
     return {x: (tuple(y for y in domain if not x & ~y), submasks(x)) for x in domain}
 
 
-def _nested_scan(link, sides: str, premise, conclusion) -> Scan:
-    """The scan of "for all X ⊆ Y in the domain and A ⊆ X: X in class link of
+def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Below]:
+    """The row of "for all X ⊆ Y in the domain and A ⊆ X: X in class link of
     Y, and A in class premise of one set ⇒ A in class conclusion of the
     other".  `sides` "XY" reads the premise at X and the conclusion at Y, "YX"
     the other way round; a link of None asks X ≠ Y instead of a class.
@@ -297,11 +325,9 @@ def _nested_scan(link, sides: str, premise, conclusion) -> Scan:
 
     def scan(s: SizeSystem) -> tuple[int, Witness]:
         ideals = s.ideals
-        nesting = _nesting(s.domain_masks)
         count = 0
-        for x in s.domain_masks:
+        for x, (ups, subs) in _nesting(s.domain_masks).items():
             fam_x = ideals[x]
-            ups, subs = nesting[x]
             for y in ups:
                 fam_y = ideals[y]
                 if y == x if link is None else ((y & ~x if lc else x) in fam_y) != lm:
@@ -318,62 +344,171 @@ def _nested_scan(link, sides: str, premise, conclusion) -> Scan:
                         return count, (("X", x), ("Y", y), ("A", a))
         return count, None
 
-    return scan
+    def below(y: int, ideals) -> bool:
+        fam_y = ideals[y]
+        for x in submasks(y):
+            fam_x = ideals.get(x)
+            if fam_x is None or same and y == x:
+                continue
+            if y == x if link is None else ((y & ~x if lc else x) in fam_y) != lm:
+                continue
+            p, fam_p, q, fam_q = (y, fam_y, x, fam_x) if at_y else (x, fam_x, y, fam_y)
+            for a in submasks(x):
+                if ((p & ~a if pc else a) in fam_p) == pm and ((q & ~a if cc else a) in fam_q) != cm:
+                    return False
+        return True
+
+    return scan, below
 
 
-def _carrier_scan(premise, cut, conclusion) -> Scan:
-    """The scan of "for all X in the domain, A in class premise of X, small
+def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Below]:
+    """The row of "for all X in the domain, A in class premise of X, small
     or big, and B ≠ X in class cut of X: A − B in class conclusion of the
     carrier X − B".
 
     Instances come as (X, A, B): X in domain order, A, then B in canonical
-    order.  B ≠ X keeps the carrier nonempty; a carrier missing from the
-    domain raises KeyError when its first instance is reached, and
-    `check_property` reports it as DomainNotClosed.
+    order.  X is decided by its test, which adds X's instances in closed form
+    where it holds; only a failing X is walked.  B ≠ X keeps the carrier
+    nonempty; a carrier missing from the domain fails the test, and raises
+    KeyError when the walk reaches its first instance, which `check_property`
+    reports as DomainNotClosed.
     """
     big, same = premise == _BIG, cut == premise
     bc, bm = cut
     cc, cm = conclusion
+
+    def parts(x: int, fam_x):
+        """(the A in class premise of X, the B in class cut of X, B = X
+        among them to be skipped)."""
+        bases = [x & ~a for a in fam_x] if big else fam_x  # F(X) or I(X)
+        if same:
+            return bases, bases
+        return bases, [b for b in submasks(x) if ((x & ~b if bc else b) in fam_x) == bm]
+
+    def holds(x: int, ideals, bases, cuts) -> bool:
+        for b in cuts:
+            if b == x:
+                continue
+            z = x & ~b
+            fam_z = ideals.get(z)
+            if fam_z is None:
+                return False
+            for a in bases:
+                # A − B in class conclusion of Z = X − B; Z − (A − B) = Z − A
+                if ((z & ~a if cc else a & ~b) in fam_z) != cm:
+                    return False
+        return True
 
     def scan(s: SizeSystem) -> tuple[int, Witness]:
         ideals = s.ideals
         key = _rank_key(s)
         count = 0
         for x in s.domain_masks:
-            fam_x = ideals[x]
-            bases = sorted([x & ~a for a in fam_x] if big else fam_x, key=key)  # F(X) or I(X)
-            if same:
-                cuts = bases
-            else:
-                cuts = [b for b in submasks(x) if ((x & ~b if bc else b) in fam_x) == bm]
+            bases, cuts = parts(x, ideals[x])
+            if holds(x, ideals, bases, cuts):
+                count += len(bases) * (len(cuts) - (x in cuts))
+                continue
+            bases = sorted(bases, key=key)
             for a in bases:
-                for b in cuts:
+                for b in bases if same else cuts:
                     if b == x:
                         continue
                     z = x & ~b
                     count += 1
-                    # A − B in class conclusion of Z = X − B; Z − (A − B) = Z − A
                     if ((z & ~a if cc else a & ~b) in ideals[z]) != cm:
                         return count, (("X", x), ("A", a), ("B", b))
         return count, None
 
-    return scan
+    def below(y: int, ideals) -> bool:
+        return holds(y, ideals, *parts(y, ideals[y]))
 
+    return scan, below
+
+
+def _union_holds(fam_x, fam_y, fam_u) -> bool:
+    """Whether A ∪ B ∈ I(X ∪ Y) for every A ∈ I(X) and B ∈ I(Y).  For disjoint
+    X and Y this also decides F-union-disj at (X, Y): with A′ = X − A and
+    B′ = Y − B, (X ∪ Y) − (A′ ∪ B′) = A ∪ B."""
+    for a in fam_x:
+        for b in fam_y:
+            if a | b not in fam_u:
+                return False
+    return True
+
+
+def _union_row(on_filters: bool) -> tuple[Scan, Below]:
+    """The row of I-union-disj, or with on_filters of F-union-disj.
+
+    Instances come as (X, Y, A, B): X, then Y disjoint from X in domain
+    order, A and B in canonical order.  A pair (X, Y) is decided by
+    `_union_holds`, which adds its instances in closed form where it holds;
+    only a failing pair is walked.
+    """
+
+    def scan(s: SizeSystem) -> tuple[int, Witness]:
+        count = 0
+        dom = s.domain_masks
+        ideals = s.ideals
+        key = _rank_key(s)
+        for x in dom:
+            fam_x = ideals[x]
+            if not fam_x:
+                continue
+            for y in dom:
+                fam_y = ideals[y]
+                if x & y or not fam_y:
+                    continue
+                u = x | y
+                if u not in ideals:
+                    raise DomainNotClosed(_label_key(s.universe, u), "disjoint union rule")
+                fam_u = ideals[u]
+                if _union_holds(fam_x, fam_y, fam_u):
+                    count += len(fam_x) * len(fam_y)
+                    continue
+                members_x = sorted([x & ~a for a in fam_x] if on_filters else fam_x, key=key)
+                members_y = sorted([y & ~b for b in fam_y] if on_filters else fam_y, key=key)
+                for a in members_x:
+                    for b in members_y:
+                        count += 1
+                        ab = u & ~(a | b) if on_filters else a | b
+                        if ab not in fam_u:
+                            return count, (("X", x), ("Y", y), ("A", a), ("B", b))
+        return count, None
+
+    def below(u: int, ideals) -> bool:
+        fam_u = ideals[u]
+        for x in submasks(u):
+            y = u & ~x
+            if x < y and x in ideals and y in ideals:
+                if not _union_holds(ideals[x], ideals[y], fam_u):
+                    return False
+        return True
+
+    return scan, below
+
+
+# The two-level rows by (tag, variant).
+_ROWS = {
+    ("eMI", None): _nested_row(None, "XY", _SMALL, _SMALL),  # X ≠ Y, A ∈ I(X) ⇒ A ∈ I(Y)
+    ("eMF", None): _nested_row(None, "YX", _BIG, _BIG),  # X ≠ Y, A ∈ F(Y) ⇒ A ∈ F(X)
+    ("I-union-disj", None): _union_row(on_filters=False),
+    ("F-union-disj", None): _union_row(on_filters=True),
+    # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+    ("M+omega", 1): _nested_row(_NOT_SMALL, "XY", _BIG, _NOT_SMALL),
+    # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
+    ("M+omega", 2): _nested_row(_BIG, "XY", _NOT_SMALL, _NOT_SMALL),
+    ("M+omega", 3): _nested_row(_BIG, "XY", _BIG, _BIG),  # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
+    ("M+omega", 4): _carrier_row(_SMALL, _SMALL, _SMALL),  # A, B ∈ I(X) ⇒ A − B ∈ I(X − B)
+    # A ∈ I(X), B ∉ F(X) ⇒ A − B ∈ I(X − B)
+    ("M++", 1): _carrier_row(_SMALL, _NOT_BIG, _SMALL),
+    # A ∈ F(X), B ∉ F(X) ⇒ A − B ∈ F(X − B)
+    ("M++", 2): _carrier_row(_BIG, _NOT_BIG, _BIG),
+    # A ∈ M+(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
+    ("M++", 3): _nested_row(_NOT_SMALL, "XY", _NOT_SMALL, _NOT_SMALL),
+}
 
 # M+omega and M++ are families of variants, one row each.
-_VARIANTS = {
-    "M+omega": {
-        1: _nested_scan(_NOT_SMALL, "XY", _BIG, _NOT_SMALL),  # A ∈ F(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
-        2: _nested_scan(_BIG, "XY", _NOT_SMALL, _NOT_SMALL),  # A ∈ M+(X), X ∈ F(Y) ⇒ A ∈ M+(Y)
-        3: _nested_scan(_BIG, "XY", _BIG, _BIG),  # A ∈ F(X), X ∈ F(Y) ⇒ A ∈ F(Y)
-        4: _carrier_scan(_SMALL, _SMALL, _SMALL),  # A, B ∈ I(X) ⇒ A − B ∈ I(X − B)
-    },
-    "M++": {
-        1: _carrier_scan(_SMALL, _NOT_BIG, _SMALL),  # A ∈ I(X), B ∉ F(X) ⇒ A − B ∈ I(X − B)
-        2: _carrier_scan(_BIG, _NOT_BIG, _BIG),  # A ∈ F(X), B ∉ F(X) ⇒ A − B ∈ F(X − B)
-        3: _nested_scan(_NOT_SMALL, "XY", _NOT_SMALL, _NOT_SMALL),  # A ∈ M+(X), X ∈ M+(Y) ⇒ A ∈ M+(Y)
-    },
-}
+_VARIANTS = {tag: {v for t, v in _ROWS if t == tag} for tag in ("M+omega", "M++")}
 
 _LOCAL = {"Opt": _opt_at, "iM": _im_at, "n*s": _cover_at, "I-omega": _iomega_at}
 
@@ -381,13 +516,10 @@ _LOCAL = {"Opt": _opt_at, "iM": _im_at, "n*s": _cover_at, "I-omega": _iomega_at}
 # Parameterised tags take the PropertyId's parameter as a second argument.
 _SCANS = {
     **{tag: _local_scan(at) for tag, at in _LOCAL.items()},
-    "eMI": _nested_scan(None, "XY", _SMALL, _SMALL),  # X ≠ Y, A ∈ I(X) ⇒ A ∈ I(Y)
-    "eMF": _nested_scan(None, "YX", _BIG, _BIG),  # X ≠ Y, A ∈ F(Y) ⇒ A ∈ F(X)
-    "I-union-disj": partial(_check_union_disj, on_filters=False),
-    "F-union-disj": partial(_check_union_disj, on_filters=True),
+    **{tag: scan for (tag, v), (scan, _) in _ROWS.items() if v is None},
     "M+n": _check_m_plus_n,
-    "M+omega": lambda s, v: _VARIANTS["M+omega"][v](s),
-    "M++": lambda s, v: _VARIANTS["M++"][v](s),
+    "M+omega": lambda s, v: _ROWS["M+omega", v][0](s),
+    "M++": lambda s, v: _ROWS["M++", v][0](s),
 }
 
 # The local tags: a system has the property iff its row holds at every X.
@@ -405,6 +537,14 @@ def holds_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> bool:
     return row_at(u, x, fam, p)[1] is None
 
 
+def holds_below(p: PropertyId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
+    """Whether every instance of the two-level property p whose largest set
+    is Y holds, given I(Y) and the ideals of the members of the domain that
+    are subsets of Y.  A system on a domain closed under the carriers and
+    disjoint unions the property asks for has p iff this holds at every Y."""
+    return _ROWS[p.tag, p.param][1](y, ideals)
+
+
 OPT = PropertyId("Opt")
 IM = PropertyId("iM")
 EMI = PropertyId("eMI")
@@ -412,6 +552,10 @@ EMF = PropertyId("eMF")
 I_UNION_DISJ = PropertyId("I-union-disj")
 F_UNION_DISJ = PropertyId("F-union-disj")
 IOMEGA = PropertyId("I-omega")
+
+# The two-level properties the leader walk prunes by: `holds_below` decides
+# each below one base set.
+TWO_LEVEL = frozenset(PropertyId(tag, v) for tag, v in _ROWS)
 
 
 def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:

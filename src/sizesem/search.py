@@ -29,14 +29,20 @@ when the failure falls inside a class.  The leaders come from one walk that
 prunes block by block (the base sets of one cardinality), after the
 lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
-The walk also prunes by the local required properties (Opt, iM, I-omega,
-n*s:k), which hold on a system iff they hold at every base set X on I(X)
-alone.  Each is decided once per base set and family, by its row at that
-base set (`properties.holds_at`), so no system is built, and the walk takes
-only the families that pass; the other checks are evaluated on the leaders
-left.  A local property is invariant under relabeling, so the pruned walk
-yields exactly the leaders that have it, with their stabilizers, raw ranks
-and weights, and the systems it drops are those the scan would have left
+The walk also prunes by the required properties other than M+n.  A local
+one (Opt, iM, I-omega, n*s:k) holds on a system iff it holds at every base
+set X on I(X) alone; it is decided once per base set and family, by its row
+at that base set (`properties.holds_at`).  A two-level one (eMI, eMF, the
+union properties, M+omega:1–4, M++:1–3) holds iff it holds below every base
+set Y, on I(Y) and the ideals of the subsets of Y (`properties.holds_below`).
+Those subsets sit in earlier blocks, so before each block's product the walk
+filters the families of each of its positions by what the earlier blocks
+assign, memoised for the walk.  No system is built for either, and the
+other checks are evaluated on the leaders left.  Every property is
+invariant under relabeling, and a relabeling that fixes the prefix maps a
+family that passes to one that passes, so the pruned walk yields exactly
+the leaders that have the properties, with their stabilizers, raw ranks and
+weights, and the systems it drops are those the scan would have left
 outside.  `canonical_only` streams stay unpruned: they label a leader by its
 position among all leaders, which a pruned walk does not know.
 """
@@ -51,7 +57,18 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
-from .properties import IOMEGA, LOCAL_TAGS, PropertyId, check_property, holds_at, row_at
+from .properties import (
+    IM,
+    IOMEGA,
+    LOCAL_TAGS,
+    OPT,
+    TWO_LEVEL,
+    PropertyId,
+    check_property,
+    holds_at,
+    holds_below,
+    row_at,
+)
 from .report import CheckReport
 from .rules import RuleId, check_rule
 from .setcore import CAPACITY, Subset, Universe, canon_rank, submasks
@@ -115,10 +132,15 @@ def evaluate_check(s: SizeSystem, c: CheckId) -> CheckReport:
     return check_rule(s, c)
 
 
-def split_local(checks: tuple[CheckId, ...]) -> tuple[tuple[PropertyId, ...], tuple[CheckId, ...]]:
-    """(the local properties among checks, the other checks), each in order."""
-    local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
-    return local, tuple(c for c in checks if c not in local)
+def split_prunable(
+    checks: tuple[CheckId, ...]
+) -> tuple[tuple[PropertyId, ...], tuple[CheckId, ...]]:
+    """(the properties the leader walk prunes by, the other checks), each in
+    order: the local properties and the two-level ones, every property but M+n."""
+    prunable = tuple(
+        c for c in checks if isinstance(c, PropertyId) and (c.tag in LOCAL_TAGS or c in TWO_LEVEL)
+    )
+    return prunable, tuple(c for c in checks if c not in prunable)
 
 
 # --- family enumeration -------------------------------------------------------
@@ -217,6 +239,7 @@ class _SystemSpace:
     def __init__(self, n: int, monotone: bool):
         self.universe = Universe(_letters(n))
         self.domain = domain = full_domain_masks(self.universe)
+        self.monotone = monotone
         gen = _down_set_families if monotone else _families_with_empty
         self.per_set = [tuple(gen(x)) for x in domain]
         self.radices = [len(fams) for fams in self.per_set]
@@ -228,8 +251,11 @@ class _SystemSpace:
         bounds = [0, *itertools.accumulate(comb(n, k) for k in range(1, n + 1))]
         self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
         self.relabelings = factorial(n)
+        self._passing: dict[tuple[PropertyId, ...], list[list[int]]] = {}
         self.positions: list[dict[frozenset[int], int] | None] = [None] * len(domain)
         pos = {x: j for j, x in enumerate(domain)}
+        # Per position, the positions of the base sets below it: all in earlier blocks.
+        self.below = [tuple(pos[m] for m in submasks(x)[1:-1]) for x in domain]
         self.perms = []
         for perm in itertools.permutations(range(n)):
             if perm == tuple(range(n)):
@@ -264,31 +290,76 @@ class _SystemSpace:
 
     def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
         """Per position, the indices of the families on which every local
-        property holds at that position's base set."""
+        property holds at that position's base set.  Every family contains
+        ∅, so Opt holds on each, and on a monotone space every family is a
+        down-set, so iM does too: neither is tested.  Kept per space, for a
+        failing scan walks the leaders twice."""
         u = self.universe
-        return [
-            [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in local)]
-            for x, fams in zip(self.domain, self.per_set)
-        ]
+        tested = tuple(p for p in local if p != OPT and not (self.monotone and p == IM))
+        lists = self._passing.get(tested)
+        if lists is None:
+            lists = self._passing[tested] = [
+                [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in tested)]
+                for x, fams in zip(self.domain, self.per_set)
+            ]
+        return lists
 
-    def leaders(self, allowed: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    def _options(self, allowed: list[list[int]], cross: tuple[PropertyId, ...]) -> Callable:
+        """options(j, prefix): the indices in allowed[j] of the families at
+        position j on which every two-level property in cross holds below its
+        base set Y, given the families that prefix assigns to the subsets of
+        Y.  Memoised on those families' indices for as long as the walk
+        runs."""
+        domain, per_set, below = self.domain, self.per_set, self.below
+        memo: dict[tuple[int, ...], list[int]] = {}
+
+        def options(j: int, prefix: tuple[int, ...]) -> list[int]:
+            key = (j, *map(prefix.__getitem__, below[j]))
+            got = memo.get(key)
+            if got is None:
+                y = domain[j]
+                ideals = {domain[k]: per_set[k][prefix[k]] for k in below[j]}
+                got = []
+                for i in allowed[j]:
+                    ideals[y] = per_set[j][i]
+                    if all(holds_below(p, y, ideals) for p in cross):
+                        got.append(i)
+                if len(below[j]) < len(prefix):  # else the key is the whole prefix, met once
+                    memo[key] = got
+            return got
+
+        return options
+
+    def leaders(self, prunable: tuple[PropertyId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader, i.e.
-        every system no relabeling makes smaller, whose index at each
-        position is in allowed[position] (ascending), in raw-stream order.
+        every system no relabeling makes smaller, on which every prunable
+        property holds, in raw-stream order.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
         One whose image is smaller on a block prunes every completion of
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer; once none is
-        left, the rest of the walk is the plain product.  The images are
-        compared whether or not they are allowed, so a leader is yielded
-        with the same stabilizer as in the unpruned walk.
+        left and no two-level property is asked for, the rest of the walk is
+        the plain product.  The images are compared whether or not their
+        families pass, so a leader is yielded with the same stabilizer as in
+        the unpruned walk.
+
+        A position takes only the families that pass: the local properties
+        are decided once per family (`passing`); a two-level property reads
+        the families at Y and its subsets alone (`properties.holds_below`),
+        and the subsets sit in earlier blocks, so no two positions of one
+        block constrain each other and each position's families are
+        filtered before the block's product (`_options`).
         """
+        local = tuple(p for p in prunable if p.tag in LOCAL_TAGS)
+        cross = tuple(p for p in prunable if p not in local)
+        allowed = self.passing(local)
+        options = self._options(allowed, cross)
         image_index = self._image_index
 
         def walk(b: int, prefix: tuple[int, ...], live: list) -> Iterator:
-            if not live:
+            if not live and not cross:
                 for rest in itertools.product(*allowed[len(prefix):]):
                     yield prefix + rest, 1
                 return
@@ -297,7 +368,8 @@ class _SystemSpace:
                 return
             block = self.blocks[b]
             lo = block.start
-            for part in itertools.product(*allowed[lo : block.stop]):
+            lists = [options(j, prefix) for j in block] if cross else allowed[lo : block.stop]
+            for part in itertools.product(*lists):
                 kept = []
                 for perm in live:
                     pre = perm[1]
@@ -350,7 +422,7 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
     space = _system_space(n, spec.monotone_only, spec.canonical_only)
     if spec.canonical_only:
         # Unpruned: the label is the position among all leaders.
-        for index, (idx, _) in enumerate(space.leaders(space.passing(()))):
+        for index, (idx, _) in enumerate(space.leaders(())):
             yield space.system(idx, f"u{n}#{index}")
         return
     u, domain = space.universe, space.domain
@@ -407,17 +479,19 @@ def first_failure(
 def scan_classes(
     sizes: Iterable[int],
     monotone: bool,
-    local: tuple[PropertyId, ...],
+    prunable: tuple[PropertyId, ...],
     evaluate: Callable[[SizeSystem], object] | None,
 ) -> tuple[int, int, object]:
     """first_failure over the systems of the given sizes, in turn, that
-    satisfy every local property, run on one system per relabeling class.
+    satisfy every prunable property, run on one system per relabeling class.
 
-    The local properties prune the walk: each is decided once per base set
-    and family (`_SystemSpace.passing`), and the walk takes only the
-    families that pass, so the systems that fail one are neither built nor
-    counted, as if evaluate had returned None on them.  An evaluate of None
-    counts every system left without building one.
+    The prunable properties (`split_prunable`) prune the walk
+    (`_SystemSpace.leaders`): a local one is decided once per base set and
+    family, a two-level one at each base set from the families below it,
+    and the walk takes only the families that pass.  So the systems that
+    fail one are neither built nor counted, as if evaluate had returned
+    None on them.  An evaluate of None counts every system left without
+    building one.
 
     Every check is invariant under relabeling the elements, so a class
     leader's verdict is its whole class's, and the leader stands for
@@ -432,11 +506,10 @@ def scan_classes(
     failure or None).
     """
     spaces = [_system_space(n, monotone, False) for n in sizes]
-    allowed = [space.passing(local) for space in spaces]
 
     def stream() -> Iterator[tuple[int, tuple[_SystemSpace, tuple[int, ...]]]]:
-        for space, lists in zip(spaces, allowed):
-            for idx, stab in space.leaders(lists):
+        for space in spaces:
+            for idx, stab in space.leaders(prunable):
                 yield space.relabelings // stab, (space, idx)
 
     if evaluate is None:
@@ -473,12 +546,12 @@ def _scan_systems(
     """(systems of the given sizes satisfying the required checks, the first
     of them violating the target with its report, or None).  With
     canonical_only the scan runs over the spec's own size alone, unpruned;
-    otherwise the local required properties prune the leader walk and only
-    the other checks are evaluated."""
+    otherwise the prunable required properties prune the leader walk and
+    only the other checks (M+n and the rules) are evaluated."""
     if spec.canonical_only:
-        local, rest = (), spec.required
+        prunable, rest = (), spec.required
     else:
-        local, rest = split_local(spec.required)
+        prunable, rest = split_prunable(spec.required)
 
     def evaluate(s: SizeSystem):
         for c in rest:
@@ -495,7 +568,7 @@ def _scan_systems(
     else:
         some_check = rest or spec.target is not None
         satisfying, _, failure = scan_classes(
-            sizes, spec.monotone_only, local, evaluate if some_check else None
+            sizes, spec.monotone_only, prunable, evaluate if some_check else None
         )
     return satisfying, failure
 

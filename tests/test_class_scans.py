@@ -26,8 +26,10 @@ from sizesem.properties import (
     IOMEGA,
     LOCAL_TAGS,
     OPT,
+    TWO_LEVEL,
     check_property,
     holds_at,
+    holds_below,
     m_plus_plus,
     n_star_s,
     parse_property,
@@ -47,6 +49,11 @@ from sizesem.sizesys import principal_mu
 PROPS = [parse_property(n) for n in ALL_PROPS]
 CHECKS = PROPS + [parse_rule(n) for n in ALL_RULES]
 LOCAL_PROPS = [OPT, IM, IOMEGA] + [n_star_s(k) for k in (1, 2, 3, 4)]
+TWO_LEVEL_PROPS = [
+    parse_property(name)
+    for name in ("eMI", "eMF", "I-union-disj", "F-union-disj", "M+omega:1", "M+omega:2",
+                 "M+omega:3", "M+omega:4", "M++:1", "M++:2", "M++:3")
+]
 
 
 class Verdicts(dict):
@@ -215,8 +222,10 @@ def local_split_mismatches(systems):
     return mismatches
 
 
-def test_local_properties_split_by_base_set():
-    assert {p.tag for p in LOCAL_PROPS} == LOCAL_TAGS
+@lru_cache(maxsize=None)
+def split_corpus() -> list:
+    """Every system at |U| ≤ 2, monotone or not, and the 3 450 canonical
+    monotone systems at |U| = 3."""
     systems = [
         s
         for n in (1, 2)
@@ -225,7 +234,44 @@ def test_local_properties_split_by_base_set():
     ]
     systems += enumerate_systems(SearchSpec(3, mode="count", canonical_only=True))
     assert len(systems) == 2 + 2 + 20 + 32 + 3_450
-    assert local_split_mismatches(systems) == []
+    return systems
+
+
+def test_local_properties_split_by_base_set():
+    assert {p.tag for p in LOCAL_PROPS} == LOCAL_TAGS
+    assert local_split_mismatches(split_corpus()) == []
+
+
+def test_two_level_properties_split_by_base_set():
+    # Each instance of a two-level property reads I(Y) and the ideals of
+    # subsets of Y alone, so the property holds iff it holds below every Y.
+    assert set(TWO_LEVEL_PROPS) == TWO_LEVEL
+    mismatches, failures = [], 0
+    for s in split_corpus():
+        for p in TWO_LEVEL_PROPS:
+            holds = check_property(s, p).holds
+            failures += not holds
+            if holds != all(holds_below(p, y, s.ideals) for y in s.domain_masks):
+                mismatches.append((s.label, p.name))
+    assert mismatches == []
+    assert failures > 0
+
+
+@pytest.mark.parametrize(
+    "props",
+    [(p,) for p in TWO_LEVEL_PROPS] + [(EMI, IOMEGA), (IOMEGA, EMF), (OPT, IM)],
+    ids=lambda props: "+".join(p.name for p in props),
+)
+def test_pruned_walk_yields_the_leaders_that_have_the_properties(props):
+    for monotone, sizes in ((True, (1, 2, 3)), (False, (1, 2))):
+        for n in sizes:
+            space = _SystemSpace(n, monotone)
+            expected = [
+                (idx, stab)
+                for idx, stab in space.leaders(())
+                if all(check_property(space.system(idx, ""), p).holds for p in props)
+            ]
+            assert list(space.leaders(props)) == expected, (n, monotone)
 
 
 @pytest.mark.parametrize(
@@ -236,7 +282,7 @@ def test_local_properties_split_by_base_set():
 def test_class_sizes_sum_to_the_raw_stream(monotone, raw, classes):
     for n, raw_count, class_count in zip((1, 2, 3), raw, classes):
         space = _SystemSpace(n, monotone)
-        sizes = [space.relabelings // stab for _, stab in space.leaders(space.passing(()))]
+        sizes = [space.relabelings // stab for _, stab in space.leaders(())]
         assert (sum(sizes), len(sizes)) == (raw_count, class_count)
         spec = SearchSpec(n, mode="count", monotone_only=monotone, canonical_only=True)
         assert sum(1 for _ in enumerate_systems(spec)) == class_count
@@ -250,7 +296,7 @@ def test_leaders_carry_their_raw_rank_and_class(monotone):
     swap = {0: 0, 1: 2, 2: 1, 3: 3}
     space = _SystemSpace(2, monotone)
     last = tuple(r - 1 for r in space.radices)
-    for idx, stab in space.leaders(space.passing(())):
+    for idx, stab in space.leaders(()):
         leader = raw[space.rank(idx)]
         assert space.system(idx, leader.label).to_dict() == leader.to_dict()
         mirror = {swap[x]: frozenset(swap[a] for a in fam) for x, fam in leader.ideals.items()}

@@ -2,10 +2,11 @@
 
 eMI, eMF, M+omega:1–4 and M++:1–3 each had a hand-written scan, and so had
 the local properties Opt, iM, I-omega and n*s:k.  They are now rows of scan
-factories in `properties`; `reference_scan` keeps the old loops as they
-were, and `check_property` must report exactly what they report: the same
-count and the same first witness, or a `DomainNotClosed` with the same
-message.  Every failing witness must also be a violation by
+factories in `properties`.  The union properties and M+n walked every
+instance; they are now decided per pair (X, Y) and per first set X1.
+`reference_scan` keeps the old loops as they were, and `check_property`
+must report exactly what they report: the same count and the same first
+witness, or a `DomainNotClosed` with the same message.  Every failing witness must also be a violation by
 `witness_violates`, which re-reads the formula without either scan.
 """
 
@@ -26,7 +27,8 @@ PROPS = [
     parse_property(name)
     for name in ("eMI", "eMF", "M+omega:1", "M+omega:2", "M+omega:3", "M+omega:4",
                  "M++:1", "M++:2", "M++:3",
-                 "Opt", "iM", "I-omega", "1*s", "n*s:2", "n*s:3", "n*s:4")
+                 "Opt", "iM", "I-omega", "1*s", "n*s:2", "n*s:3", "n*s:4",
+                 "I-union-disj", "F-union-disj", "M+n:3", "M+n:5")
 ]
 
 
@@ -273,6 +275,59 @@ def _check_iomega(s: SizeSystem) -> tuple:
     return count, None
 
 
+def _check_union_disj(s: SizeSystem, on_filters: bool) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    key = _rank_key(s)
+    if on_filters:
+        members = {x: sorted([x & ~a for a in fam], key=key) for x, fam in s.ideals.items()}
+    else:
+        members = {x: sorted(fam, key=key) for x, fam in s.ideals.items()}
+    for x in dom:
+        if not s.ideals[x]:
+            continue
+        for y in dom:
+            if x & y or not s.ideals[y]:
+                continue
+            u = x | y
+            if u not in s.ideals:
+                raise DomainNotClosed(_label_key(s.universe, u), "disjoint union rule")
+            fam_u = s.ideals[u]
+            for a in members[x]:
+                for b in members[y]:
+                    count += 1
+                    ab = u & ~(a | b) if on_filters else a | b
+                    if ab not in fam_u:
+                        return count, (("X", x), ("Y", y), ("A", a), ("B", b))
+    return count, None
+
+
+def _check_m_plus_n(s: SizeSystem, n: int) -> tuple:
+    count = 0
+    dom = s.domain_masks
+    ideals = s.ideals
+    links: dict[int, list[int]] = {}  # X ↦ the Y that may follow X in a chain
+    chain: list[int] = []
+    todo = [iter(dom)]  # per chain length, the sets left to try next
+    while todo:
+        x = next(todo[-1], None)
+        if x is None:  # none left: back up one link
+            todo.pop()
+            del chain[-1:]
+            continue
+        chain.append(x)
+        if len(chain) < n:
+            if x not in links:
+                links[x] = [y for y in dom if not x & ~y and (y & ~x) in ideals[y]]
+            todo.append(iter(links[x]))
+            continue
+        count += 1
+        if chain[0] in ideals[x]:
+            return count, tuple((f"X{i+1}", x) for i, x in enumerate(chain))
+        chain.pop()
+    return count, None
+
+
 LOCAL_SCANS = {"Opt": _check_opt, "iM": _check_im, "I-omega": _check_iomega}
 
 
@@ -286,6 +341,10 @@ def reference_scan(s: SizeSystem, p) -> tuple:
         return _check_emi(s)
     if p.tag == "eMF":
         return _check_emf(s)
+    if p.tag in ("I-union-disj", "F-union-disj"):
+        return _check_union_disj(s, p.tag == "F-union-disj")
+    if p.tag == "M+n":
+        return _check_m_plus_n(s, p.param)
     if p.tag == "M+omega":
         return _check_m_plus_omega(s, p.param)
     return _check_m_plus_plus(s, p.param)
@@ -294,7 +353,7 @@ def reference_scan(s: SizeSystem, p) -> tuple:
 def reference_report(s: SizeSystem, p):
     """The report `check_property` built on the old scan of p."""
     notes = ()
-    if p.tag == "n*s" and p.param > s.universe.size + 1:
+    if p.tag in ("n*s", "M+n") and p.param > s.universe.size + 1:
         notes = (f"parameter {p.param} exceeds |U|+1; condition near-vacuous",)
     return scan_report(s.label, p.name, s.universe, *reference_scan(s, p), notes)
 

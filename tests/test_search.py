@@ -10,6 +10,7 @@ from sizesem.properties import (
     EMI,
     IM,
     IOMEGA,
+    I_UNION_DISJ,
     OPT,
     check_property,
     m_plus_n,
@@ -165,9 +166,17 @@ def test_spec_validation():
         ((IOMEGA,), True, (16, 4096)),
         ((OPT,), False, (32, 524_288)),
         ((n_star_s(3),), True, (3, 270)),
+        # Two-level checks: the walk prunes each base set by the families below it.
+        ((IOMEGA, EMF), True, (13, 1_253)),
+        ((m_plus_omega(2),), True, (14, 1_980)),
+        ((m_plus_omega(4),), True, (14, 1_980)),
+        ((m_plus_plus(1),), True, (20, 7_336)),
+        ((I_UNION_DISJ,), True, (12, 1_603)),
+        ((EMI,), False, (18, 11_664)),
     ],
     # The ids of the first two rows predate the monotone column.
-    ids=[f"required{i}-counts{i}" for i in range(5)],
+    ids=[f"required{i}-counts{i}" for i in range(5)]
+    + ["I-omega+eMF", "M+omega:2", "M+omega:4", "M++:1", "I-union-disj", "eMI-non-monotone"],
 )
 def test_count_systems_pinned(required, monotone, counts):
     got = tuple(
