@@ -29,7 +29,8 @@ small universes, the ten rows tying size properties to choice-function rules:
     10   eMI + I-omega + eMF        ⇒  mu-sub-sup   (converse fails)
 
 Forward runs over every monotone full-powerset system with principal filters
-(non-principal systems are counted and skipped, not silently dropped).
+(non-principal systems are counted and skipped, not silently dropped); every
+size side is prunable, so only the choice side is evaluated per system.
 Backward runs over every choice function on a full domain; rows 8–10 instead
 confirm the known non-implication witness: the choice function over {a,b,c}
 that picks {a} from {a,b} and is the identity elsewhere.
@@ -54,7 +55,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, first_failure, scan_classes, sizes_upto, split_prunable
+from .search import _letters, first_failure, scan_classes, sizes_upto
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -353,13 +354,9 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
         raise ValueError("row must be 1..10")
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
-    prunable, rest = split_prunable(ROW_LEFT[row])
     mu_rule = ROW_MU[row]
 
     def evaluate(s: SizeSystem):
-        for p in rest:
-            if not check_property(s, p).holds:
-                return None
         try:
             mu = principal_mu(s)
         except NotPrincipal:
@@ -370,7 +367,7 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
         rep = check_mu_rule(mu, mu_rule)
         return True if rep.holds else (s, mu, rep)
 
-    checked, skipped, failure = scan_classes(sizes, True, prunable, evaluate)
+    checked, skipped, failure = scan_classes(sizes, True, ROW_LEFT[row], evaluate)
     witness = None
     if failure is not None:
         s, mu, rep = failure

@@ -38,14 +38,15 @@ Checked rules (n-ary families take their parameter from the RuleId):
     CCL      {β : α |~ β} is closed under ∩ and ⊇
     M+derived  γ ̸|~ ¬β, γ∧β |~ α ⇒ γ ̸|~ ¬(α∧β)
 
-OR:2 and CM:2 are the same formula (α |~ β ⇒ α ̸|~ ¬β); both names map to one
-checker and the report notes the aliasing.
+OR:2 and CM:2 are the same formula (α |~ β ⇒ α ̸|~ ¬β); a report under either
+name notes the other, but each runs its own unit scan and names its witness
+its own way: α₁, β for OR:2 against α, β₁ for CM:2.
 
 The relation is read in three forms.  `_Consequences` gives rel(a), every b
 with a |~ b in canonical order (every set when a = ∅), filled on first use:
-`derive_relation` and the instance walks read it, except those of SC, REF,
-CP and OR:n, which test the ideals directly.  `_Follows` holds rel(a) as a
-bit set, which OR:n and OR:omega intersect to decide or count a unit.
+`derive_relation` and the instance walks read it, except OR:n's, which tests
+the ideals directly.  `_Follows` holds rel(a) as a bit set, which OR:n and
+OR:omega intersect to decide or count a unit.
 `_rel_size` gives |rel(a)| in closed form, for unit counts and for the
 ceilings of the n-ary scans.
 
@@ -94,7 +95,8 @@ size properties: `setcore.down_closed`, `union_closed` and `unions`.
 `_UNITS` maps each rule tag to its unit test, and `_scan_rule` runs every
 rule through one loop: it adds each unit's count until the first unit whose
 test returns None, then walks that unit alone, instance by instance.  So
-counts, witnesses and notes are those of a walk over every instance.
+counts, witnesses and notes are those of a walk over every instance (SC, CP
+and REF know their first violation without one).
 
 An n-ary rule whose scan would exceed RULE_SCAN_CEILING instances — Σₐ |rel(a)|ⁿ
 for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
@@ -111,7 +113,7 @@ from operator import or_
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
 from .report import CheckReport, scan_report
-from .setcore import Subset, down_closed, submasks, union_closed, unions
+from .setcore import Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, full_domain_masks
 
 _PARAM_RULES = {"AND": 1, "OR": 2, "CM": 2}  # minimal n per family
@@ -568,19 +570,17 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
 
     a = unit  # the antecedent, unless the unit is a pair or a combo
 
-    if tag == "SC":
-        for b in masks:
-            if a & ~b:
-                continue
-            count += 1
-            if (a & ~b) not in ideals[a]:  # a − b is ∅ here; fails iff Opt fails at a
-                return count, (("alpha", a), ("beta", b)), notes
+    if tag == "SC":  # the first superset β of α is α, and ∅ ∉ I(α)
+        return count + 1, (("alpha", a), ("beta", a)), notes
+
+    elif tag == "CP":  # the unit's one instance
+        return count + 1, (("phi", a),), notes
 
     elif tag == "REF":
-        for g in masks:
-            count += 1
-            if not nm(a & g, g):
-                return count, (("alpha", a), ("gamma", g)), notes
+        # γ fails iff t = α ∩ γ ≠ ∅ has ∅ ∉ I(t); then t fails too and comes
+        # no later than γ, so the first failing γ is the first such t ⊆ α.
+        g = next(t for t in submasks(a) if t and 0 not in ideals[t])
+        return count + canon_rank(size)[g] + 1, (("alpha", a), ("gamma", g)), notes
 
     elif tag == "RW":
         for b in rel[a]:
@@ -629,11 +629,6 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
                 count += 1
                 if not nm(p | p2, q | q2):
                     return count, (("phi", p), ("phi'", p2), ("psi", q), ("psi'", q2)), notes
-
-    elif tag == "CP":
-        count += 1
-        if a in ideals[a]:
-            return count, (("phi", a),), notes
 
     elif tag == "AND":
         for combo in product(rel[a], repeat=n):

@@ -6,9 +6,10 @@ X, of the ideal families allowed at X.  Every enumerated family contains ∅
 `monotone_only` the families are restricted to downward-closed ones, which
 shrinks the space by orders of magnitude; the down-set counts per base-set
 size are 2, 5, 19, 167, ... and the product across all base sets grows
-Dedekind-fast, hence the size ceiling: exhaustive runs stop at universe
-size 4, sizes 5-6 are admitted only with both `monotone_only` and
-`canonical_only` set.
+Dedekind-fast, hence the size ceilings: exhaustive runs stop at universe
+size 4, size 5 is admitted only with both `monotone_only` and
+`canonical_only` set, and size 6 is refused.  Each (size, monotone) has one
+`_SystemSpace`, built on first use and shared by every scan for the process.
 
 Ordering is canonical everywhere: families are ordered by their code (the
 bitmask recording which subsets belong to the family, indexed in canonical
@@ -58,10 +59,8 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
 from .properties import (
-    IM,
     IOMEGA,
     LOCAL_TAGS,
-    OPT,
     TWO_LEVEL,
     PropertyId,
     check_property,
@@ -71,13 +70,14 @@ from .properties import (
 )
 from .report import CheckReport
 from .rules import RuleId, check_rule
-from .setcore import CAPACITY, Subset, Universe, canon_rank, submasks
+from .setcore import Subset, Universe, canon_rank, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 EXHAUSTIVE_CEILING = 4
+CANONICAL_CEILING = 5  # monotone lex-leader streams only
 
 CheckId = PropertyId | RuleId
 
@@ -233,13 +233,13 @@ class _SystemSpace:
     its index there comes from a table that maps the pre-image family's index
     to the image family's index.  Every table starts empty and is memoised
     entry by entry on first use: at |U| = 5 filled tables would run to a
-    million entries before the first system is out.
+    million entries before the first system is out.  The space is shared
+    (`_system_space`), so the tables and `passing` lists serve every query.
     """
 
     def __init__(self, n: int, monotone: bool):
         self.universe = Universe(_letters(n))
         self.domain = domain = full_domain_masks(self.universe)
-        self.monotone = monotone
         gen = _down_set_families if monotone else _families_with_empty
         self.per_set = [tuple(gen(x)) for x in domain]
         self.radices = [len(fams) for fams in self.per_set]
@@ -252,7 +252,7 @@ class _SystemSpace:
         self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
         self.relabelings = factorial(n)
         self._passing: dict[tuple[PropertyId, ...], list[list[int]]] = {}
-        self.positions: list[dict[frozenset[int], int] | None] = [None] * len(domain)
+        self.positions = [{fam: k for k, fam in enumerate(fams)} for fams in self.per_set]
         pos = {x: j for j, x in enumerate(domain)}
         # Per position, the positions of the base sets below it: all in earlier blocks.
         self.below = [tuple(pos[m] for m in submasks(x)[1:-1]) for x in domain]
@@ -280,26 +280,19 @@ class _SystemSpace:
         image, pre, tables = perm
         t = tables[j].get(i)
         if t is None:
-            positions = self.positions[j]
-            if positions is None:
-                positions = {fam: k for k, fam in enumerate(self.per_set[j])}
-                self.positions[j] = positions
             fam = self.per_set[pre[j]][i]
-            t = tables[j][i] = positions[frozenset([image[a] for a in fam])]
+            t = tables[j][i] = self.positions[j][frozenset([image[a] for a in fam])]
         return t
 
     def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
         """Per position, the indices of the families on which every local
-        property holds at that position's base set.  Every family contains
-        ∅, so Opt holds on each, and on a monotone space every family is a
-        down-set, so iM does too: neither is tested.  Kept per space, for a
-        failing scan walks the leaders twice."""
-        u = self.universe
-        tested = tuple(p for p in local if p != OPT and not (self.monotone and p == IM))
-        lists = self._passing.get(tested)
+        property holds at that position's base set.  Kept per space, so each
+        tuple of properties is tested once per family for the process."""
+        lists = self._passing.get(local)
         if lists is None:
-            lists = self._passing[tested] = [
-                [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in tested)]
+            u = self.universe
+            lists = self._passing[local] = [
+                [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in local)]
                 for x, fams in zip(self.domain, self.per_set)
             ]
         return lists
@@ -399,16 +392,20 @@ class _SystemSpace:
         return len(images)
 
 
+_shared_space = lru_cache(maxsize=None)(_SystemSpace)
+
+
 def _system_space(n: int, monotone: bool, canonical: bool) -> _SystemSpace:
+    """The shared space of size n, refusing a size no scan over it can finish."""
     check_size(n)
-    if n > CAPACITY:
-        raise CapacityExceeded(f"universe size beyond capacity {CAPACITY}")
     if n > EXHAUSTIVE_CEILING and not (monotone and canonical):
         raise CapacityExceeded(
             f"exhaustive enumeration is capped at size {EXHAUSTIVE_CEILING}; "
-            "sizes 5-6 need monotone_only and canonical_only"
+            f"size {CANONICAL_CEILING} needs monotone_only and canonical_only"
         )
-    return _SystemSpace(n, monotone)
+    if n > CANONICAL_CEILING:  # the full set of size 6 alone has 7 828 353 down-sets
+        raise CapacityExceeded(f"enumeration is capped at size {CANONICAL_CEILING}")
+    return _shared_space(n, monotone)
 
 
 def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
@@ -695,8 +692,10 @@ def verify_two_s_breakdown(
     the row gives the first A, B ∈ I(X) with A ∪ B ∉ I(X), and the family is
     checked on them: Z = A ∪ B is a carrier that is not small and is covered
     by the pairwise union A ∪ B.  So the scan cannot fail.  Up to size 4 the
-    premise fires on 30 356 of 32 906 families.
+    premise fires on 30 356 of 32 906 families; size 5 has 2³¹, so it is refused.
     """
+    if max_universe > EXHAUSTIVE_CEILING:
+        raise CapacityExceeded(f"the 2*s breakdown scan is capped at size {EXHAUSTIVE_CEILING}")
     universes = (Universe(_letters(n)) for n in sizes_upto(max_universe))
     candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))
 

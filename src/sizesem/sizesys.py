@@ -46,8 +46,8 @@ def _labels(u: Universe, mask: int) -> list[str]:
 
 
 def full_domain_masks(u: Universe) -> tuple[int, ...]:
-    """Every nonempty subset mask in canonical order."""
-    return tuple(m for m in u.all_masks() if m)
+    """Every nonempty subset mask in canonical order, where ∅ comes first."""
+    return u.all_masks()[1:]
 
 
 class SizeSystem:

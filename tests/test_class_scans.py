@@ -41,6 +41,7 @@ from sizesem.search import (
     count_systems,
     enumerate_systems,
     evaluate_check,
+    split_prunable,
     verify_agreement,
     verify_implication,
 )
@@ -208,6 +209,13 @@ def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left
     got = (rep.holds, rep.systems_checked, rep.skipped_non_principal, rep.witness["system"])
     assert got == (False, checked, skipped, failing.to_dict())
     assert rep.witness["violation"]["subject"] == failing.label
+
+
+def test_every_forward_row_prunes_by_its_whole_size_side():
+    # The forward scan hands a row's size side to the leader walk whole, so
+    # no row may hold a property the walk cannot prune (M+n).
+    for left in ROW_LEFT.values():
+        assert split_prunable(left) == (left, ())
 
 
 def local_split_mismatches(systems):

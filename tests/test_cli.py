@@ -213,11 +213,10 @@ def test_derive_verb(capsys):
 
 
 def test_search_verb_capacity(capsys):
-    code, _, err = run_cli(
-        capsys, "search", "--size", "5", "--mode", "count"
-    )
-    assert code == 3
-    assert "capacity" in err.lower()
+    for size in (("--size", "5"), ("--size", "6", "--canonical")):
+        code, _, err = run_cli(capsys, "search", *size, "--mode", "count")
+        assert code == 3
+        assert "capacity" in err.lower()
 
 
 def test_search_verb_refuses_size_zero(capsys):

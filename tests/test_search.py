@@ -82,6 +82,14 @@ def test_size_one_systems_are_the_two_expected():
     assert fams == [frozenset({0}), frozenset({0, 1})]
 
 
+def test_each_size_has_one_shared_space():
+    space = search._system_space(3, True, False)
+    assert search._system_space(3, True, True) is space
+    assert search._system_space(3, False, False) is not space
+    spec = SearchSpec(3, mode="count", canonical_only=True)
+    assert len(list(enumerate_systems(spec))) == len(list(enumerate_systems(spec))) == 3_450
+
+
 def test_enumeration_deterministic():
     a = [s.to_dict() for s in enumerate_systems(SearchSpec(2, mode="count"))]
     b = [s.to_dict() for s in enumerate_systems(SearchSpec(2, mode="count"))]
@@ -93,6 +101,8 @@ def test_capacity_guards():
         list(enumerate_systems(SearchSpec(5, mode="count")))
     with pytest.raises(CapacityExceeded):
         list(enumerate_systems(SearchSpec(7, mode="count", canonical_only=True)))
+    with pytest.raises(CapacityExceeded, match="capped at size 5"):
+        next(enumerate_systems(SearchSpec(6, mode="count", canonical_only=True)))
     gen = enumerate_systems(
         SearchSpec(5, mode="count", canonical_only=True, monotone_only=True)
     )
@@ -373,14 +383,16 @@ def test_sizes_below_one_are_refused(scan):
     [
         lambda: verify_implication_upto((EMI,), EMF, 5),
         lambda: verify_agreement_upto([EMI, EMF], 5),
+        lambda: verify_two_s_breakdown(5),
     ],
-    ids=["implication_upto", "agreement_upto"],
+    ids=["implication_upto", "agreement_upto", "two_s_breakdown"],
 )
 def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, monkeypatch):
     def no_check(*args):
         raise AssertionError("a system was checked before the refusal")
 
     monkeypatch.setattr(search, "evaluate_check", no_check)
+    monkeypatch.setattr(search, "first_failure", no_check)
     with pytest.raises(CapacityExceeded, match="capped at size 4"):
         scan()
 
