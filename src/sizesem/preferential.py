@@ -55,9 +55,9 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, first_failure, scan_classes, sizes_upto
+from .search import _letters, first_failure, scan_classes, sizes_upto, verdict
 from .setcore import Universe, submasks
-from .sizesys import MuFunction, SizeSystem, _label_key, from_mu, full_domain_masks, principal_mu
+from .sizesys import MuFunction, _label_key, from_mu, full_domain_masks, principal_mu
 
 # --- choice-function rules ----------------------------------------------------
 #
@@ -263,8 +263,8 @@ def parse_mu_rule(text: str) -> MuRuleId:
     return MuRuleId(text.strip())
 
 
-def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
-    """Decide one choice-function rule over all instances; canonical witness.
+def _scan_mu_rule(mu: MuFunction, r: MuRuleId) -> tuple[int, Witness, int]:
+    """(instances_checked, first witness or None, instances skipped) of r on mu.
 
     X and Y range over the domain.  The carrier policy lives here: a scan
     that looks f up at a composite carrier (X∪Y, X∩Y, X∩A, {a,b}) outside the
@@ -272,10 +272,20 @@ def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
     instance whose carrier is empty was skipped, and tallied, before any lookup.
     """
     try:
-        count, witness, skipped = _MU_RULES[r.tag](mu)
+        return _MU_RULES[r.tag](mu)
     except KeyError as exc:
         raise DomainNotClosed(_label_key(mu.universe, exc.args[0]), r.tag) from None
+
+
+def check_mu_rule(mu: MuFunction, r: MuRuleId) -> CheckReport:
+    """Decide one choice-function rule over all instances; canonical witness."""
+    count, witness, skipped = _scan_mu_rule(mu, r)
     return scan_report(mu.label, r.name, mu.universe, count, witness, skipped=skipped)
+
+
+def mu_verdict(mu: MuFunction, r: MuRuleId) -> bool:
+    """check_mu_rule(mu, r).holds, from the scan alone: no report is built."""
+    return _scan_mu_rule(mu, r)[1] is None
 
 
 def mu_to_rule_bridge(mu: MuFunction, r: RuleId) -> CheckReport:
@@ -356,16 +366,16 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
     _check_scan_size(max_universe)
     mu_rule = ROW_MU[row]
 
-    def evaluate(s: SizeSystem):
+    def evaluate(space, idx: tuple[int, ...]):
+        s = space.leader(idx)
         try:
             mu = principal_mu(s)
         except NotPrincipal:
             return False
         # Row 7's choice side is structural: only count the systems it ranges over.
-        if mu_rule is None:
+        if mu_rule is None or mu_verdict(mu, mu_rule):
             return True
-        rep = check_mu_rule(mu, mu_rule)
-        return True if rep.holds else (s, mu, rep)
+        return s, mu, check_mu_rule(mu, mu_rule)
 
     checked, skipped, failure = scan_classes(sizes, True, ROW_LEFT[row], evaluate)
     witness = None
@@ -403,9 +413,8 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
             )
         system = from_mu(mu)
         assert mu_rule is not None
-        mu_rep = check_mu_rule(mu, mu_rule)
-        failing = [p for p in left if not check_property(system, p).holds]
-        confirmed = mu_rep.holds and bool(failing)
+        failing = [p for p in left if not verdict(system, p)]
+        confirmed = mu_verdict(mu, mu_rule) and bool(failing)
         return CorrespondenceReport(
             row=row,
             direction="backward",
@@ -426,13 +435,12 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
     _check_scan_size(max_universe)
 
     def evaluate(mu: MuFunction):
-        if mu_rule is not None and not check_mu_rule(mu, mu_rule).holds:
+        if mu_rule is not None and not mu_verdict(mu, mu_rule):
             return None
         system = from_mu(mu)
         for p in left:
-            rep = check_property(system, p)
-            if not rep.holds:
-                return mu, system, rep
+            if not verdict(system, p):
+                return mu, system, check_property(system, p)
         return True
 
     universes = (Universe(_letters(n)) for n in sizes)

@@ -24,9 +24,9 @@ whether or not those subsets are themselves in 𝒴).  The checkable vocabulary:
 
 where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
 Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
-decides every base set X from I(X) alone by one test, ∅ ∈ I(X) or one of
-`setcore.down_closed`, `union_closed` and `unions`.  The rules, the pruned
-search walk and fact-3.3 read the same rows or tests.  Eleven properties
+decides every base set X from I(X) alone by one test in `_LOCAL`, ∅ ∈ I(X)
+or one of `setcore.down_closed`, `union_closed` and `unions`.  The rules,
+the pruned search walk (`holds_at`) and fact-3.3 read the same tests or rows.  Eleven properties
 relate two base sets; each is a row of one of three factories:
 `_nested_row` (eMI, eMF, M+omega:1–3, M++:3), `_carrier_row` (M+omega:4,
 M++:1–2) and `_union_row` (I-union-disj, F-union-disj).  Every instance of
@@ -204,20 +204,22 @@ def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
 
 # --- local properties: one row per base set -----------------------------------
 #
-# A row at(X, I(X), key[, k]) returns (the instances at X, the witness after
-# X, or None), with key the canonical sort key.  Where its test holds, X's
-# count comes in closed form; only a failing X is walked, in canonical order.
+# Each local tag has one test, test(X, I(X)[, k]): whether the property holds
+# at X on I(X) alone (`_LOCAL`).  A row at(X, I(X), key, held[, k]) takes its
+# verdict and returns (the instances at X, the witness after X, or None), with
+# key the canonical sort key.  Where the test holds, X's count comes in closed
+# form; only a failing X is walked, in canonical order.
 
 
-def _opt_at(x: int, fam, key) -> tuple[int, Witness]:
+def _opt_at(x: int, fam, key, held: bool) -> tuple[int, Witness]:
     """Opt at X: one instance, failing iff ∅ ∉ I(X)."""
-    return 1, None if 0 in fam else ()
+    return 1, None if held else ()
 
 
-def _im_at(x: int, fam, key) -> tuple[int, Witness]:
+def _im_at(x: int, fam, key, held: bool) -> tuple[int, Witness]:
     """iM at X: instances (A, B), A ∉ I(X) and A ⊆ B ⊆ X, so 2^|X−A| per A."""
     subs = submasks(x)
-    if down_closed(fam):
+    if held:
         return sum(1 << (x & ~a).bit_count() for a in subs if a not in fam), None
     count = 0
     for a in subs:
@@ -231,9 +233,9 @@ def _im_at(x: int, fam, key) -> tuple[int, Witness]:
                 return count, (("A", a), ("B", b))
 
 
-def _iomega_at(x: int, fam, key) -> tuple[int, Witness]:
+def _iomega_at(x: int, fam, key, held: bool) -> tuple[int, Witness]:
     """I-omega at X: instances (A, B), A and B in I(X)."""
-    if union_closed(fam):
+    if held:
         return len(fam) ** 2, None
     members = sorted(fam, key=key)
     count = 0
@@ -244,11 +246,11 @@ def _iomega_at(x: int, fam, key) -> tuple[int, Witness]:
                 return count, (("A", a), ("B", b))
 
 
-def _cover_at(x: int, fam, key, n: int) -> tuple[int, Witness]:
+def _cover_at(x: int, fam, key, held: bool, n: int) -> tuple[int, Witness]:
     """n*s:n at X: instances the n-tuples over I(X), failing where they cover
     X.  The first such tuple takes, at each place, the first member that the
     places left can complete to a cover."""
-    if x not in unions(fam, n, x):
+    if held:
         return len(fam) ** n, None
     members = sorted(fam, key=key)
     picks, cur = [], 0
@@ -260,7 +262,7 @@ def _cover_at(x: int, fam, key, n: int) -> tuple[int, Witness]:
     return len(fam) ** n, tuple((f"A{i+1}", a) for i, a in enumerate(picks))
 
 
-def _local_scan(at) -> Scan:
+def _local_scan(test, at) -> Scan:
     """The scan of a local property: its row at each X in domain order, the
     counts added up to the first X with a witness."""
 
@@ -269,8 +271,9 @@ def _local_scan(at) -> Scan:
         key = _rank_key(s)
         count = 0
         for x in s.domain_masks:
-            held, rest = at(x, ideals[x], key, *param)
-            count += held
+            fam = ideals[x]
+            at_x, rest = at(x, fam, key, test(x, fam, *param), *param)
+            count += at_x
             if rest is not None:
                 return count, (("X", x), *rest)
         return count, None
@@ -510,12 +513,18 @@ _ROWS = {
 # M+omega and M++ are families of variants, one row each.
 _VARIANTS = {tag: {v for t, v in _ROWS if t == tag} for tag in ("M+omega", "M++")}
 
-_LOCAL = {"Opt": _opt_at, "iM": _im_at, "n*s": _cover_at, "I-omega": _iomega_at}
+# The local properties by tag: (the test at one base set, the row).
+_LOCAL = {
+    "Opt": (lambda x, fam: 0 in fam, _opt_at),
+    "iM": (lambda x, fam: down_closed(fam), _im_at),
+    "n*s": (lambda x, fam, n: x not in unions(fam, n, x), _cover_at),
+    "I-omega": (lambda x, fam: union_closed(fam), _iomega_at),
+}
 
 # The property vocabulary: each tag's scan returns (instances_checked, witness).
 # Parameterised tags take the PropertyId's parameter as a second argument.
 _SCANS = {
-    **{tag: _local_scan(at) for tag, at in _LOCAL.items()},
+    **{tag: _local_scan(*row) for tag, row in _LOCAL.items()},
     **{tag: scan for (tag, v), (scan, _) in _ROWS.items() if v is None},
     "M+n": _check_m_plus_n,
     "M+omega": lambda s, v: _ROWS["M+omega", v][0](s),
@@ -528,13 +537,18 @@ LOCAL_TAGS = frozenset(_LOCAL)
 
 def row_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> tuple[int, Witness]:
     """The row of the local property p at the base set X, on I(X) = fam alone."""
-    at, key = _LOCAL[p.tag], canon_rank(u.size).__getitem__
-    return at(x, fam, key) if p.param is None else at(x, fam, key, p.param)
+    test, at = _LOCAL[p.tag]
+    key = canon_rank(u.size).__getitem__
+    if p.param is None:
+        return at(x, fam, key, test(x, fam))
+    return at(x, fam, key, test(x, fam, p.param), p.param)
 
 
-def holds_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> bool:
-    """Whether the local property p holds at the base set X on I(X) = fam."""
-    return row_at(u, x, fam, p)[1] is None
+def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:
+    """Whether the local property p holds at the base set X on I(X) = fam:
+    the row's test alone, with no witness built."""
+    test = _LOCAL[p.tag][0]
+    return test(x, fam) if p.param is None else test(x, fam, p.param)
 
 
 def holds_below(p: PropertyId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
@@ -558,13 +572,18 @@ IOMEGA = PropertyId("I-omega")
 TWO_LEVEL = frozenset(PropertyId(tag, v) for tag, v in _ROWS)
 
 
-def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:
-    """Decide one table property over all instances in s; canonical witness."""
+def _scan_property(s: SizeSystem, p: PropertyId) -> tuple[int, Witness]:
+    """(instances_checked, first witness or None) of p on s."""
     scan = _SCANS[p.tag]
     try:
-        count, witness = scan(s) if p.param is None else scan(s, p.param)
+        return scan(s) if p.param is None else scan(s, p.param)
     except KeyError as exc:  # a carrier X − B outside the domain
         raise DomainNotClosed(_label_key(s.universe, exc.args[0]), p.name) from None
+
+
+def check_property(s: SizeSystem, p: PropertyId) -> CheckReport:
+    """Decide one table property over all instances in s; canonical witness."""
+    count, witness = _scan_property(s, p)
     notes = ()
     if p.tag in ("n*s", "M+n") and p.param > s.universe.size + 1:
         notes = (f"parameter {p.param} exceeds |U|+1; condition near-vacuous",)

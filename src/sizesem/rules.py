@@ -219,7 +219,6 @@ RULE_SCAN_CEILING = 10**7
 
 def check_rule(s: SizeSystem, r: RuleId) -> CheckReport:
     """Decide one rule over all model-set instantiations; canonical witness."""
-    _require_full(s)
     count, witness, notes = _scan_rule(s, r)
     return scan_report(s.label, r.name, s.universe, count, witness, notes)
 
@@ -527,6 +526,7 @@ M_PLUS_DERIVED = RuleId("M+derived")
 def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     """(instances_checked, witness, notes): units add their counts until a test
     returns None, and that unit alone is walked instance by instance."""
+    _require_full(s)
     ideals = s.ideals
     size = s.universe.size
     masks = s.universe.all_masks()

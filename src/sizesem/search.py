@@ -32,20 +32,26 @@ lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
 The walk also prunes by the required properties other than M+n.  A local
 one (Opt, iM, I-omega, n*s:k) holds on a system iff it holds at every base
-set X on I(X) alone; it is decided once per base set and family, by its row
-at that base set (`properties.holds_at`).  A two-level one (eMI, eMF, the
+set X on I(X) alone; it is decided once per base set and family, by its
+row's one test at that base set (`properties.holds_at`).  A two-level one (eMI, eMF, the
 union properties, M+omega:1–4, M++:1–3) holds iff it holds below every base
 set Y, on I(Y) and the ideals of the subsets of Y (`properties.holds_below`).
 Those subsets sit in earlier blocks, so before each block's product the walk
 filters the families of each of its positions by what the earlier blocks
 assign, memoised for the walk.  No system is built for either, and the
-other checks are evaluated on the leaders left.  Every property is
+other checks are decided on the leaders left by their scan alone
+(`verdict`); a report is built only for the failing target that is reported.
+Every property is
 invariant under relabeling, and a relabeling that fixes the prefix maps a
 family that passes to one that passes, so the pruned walk yields exactly
 the leaders that have the properties, with their stabilizers, raw ranks and
 weights, and the systems it drops are those the scan would have left
 outside.  `canonical_only` streams stay unpruned: they label a leader by its
 position among all leaders, which a pruned walk does not know.
+
+The agreement scans walk every leader and read each prunable property's
+verdict off the walk pruned by it alone, in step with their own; only M+n
+and the rules are decided per leader.
 """
 
 from __future__ import annotations
@@ -63,13 +69,14 @@ from .properties import (
     LOCAL_TAGS,
     TWO_LEVEL,
     PropertyId,
+    _scan_property,
     check_property,
     holds_at,
     holds_below,
     row_at,
 )
 from .report import CheckReport
-from .rules import RuleId, check_rule
+from .rules import RuleId, _scan_rule, check_rule
 from .setcore import Subset, Universe, canon_rank, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
@@ -130,6 +137,13 @@ def evaluate_check(s: SizeSystem, c: CheckId) -> CheckReport:
     if isinstance(c, PropertyId):
         return check_property(s, c)
     return check_rule(s, c)
+
+
+def verdict(s: SizeSystem, c: CheckId) -> bool:
+    """evaluate_check(s, c).holds, from the scan alone: no report is built."""
+    if isinstance(c, PropertyId):
+        return _scan_property(s, c)[1] is None
+    return _scan_rule(s, c)[1] is None
 
 
 def split_prunable(
@@ -274,6 +288,10 @@ class _SystemSpace:
         """Position of the system in the raw stream."""
         return sum(map(operator.mul, idx, self.strides))
 
+    def leader(self, idx: tuple[int, ...]) -> SizeSystem:
+        """The system idx, labelled u<n>#<raw rank> as the raw stream labels it."""
+        return self.system(idx, f"u{self.universe.size}#{self.rank(idx)}")
+
     def _image_index(self, perm: tuple, j: int, i: int) -> int:
         """Index at position j of the relabeling of a system with index i at
         the pre-image position."""
@@ -290,9 +308,8 @@ class _SystemSpace:
         tuple of properties is tested once per family for the process."""
         lists = self._passing.get(local)
         if lists is None:
-            u = self.universe
             lists = self._passing[local] = [
-                [i for i, fam in enumerate(fams) if all(holds_at(u, x, fam, p) for p in local)]
+                [i for i, fam in enumerate(fams) if all(holds_at(x, fam, p) for p in local)]
                 for x, fams in zip(self.domain, self.per_set)
             ]
         return lists
@@ -477,7 +494,7 @@ def scan_classes(
     sizes: Iterable[int],
     monotone: bool,
     prunable: tuple[PropertyId, ...],
-    evaluate: Callable[[SizeSystem], object] | None,
+    evaluate: Callable[[_SystemSpace, tuple[int, ...]], object] | None,
 ) -> tuple[int, int, object]:
     """first_failure over the systems of the given sizes, in turn, that
     satisfy every prunable property, run on one system per relabeling class.
@@ -487,8 +504,9 @@ def scan_classes(
     family, a two-level one at each base set from the families below it,
     and the walk takes only the families that pass.  So the systems that
     fail one are neither built nor counted, as if evaluate had returned
-    None on them.  An evaluate of None counts every system left without
-    building one.
+    None on them.  evaluate(space, idx) judges the leader idx of a space,
+    whose system `space.leader(idx)` builds; an evaluate of None counts
+    every system left without building one.
 
     Every check is invariant under relabeling the elements, so a class
     leader's verdict is its whole class's, and the leader stands for
@@ -514,8 +532,7 @@ def scan_classes(
 
     def judge(item: tuple[_SystemSpace, tuple[int, ...]]):
         space, idx = item
-        label = f"u{space.universe.size}#{space.rank(idx)}"
-        result = evaluate(space.system(idx, label))
+        result = evaluate(space, idx)
         if result is None or result is True or result is False:
             return result
         return space, idx, result
@@ -552,7 +569,7 @@ def _scan_systems(
 
     def evaluate(s: SizeSystem):
         for c in rest:
-            if not evaluate_check(s, c).holds:
+            if not verdict(s, c):
                 return None
         if spec.target is None:
             return True
@@ -564,9 +581,8 @@ def _scan_systems(
         satisfying, _, failure, _ = first_failure(systems, evaluate)
     else:
         some_check = rest or spec.target is not None
-        satisfying, _, failure = scan_classes(
-            sizes, spec.monotone_only, prunable, evaluate if some_check else None
-        )
+        judge = (lambda space, idx: evaluate(space.leader(idx))) if some_check else None
+        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, prunable, judge)
     return satisfying, failure
 
 
@@ -631,9 +647,24 @@ def count_systems(
 
 
 def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
-    def evaluate(s: SizeSystem):
-        verdicts = [evaluate_check(s, c).holds for c in ids]
-        return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
+    """The agreement scan over every leader; a prunable property holds on one
+    iff the walk pruned by it alone, read in step with the scan, reaches it."""
+    prunable, rest = split_prunable(tuple(ids))
+    walks: dict = {}  # (space, property) ↦ [its pruned walk, the next leader on it]
+
+    def has(space: _SystemSpace, idx: tuple[int, ...], p: PropertyId) -> bool:
+        walk = walks.get((space, p))
+        if walk is None:
+            leaders = space.leaders((p,))
+            walk = walks[space, p] = [leaders, next(leaders, None)]
+        while walk[1] is not None and walk[1][0] < idx:
+            walk[1] = next(walk[0], None)
+        return walk[1] is not None and walk[1][0] == idx
+
+    def evaluate(space: _SystemSpace, idx: tuple[int, ...]):
+        s = space.leader(idx) if rest else None
+        verdicts = [has(space, idx, c) if c in prunable else verdict(s, c) for c in ids]
+        return True if all(v == verdicts[0] for v in verdicts) else (space.leader(idx), verdicts)
 
     count, _, failure = scan_classes(sizes, True, (), evaluate)
     report = CheckReport(

@@ -224,7 +224,7 @@ def local_split_mismatches(systems):
     mismatches = []
     for s in systems:
         for p in LOCAL_PROPS:
-            per_family = all(holds_at(s.universe, x, s.ideals[x], p) for x in s.domain_masks)
+            per_family = all(holds_at(x, s.ideals[x], p) for x in s.domain_masks)
             if check_property(s, p).holds != per_family:
                 mismatches.append((s.label, p.name))
     return mismatches

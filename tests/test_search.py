@@ -392,7 +392,10 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, monkeypatch):
         raise AssertionError("a system was checked before the refusal")
 
     monkeypatch.setattr(search, "evaluate_check", no_check)
+    monkeypatch.setattr(search, "verdict", no_check)
     monkeypatch.setattr(search, "first_failure", no_check)
+    # No leader walk may start either: at |U| = 4 one runs for minutes.
+    monkeypatch.setattr(search._SystemSpace, "leaders", no_check)
     with pytest.raises(CapacityExceeded, match="capped at size 4"):
         scan()
 

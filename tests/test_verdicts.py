@@ -1,0 +1,173 @@
+"""Bare verdicts against full reports, and the agreement scan against a per-leader reference.
+
+`search.verdict` and `preferential.mu_verdict` run a check's scan and build
+no report; each must give the `.holds` of the report that `evaluate_check`
+or `check_mu_rule` builds, and raise what it raises.  The agreement scan
+reads the verdicts of the prunable properties off their pruned leader walks;
+`reference_agreement` is the scan it replaced, which builds a full report
+per id on every leader, and both must give the same bytes.
+"""
+
+import json
+
+import pytest
+
+from sizesem import properties, search
+from sizesem.cli import ALL_PROPS, ALL_RULES
+from sizesem.errors import DomainNotClosed, DomainNotFull
+from sizesem.preferential import MuRuleId, _MU_RULES, check_mu_rule, enumerate_mu_functions, mu_verdict
+from sizesem.properties import (
+    EMF,
+    EMI,
+    I_UNION_DISJ,
+    IOMEGA,
+    m_plus_n,
+    m_plus_omega,
+    m_plus_plus,
+    n_star_s,
+    parse_property,
+)
+from sizesem.report import CheckReport
+from sizesem.rules import CM_OMEGA, RATM, parse_rule
+from sizesem.search import (
+    SearchSpec,
+    enumerate_systems,
+    evaluate_check,
+    scan_classes,
+    verdict,
+    verify_agreement,
+    verify_agreement_upto,
+)
+from sizesem.setcore import Universe
+from sizesem.sizesys import build, build_mu
+
+CHECKS = [parse_property(n) for n in ALL_PROPS] + [parse_rule(n) for n in ALL_RULES]
+
+
+def test_verdict_is_the_reports_holds():
+    # Every system at |U| ≤ 2, monotone or not, and the 3 450 canonical
+    # monotone systems at |U| = 3.
+    systems = [
+        s
+        for n in (1, 2)
+        for monotone in (True, False)
+        for s in enumerate_systems(SearchSpec(n, mode="count", monotone_only=monotone))
+    ]
+    systems += enumerate_systems(SearchSpec(3, mode="count", canonical_only=True))
+    assert len(systems) == 3_506
+    mismatches, failures = [], 0
+    for s in systems:
+        for c in CHECKS:
+            holds = evaluate_check(s, c).holds
+            failures += not holds
+            if verdict(s, c) != holds:
+                mismatches.append((s.label, c.name))
+    assert mismatches == []
+    assert failures > 0
+
+
+def test_mu_verdict_is_the_reports_holds():
+    rules = [MuRuleId(tag) for tag in _MU_RULES]
+    mismatches, failures, count = [], 0, 0
+    for mu in enumerate_mu_functions(Universe(["a", "b", "c"])):
+        count += 1
+        for r in rules:
+            holds = check_mu_rule(mu, r).holds
+            failures += not holds
+            if mu_verdict(mu, r) != holds:
+                mismatches.append((mu.label, r.name))
+    assert count == 4_096
+    assert mismatches == []
+    assert failures > 0
+
+
+def _raised(error, call) -> str:
+    with pytest.raises(error) as caught:
+        call()
+    return str(caught.value)
+
+
+def test_verdicts_raise_what_the_reports_raise_on_a_partial_domain():
+    u = Universe(["a", "b"])
+    # M++:1 and M+omega:4 need the carrier {b} = X − {a}, which the domain lacks.
+    s = build(u, [u.subset(["a"]), u.full], {u.full: [u.empty, u.subset(["a"])]})
+    for p in (m_plus_plus(1), m_plus_omega(4)):
+        want = _raised(DomainNotClosed, lambda: evaluate_check(s, p))
+        assert _raised(DomainNotClosed, lambda: verdict(s, p)) == want
+    # A rule needs the full powerset.
+    want = _raised(DomainNotFull, lambda: evaluate_check(s, RATM))
+    assert _raised(DomainNotFull, lambda: verdict(s, RATM)) == want
+    # I-union-disj needs {a,b} = {a} ∪ {b}.
+    s = build(u, [u.subset(["a"]), u.subset(["b"])], {})
+    want = _raised(DomainNotClosed, lambda: evaluate_check(s, I_UNION_DISJ))
+    assert _raised(DomainNotClosed, lambda: verdict(s, I_UNION_DISJ)) == want
+    # mu-OR needs f({a,b}) for X = {a}, Y = {b}.
+    mu = build_mu(u, [u.subset(["a"]), u.subset(["b"])], {})
+    want = _raised(DomainNotClosed, lambda: check_mu_rule(mu, MuRuleId("mu-OR")))
+    assert want == "domain does not contain a,b (needed for mu-OR)"
+    assert _raised(DomainNotClosed, lambda: mu_verdict(mu, MuRuleId("mu-OR"))) == want
+
+
+def reference_agreement(ids, sizes, subject) -> CheckReport:
+    """The agreement scan with a full report per id on every leader."""
+
+    def evaluate(space, idx):
+        s = space.leader(idx)
+        verdicts = [evaluate_check(s, c).holds for c in ids]
+        return True if all(v == verdicts[0] for v in verdicts) else (s, verdicts)
+
+    count, _, failure = scan_classes(sizes, True, (), evaluate)
+    report = CheckReport(
+        subject=subject,
+        condition="agree:" + "=".join(c.name for c in ids),
+        holds=failure is None,
+        instances_checked=count,
+    )
+    if failure is not None:
+        s, verdicts = failure
+        report.notes = ("verdicts " + ", ".join(f"{c.name}={v}" for c, v in zip(ids, verdicts)),)
+        report.witness_system = s.to_dict()
+    return report
+
+
+FACTS = {
+    "fact-3.9": [CM_OMEGA, m_plus_omega(4)],
+    "fact-3.12": [m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)],
+    "fact-3.13": [RATM, m_plus_plus(1)],
+}
+MIXES = {
+    "eMI=eMF": [EMI, EMF],
+    "CM:omega=M+omega:3": [CM_OMEGA, m_plus_omega(3)],
+    "I-omega=RatM=M++:2": [IOMEGA, RATM, m_plus_plus(2)],
+    "M+n:3=eMI": [m_plus_n(3), EMI],
+    "I-omega=n*s:2": [IOMEGA, n_star_s(2)],
+}
+
+
+def _bytes(report: CheckReport) -> str:
+    return json.dumps(report.to_dict())
+
+
+@pytest.mark.parametrize("name", [*FACTS, *MIXES])
+def test_agreement_matches_the_per_leader_reference(name):
+    ids = FACTS.get(name) or MIXES[name]
+    for n in (1, 2, 3):
+        want = reference_agreement(ids, [n], f"search:u{n}")
+        assert _bytes(verify_agreement(ids, n)) == _bytes(want), n
+    want = reference_agreement(ids, range(1, 4), "search:u<=3")
+    assert _bytes(verify_agreement_upto(ids, 3)) == _bytes(want)
+    # The facts hold up to |U| = 3; each mix fails there, with a witness.
+    assert want.holds == (name in FACTS)
+
+
+def test_an_agreement_of_prunable_properties_runs_no_property_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a property was scanned")
+
+    for tag in properties._SCANS:
+        monkeypatch.setitem(properties._SCANS, tag, no_scan)
+    monkeypatch.setattr(search, "verdict", no_scan)
+    monkeypatch.setattr(search, "evaluate_check", no_scan)
+    rep = verify_agreement_upto([m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)], 3)
+    # Every monotone system up to |U| = 3: 2 + 20 + 19 000.
+    assert rep.holds and rep.instances_checked == 19_022
