@@ -29,8 +29,8 @@ small universes, the ten rows tying size properties to choice-function rules:
     10   eMI + I-omega + eMF        ⇒  mu-sub-sup   (converse fails)
 
 Forward runs over every monotone full-powerset system with principal filters
-(non-principal systems are counted and skipped, not silently dropped); every
-size side is prunable, so only the choice side is evaluated per system.
+(non-principal systems are counted and skipped, not silently dropped); the
+size side prunes the leader walk, so only the choice side is evaluated.
 Backward runs over every choice function on a full domain; rows 8–10 instead
 confirm the known non-implication witness: the choice function over {a,b,c}
 that picks {a} from {a,b} and is the identity elsewhere.

@@ -25,16 +25,17 @@ whether or not those subsets are themselves in 𝒴).  The checkable vocabulary:
 where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
 Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
 decides every base set X from I(X) alone by one test in `_LOCAL`, ∅ ∈ I(X)
-or one of `setcore.down_closed`, `union_closed` and `unions`.  The rules,
-the pruned search walk (`holds_at`) and fact-3.3 read the same tests or rows.  Eleven properties
-relate two base sets; each is a row of one of three factories:
-`_nested_row` (eMI, eMF, M+omega:1–3, M++:3), `_carrier_row` (M+omega:4,
-M++:1–2) and `_union_row` (I-union-disj, F-union-disj).  Every instance of
-such a row reads I(Y) of one base set Y and the ideals of subsets of Y
-alone: the larger set of a nested pair, the base of the carriers X − B, or
-the union X ∪ Y.  So the row holds iff it holds below every Y
-(`holds_below`), which is what the pruned search walk reads.  M+n reads a
-chain of sets and is decided per first set X1.
+or one of `setcore.down_closed`, `union_closed` and `unions`; the rules and
+fact-3.3 read the same tests or rows.  Eleven properties relate two base
+sets; each is a row of one of three factories: `_nested_row` (eMI, eMF,
+M+omega:1–3, M++:3), `_carrier_row` (M+omega:4, M++:1–2) and `_union_row`
+(I-union-disj, F-union-disj).  M+n reads a chain of sets and is decided per
+first set X1.
+
+Every instance has a largest set Y (the base set of a local row, the larger
+set of a nested pair, the base of the carriers X − B, the union X ∪ Y, the
+last set of an M+n chain) and reads I(Y) and the ideals of subsets of Y
+alone: a property holds iff it holds below every Y (`below`).
 
 A failed check reports the canonically first violating instantiation (subset
 order: ascending cardinality, then bit value; tuples ordered lexicographically
@@ -50,7 +51,7 @@ from the domain raises DomainNotClosed instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Callable
 
@@ -153,11 +154,10 @@ def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
     F(X_{i+1}), failing where X1 ∈ I(Xn); X1 in domain order, then each next
     link in domain order.
 
-    A first set X1 is decided by the sets it reaches in n − 1 links: it fails
-    iff X1 ∈ I(Y) for one of them.  Where it holds, its chains are counted in
-    closed form, link by link.  Only the first failing X1 is walked, in chain
-    order; a set that the walk has finished at the same place in a chain adds
-    its chains at once."""
+    X1 fails iff it is in I(Y) for a set Y it reaches in n − 1 links; where
+    it holds, its chains are counted in closed form, link by link.  Only the
+    first failing X1 is walked, in chain order; a set the walk has finished
+    at the same place in a chain adds its chains at once."""
     ideals = s.ideals
     links = _Links(s)
     count = 0
@@ -200,6 +200,14 @@ def _check_m_plus_n(s: SizeSystem, n: int) -> tuple[int, Witness]:
                 todo.append(iter(links[y]))
                 subtotals.append(0)
     return count, None
+
+
+def _m_plus_n_below(n: int, y: int, ideals) -> bool:
+    """M+n:n below Y = Xn: no set n − 1 links back from Y may be in I(Y)."""
+    reached = {y}
+    for _ in range(n - 1):
+        reached = {x for z in reached for x in submasks(z) if x in ideals and z & ~x in ideals[z]}
+    return ideals[y].isdisjoint(reached)
 
 
 # --- local properties: one row per base set -----------------------------------
@@ -289,9 +297,7 @@ def _local_scan(test, at) -> Scan:
 # complemented) or A is in I(X) equals member.
 #
 # Each two-level property is a row (scan, below): the scan of a system, and
-# below(Y, ideals), whether every instance whose largest set is Y holds.  Such
-# an instance reads I(Y) and the ideals of subsets of Y alone: Y is the larger
-# set of a nested pair, the base of the carriers X − B or the union X ∪ Y.
+# its test below one base set (`below`).
 
 _SMALL = (False, True)
 _BIG = (True, True)
@@ -317,8 +323,7 @@ def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Below]:
 
     Instances come as (X, Y, A): X, then Y in domain order, A in canonical
     order.  Where premise and conclusion are one class, the pair Y = X holds
-    on every A and adds their number at once (members of I(X) are subsets of
-    X, as `build` ensures).
+    on every A and adds their number at once (I(X) ⊆ 𝒫(X), as `build` ensures).
     """
     at_y = sides == "YX"
     lc, lm = link or (False, False)
@@ -370,11 +375,10 @@ def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Below]:
     carrier X − B".
 
     Instances come as (X, A, B): X in domain order, A, then B in canonical
-    order.  X is decided by its test, which adds X's instances in closed form
-    where it holds; only a failing X is walked.  B ≠ X keeps the carrier
-    nonempty; a carrier missing from the domain fails the test, and raises
-    KeyError when the walk reaches its first instance, which `check_property`
-    reports as DomainNotClosed.
+    order.  X's test adds its instances in closed form where it holds; only
+    a failing X is walked.  B ≠ X keeps the carrier nonempty; a carrier
+    missing from the domain fails the test and raises KeyError at its first
+    instance, which `check_property` reports as DomainNotClosed.
     """
     big, same = premise == _BIG, cut == premise
     bc, bm = cut
@@ -545,18 +549,24 @@ def row_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> tuple[int
 
 
 def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:
-    """Whether the local property p holds at the base set X on I(X) = fam:
-    the row's test alone, with no witness built."""
+    """Whether the local property p holds at X on I(X) = fam, by its test."""
     test = _LOCAL[p.tag][0]
     return test(x, fam) if p.param is None else test(x, fam, p.param)
 
 
+def below(p: PropertyId) -> Below:
+    """p's test below(Y, ideals) of the instances whose largest set is Y, on
+    I(Y) and the ideals of the domain's subsets of Y.  On a domain closed
+    under p's carriers and disjoint unions, p holds iff it holds at every Y."""
+    if p.tag in _LOCAL:
+        return lambda y, ideals: holds_at(y, ideals[y], p)
+    if p.tag == "M+n":
+        return partial(_m_plus_n_below, p.param)
+    return _ROWS[p.tag, p.param][1]
+
+
 def holds_below(p: PropertyId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
-    """Whether every instance of the two-level property p whose largest set
-    is Y holds, given I(Y) and the ideals of the members of the domain that
-    are subsets of Y.  A system on a domain closed under the carriers and
-    disjoint unions the property asks for has p iff this holds at every Y."""
-    return _ROWS[p.tag, p.param][1](y, ideals)
+    return below(p)(y, ideals)
 
 
 OPT = PropertyId("Opt")
@@ -566,10 +576,6 @@ EMF = PropertyId("eMF")
 I_UNION_DISJ = PropertyId("I-union-disj")
 F_UNION_DISJ = PropertyId("F-union-disj")
 IOMEGA = PropertyId("I-omega")
-
-# The two-level properties the leader walk prunes by: `holds_below` decides
-# each below one base set.
-TWO_LEVEL = frozenset(PropertyId(tag, v) for tag, v in _ROWS)
 
 
 def _scan_property(s: SizeSystem, p: PropertyId) -> tuple[int, Witness]:

@@ -38,17 +38,15 @@ Checked rules (n-ary families take their parameter from the RuleId):
     CCL      {β : α |~ β} is closed under ∩ and ⊇
     M+derived  γ ̸|~ ¬β, γ∧β |~ α ⇒ γ ̸|~ ¬(α∧β)
 
-OR:2 and CM:2 are the same formula (α |~ β ⇒ α ̸|~ ¬β); a report under either
-name notes the other, but each runs its own unit scan and names its witness
-its own way: α₁, β for OR:2 against α, β₁ for CM:2.
+OR:2 and CM:2 are one formula (α |~ β ⇒ α ̸|~ ¬β); a report under either
+name notes the other, but each runs its own scan and names its witness its
+own way: α₁, β for OR:2 against α, β₁ for CM:2.
 
 The relation is read in three forms.  `_Consequences` gives rel(a), every b
 with a |~ b in canonical order (every set when a = ∅), filled on first use:
-`derive_relation` and the instance walks read it, except OR:n's, which tests
-the ideals directly.  `_Follows` holds rel(a) as a bit set, which OR:n and
-OR:omega intersect to decide or count a unit.
-`_rel_size` gives |rel(a)| in closed form, for unit counts and for the
-ceilings of the n-ary scans.
+`derive_relation` and the instance walks but OR:n's read it.  `_Follows`
+holds rel(a) as a bit set, which OR:n and OR:omega intersect to decide or
+count a unit.  `_rel_size` gives |rel(a)| in closed form.
 
 Units.  A scan walks its instances in canonical order, grouped into units:
 one antecedent a (every a ⊆ U for REF, ∅ included), or, where walking a whole
@@ -98,9 +96,13 @@ test returns None, then walks that unit alone, instance by instance.  So
 counts, witnesses and notes are those of a walk over every instance (SC, CP
 and REF know their first violation without one).
 
-An n-ary rule whose scan would exceed RULE_SCAN_CEILING instances — Σₐ |rel(a)|ⁿ
-for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
-refused with CapacityExceeded before it starts.
+A rule holds iff it holds below every nonempty Y (`below`): every unit
+whose antecedent, superset (wOR, PR') or union (disjOR, OR:n, OR:omega) is Y
+holds, read from I(Y) and the ideals of Y's subsets.  These tests walk no
+instance, so RULE_SCAN_CEILING bounds only the scans that do, `check_rule`
+and a search target: an n-ary one that would exceed it — Σₐ |rel(a)|ⁿ for
+AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is refused
+with CapacityExceeded before it starts.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from operator import or_
+from typing import Callable
 
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
@@ -474,6 +477,58 @@ def _m_plus_derived_unit(ideals, size: int, g: int) -> int | None:
                         return None
             total += _rel_size(ideals, size, t)
     return total << size - g.bit_count()
+
+
+# --- below one set -------------------------------------------------------------
+
+
+def _grows_below(y: int, ideals) -> bool:
+    """wOR and PR' below Y: I(α) ⊆ I(Y) for every α ⊆ Y."""
+    fam = ideals[y]
+    return all(ideals[a] <= fam for a in submasks(y)[1:])
+
+
+def _disj_or_below(y: int, ideals) -> bool:
+    """disjOR below Y: its unit at each split Y = φ ∪ φ'."""
+    down = {p: {d for x in ideals[p] for d in submasks(x)} for p in submasks(y)[1:-1]}
+    size = y.bit_count()
+    pairs = ((p, y & ~p) for p in down if p < y & ~p)
+    return all(_disj_or_unit(ideals, size, down, pair) is not None for pair in pairs)
+
+
+def _covered(y: int, ideals, t: int, j: int) -> bool:
+    """Whether Y is a union of j sets α ⊆ Y with α − t ∈ I(α)."""
+    return y in unions([a for a in submasks(y)[1:] if a & ~t in ideals[a]], j, y)
+
+
+def _or_below(n: int, y: int, ideals) -> bool:
+    """OR:n below Y, reading β through its trace t on Y = ∪αᵢ: no t ∈ I(Y)
+    has n − 1 premises αᵢ covering Y."""
+    return not any(_covered(y, ideals, t, n - 1) for t in ideals[y])
+
+
+def _or_omega_below(y: int, ideals) -> bool:
+    """OR:omega below Y: no t ⊆ Y with Y − t ∉ I(Y) has premises α, α'
+    covering Y."""
+    return not any(_covered(y, ideals, t, 2) for t in submasks(y) if y & ~t not in ideals[y])
+
+
+_BELOW = {"wOR": _grows_below, "PR'": _grows_below, "disjOR": _disj_or_below,
+          "OR": _or_below, "OR:omega": _or_omega_below}
+
+
+def below(r: RuleId) -> Callable[[int, dict], bool]:
+    """r's test below one set Y, below(Y, ideals), on a full domain: r holds
+    on a system iff it holds below every nonempty Y."""
+    test, n = _BELOW.get(r.tag), () if r.param is None else (r.param,)
+    if test is not None:
+        return partial(test, *n)
+    unit = _UNITS[r.tag]
+    return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
+
+
+def holds_below(r: RuleId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
+    return below(r)(y, ideals)
 
 
 # The rule tags, each with the test of one of its units.

@@ -1,57 +1,44 @@
 """Exhaustive enumeration of size systems over small universes.
 
 The search space for one universe is the product, over the nonempty subsets
-X, of the ideal families allowed at X.  Every enumerated family contains ∅
-(systems violating that are out of scope for the searches), and with
-`monotone_only` the families are restricted to downward-closed ones, which
-shrinks the space by orders of magnitude; the down-set counts per base-set
-size are 2, 5, 19, 167, ... and the product across all base sets grows
-Dedekind-fast, hence the size ceilings: exhaustive runs stop at universe
-size 4, size 5 is admitted only with both `monotone_only` and
-`canonical_only` set, and size 6 is refused.  Each (size, monotone) has one
-`_SystemSpace`, built on first use and shared by every scan for the process.
+X, of the ideal families allowed at X.  Every enumerated family contains ∅,
+and with `monotone_only` the families are the down-sets, which shrinks the
+space by orders of magnitude: 2, 5, 19, 167, ... per base-set size, and the
+product grows Dedekind-fast.  Hence the size ceilings: exhaustive runs stop
+at size 4, size 5 needs both `monotone_only` and `canonical_only`, and size
+6 is refused.  Each (size, monotone) has one `_SystemSpace`, built on first
+use and shared by every scan for the process.
 
 Ordering is canonical everywhere: families are ordered by their code (the
-bitmask recording which subsets belong to the family, indexed in canonical
-subset order), assignments are ordered lexicographically across base sets,
-and with `canonical_only` only the lexicographically least system of each
-element-relabeling class (its lex-leader) is emitted.  Every scan reads
-its stream in that order, one item at a time, so first findings are
-reproducible.
+bitmask of their members, indexed in canonical subset order), assignments
+lexicographically across base sets, and with `canonical_only` only the
+lexicographically least system of each element-relabeling class (its
+lex-leader) is emitted.  Every scan reads its stream in that order, one item
+at a time, so first findings are reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
 `count_systems` without `canonical_only`, `verify_agreement`, the `_upto`
 verifiers and the forward correspondence rows) run on the lex-leaders
-alone, each weighted by the size of its class (`scan_classes`), sizes 1..n
-chained into one stream.  They report what a scan of every system would:
-the same first failing system with its raw label, and exact counts, also
-when the failure falls inside a class.  The leaders come from one walk that
-prunes block by block (the base sets of one cardinality), after the
-lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
+alone, each weighted by its class size (`scan_classes`), sizes 1..n chained
+into one stream.  They report what a scan of every system would: the same
+first failing system with its raw label, and exact counts.  The leaders
+come from one walk that prunes block by block (the base sets of one
+cardinality), after the lex-leader constraints of Crawford, Ginsberg, Luks
+and Roy (KR 1996).
 
-The walk also prunes by the required properties other than M+n.  A local
-one (Opt, iM, I-omega, n*s:k) holds on a system iff it holds at every base
-set X on I(X) alone; it is decided once per base set and family, by its
-row's one test at that base set (`properties.holds_at`).  A two-level one (eMI, eMF, the
-union properties, M+omega:1–4, M++:1–3) holds iff it holds below every base
-set Y, on I(Y) and the ideals of the subsets of Y (`properties.holds_below`).
-Those subsets sit in earlier blocks, so before each block's product the walk
-filters the families of each of its positions by what the earlier blocks
-assign, memoised for the walk.  No system is built for either, and the
-other checks are decided on the leaders left by their scan alone
-(`verdict`); a report is built only for the failing target that is reported.
-Every property is
-invariant under relabeling, and a relabeling that fixes the prefix maps a
-family that passes to one that passes, so the pruned walk yields exactly
-the leaders that have the properties, with their stabilizers, raw ranks and
-weights, and the systems it drops are those the scan would have left
-outside.  `canonical_only` streams stay unpruned: they label a leader by its
-position among all leaders, which a pruned walk does not know.
-
-The agreement scans walk every leader and read each prunable property's
-verdict off the walk pruned by it alone, in step with their own; only M+n
-and the rules are decided per leader.
+The walk also prunes by every required check.  Each holds on a system iff
+it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
+(`properties.below`, `rules.below`); a local property (Opt, iM, I-omega,
+n*s:k) reads I(Y) alone and is decided once per family.  The subsets of Y
+sit in earlier blocks, so each position's families are filtered before its
+block's product.  A relabeling that fixes the prefix maps a family that
+passes to one that passes, so the pruned walk yields exactly the leaders
+that have the checks, with their stabilizers.  Only the target is decided
+per leader, by its scan alone (`verdict`), and reported on the leader that
+fails it.  `canonical_only` streams stay unpruned: they label a leader by
+its position among all leaders.  The agreement scans read each id's verdict
+off the walk pruned by it alone, in step with their own.
 """
 
 from __future__ import annotations
@@ -64,17 +51,8 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
-from .properties import (
-    IOMEGA,
-    LOCAL_TAGS,
-    TWO_LEVEL,
-    PropertyId,
-    _scan_property,
-    check_property,
-    holds_at,
-    holds_below,
-    row_at,
-)
+from . import properties, rules
+from .properties import IOMEGA, LOCAL_TAGS, PropertyId, _scan_property, check_property, holds_at, row_at
 from .report import CheckReport
 from .rules import RuleId, _scan_rule, check_rule
 from .setcore import Subset, Universe, canon_rank, submasks
@@ -144,17 +122,6 @@ def verdict(s: SizeSystem, c: CheckId) -> bool:
     if isinstance(c, PropertyId):
         return _scan_property(s, c)[1] is None
     return _scan_rule(s, c)[1] is None
-
-
-def split_prunable(
-    checks: tuple[CheckId, ...]
-) -> tuple[tuple[PropertyId, ...], tuple[CheckId, ...]]:
-    """(the properties the leader walk prunes by, the other checks), each in
-    order: the local properties and the two-level ones, every property but M+n."""
-    prunable = tuple(
-        c for c in checks if isinstance(c, PropertyId) and (c.tag in LOCAL_TAGS or c in TWO_LEVEL)
-    )
-    return prunable, tuple(c for c in checks if c not in prunable)
 
 
 # --- family enumeration -------------------------------------------------------
@@ -242,13 +209,12 @@ class _SystemSpace:
     raw stream (`itertools.product` order) is ascending in the tuple's
     mixed-radix rank.
 
-    A relabeling p of the elements maps a system to the system that has at
-    position j the image under p of the family at p's pre-image of domain[j];
-    its index there comes from a table that maps the pre-image family's index
-    to the image family's index.  Every table starts empty and is memoised
-    entry by entry on first use: at |U| = 5 filled tables would run to a
-    million entries before the first system is out.  The space is shared
-    (`_system_space`), so the tables and `passing` lists serve every query.
+    A relabeling p maps a system to the one with, at position j, the image
+    of the family at p's pre-image of domain[j]; a table per position maps
+    the pre-image family's index to the image's.  The tables are filled
+    entry by entry on first use (at |U| = 5 full ones would run to a million
+    entries before the first system is out) and, like the `passing` lists,
+    serve every query of the process.
     """
 
     def __init__(self, n: int, monotone: bool):
@@ -304,8 +270,7 @@ class _SystemSpace:
 
     def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
         """Per position, the indices of the families on which every local
-        property holds at that position's base set.  Kept per space, so each
-        tuple of properties is tested once per family for the process."""
+        property holds at its base set; each tuple is tested once per process."""
         lists = self._passing.get(local)
         if lists is None:
             lists = self._passing[local] = [
@@ -314,12 +279,10 @@ class _SystemSpace:
             ]
         return lists
 
-    def _options(self, allowed: list[list[int]], cross: tuple[PropertyId, ...]) -> Callable:
-        """options(j, prefix): the indices in allowed[j] of the families at
-        position j on which every two-level property in cross holds below its
-        base set Y, given the families that prefix assigns to the subsets of
-        Y.  Memoised on those families' indices for as long as the walk
-        runs."""
+    def _options(self, allowed: list[list[int]], cross: tuple[Callable, ...]) -> Callable:
+        """options(j, prefix): the indices in allowed[j] of the families that
+        pass every test in cross below the base set Y at position j, given
+        what prefix assigns to the subsets of Y, memoised for the walk."""
         domain, per_set, below = self.domain, self.per_set, self.below
         memo: dict[tuple[int, ...], list[int]] = {}
 
@@ -332,7 +295,7 @@ class _SystemSpace:
                 got = []
                 for i in allowed[j]:
                     ideals[y] = per_set[j][i]
-                    if all(holds_below(p, y, ideals) for p in cross):
+                    if all(test(y, ideals) for test in cross):
                         got.append(i)
                 if len(below[j]) < len(prefix):  # else the key is the whole prefix, met once
                     memo[key] = got
@@ -340,30 +303,25 @@ class _SystemSpace:
 
         return options
 
-    def leaders(self, prunable: tuple[PropertyId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader, i.e.
-        every system no relabeling makes smaller, on which every prunable
-        property holds, in raw-stream order.
+        every system no relabeling makes smaller, on which every check
+        holds, in raw-stream order.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
         One whose image is smaller on a block prunes every completion of
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer; once none is
-        left and no two-level property is asked for, the rest of the walk is
+        left and only local properties are asked for, the rest of the walk is
         the plain product.  The images are compared whether or not their
-        families pass, so a leader is yielded with the same stabilizer as in
-        the unpruned walk.
-
-        A position takes only the families that pass: the local properties
-        are decided once per family (`passing`); a two-level property reads
-        the families at Y and its subsets alone (`properties.holds_below`),
-        and the subsets sit in earlier blocks, so no two positions of one
-        block constrain each other and each position's families are
-        filtered before the block's product (`_options`).
+        families pass, so the stabilizers are those of the unpruned walk.  A
+        position takes the families that pass each local property
+        (`passing`) and every other check's test below it (`_options`).
         """
-        local = tuple(p for p in prunable if p.tag in LOCAL_TAGS)
-        cross = tuple(p for p in prunable if p not in local)
+        local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
+        rest = (c for c in checks if c not in local)
+        cross = tuple((properties if isinstance(c, PropertyId) else rules).below(c) for c in rest)
         allowed = self.passing(local)
         options = self._options(allowed, cross)
         image_index = self._image_index
@@ -428,10 +386,9 @@ def _system_space(n: int, monotone: bool, canonical: bool) -> _SystemSpace:
 def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
     """Every full-powerset system of the given size whose ideals contain ∅.
 
-    Deterministic canonical order; with monotone_only the ideals are also
-    downward closed, with canonical_only exactly one representative per
-    element-relabeling class is emitted, labelled by its position among them.
-    """
+    Canonical order; with monotone_only the ideals are down-sets, with
+    canonical_only each relabeling class's leader alone is emitted, labelled
+    by its position among them."""
     n = spec.universe_size
     space = _system_space(n, spec.monotone_only, spec.canonical_only)
     if spec.canonical_only:
@@ -448,9 +405,8 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
 
 
 def scan_stream(stream: Iterable[T], evaluate: Callable[[T], R]) -> Iterator[R]:
-    """Yield evaluate(item) in stream order; the caller may stop consuming at
-    any point (first-witness semantics).  first_failure reads its stream
-    through this generator, which bench/tracing.py times by name."""
+    """Yield evaluate(item) in stream order, for as long as the caller reads;
+    first_failure reads through it, and bench/tracing.py times it by name."""
     for item in stream:
         yield evaluate(item)
 
@@ -469,8 +425,7 @@ def first_failure(
     True when it is counted and passes, and any other value as the failure:
     the item is counted and the scan stops.  Returns (counted, skipped,
     failure or None, outcomes): the tallies add weights, and outcomes holds
-    one byte per item read, the failure included (_OUTSIDE, _SKIPPED or
-    _COUNTED).
+    _OUTSIDE, _SKIPPED or _COUNTED per item read, the failure included.
     """
     counted = skipped = 0
     outcomes = bytearray()
@@ -493,38 +448,32 @@ def first_failure(
 def scan_classes(
     sizes: Iterable[int],
     monotone: bool,
-    prunable: tuple[PropertyId, ...],
+    required: tuple[CheckId, ...],
     evaluate: Callable[[_SystemSpace, tuple[int, ...]], object] | None,
 ) -> tuple[int, int, object]:
     """first_failure over the systems of the given sizes, in turn, that
-    satisfy every prunable property, run on one system per relabeling class.
+    satisfy every required check, run on one system per relabeling class.
 
-    The prunable properties (`split_prunable`) prune the walk
-    (`_SystemSpace.leaders`): a local one is decided once per base set and
-    family, a two-level one at each base set from the families below it,
-    and the walk takes only the families that pass.  So the systems that
-    fail one are neither built nor counted, as if evaluate had returned
-    None on them.  evaluate(space, idx) judges the leader idx of a space,
-    whose system `space.leader(idx)` builds; an evaluate of None counts
-    every system left without building one.
+    The required checks prune the walk (`_SystemSpace.leaders`), so the
+    systems that fail one are neither built nor counted, as if evaluate had
+    returned None on them.  evaluate(space, idx) judges the leader idx of a
+    space, whose system `space.leader(idx)` builds; an evaluate of None
+    counts every system left without building one.
 
-    Every check is invariant under relabeling the elements, so a class
-    leader's verdict is its whole class's, and the leader stands for
-    n!/|Stab| systems.  The first failing system of the raw stream is the
-    leader of its class, so it is found with the same report and labelled
-    u<n>#<raw rank> as the raw stream labels it.  On a failure at raw rank
-    r the tallies are those of the raw stream up to r: each counted or
-    skipped leader of that size adds its distinct relabelings ranked at
-    most r (the failing leader adds itself alone), found by walking the
-    leaders again, without checks, beside their outcomes; leaders of an
-    earlier size add their whole class.  Returns (counted, skipped,
-    failure or None).
+    A leader has its class's verdict and stands for n!/|Stab| systems.  The
+    first failing system of the raw stream leads its class, so it is found
+    with the same report and labelled u<n>#<raw rank>.  On a failure at raw
+    rank r the tallies are those of the raw stream up to r: each counted or
+    skipped leader of that size adds its distinct relabelings ranked at most
+    r (the failing one itself alone), found by walking the leaders again
+    beside their outcomes; an earlier size adds whole classes.  Returns
+    (counted, skipped, failure or None).
     """
     spaces = [_system_space(n, monotone, False) for n in sizes]
 
     def stream() -> Iterator[tuple[int, tuple[_SystemSpace, tuple[int, ...]]]]:
         for space in spaces:
-            for idx, stab in space.leaders(prunable):
+            for idx, stab in space.leaders(required):
                 yield space.relabelings // stab, (space, idx)
 
     if evaluate is None:
@@ -558,31 +507,23 @@ def _scan_systems(
     spec: SearchSpec, sizes: Iterable[int]
 ) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems of the given sizes satisfying the required checks, the first
-    of them violating the target with its report, or None).  With
-    canonical_only the scan runs over the spec's own size alone, unpruned;
-    otherwise the prunable required properties prune the leader walk and
-    only the other checks (M+n and the rules) are evaluated."""
-    if spec.canonical_only:
-        prunable, rest = (), spec.required
-    else:
-        prunable, rest = split_prunable(spec.required)
+    of them violating the target with its report, or None).  The required
+    checks prune the leader walk; canonical_only checks them per system."""
+    rest = spec.required if spec.canonical_only else ()
+    target = spec.target
 
     def evaluate(s: SizeSystem):
         for c in rest:
             if not verdict(s, c):
                 return None
-        if spec.target is None:
-            return True
-        rep = evaluate_check(s, spec.target)
-        return True if rep.holds else (s, rep)
+        return True if target is None or verdict(s, target) else (s, evaluate_check(s, target))
 
     if spec.canonical_only:
         systems = ((1, s) for s in enumerate_systems(spec))
         satisfying, _, failure, _ = first_failure(systems, evaluate)
     else:
-        some_check = rest or spec.target is not None
-        judge = (lambda space, idx: evaluate(space.leader(idx))) if some_check else None
-        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, prunable, judge)
+        judge = None if target is None else lambda space, idx: evaluate(space.leader(idx))
+        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, spec.required, judge)
     return satisfying, failure
 
 
@@ -647,23 +588,21 @@ def count_systems(
 
 
 def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
-    """The agreement scan over every leader; a prunable property holds on one
-    iff the walk pruned by it alone, read in step with the scan, reaches it."""
-    prunable, rest = split_prunable(tuple(ids))
-    walks: dict = {}  # (space, property) ↦ [its pruned walk, the next leader on it]
+    """The agreement scan over every leader; a check holds on one iff the
+    walk pruned by it alone, read in step with the scan, reaches it."""
+    walks: dict = {}  # (space, check) ↦ [its pruned walk, the next leader on it]
 
-    def has(space: _SystemSpace, idx: tuple[int, ...], p: PropertyId) -> bool:
-        walk = walks.get((space, p))
+    def has(space: _SystemSpace, idx: tuple[int, ...], c: CheckId) -> bool:
+        walk = walks.get((space, c))
         if walk is None:
-            leaders = space.leaders((p,))
-            walk = walks[space, p] = [leaders, next(leaders, None)]
+            leaders = space.leaders((c,))
+            walk = walks[space, c] = [leaders, next(leaders, None)]
         while walk[1] is not None and walk[1][0] < idx:
             walk[1] = next(walk[0], None)
         return walk[1] is not None and walk[1][0] == idx
 
     def evaluate(space: _SystemSpace, idx: tuple[int, ...]):
-        s = space.leader(idx) if rest else None
-        verdicts = [has(space, idx, c) if c in prunable else verdict(s, c) for c in ids]
+        verdicts = [has(space, idx, c) for c in ids]
         return True if all(v == verdicts[0] for v in verdicts) else (space.leader(idx), verdicts)
 
     count, _, failure = scan_classes(sizes, True, (), evaluate)

@@ -11,8 +11,9 @@ from functools import lru_cache
 
 import pytest
 
+from sizesem import properties, rules
 from sizesem.cli import ALL_PROPS, ALL_RULES
-from sizesem.errors import NotPrincipal
+from sizesem.errors import CapacityExceeded, NotPrincipal
 from sizesem.preferential import (
     ROW_LEFT,
     ROW_MU,
@@ -26,22 +27,22 @@ from sizesem.properties import (
     IOMEGA,
     LOCAL_TAGS,
     OPT,
-    TWO_LEVEL,
+    PropertyId,
     check_property,
     holds_at,
-    holds_below,
+    m_plus_n,
     m_plus_plus,
     n_star_s,
     parse_property,
 )
-from sizesem.rules import CM_OMEGA, parse_rule
+from sizesem.rules import CM_OMEGA, DISJ_OR, OR_OMEGA, RATM, WOR, and_n, cm_n, or_n, parse_rule
 from sizesem.search import (
     SearchSpec,
     _SystemSpace,
     count_systems,
     enumerate_systems,
     evaluate_check,
-    split_prunable,
+    verdict,
     verify_agreement,
     verify_implication,
 )
@@ -114,10 +115,10 @@ def implication_mismatches(n, monotone, pairs):
 
 @pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
 def test_implication_tallies_match_the_raw_stream(monotone):
-    # No required check, or each property alone, against every check.
+    # No required check, or each check alone, against every check.
     pairs = [
         (required, target)
-        for required in [()] + [(p,) for p in PROPS]
+        for required in [()] + [(c,) for c in CHECKS]
         for target in CHECKS
         if target not in required
     ]
@@ -211,13 +212,6 @@ def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left
     assert rep.witness["violation"]["subject"] == failing.label
 
 
-def test_every_forward_row_prunes_by_its_whole_size_side():
-    # The forward scan hands a row's size side to the leader walk whole, so
-    # no row may hold a property the walk cannot prune (M+n).
-    for left in ROW_LEFT.values():
-        assert split_prunable(left) == (left, ())
-
-
 def local_split_mismatches(systems):
     """(system, property) where a local property's verdict is not the
     conjunction of its verdicts on the one-base-set systems."""
@@ -250,24 +244,37 @@ def test_local_properties_split_by_base_set():
     assert local_split_mismatches(split_corpus()) == []
 
 
-def test_two_level_properties_split_by_base_set():
-    # Each instance of a two-level property reads I(Y) and the ideals of
-    # subsets of Y alone, so the property holds iff it holds below every Y.
-    assert set(TWO_LEVEL_PROPS) == TWO_LEVEL
+# Past the instance ceiling at |U| = 3, the least parameter with the same
+# verdict there: a union of more than |U| sets is a union of |U| of them.
+SATURATED = {or_n(10): or_n(4), cm_n(12): cm_n(5), and_n(12): and_n(3)}
+HEREDITARY = CHECKS + [m_plus_n(4), m_plus_n(5), or_n(4), cm_n(4), *SATURATED]
+
+
+def test_every_check_splits_by_base_set():
+    # Every instance of a check has a largest set Y and reads I(Y) and the
+    # ideals of subsets of Y alone, so the check holds iff it holds below
+    # every Y.
     mismatches, failures = [], 0
-    for s in split_corpus():
-        for p in TWO_LEVEL_PROPS:
-            holds = check_property(s, p).holds
+    for c in HEREDITARY:
+        module = properties if isinstance(c, PropertyId) else rules
+        for s in split_corpus():
+            try:
+                holds = verdict(s, c)
+            except CapacityExceeded:
+                holds = verdict(s, SATURATED[c])
             failures += not holds
-            if holds != all(holds_below(p, y, s.ideals) for y in s.domain_masks):
-                mismatches.append((s.label, p.name))
+            if holds != all(module.holds_below(c, y, s.ideals) for y in s.domain_masks):
+                mismatches.append((s.label, c.name))
     assert mismatches == []
     assert failures > 0
 
 
 @pytest.mark.parametrize(
     "props",
-    [(p,) for p in TWO_LEVEL_PROPS] + [(EMI, IOMEGA), (IOMEGA, EMF), (OPT, IM)],
+    [(p,) for p in TWO_LEVEL_PROPS]
+    + [(EMI, IOMEGA), (IOMEGA, EMF), (OPT, IM)]
+    + [(c,) for c in (CM_OMEGA, RATM, OR_OMEGA, WOR, DISJ_OR, or_n(3), m_plus_n(3))]
+    + [(IOMEGA, EMI, cm_n(3))],
     ids=lambda props: "+".join(p.name for p in props),
 )
 def test_pruned_walk_yields_the_leaders_that_have_the_properties(props):
@@ -277,7 +284,7 @@ def test_pruned_walk_yields_the_leaders_that_have_the_properties(props):
             expected = [
                 (idx, stab)
                 for idx, stab in space.leaders(())
-                if all(check_property(space.system(idx, ""), p).holds for p in props)
+                if all(evaluate_check(space.system(idx, ""), c).holds for c in props)
             ]
             assert list(space.leaders(props)) == expected, (n, monotone)
 

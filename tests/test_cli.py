@@ -235,6 +235,23 @@ def test_search_verb_count_mode(capsys):
     assert json.loads(out)["records"][0]["instances_checked"] == 13
 
 
+@pytest.mark.parametrize(
+    "rule,saturated,count",
+    [("OR:10", "OR:4", 216), ("AND:12", "AND:3", 270), ("CM:12", "CM:5", 180)],
+)
+def test_search_verb_counts_past_the_rule_instance_ceiling(capsys, rule, saturated, count):
+    # A required rule prunes the walk by its test below each set, which walks
+    # no instance, so the ceiling on instance scans does not refuse it.  At
+    # |U| = 3 a union of more than three sets is a union of three of them, so
+    # the count is that of the least parameter with the same verdict.
+    for required in (rule, saturated):
+        code, out, err = run_cli(
+            capsys, "search", "--size", "3", "--mode", "count", "--required", required, "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["records"][0]["instances_checked"] == count
+
+
 def test_search_verb_count_mode_refuses_target(capsys):
     # A target used to stop the count at its first violation: "5 systems".
     code, out, err = run_cli(

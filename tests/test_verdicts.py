@@ -3,16 +3,17 @@
 `search.verdict` and `preferential.mu_verdict` run a check's scan and build
 no report; each must give the `.holds` of the report that `evaluate_check`
 or `check_mu_rule` builds, and raise what it raises.  The agreement scan
-reads the verdicts of the prunable properties off their pruned leader walks;
-`reference_agreement` is the scan it replaced, which builds a full report
-per id on every leader, and both must give the same bytes.
+reads every verdict off the leader walk pruned by that id, and an
+implication scan prunes by its required checks; `reference_agreement` and
+`reference_implication` build a full report per check on every leader
+instead, and each pair must give the same bytes.
 """
 
 import json
 
 import pytest
 
-from sizesem import properties, search
+from sizesem import properties, rules, search
 from sizesem.cli import ALL_PROPS, ALL_RULES
 from sizesem.errors import DomainNotClosed, DomainNotFull
 from sizesem.preferential import MuRuleId, _MU_RULES, check_mu_rule, enumerate_mu_functions, mu_verdict
@@ -28,7 +29,7 @@ from sizesem.properties import (
     parse_property,
 )
 from sizesem.report import CheckReport
-from sizesem.rules import CM_OMEGA, RATM, parse_rule
+from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, cm_n, or_n, parse_rule
 from sizesem.search import (
     SearchSpec,
     enumerate_systems,
@@ -37,6 +38,7 @@ from sizesem.search import (
     verdict,
     verify_agreement,
     verify_agreement_upto,
+    verify_implication_upto,
 )
 from sizesem.setcore import Universe
 from sizesem.sizesys import build, build_mu
@@ -161,13 +163,69 @@ def test_agreement_matches_the_per_leader_reference(name):
 
 
 def test_an_agreement_of_prunable_properties_runs_no_property_scan(monkeypatch):
+    # Every check prunes the walk, rules too, so no agreement scans one.
     def no_scan(*args):
-        raise AssertionError("a property was scanned")
+        raise AssertionError("a check was scanned")
 
     for tag in properties._SCANS:
         monkeypatch.setitem(properties._SCANS, tag, no_scan)
-    monkeypatch.setattr(search, "verdict", no_scan)
-    monkeypatch.setattr(search, "evaluate_check", no_scan)
-    rep = verify_agreement_upto([m_plus_plus(1), m_plus_plus(2), m_plus_plus(3)], 3)
-    # Every monotone system up to |U| = 3: 2 + 20 + 19 000.
-    assert rep.holds and rep.instances_checked == 19_022
+    for module, name in [(rules, "_scan_rule"), (search, "_scan_rule"), (search, "_scan_property"),
+                         (search, "verdict"), (search, "evaluate_check")]:
+        monkeypatch.setattr(module, name, no_scan)
+    for name, ids in FACTS.items():
+        rep = verify_agreement_upto(ids, 3)
+        # Every monotone system up to |U| = 3: 2 + 20 + 19 000.
+        assert rep.holds and rep.instances_checked == 19_022, name
+
+
+def reference_implication(required, target, max_universe) -> CheckReport:
+    """verify_implication_upto with a full report per check on every leader."""
+
+    def evaluate(space, idx):
+        s = space.leader(idx)
+        if not all(evaluate_check(s, c).holds for c in required):
+            return None
+        rep = evaluate_check(s, target)
+        return True if rep.holds else (s, rep)
+
+    count, _, failure = scan_classes(range(1, max_universe + 1), True, (), evaluate)
+    left = "+".join(c.name for c in required) or "(all)"
+    report = CheckReport(
+        subject=f"search:u<={max_universe}",
+        condition=f"{left}=>{target.name}",
+        holds=failure is None,
+        instances_checked=count,
+    )
+    if failure is not None:
+        s, rep = failure
+        report.witness = rep.witness
+        report.notes = (f"violating system {s.label}",)
+        report.witness_system = s.to_dict()
+    return report
+
+
+# The three cases of fact-3.7:3, and the same checks with the rules and M+n
+# on the required side.
+TERNARY = (n_star_s(3), EMI)
+IMPLICATIONS = [
+    (TERNARY, m_plus_n(3)),
+    (TERNARY, cm_n(3)),
+    (TERNARY, or_n(3)),
+    ((m_plus_n(3),), cm_n(3)),
+    ((cm_n(3), or_n(3)), m_plus_n(3)),
+    ((or_n(3), EMI), n_star_s(3)),
+    ((m_plus_n(3), RATM), or_n(3)),
+    ((CM_OMEGA,), m_plus_n(3)),
+    ((m_plus_n(3),), OR_OMEGA),  # fails at u3#19
+    ((cm_n(3), m_plus_n(3)), or_n(3)),  # fails at u3#118
+]
+
+
+@pytest.mark.parametrize(
+    "required,target",
+    IMPLICATIONS,
+    ids=["+".join(c.name for c in req) + "=>" + tgt.name for req, tgt in IMPLICATIONS],
+)
+def test_implication_matches_the_per_leader_reference(required, target):
+    want = reference_implication(required, target, 3)
+    assert _bytes(verify_implication_upto(required, target, 3)) == _bytes(want)
