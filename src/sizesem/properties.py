@@ -206,7 +206,10 @@ def _m_plus_n_below(n: int, y: int, ideals) -> bool:
     """M+n:n below Y = Xn: no set n − 1 links back from Y may be in I(Y)."""
     reached = {y}
     for _ in range(n - 1):
-        reached = {x for z in reached for x in submasks(z) if x in ideals and z & ~x in ideals[z]}
+        step = {x for z in reached for x in submasks(z) if x in ideals and z & ~x in ideals[z]}
+        if step == reached:  # a fixpoint: every later step reaches the same sets
+            break
+        reached = step
     return ideals[y].isdisjoint(reached)
 
 

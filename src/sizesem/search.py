@@ -6,8 +6,7 @@ and with `monotone_only` the families are the down-sets, which shrinks the
 space by orders of magnitude: 2, 5, 19, 167, ... per base-set size, and the
 product grows Dedekind-fast.  Hence the size ceilings: exhaustive runs stop
 at size 4, size 5 needs both `monotone_only` and `canonical_only`, and size
-6 is refused.  Each (size, monotone) has one `_SystemSpace`, built on first
-use and shared by every scan for the process.
+6 is refused.  Each (size, monotone) has one shared `_SystemSpace`.
 
 Ordering is canonical everywhere: families are ordered by their code (the
 bitmask of their members, indexed in canonical subset order), assignments
@@ -18,36 +17,33 @@ at a time, so first findings are reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
-`count_systems` without `canonical_only`, `verify_agreement`, the `_upto`
-verifiers and the forward correspondence rows) run on the lex-leaders
-alone, each weighted by its class size (`scan_classes`), sizes 1..n chained
-into one stream.  They report what a scan of every system would: the same
-first failing system with its raw label, and exact counts.  The leaders
-come from one walk that prunes block by block (the base sets of one
-cardinality), after the lex-leader constraints of Crawford, Ginsberg, Luks
-and Roy (KR 1996).
+`count_systems` without `canonical_only`, `verify_implication_upto` and the
+forward correspondence rows) run on the lex-leaders alone, each weighted by
+its class size (`scan_classes`), sizes 1..n chained into one stream.  They
+report what a scan of every system would: the same first failing system
+with its raw label, and exact counts.  The leaders come from one walk that
+prunes block by block (the base sets of one cardinality), after the
+lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
 The walk also prunes by every required check.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
-(`properties.below`, `rules.below`); a local property (Opt, iM, I-omega,
-n*s:k) reads I(Y) alone and is decided once per family.  The subsets of Y
-sit in earlier blocks, so each position's families are filtered before its
-block's product.  A relabeling that fixes the prefix maps a family that
-passes to one that passes, so the pruned walk yields exactly the leaders
-that have the checks, with their stabilizers.  Only the target is decided
-per leader, by its scan alone (`verdict`), and reported on the leader that
-fails it.  `canonical_only` streams stay unpruned: they label a leader by
-its position among all leaders.  The agreement scans read each id's verdict
-off the walk pruned by it alone, in step with their own.
+(`properties.below`, `rules.below`), which sit in earlier blocks.  A
+relabeling that fixes the prefix maps a family that passes to one that
+passes, so the pruned walk yields exactly the leaders that have the checks,
+with their stabilizers.  Only the target is decided per leader, by its scan
+alone (`verdict`), and reported on the leader that fails it; with
+`canonical_only` a leader counts once, labelled by its position among all
+leaders.  An agreement merges the walks pruned by each id alone.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
@@ -508,23 +504,25 @@ def _scan_systems(
 ) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems of the given sizes satisfying the required checks, the first
     of them violating the target with its report, or None).  The required
-    checks prune the leader walk; canonical_only checks them per system."""
-    rest = spec.required if spec.canonical_only else ()
+    checks prune the leader walk; canonical_only counts each leader once."""
     target = spec.target
 
     def evaluate(s: SizeSystem):
-        for c in rest:
-            if not verdict(s, c):
-                return None
-        return True if target is None or verdict(s, target) else (s, evaluate_check(s, target))
+        return True if verdict(s, target) else (s, evaluate_check(s, target))
 
-    if spec.canonical_only:
-        systems = ((1, s) for s in enumerate_systems(spec))
-        satisfying, _, failure, _ = first_failure(systems, evaluate)
-    else:
+    if not spec.canonical_only:
         judge = None if target is None else lambda space, idx: evaluate(space.leader(idx))
         satisfying, _, failure = scan_classes(sizes, spec.monotone_only, spec.required, judge)
-    return satisfying, failure
+        return satisfying, failure
+    n, satisfying = spec.universe_size, 0
+    space = _system_space(n, spec.monotone_only, True)
+    for idx, _ in space.leaders(spec.required):
+        satisfying += 1
+        if target is not None and not verdict(space.system(idx, ""), target):
+            earlier = itertools.takewhile(lambda leader: leader[0] < idx, space.leaders(()))
+            s = space.system(idx, f"u{n}#{sum(1 for _ in earlier)}")
+            return satisfying, (s, evaluate_check(s, target))
+    return satisfying, None
 
 
 def find_counterexample(
@@ -588,24 +586,22 @@ def count_systems(
 
 
 def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
-    """The agreement scan over every leader; a check holds on one iff the
-    walk pruned by it alone, read in step with the scan, reaches it."""
-    walks: dict = {}  # (space, check) ↦ [its pruned walk, the next leader on it]
-
-    def has(space: _SystemSpace, idx: tuple[int, ...], c: CheckId) -> bool:
-        walk = walks.get((space, c))
-        if walk is None:
-            leaders = space.leaders((c,))
-            walk = walks[space, c] = [leaders, next(leaders, None)]
-        while walk[1] is not None and walk[1][0] < idx:
-            walk[1] = next(walk[0], None)
-        return walk[1] is not None and walk[1][0] == idx
-
-    def evaluate(space: _SystemSpace, idx: tuple[int, ...]):
-        verdicts = [has(space, idx, c) for c in ids]
-        return True if all(v == verdicts[0] for v in verdicts) else (space.leader(idx), verdicts)
-
-    count, _, failure = scan_classes(sizes, True, (), evaluate)
+    """Per size, a merge in raw order of the walks pruned by each id alone:
+    the first leader that some but not all of them reach is the first
+    disagreeing system, and every system up to it is counted."""
+    count, failure = 0, None
+    for space in [_system_space(n, True, False) for n in sizes]:
+        walks = (zip(map(operator.itemgetter(0), space.leaders((c,))), itertools.repeat(k))
+                 for k, c in enumerate(ids))
+        for idx, reached in itertools.groupby(heapq.merge(*walks), operator.itemgetter(0)):
+            held = {k for _, k in reached}
+            if len(held) < len(ids):
+                count += space.rank(idx) + 1
+                failure = space.leader(idx), [k in held for k in range(len(ids))]
+                break
+        if failure is not None:
+            break
+        count += prod(space.radices)
     report = CheckReport(
         subject=subject,
         condition="agree:" + "=".join(c.name for c in ids),

@@ -46,6 +46,7 @@ from sizesem.search import (
     verify_agreement,
     verify_implication,
 )
+from sizesem.setcore import submasks
 from sizesem.sizesys import principal_mu
 
 PROPS = [parse_property(n) for n in ALL_PROPS]
@@ -265,6 +266,27 @@ def test_every_check_splits_by_base_set():
             failures += not holds
             if holds != all(module.holds_below(c, y, s.ideals) for y in s.domain_masks):
                 mismatches.append((s.label, c.name))
+    assert mismatches == []
+    assert failures > 0
+
+
+def m_plus_n_below_reference(n, y, ideals) -> bool:
+    """M+n:n below Y, stepping back all n − 1 links from Y."""
+    reached = {y}
+    for _ in range(n - 1):
+        reached = {x for z in reached for x in submasks(z) if x in ideals and z & ~x in ideals[z]}
+    return ideals[y].isdisjoint(reached)
+
+
+def test_m_plus_n_below_stops_at_a_fixpoint_with_the_full_walks_verdict():
+    mismatches, failures = [], 0
+    for n in range(3, 13):
+        for s in split_corpus():
+            for y in s.domain_masks:
+                want = m_plus_n_below_reference(n, y, s.ideals)
+                failures += not want
+                if properties.holds_below(m_plus_n(n), y, s.ideals) != want:
+                    mismatches.append((n, s.label, y))
     assert mismatches == []
     assert failures > 0
 

@@ -252,6 +252,16 @@ def test_search_verb_counts_past_the_rule_instance_ceiling(capsys, rule, saturat
         assert json.loads(out)["records"][0]["instances_checked"] == count
 
 
+def test_search_verb_counts_a_long_m_plus_n_as_a_short_one(capsys):
+    # M+n's test below a set stops stepping back once the sets it reaches
+    # repeat, so M+n:3000 is decided in a few steps, with M+n:3's count.
+    code, out, err = run_cli(
+        capsys, "search", "--size", "3", "--mode", "count", "--required", "M+n:3000", "--json"
+    )
+    assert code == 0, err
+    assert json.loads(out)["records"][0]["instances_checked"] == 181
+
+
 def test_search_verb_count_mode_refuses_target(capsys):
     # A target used to stop the count at its first violation: "5 systems".
     code, out, err = run_cli(

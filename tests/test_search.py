@@ -379,15 +379,17 @@ def test_sizes_below_one_are_refused(scan):
 
 
 @pytest.mark.parametrize(
-    "scan",
+    "scan,ceiling",
     [
-        lambda: verify_implication_upto((EMI,), EMF, 5),
-        lambda: verify_agreement_upto([EMI, EMF], 5),
-        lambda: verify_two_s_breakdown(5),
+        (lambda: verify_implication_upto((EMI,), EMF, 5), 4),
+        (lambda: verify_agreement_upto([EMI, EMF], 5), 4),
+        (lambda: verify_two_s_breakdown(5), 4),
+        (lambda: find_counterexample(SearchSpec(6, (EMI,), EMF, canonical_only=True)), 5),
+        (lambda: count_systems(SearchSpec(6, (EMI,), mode="count", canonical_only=True)), 5),
     ],
-    ids=["implication_upto", "agreement_upto", "two_s_breakdown"],
+    ids=["implication_upto", "agreement_upto", "two_s_breakdown", "canonical_find", "canonical_count"],
 )
-def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, monkeypatch):
+def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monkeypatch):
     def no_check(*args):
         raise AssertionError("a system was checked before the refusal")
 
@@ -396,7 +398,7 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, monkeypatch):
     monkeypatch.setattr(search, "first_failure", no_check)
     # No leader walk may start either: at |U| = 4 one runs for minutes.
     monkeypatch.setattr(search._SystemSpace, "leaders", no_check)
-    with pytest.raises(CapacityExceeded, match="capped at size 4"):
+    with pytest.raises(CapacityExceeded, match=f"capped at size {ceiling}"):
         scan()
 
 

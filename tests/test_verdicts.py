@@ -1,19 +1,21 @@
-"""Bare verdicts against full reports, and the agreement scan against a per-leader reference.
+"""Bare verdicts against full reports, and the pruned scans against per-leader references.
 
 `search.verdict` and `preferential.mu_verdict` run a check's scan and build
 no report; each must give the `.holds` of the report that `evaluate_check`
 or `check_mu_rule` builds, and raise what it raises.  The agreement scan
-reads every verdict off the leader walk pruned by that id, and an
-implication scan prunes by its required checks; `reference_agreement` and
-`reference_implication` build a full report per check on every leader
-instead, and each pair must give the same bytes.
+merges the leader walks pruned by each id, and the implication, count and
+`canonical_only` scans prune by their required checks;
+`reference_agreement`, `reference_implication` and `reference_canonical`
+decide every check on every leader instead, and each pair must give the
+same bytes.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from sizesem import properties, rules, search
+from sizesem import fixtures, properties, rules, search
 from sizesem.cli import ALL_PROPS, ALL_RULES
 from sizesem.errors import DomainNotClosed, DomainNotFull
 from sizesem.preferential import MuRuleId, _MU_RULES, check_mu_rule, enumerate_mu_functions, mu_verdict
@@ -22,6 +24,7 @@ from sizesem.properties import (
     EMI,
     I_UNION_DISJ,
     IOMEGA,
+    OPT,
     m_plus_n,
     m_plus_omega,
     m_plus_plus,
@@ -29,15 +32,18 @@ from sizesem.properties import (
     parse_property,
 )
 from sizesem.report import CheckReport
-from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, cm_n, or_n, parse_rule
+from sizesem.rules import CM_OMEGA, DISJ_OR, OR_OMEGA, RATM, WOR, cm_n, or_n, parse_rule
 from sizesem.search import (
     SearchSpec,
+    count_systems,
     enumerate_systems,
     evaluate_check,
+    find_counterexample,
     scan_classes,
     verdict,
     verify_agreement,
     verify_agreement_upto,
+    verify_implication,
     verify_implication_upto,
 )
 from sizesem.setcore import Universe
@@ -178,6 +184,21 @@ def test_an_agreement_of_prunable_properties_runs_no_property_scan(monkeypatch):
         assert rep.holds and rep.instances_checked == 19_022, name
 
 
+def test_an_agreement_walks_no_unpruned_leaders(monkeypatch):
+    # Each id's pruned walk gives its verdicts, and the counts come from the
+    # raw ranks, so no walk over every leader is needed.
+    leaders = search._SystemSpace.leaders
+
+    def pruned_only(space, checks):
+        assert checks, "an unpruned leader walk was started"
+        return leaders(space, checks)
+
+    monkeypatch.setattr(search._SystemSpace, "leaders", pruned_only)
+    table = fixtures.expected_table()
+    for fid in ("fact-3.9", "fact-3.12", "fact-3.13"):
+        assert fixtures.compare_records(fixtures.run_fixture(fid), table[fid]) == [], fid
+
+
 def reference_implication(required, target, max_universe) -> CheckReport:
     """verify_implication_upto with a full report per check on every leader."""
 
@@ -189,9 +210,13 @@ def reference_implication(required, target, max_universe) -> CheckReport:
         return True if rep.holds else (s, rep)
 
     count, _, failure = scan_classes(range(1, max_universe + 1), True, (), evaluate)
+    return _implication(f"search:u<={max_universe}", required, target, count, failure)
+
+
+def _implication(subject, required, target, count, failure) -> CheckReport:
     left = "+".join(c.name for c in required) or "(all)"
     report = CheckReport(
-        subject=f"search:u<={max_universe}",
+        subject=subject,
         condition=f"{left}=>{target.name}",
         holds=failure is None,
         instances_checked=count,
@@ -229,3 +254,106 @@ IMPLICATIONS = [
 def test_implication_matches_the_per_leader_reference(required, target):
     want = reference_implication(required, target, 3)
     assert _bytes(verify_implication_upto(required, target, 3)) == _bytes(want)
+
+
+def reference_canonical(spec) -> tuple:
+    """A canonical scan that decides every required check on every leader of
+    `enumerate_systems`: (leaders that have them, the first of them failing
+    the target with its report, or None)."""
+    satisfying = 0
+    for s in enumerate_systems(spec):
+        if not all(verdict(s, c) for c in spec.required):
+            continue
+        satisfying += 1
+        if spec.target is not None and not verdict(s, spec.target):
+            return satisfying, (s, evaluate_check(s, spec.target))
+    return satisfying, None
+
+
+# (size, monotone, required, target): a failing find is labelled by its
+# position among all leaders.
+CANONICAL = [
+    (3, True, TERNARY, m_plus_n(3)),
+    (3, True, (m_plus_n(3),), OR_OMEGA),  # fails at u3#9
+    (3, True, (cm_n(3), m_plus_n(3)), or_n(3)),  # fails at u3#59
+    (3, True, (IOMEGA, EMI), OR_OMEGA),
+    (3, True, (CM_OMEGA,), m_plus_omega(3)),  # fails at u3#10
+    (3, True, (WOR, EMI), DISJ_OR),  # fails at u3#963
+    (3, True, (), EMF),  # fails at u3#4
+    (2, True, (RATM, m_plus_n(3)), EMI),
+    (1, True, (EMI,), EMF),
+    (2, False, (EMI,), EMF),  # fails at u2#3
+    (2, False, (CM_OMEGA,), EMF),  # fails at u2#3
+    (2, False, (or_n(3), m_plus_n(3)), RATM),
+    (1, False, (), OPT),
+]
+
+
+def _found(s, rep) -> str:
+    return json.dumps(None if s is None else [s.label, s.to_dict(), rep.to_dict()])
+
+
+def _canonical(n, monotone, required, target) -> SearchSpec:
+    mode = "count" if target is None else "find-counterexample"
+    return SearchSpec(n, required, target, mode, monotone_only=monotone, canonical_only=True)
+
+
+@pytest.mark.parametrize(
+    "n,monotone,required,target",
+    CANONICAL,
+    ids=[f"u{n}{'' if mono else '-raw'}:" + "+".join(c.name for c in req) + "=>" + tgt.name
+         for n, mono, req, tgt in CANONICAL],
+)
+def test_canonical_scans_match_the_per_leader_reference(n, monotone, required, target):
+    spec = _canonical(n, monotone, required, target)
+    count, failure = reference_canonical(spec)
+    assert _found(*find_counterexample(spec)) == _found(*failure or (None, None))
+    want = _implication(f"search:u{n}", required, target, count, failure)
+    assert _bytes(verify_implication(replace(spec, mode="verify-implication"))) == _bytes(want)
+    spec = _canonical(n, monotone, required, None)
+    assert count_systems(spec).instances_checked == reference_canonical(spec)[0]
+
+
+def test_a_canonical_scan_decides_the_target_alone(monkeypatch):
+    # The walk prunes by the required checks, and no scan reads the
+    # `enumerate_systems` stream.
+    decided = []
+
+    def spy(s, c):
+        decided.append(c)
+        return verdict(s, c)
+
+    def no_stream(*args):
+        raise AssertionError("enumerate_systems was called")
+
+    monkeypatch.setattr(search, "verdict", spy)
+    monkeypatch.setattr(search, "enumerate_systems", no_stream)
+    for n, monotone, required, target in CANONICAL:
+        spec = _canonical(n, monotone, required, target)
+        find_counterexample(spec)
+        verify_implication(replace(spec, mode="verify-implication"))
+        assert decided and set(decided) == {target}, spec
+        decided.clear()
+        count_systems(_canonical(n, monotone, required, None))
+        assert decided == [], spec
+
+
+def test_canonical_scans_match_the_per_leader_reference_at_size_2():
+    # Every check as the one required check, monotone or not.
+    mismatches, failures = [], 0
+    for monotone in (True, False):
+        for required in [()] + [(c,) for c in CHECKS]:
+            counting = _canonical(2, monotone, required, None)
+            count = reference_canonical(counting)[0]
+            if count_systems(counting).instances_checked != count:
+                mismatches.append(counting)
+            for target in (EMI, EMF, IOMEGA, RATM, OR_OMEGA, m_plus_n(3)):
+                if target in required:
+                    continue
+                spec = _canonical(2, monotone, required, target)
+                failure = reference_canonical(spec)[1]
+                failures += failure is not None
+                if _found(*find_counterexample(spec)) != _found(*failure or (None, None)):
+                    mismatches.append(spec)
+    assert mismatches == []
+    assert failures > 0
