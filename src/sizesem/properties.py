@@ -57,7 +57,7 @@ from typing import Callable
 
 from .errors import DomainNotClosed
 from .report import CheckReport, Witness, guarded_report, scan_report
-from .setcore import Subset, Universe, canon_rank, down_closed, submasks, union_closed, unions
+from .setcore import Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, _label_key
 
 _PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
@@ -540,15 +540,6 @@ _SCANS = {
 
 # The local tags: a system has the property iff its row holds at every X.
 LOCAL_TAGS = frozenset(_LOCAL)
-
-
-def row_at(u: Universe, x: int, fam: frozenset[int], p: PropertyId) -> tuple[int, Witness]:
-    """The row of the local property p at the base set X, on I(X) = fam alone."""
-    test, at = _LOCAL[p.tag]
-    key = canon_rank(u.size).__getitem__
-    if p.param is None:
-        return at(x, fam, key, test(x, fam))
-    return at(x, fam, key, test(x, fam, p.param), p.param)
 
 
 def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:

@@ -42,16 +42,16 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CapacityExceeded
 from . import properties, rules
-from .properties import IOMEGA, LOCAL_TAGS, PropertyId, _scan_property, check_property, holds_at, row_at
+from .properties import LOCAL_TAGS, PropertyId, _scan_property, check_property, holds_at
 from .report import CheckReport
 from .rules import RuleId, _scan_rule, check_rule
-from .setcore import Subset, Universe, canon_rank, submasks
+from .setcore import Subset, Universe, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
 T = TypeVar("T")
@@ -170,20 +170,6 @@ def _down_set_families(x: int) -> Iterator[frozenset[int]]:
     yield from rec(m - 1, [])
 
 
-@lru_cache(maxsize=None)
-def _subset_index(x: int) -> dict[int, int]:
-    return {m: i for i, m in enumerate(submasks(x))}
-
-
-def family_code(x: int, fam: frozenset[int]) -> int:
-    """Bitmask of the family over the canonical subset index of x."""
-    idx = _subset_index(x)
-    code = 0
-    for m in fam:
-        code |= 1 << idx[m]
-    return code
-
-
 def _letters(n: int) -> list[str]:
     return [chr(ord("a") + i) for i in range(n)]
 
@@ -299,21 +285,22 @@ class _SystemSpace:
 
         return options
 
-    def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(index tuple, order of its stabilizer) of every lex-leader, i.e.
-        every system no relabeling makes smaller, on which every check
-        holds, in raw-stream order.
+    def cells(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int, list]]:
+        """(prefix, order of the stabilizer, lists) per cell of lex-leaders,
+        the systems no relabeling makes smaller, that have every check: each
+        completion of prefix by `itertools.product(*lists)`, in raw order.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
         One whose image is smaller on a block prunes every completion of
         that prefix; one whose image is larger drops out.  The relabelings
-        left at the end, with the identity, are the stabilizer; once none is
-        left and only local properties are asked for, the rest of the walk is
-        the plain product.  The images are compared whether or not their
-        families pass, so the stabilizers are those of the unpruned walk.  A
-        position takes the families that pass each local property
-        (`passing`) and every other check's test below it (`_options`).
+        left at the end, with the identity, are the stabilizer.  Once none
+        is left, the last block (the full set alone) is one cell, and so is
+        the rest of the walk if only local properties are asked for.  The
+        images are compared whether or not their families pass, so the
+        stabilizers are those of the unpruned walk.  A position takes the
+        families that pass each local property (`passing`) and every other
+        check's test below it (`_options`).
         """
         local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
         rest = (c for c in checks if c not in local)
@@ -321,18 +308,21 @@ class _SystemSpace:
         allowed = self.passing(local)
         options = self._options(allowed, cross)
         image_index = self._image_index
+        last = len(self.blocks) - 1
 
         def walk(b: int, prefix: tuple[int, ...], live: list) -> Iterator:
             if not live and not cross:
-                for rest in itertools.product(*allowed[len(prefix):]):
-                    yield prefix + rest, 1
+                yield prefix, 1, allowed[len(prefix):]
                 return
-            if b == len(self.blocks):
-                yield prefix, len(live) + 1
+            if b > last:
+                yield prefix, len(live) + 1, []
                 return
             block = self.blocks[b]
             lo = block.start
             lists = [options(j, prefix) for j in block] if cross else allowed[lo : block.stop]
+            if not live and b == last:
+                yield prefix, 1, lists
+                return
             for part in itertools.product(*lists):
                 kept = []
                 for perm in live:
@@ -350,6 +340,13 @@ class _SystemSpace:
                     yield from walk(b + 1, prefix + part, kept)
 
         return walk(0, (), self.perms)
+
+    def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(index tuple, order of its stabilizer) of every lex-leader on which
+        every check holds, in raw-stream order: the cells, expanded."""
+        for prefix, stab, lists in self.cells(checks):
+            for rest in itertools.product(*lists):
+                yield prefix + rest, stab
 
     def images_upto(self, idx: tuple[int, ...], bound: tuple[int, ...]) -> int:
         """Distinct relabelings of the leader idx (itself included) whose
@@ -473,7 +470,9 @@ def scan_classes(
                 yield space.relabelings // stab, (space, idx)
 
     if evaluate is None:
-        return sum(weight for weight, _ in stream()), 0, None
+        cells = (space.relabelings // stab * prod(map(len, lists))
+                 for space in spaces for _, stab, lists in space.cells(required))
+        return sum(cells), 0, None
 
     def judge(item: tuple[_SystemSpace, tuple[int, ...]]):
         space, idx = item
@@ -516,9 +515,11 @@ def _scan_systems(
         return satisfying, failure
     n, satisfying = spec.universe_size, 0
     space = _system_space(n, spec.monotone_only, True)
+    if target is None:
+        return sum(prod(map(len, lists)) for _, _, lists in space.cells(spec.required)), None
     for idx, _ in space.leaders(spec.required):
         satisfying += 1
-        if target is not None and not verdict(space.system(idx, ""), target):
+        if not verdict(space.system(idx, ""), target):
             earlier = itertools.takewhile(lambda leader: leader[0] < idx, space.leaders(()))
             s = space.system(idx, f"u{n}#{sum(1 for _ in earlier)}")
             return satisfying, (s, evaluate_check(s, target))
@@ -630,6 +631,25 @@ def verify_agreement_upto(ids: list[CheckId], max_universe: int) -> CheckReport:
 # --- difference-robustness vs. union-closure ----------------------------------
 
 
+def _breakdown_columns(x: int) -> tuple[int, int]:
+    """(premise, failing) bit vectors over the families of P(x) that contain
+    ∅: bit f stands for the family whose code is f, bit i of f for the i-th
+    nonempty submask of x.  Decided bit-sliced (Knuth, TAOCP 4A §7.1.3)."""
+    others = submasks(x)[1:]  # ∅, in every family, adds no pair
+    full = (1 << (1 << len(others))) - 1
+    col = {}  # bit f of col[m]: family f has m, so runs of 2^i codes alternate
+    for i, m in enumerate(others):
+        w = 1 << i
+        col[m] = full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w)
+    missing = {v: reduce(operator.or_, (full ^ col[z] for z in submasks(v)[1:])) for v in others}
+    premise = conclusion = 0  # members A, B with A ∪ B, or some Z ⊆ A ∪ B, missing
+    for a, b in itertools.combinations_with_replacement(others, 2):
+        both = col[a] & col[b]
+        premise |= both & ~col[a | b]
+        conclusion |= both & missing[a | b]
+    return premise, premise & ~conclusion
+
+
 def verify_two_s_breakdown(
     max_universe: int, *, parallelism: int = 1  # unused; the benchmark in bench/ still passes it
 ) -> CheckReport:
@@ -640,52 +660,41 @@ def verify_two_s_breakdown(
     are not closed under union, then some Y ⊆ X is the union of two of its own
     small sets.
 
-    Enumerating whole systems is hopeless (the family product at size 4 is
-    astronomically large), but the claim is local to X: the robustness
-    instances based at X only ever force *lower bounds* on the ideals of the
-    carriers Z = X−B with B not big, namely {A ∩ Z : A ∈ I(X)} (variants 1
-    and 2 force the same bound, variant 3 a weaker one), and "no Y fails 2*s"
-    only gets harder as ideals grow.  So a whole-system counterexample exists
+    The claim is local to X: the robustness instances based at X only ever
+    force *lower bounds* on the ideals of the carriers Z = X−B with B not
+    big, namely {A ∩ Z : A ∈ I(X)} (variants 1 and 2 force the same bound,
+    variant 3 a weaker one), and "no Y fails 2*s" only gets harder as ideals
+    grow, so whole systems need not be enumerated.  A counterexample exists
     iff some single family I(X) contains ∅, is not union-closed, has no two
     members covering X, and no forced minimal bound at any carrier has two
     members covering that carrier.  Since (A∩Z) ∪ (B∩Z) = Z iff A∪B ⊇ Z, the
     last two conditions reduce to: no pairwise union of members of I(X)
-    covers any Z ⊆ X with Z not small.  That is what this scans, for every
-    base-set size up to max_universe (a larger X restricts to this case).
-
-    The premise is that I(X) is not union-closed, as the I-omega row at X
-    (`properties.row_at`) decides by `setcore.union_closed`.  Where it fires,
-    the row gives the first A, B ∈ I(X) with A ∪ B ∉ I(X), and the family is
-    checked on them: Z = A ∪ B is a carrier that is not small and is covered
-    by the pairwise union A ∪ B.  So the scan cannot fail.  Up to size 4 the
-    premise fires on 30 356 of 32 906 families; size 5 has 2³¹, so it is refused.
+    covers any Z ⊆ X with Z not small.  That is what this decides, for every
+    family of every base-set size up to max_universe (a larger X restricts to
+    this case), one pass per size (`_breakdown_columns`), counting the
+    families the premise fires on up to the first that fails.  None fails
+    (Z = A ∪ B is not small and is covered); up to size 4 the premise fires
+    on 30 356 of 32 906 families, and size 5, with 2³¹, is refused.
     """
     if max_universe > EXHAUSTIVE_CEILING:
         raise CapacityExceeded(f"the 2*s breakdown scan is capped at size {EXHAUSTIVE_CEILING}")
-    universes = (Universe(_letters(n)) for n in sizes_upto(max_universe))
-    candidates = ((1, (u, fam)) for u in universes for fam in _families_with_empty(u.full_mask))
-
-    def eval_family(args: tuple[Universe, frozenset[int]]):
-        u, fam = args
-        gap = row_at(u, u.full_mask, fam, IOMEGA)[1]
-        if gap is None:
-            return None  # union-closed: premise not triggered
-        (_, a), (_, b) = gap
-        z = a | b
-        if z not in fam and not z & ~(a | b):
-            return True  # the carrier Z = A ∪ B is not small, and A ∪ B covers it
-        return u, fam, (a, b)
-
-    checked, _, failure, _ = first_failure(candidates, eval_family)
-    witness = None
-    if failure is not None:
-        u, fam, broken = failure
-        order = sorted(fam, key=canon_rank(u.size).__getitem__)
+    checked, witness = 0, None
+    for n in sizes_upto(max_universe):
+        u = Universe(_letters(n))
+        premise, failing = _breakdown_columns(u.full_mask)
+        if not failing:
+            checked += premise.bit_count()
+            continue
+        f = (failing & -failing).bit_length() - 1  # the first failing family's code
+        checked += (premise & ((2 << f) - 1)).bit_count()
+        fam = [0, *(m for i, m in enumerate(submasks(u.full_mask)[1:]) if f >> i & 1)]
+        gap = next((a, b) for a in fam for b in fam if a | b not in fam)
         witness = {
-            "universe_size": u.size,
-            "ideal_at_base": [list(Subset(u, m).labels()) for m in order],
-            "union_gap": [list(Subset(u, m).labels()) for m in broken],
+            "universe_size": n,
+            "ideal_at_base": [list(Subset(u, m).labels()) for m in fam],
+            "union_gap": [list(Subset(u, m).labels()) for m in gap],
         }
+        break
 
     return CheckReport(
         subject=f"search:u<={max_universe}",

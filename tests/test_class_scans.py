@@ -7,7 +7,9 @@ the middle of a relabeling class.  The brute force below walks the raw
 stream itself and shares no code with the scans beyond the checks.
 """
 
+import operator
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -309,6 +311,33 @@ def test_pruned_walk_yields_the_leaders_that_have_the_properties(props):
                 if all(evaluate_check(space.system(idx, ""), c).holds for c in props)
             ]
             assert list(space.leaders(props)) == expected, (n, monotone)
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [(), (OPT,), (IM, n_star_s(2)), (EMI,), (IOMEGA, EMF), (OPT, CM_OMEGA)],
+    ids=lambda checks: "+".join(c.name for c in checks) or "none",
+)
+def test_cell_counts_are_the_sums_over_the_leaders(checks):
+    # A count reads the walk's cells without expanding them: per cell, the
+    # completions of its prefix, each standing for relabelings // stab systems.
+    for monotone in (True, False):
+        for n in (1, 2, 3):
+            space = _SystemSpace(n, monotone)
+            leaders = list(space.leaders(checks))
+            cells = list(space.cells(checks))
+            completions = [prod(map(len, lists)) for _, _, lists in cells]
+            weights = [space.relabelings // stab for _, stab, _ in cells]
+            assert sum(completions) == len(leaders), (n, monotone)
+            assert sum(map(operator.mul, completions, weights)) == sum(
+                space.relabelings // stab for _, stab in leaders
+            ), (n, monotone)
+            spec = SearchSpec(n, checks, mode="count", monotone_only=monotone)
+            assert count_systems(spec).instances_checked == sum(
+                space.relabelings // stab for _, stab in leaders
+            )
+            spec = SearchSpec(n, checks, mode="count", monotone_only=monotone, canonical_only=True)
+            assert count_systems(spec).instances_checked == len(leaders)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from sizesem.search import (
     SearchSpec,
     count_systems,
     enumerate_systems,
-    family_code,
     find_counterexample,
     verify_agreement,
     verify_agreement_upto,
@@ -34,6 +33,11 @@ from sizesem.search import (
     _families_with_empty,
 )
 from sizesem.setcore import submasks
+
+
+def family_code(x, fam):
+    """The bitmask of the family over the canonical subset index of x."""
+    return sum(1 << submasks(x).index(m) for m in fam)
 
 
 def brute_force_down_sets(x):
@@ -396,8 +400,12 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monk
     monkeypatch.setattr(search, "evaluate_check", no_check)
     monkeypatch.setattr(search, "verdict", no_check)
     monkeypatch.setattr(search, "first_failure", no_check)
+    # No family may be listed and no column built: one of size 5 has 2³¹ bits.
+    monkeypatch.setattr(search, "_families_with_empty", no_check)
+    monkeypatch.setattr(search, "_breakdown_columns", no_check)
     # No leader walk may start either: at |U| = 4 one runs for minutes.
     monkeypatch.setattr(search._SystemSpace, "leaders", no_check)
+    monkeypatch.setattr(search._SystemSpace, "cells", no_check)
     with pytest.raises(CapacityExceeded, match=f"capped at size {ceiling}"):
         scan()
 
@@ -502,3 +510,56 @@ def test_two_s_breakdown_matches_whole_system_scan_at_size_2():
                 )
                 assert some_y_fails
     assert premise_hits > 0
+
+
+def test_breakdown_columns_match_a_per_family_evaluation():
+    # Bit f of each vector against the docstring's conditions on family f:
+    # the premise (not union-closed), and the failure (the premise, and no
+    # members A, B with a nonempty Z ⊆ A ∪ B outside the family).
+    for n in (1, 2, 3):
+        x = (1 << n) - 1
+        premise, failing = search._breakdown_columns(x)
+        for code, fam in enumerate(_families_with_empty(x)):
+            fires = any(a | b not in fam for a in fam for b in fam)
+            covers = any(
+                z not in fam for a in fam for b in fam for z in submasks(a | b)
+            )
+            assert premise >> code & 1 == fires, (n, code)
+            assert failing >> code & 1 == (fires and not covers), (n, code)
+        families = 1 << (len(submasks(x)) - 1)
+        assert premise >> families == failing >> families == 0
+
+
+def test_two_s_breakdown_reports_the_first_failing_family(monkeypatch):
+    # A failing bit forced onto the 5th family of a 3-set that the premise
+    # fires on: the count runs up to and including it, after all of size 2.
+    columns = search._breakdown_columns
+
+    def one_failure(x):
+        premise, failing = columns(x)
+        if x == 0b111:
+            bits = [f for f in range(premise.bit_length()) if premise >> f & 1]
+            failing |= 1 << bits[4]
+        return premise, failing
+
+    monkeypatch.setattr(search, "_breakdown_columns", one_failure)
+    rep = verify_two_s_breakdown(4)
+    assert not rep.holds and rep.notes == ("counterexample found",)
+    assert rep.instances_checked == 0 + 1 + 5
+    w = rep.witness_system
+    assert w["universe_size"] == 3
+    fam = {frozenset(m) for m in w["ideal_at_base"]}
+    a, b = map(frozenset, w["union_gap"])
+    assert a in fam and b in fam and a | b not in fam
+
+
+def test_two_s_breakdown_walks_no_family(monkeypatch):
+    # The counts come from the columns alone: no family is listed, built as
+    # a set or scanned item by item.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a family was walked")
+
+    for name in ("_families_with_empty", "first_failure", "scan_stream", "frozenset"):
+        monkeypatch.setattr(search, name, no_walk, raising=False)
+    counts = [verify_two_s_breakdown(n).instances_checked for n in (1, 2, 3, 4)]
+    assert counts == [0, 1, 68, 30356]
