@@ -31,7 +31,9 @@ small universes, the ten rows tying size properties to choice-function rules:
 Forward runs over every monotone full-powerset system with principal filters
 (non-principal systems are counted and skipped, not silently dropped); the
 size side prunes the leader walk, so only the choice side is evaluated.
-Backward runs over every choice function on a full domain; rows 8–10 instead
+Backward runs over every choice function on a full domain, which is the same
+walk pruned by I-omega: the I-omega family at X is P(M) for one M ⊆ X, read
+as f(X) = M, in the order of `enumerate_mu_functions`.  Rows 8–10 instead
 confirm the known non-implication witness: the choice function over {a,b,c}
 that picks {a} from {a,b} and is the identity elsewhere.
 """
@@ -39,6 +41,7 @@ that picks {a} from {a,b} and is the identity elsewhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -55,7 +58,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, first_failure, scan_classes, sizes_upto, verdict
+from .search import _letters, scan_classes, sizes_upto, verdict
 from .setcore import Universe, submasks
 from .sizesys import MuFunction, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -434,18 +437,25 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
 
-    def evaluate(mu: MuFunction):
+    def evaluate(space, idx: tuple[int, ...]):
+        # The I-omega family at X is P(M) for one M ⊆ X: f(X) = M, its largest member.
+        u, dom = space.universe, space.domain
+        choice = dict(zip(dom, map(max, map(operator.getitem, space.per_set, idx))))
+        mu = MuFunction(u, dom, choice)
         if mu_rule is not None and not mu_verdict(mu, mu_rule):
             return None
         system = from_mu(mu)
-        for p in left:
-            if not verdict(system, p):
-                return mu, system, check_property(system, p)
-        return True
+        failing = next((p for p in left if not verdict(system, p)), None)
+        if failing is None:
+            return True
+        rank = 0  # in enumerate_mu_functions' stream
+        for x in dom:
+            rank = (rank << x.bit_count()) + submasks(x).index(choice[x])
+        mu = MuFunction(u, dom, choice, label=f"mu{u.size}#{rank}")
+        system = from_mu(mu)
+        return mu, system, check_property(system, failing)
 
-    universes = (Universe(_letters(n)) for n in sizes)
-    choices = ((1, mu) for u in universes for mu in enumerate_mu_functions(u))
-    checked, _, failure, _ = first_failure(choices, evaluate)
+    checked, _, failure = scan_classes(sizes, True, (IOMEGA,), evaluate)
     witness = None
     if failure is not None:
         mu, system, rep = failure

@@ -559,10 +559,6 @@ def below(p: PropertyId) -> Below:
     return _ROWS[p.tag, p.param][1]
 
 
-def holds_below(p: PropertyId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
-    return below(p)(y, ideals)
-
-
 OPT = PropertyId("Opt")
 IM = PropertyId("iM")
 EMI = PropertyId("eMI")

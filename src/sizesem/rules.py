@@ -527,10 +527,6 @@ def below(r: RuleId) -> Callable[[int, dict], bool]:
     return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
 
 
-def holds_below(r: RuleId, y: int, ideals: dict[int, frozenset[int]]) -> bool:
-    return below(r)(y, ideals)
-
-
 # The rule tags, each with the test of one of its units.
 _UNITS = {
     "SC": _sc_unit,

@@ -17,9 +17,10 @@ at a time, so first findings are reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
-`count_systems` without `canonical_only`, `verify_implication_upto` and the
-forward correspondence rows) run on the lex-leaders alone, each weighted by
-its class size (`scan_classes`), sizes 1..n chained into one stream.  They
+`count_systems` without `canonical_only`, `verify_implication_upto`, the
+forward correspondence rows and backward rows 1–7) run on the lex-leaders
+alone, each weighted by its class size (`scan_classes`), sizes 1..n chained
+into one scan.  They
 report what a scan of every system would: the same first failing system
 with its raw label, and exact counts.  The leaders come from one walk that
 prunes block by block (the base sets of one cardinality), after the
@@ -399,43 +400,10 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
 
 def scan_stream(stream: Iterable[T], evaluate: Callable[[T], R]) -> Iterator[R]:
     """Yield evaluate(item) in stream order, for as long as the caller reads;
-    first_failure reads through it, and bench/tracing.py times it by name."""
+    scan_classes reads its leaders through it, and bench/tracing.py times it
+    by name."""
     for item in stream:
         yield evaluate(item)
-
-
-_OUTSIDE, _SKIPPED, _COUNTED = 0, 1, 2
-
-
-def first_failure(
-    items: Iterable[tuple[int, T]], evaluate: Callable[[T], object]
-) -> tuple[int, int, object, bytearray]:
-    """Scan weighted items in stream order up to the first failure.
-
-    Items come as (weight, item): the number of stream members the item
-    stands for, and the item.  evaluate(item) returns None when the item is
-    outside the scan (not counted), False when it is skipped but tallied,
-    True when it is counted and passes, and any other value as the failure:
-    the item is counted and the scan stops.  Returns (counted, skipped,
-    failure or None, outcomes): the tallies add weights, and outcomes holds
-    _OUTSIDE, _SKIPPED or _COUNTED per item read, the failure included.
-    """
-    counted = skipped = 0
-    outcomes = bytearray()
-    weighed = scan_stream(items, lambda item: (item[0], evaluate(item[1])))
-    for weight, result in weighed:
-        if result is None:
-            outcomes.append(_OUTSIDE)
-            continue
-        if result is False:
-            outcomes.append(_SKIPPED)
-            skipped += weight
-            continue
-        outcomes.append(_COUNTED)
-        counted += weight
-        if result is not True:
-            return counted, skipped, result, outcomes
-    return counted, skipped, None, outcomes
 
 
 def scan_classes(
@@ -444,13 +412,16 @@ def scan_classes(
     required: tuple[CheckId, ...],
     evaluate: Callable[[_SystemSpace, tuple[int, ...]], object] | None,
 ) -> tuple[int, int, object]:
-    """first_failure over the systems of the given sizes, in turn, that
-    satisfy every required check, run on one system per relabeling class.
+    """Scan the systems of the given sizes, in turn, that satisfy every
+    required check up to the first failure, one system per relabeling class.
 
     The required checks prune the walk (`_SystemSpace.leaders`), so the
-    systems that fail one are neither built nor counted, as if evaluate had
-    returned None on them.  evaluate(space, idx) judges the leader idx of a
-    space, whose system `space.leader(idx)` builds; an evaluate of None
+    systems that fail one are neither built nor counted.  Each size's leaders
+    are read through `scan_stream`, and evaluate(space, idx) judges the
+    leader idx of a space, whose system `space.leader(idx)` builds: None
+    when it is outside the scan (not counted), False when it is
+    skipped but tallied, True when it is counted and passes, and any other
+    value as the failure, counted, that stops the scan.  An evaluate of None
     counts every system left without building one.
 
     A leader has its class's verdict and stands for n!/|Stab| systems.  The
@@ -458,44 +429,29 @@ def scan_classes(
     with the same report and labelled u<n>#<raw rank>.  On a failure at raw
     rank r the tallies are those of the raw stream up to r: each counted or
     skipped leader of that size adds its distinct relabelings ranked at most
-    r (the failing one itself alone), found by walking the leaders again
-    beside their outcomes; an earlier size adds whole classes.  Returns
-    (counted, skipped, failure or None).
+    r (the failing one itself alone), found by walking the size's leaders
+    again beside their outcomes; an earlier size adds whole classes.
+    Returns (counted, skipped, failure or None).
     """
     spaces = [_system_space(n, monotone, False) for n in sizes]
-
-    def stream() -> Iterator[tuple[int, tuple[_SystemSpace, tuple[int, ...]]]]:
-        for space in spaces:
-            for idx, stab in space.leaders(required):
-                yield space.relabelings // stab, (space, idx)
-
     if evaluate is None:
         cells = (space.relabelings // stab * prod(map(len, lists))
                  for space in spaces for _, stab, lists in space.cells(required))
         return sum(cells), 0, None
-
-    def judge(item: tuple[_SystemSpace, tuple[int, ...]]):
-        space, idx = item
-        result = evaluate(space, idx)
-        if result is None or result is True or result is False:
-            return result
-        return space, idx, result
-
-    counted, skipped, failure, outcomes = first_failure(stream(), judge)
-    if failure is None:
-        return counted, skipped, None
-    at, bound, failure = failure
-    counted = skipped = 0
-    for (weight, (space, idx)), outcome in zip(stream(), outcomes):
-        if outcome == _OUTSIDE:
-            continue
-        if space is at:
-            weight = space.images_upto(idx, bound)
-        if outcome == _COUNTED:
-            counted += weight
-        else:
-            skipped += weight
-    return counted, skipped, failure
+    tally = [0, 0, 0]  # weights outside the scan, skipped, counted
+    for space in spaces:
+        outcomes = bytearray()  # per leader read: its index into tally
+        judged = scan_stream(space.leaders(required), lambda lead: (lead, evaluate(space, lead[0])))
+        for (idx, stab), result in judged:
+            outcome = 0 if result is None else 1 if result is False else 2
+            outcomes.append(outcome)
+            tally[outcome] += space.relabelings // stab
+            if outcome == 2 and result is not True:
+                for (lead, stab), seen in zip(space.leaders(required), outcomes):
+                    if seen:
+                        tally[seen] += space.images_upto(lead, idx) - space.relabelings // stab
+                return tally[2], tally[1], result
+    return tally[2], tally[1], None
 
 
 def _scan_systems(

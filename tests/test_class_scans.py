@@ -266,7 +266,7 @@ def test_every_check_splits_by_base_set():
             except CapacityExceeded:
                 holds = verdict(s, SATURATED[c])
             failures += not holds
-            if holds != all(module.holds_below(c, y, s.ideals) for y in s.domain_masks):
+            if holds != all(module.below(c)(y, s.ideals) for y in s.domain_masks):
                 mismatches.append((s.label, c.name))
     assert mismatches == []
     assert failures > 0
@@ -287,7 +287,7 @@ def test_m_plus_n_below_stops_at_a_fixpoint_with_the_full_walks_verdict():
             for y in s.domain_masks:
                 want = m_plus_n_below_reference(n, y, s.ideals)
                 failures += not want
-                if properties.holds_below(m_plus_n(n), y, s.ideals) != want:
+                if properties.below(m_plus_n(n))(y, s.ideals) != want:
                     mismatches.append((n, s.label, y))
     assert mismatches == []
     assert failures > 0

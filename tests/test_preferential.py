@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import pytest
 
+from sizesem import preferential, search
 from sizesem.errors import DomainNotClosed
 from sizesem.preferential import (
     MU_CM,
@@ -16,18 +18,21 @@ from sizesem.preferential import (
     MU_SUBSET_SUPSET,
     MU_WOR,
     ROW_LEFT,
+    ROW_MU,
     MuRuleId,
     check_mu_rule,
     counterexample_mu,
     enumerate_mu_functions,
     mu_to_rule_bridge,
+    mu_verdict,
     parse_mu_rule,
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from sizesem.properties import EMF, EMI, IOMEGA, check_property
+from sizesem.properties import EMF, EMI, IOMEGA, check_property, m_plus_plus
+from sizesem.report import CorrespondenceReport
 from sizesem.rules import AND_OMEGA, CP, CUT, RW, SC
-from sizesem.search import SearchSpec, enumerate_systems
+from sizesem.search import SearchSpec, _permute_mask, enumerate_systems, verdict
 from sizesem.setcore import Universe
 from sizesem.sizesys import MuFunction, build_mu, from_mu, full_domain_masks, principal_mu
 
@@ -252,6 +257,104 @@ def test_backward_row_failure_is_pinned(monkeypatch):
             },
         },
     })
+
+
+def reference_backward(row, max_universe):
+    """Backward rows 1–7 by the raw loop: every choice function of sizes
+    1..max_universe in `enumerate_mu_functions` order, each that has the
+    row's mu-rule counted, up to the first whose system fails the left side."""
+    left, mu_rule = ROW_LEFT[row], ROW_MU[row]
+    checked, witness = 0, None
+    universes = (Universe(search._letters(n)) for n in range(1, max_universe + 1))
+    for mu in (mu for u in universes for mu in enumerate_mu_functions(u)):
+        if mu_rule is not None and not mu_verdict(mu, mu_rule):
+            continue
+        checked += 1
+        system = from_mu(mu)
+        failing = [p for p in left if not verdict(system, p)]
+        if failing:
+            violation = check_property(system, failing[0]).to_dict()
+            witness = {"mu": mu.to_dict(), "system": system.to_dict(), "violation": violation}
+            break
+    return CorrespondenceReport(
+        row=row,
+        direction="backward",
+        universe_max=max_universe,
+        systems_checked=checked,
+        holds=witness is None,
+        witness=witness,
+    )
+
+
+def relabelings_ranked_past(rank, mu_rule):
+    """Whether a choice function over {a,b,c} ranked below `rank` that has
+    mu_rule has a relabeling ranked past it: then a scan failing at `rank`
+    counts part of that relabeling class only."""
+    mus = list(enumerate_mu_functions(Universe(["a", "b", "c"])))
+    ranks = {tuple(sorted(mu.choice.items())): r for r, mu in enumerate(mus)}
+
+    def relabeled(mu, p):
+        pairs = ((_permute_mask(x, p), _permute_mask(f, p)) for x, f in mu.choice.items())
+        return tuple(sorted(pairs))
+
+    return any(
+        ranks[relabeled(mu, p)] > rank
+        for mu in mus[:rank]
+        if mu_rule is None or mu_verdict(mu, mu_rule)
+        for p in itertools.permutations(range(3))
+    )
+
+
+@pytest.mark.parametrize("row", range(1, 8))
+def test_backward_rows_match_the_raw_loop(row):
+    for n in (1, 2, 3):
+        want = json.dumps(reference_backward(row, n).to_dict())
+        assert json.dumps(verify_correspondence_backward(row, n).to_dict()) == want
+
+
+@pytest.mark.parametrize(
+    "row,left,mu_rule,label",
+    [
+        (2, (EMI, IOMEGA, EMF), MU_OR, "mu2#4"),
+        (3, (m_plus_plus(1),), MU_PR, "mu3#1627"),
+        (5, (m_plus_plus(2),), MU_CM, "mu3#13"),
+        (7, (IOMEGA, m_plus_plus(3)), None, "mu3#11"),
+    ],
+)
+def test_failing_backward_rows_match_the_raw_loop(row, left, mu_rule, label, monkeypatch):
+    monkeypatch.setitem(ROW_LEFT, row, left)
+    monkeypatch.setitem(ROW_MU, row, mu_rule)
+    rep = verify_correspondence_backward(row, 3)
+    assert not rep.holds and rep.witness["violation"]["subject"] == label
+    assert json.dumps(rep.to_dict()) == json.dumps(reference_backward(row, 3).to_dict())
+    if label.startswith("mu3#"):
+        # The failure falls inside a relabeling class, so the count is partial.
+        assert relabelings_ranked_past(int(label.split("#")[1]), mu_rule)
+
+
+def test_iomega_leader_stream_reads_as_every_choice_function():
+    # The I-omega down-set at X is P(M) for one M ⊆ X, in canonical order of
+    # M, so the raw I-omega stream read as f(X) = max I(X) is the mu stream.
+    for n in (1, 2, 3):
+        space = search._system_space(n, True, False)
+        passing = space.passing((IOMEGA,))
+        families = [[fams[i] for i in ok] for fams, ok in zip(space.per_set, passing)]
+        read = [dict(zip(space.domain, map(max, fams))) for fams in itertools.product(*families)]
+        assert read == [mu.choice for mu in enumerate_mu_functions(space.universe)]
+
+
+def test_backward_rows_evaluate_only_iomega_leaders(monkeypatch):
+    def no_raw_stream(*args):
+        raise AssertionError("a raw choice stream was walked")
+
+    monkeypatch.setattr(preferential, "enumerate_mu_functions", no_raw_stream)
+    for row in range(1, 8):
+        assert verify_correspondence_backward(row, 3).holds, row
+    judged = []
+    real = preferential.mu_verdict
+    monkeypatch.setattr(preferential, "mu_verdict", lambda mu, r: judged.append(mu) or real(mu, r))
+    verify_correspondence_backward(1, 3)
+    assert len(judged) == 2 + 10 + 752  # relabeling classes at sizes 1, 2, 3
 
 
 @pytest.mark.parametrize("verify", [verify_correspondence_forward, verify_correspondence_backward])

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from sizesem import fixtures, search
+from sizesem import fixtures, preferential, search
 from sizesem.errors import CapacityExceeded
+from sizesem.preferential import verify_correspondence_backward, verify_correspondence_forward
 from sizesem.properties import (
     EMF,
     EMI,
@@ -390,8 +391,13 @@ def test_sizes_below_one_are_refused(scan):
         (lambda: verify_two_s_breakdown(5), 4),
         (lambda: find_counterexample(SearchSpec(6, (EMI,), EMF, canonical_only=True)), 5),
         (lambda: count_systems(SearchSpec(6, (EMI,), mode="count", canonical_only=True)), 5),
+        (lambda: verify_correspondence_forward(2, 4), 3),
+        (lambda: verify_correspondence_backward(2, 4), 3),
     ],
-    ids=["implication_upto", "agreement_upto", "two_s_breakdown", "canonical_find", "canonical_count"],
+    ids=[
+        "implication_upto", "agreement_upto", "two_s_breakdown", "canonical_find",
+        "canonical_count", "correspondence_forward", "correspondence_backward",
+    ],
 )
 def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monkeypatch):
     def no_check(*args):
@@ -399,7 +405,8 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monk
 
     monkeypatch.setattr(search, "evaluate_check", no_check)
     monkeypatch.setattr(search, "verdict", no_check)
-    monkeypatch.setattr(search, "first_failure", no_check)
+    monkeypatch.setattr(search, "scan_stream", no_check)
+    monkeypatch.setattr(preferential, "enumerate_mu_functions", no_check)
     # No family may be listed and no column built: one of size 5 has 2³¹ bits.
     monkeypatch.setattr(search, "_families_with_empty", no_check)
     monkeypatch.setattr(search, "_breakdown_columns", no_check)
@@ -559,7 +566,7 @@ def test_two_s_breakdown_walks_no_family(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a family was walked")
 
-    for name in ("_families_with_empty", "first_failure", "scan_stream", "frozenset"):
+    for name in ("_families_with_empty", "scan_stream", "frozenset"):
         monkeypatch.setattr(search, name, no_walk, raising=False)
     counts = [verify_two_s_breakdown(n).instances_checked for n in (1, 2, 3, 4)]
     assert counts == [0, 1, 68, 30356]
