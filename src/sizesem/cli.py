@@ -31,7 +31,7 @@ from .preferential import (
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from .properties import check_property, parse_property
+from .properties import PROPERTY_TAGS, check_property, parse_property
 from .report import guarded_report
 from .rules import check_rule, derive_relation, parse_rule
 from .search import (
@@ -96,9 +96,13 @@ def _check_expect(payload: dict, path: str | None) -> int:
 
 
 def _parse_check_id(text: str):
+    """A property or rule id; a name based on a property tag keeps the
+    property's own error, such as "M+n needs n >= 3"."""
     try:
         return parse_property(text)
     except ValueError:
+        if text.strip().partition(":")[0] in PROPERTY_TAGS:
+            raise
         return parse_rule(text)
 
 

@@ -27,15 +27,19 @@ Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
 decides every base set X from I(X) alone by one test in `_LOCAL`, ∅ ∈ I(X)
 or one of `setcore.down_closed`, `union_closed` and `unions`; the rules and
 fact-3.3 read the same tests or rows.  Eleven properties relate two base
-sets; each is a row of one of three factories: `_nested_row` (eMI, eMF,
-M+omega:1–3, M++:3), `_carrier_row` (M+omega:4, M++:1–2) and `_union_row`
-(I-union-disj, F-union-disj).  M+n reads a chain of sets and is decided per
-first set X1.
+sets; each is a row (scan, column test) of one of three factories:
+`_nested_row` (eMI, eMF, M+omega:1–3, M++:3), `_carrier_row` (M+omega:4,
+M++:1–2) and `_union_row` (I-union-disj, F-union-disj).  M+n reads a chain
+of sets and is decided per first set X1.
 
 Every instance has a largest set Y (the base set of a local row, the larger
 set of a nested pair, the base of the carriers X − B, the union X ∪ Y, the
 last set of an M+n chain) and reads I(Y) and the ideals of subsets of Y
-alone: a property holds iff it holds below every Y (`below`).
+alone: a property holds iff it holds below every Y (`below`).  A two-level
+instance reads I(Y) and one I(X) besides (X the smaller set, the carrier,
+or the split X, Y − X), so a row's test below Y is a column test
+(`setcore.Columns`): given I(X), the mask of the candidates for I(Y) that
+pass, over bit columns of the candidates.
 
 A failed check reports the canonically first violating instantiation (subset
 order: ascending cardinality, then bit value; tuples ordered lexicographically
@@ -57,7 +61,7 @@ from typing import Callable
 
 from .errors import DomainNotClosed
 from .report import CheckReport, Witness, guarded_report, scan_report
-from .setcore import Subset, canon_rank, down_closed, submasks, union_closed, unions
+from .setcore import Columns, Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, _label_key
 
 _PARAM_TAGS = ("n*s", "M+n", "M+omega", "M++")
@@ -299,8 +303,9 @@ def _local_scan(test, at) -> Scan:
 # is the pair (complemented, member): A is in it iff whether X − A (if
 # complemented) or A is in I(X) equals member.
 #
-# Each two-level property is a row (scan, below): the scan of a system, and
-# its test below one base set (`below`).
+# Each two-level property is a row (scan, column test): the scan of a system,
+# and its test below one base set Y over the bit columns of the candidates for
+# I(Y) (`setcore.Columns`), one proper subset X (or split) at a time.
 
 _SMALL = (False, True)
 _BIG = (True, True)
@@ -308,6 +313,19 @@ _NOT_SMALL = (False, False)
 _NOT_BIG = (True, False)
 
 Below = Callable[[int, dict], bool]
+
+
+def _has(fam, x: int, a: int, cls) -> bool:
+    """Whether A is in class cls of X, where I(X) = fam."""
+    complemented, member = cls
+    return ((x & ~a if complemented else a) in fam) == member
+
+
+def _members(cols, x: int, a: int, cls) -> int:
+    """The mask of the candidates for I(X) in which A is in class cls."""
+    complemented, member = cls
+    col = cols[x & ~a if complemented else a]
+    return col if member else ~col
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +336,7 @@ def _nesting(domain: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], tuple[
     return {x: (tuple(y for y in domain if not x & ~y), submasks(x)) for x in domain}
 
 
-def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Below]:
+def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Columns]:
     """The row of "for all X ⊆ Y in the domain and A ⊆ X: X in class link of
     Y, and A in class premise of one set ⇒ A in class conclusion of the
     other".  `sides` "XY" reads the premise at X and the conclusion at Y, "YX"
@@ -326,7 +344,8 @@ def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Below]:
 
     Instances come as (X, Y, A): X, then Y in domain order, A in canonical
     order.  Where premise and conclusion are one class, the pair Y = X holds
-    on every A and adds their number at once (I(X) ⊆ 𝒫(X), as `build` ensures).
+    on every A and adds their number at once (I(X) ⊆ 𝒫(X), as `build` ensures);
+    else, with a link, the pair Y = X reads I(Y) alone.
     """
     at_y = sides == "YX"
     lc, lm = link or (False, False)
@@ -355,24 +374,28 @@ def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Below]:
                         return count, (("X", x), ("Y", y), ("A", a))
         return count, None
 
-    def below(y: int, ideals) -> bool:
-        fam_y = ideals[y]
-        for x in submasks(y):
-            fam_x = ideals.get(x)
-            if fam_x is None or same and y == x:
-                continue
-            if y == x if link is None else ((y & ~x if lc else x) in fam_y) != lm:
-                continue
-            p, fam_p, q, fam_q = (y, fam_y, x, fam_x) if at_y else (x, fam_x, y, fam_y)
-            for a in submasks(x):
-                if ((p & ~a if pc else a) in fam_p) == pm and ((q & ~a if cc else a) in fam_q) != cm:
-                    return False
-        return True
+    def cross(cols, y: int, x: int, fam_x) -> int:
+        """The candidates for I(Y) that pass every instance (X, Y, A)."""
+        fail = 0
+        for a in submasks(x):
+            if at_y:
+                if not _has(fam_x, x, a, conclusion):
+                    fail |= _members(cols, y, a, premise)
+            elif _has(fam_x, x, a, premise):
+                fail |= ~_members(cols, y, a, conclusion)
+        return ~fail if link is None else ~(fail & _members(cols, y, x, link))
 
-    return scan, below
+    def alone(cols, y: int) -> int:
+        """The candidates for I(Y) that pass every instance (Y, Y, A)."""
+        fail = 0
+        for a in submasks(y):
+            fail |= _members(cols, y, a, premise) & ~_members(cols, y, a, conclusion)
+        return ~(fail & _members(cols, y, y, link))
+
+    return scan, Columns(cross, alone=None if link is None or same else alone)
 
 
-def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Below]:
+def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Columns]:
     """The row of "for all X in the domain, A in class premise of X, small
     or big, and B ≠ X in class cut of X: A − B in class conclusion of the
     carrier X − B".
@@ -381,7 +404,8 @@ def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Below]:
     order.  X's test adds its instances in closed form where it holds; only
     a failing X is walked.  B ≠ X keeps the carrier nonempty; a carrier
     missing from the domain fails the test and raises KeyError at its first
-    instance, which `check_property` reports as DomainNotClosed.
+    instance, which `check_property` reports as DomainNotClosed.  Conclusion
+    and premise are one class in every row, so B = ∅ (carrier X) always holds.
     """
     big, same = premise == _BIG, cut == premise
     bc, bm = cut
@@ -429,10 +453,16 @@ def _carrier_row(premise, cut, conclusion) -> tuple[Scan, Below]:
                         return count, (("X", x), ("A", a), ("B", b))
         return count, None
 
-    def below(y: int, ideals) -> bool:
-        return holds(y, ideals, *parts(y, ideals[y]))
+    def cross(cols, y: int, z: int, fam_z) -> int:
+        """The candidates for I(Y) that pass every instance (Y, A, B) with
+        the carrier Z = Y − B; A − B = A ∩ Z."""
+        fail = 0
+        for a in submasks(y):
+            if not _has(fam_z, z, a & z, conclusion):
+                fail |= _members(cols, y, a, premise)
+        return ~(fail & _members(cols, y, y & ~z, cut))
 
-    return scan, below
+    return scan, Columns(cross)
 
 
 def _union_holds(fam_x, fam_y, fam_u) -> bool:
@@ -446,7 +476,16 @@ def _union_holds(fam_x, fam_y, fam_u) -> bool:
     return True
 
 
-def _union_row(on_filters: bool) -> tuple[Scan, Below]:
+def _union_cross(cols, u: int, x: int, fam_x, fam_y) -> int:
+    """The candidates for I(X ∪ Y) that hold A ∪ B for every A ∈ I(X) and
+    B ∈ I(Y): `_union_holds` on each, so for both union rows."""
+    ok = -1
+    for ab in {a | b for a in fam_x for b in fam_y}:
+        ok &= cols[ab]
+    return ok
+
+
+def _union_row(on_filters: bool) -> tuple[Scan, Columns]:
     """The row of I-union-disj, or with on_filters of F-union-disj.
 
     Instances come as (X, Y, A, B): X, then Y disjoint from X in domain
@@ -485,16 +524,7 @@ def _union_row(on_filters: bool) -> tuple[Scan, Below]:
                             return count, (("X", x), ("Y", y), ("A", a), ("B", b))
         return count, None
 
-    def below(u: int, ideals) -> bool:
-        fam_u = ideals[u]
-        for x in submasks(u):
-            y = u & ~x
-            if x < y and x in ideals and y in ideals:
-                if not _union_holds(ideals[x], ideals[y], fam_u):
-                    return False
-        return True
-
-    return scan, below
+    return scan, Columns(_union_cross, pairs=True)
 
 
 # The two-level rows by (tag, variant).
@@ -540,6 +570,7 @@ _SCANS = {
 
 # The local tags: a system has the property iff its row holds at every X.
 LOCAL_TAGS = frozenset(_LOCAL)
+PROPERTY_TAGS = frozenset(_SCANS)
 
 
 def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:
@@ -550,8 +581,9 @@ def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:
 
 def below(p: PropertyId) -> Below:
     """p's test below(Y, ideals) of the instances whose largest set is Y, on
-    I(Y) and the ideals of the domain's subsets of Y.  On a domain closed
-    under p's carriers and disjoint unions, p holds iff it holds at every Y."""
+    I(Y) and the ideals of the domain's subsets of Y: a two-level row's
+    `Columns`, else a test of the one family.  On a domain closed under p's
+    carriers and disjoint unions, p holds iff it holds at every Y."""
     if p.tag in _LOCAL:
         return lambda y, ideals: holds_at(y, ideals[y], p)
     if p.tag == "M+n":

@@ -98,11 +98,13 @@ and REF know their first violation without one).
 
 A rule holds iff it holds below every nonempty Y (`below`): every unit
 whose antecedent, superset (wOR, PR') or union (disjOR, OR:n, OR:omega) is Y
-holds, read from I(Y) and the ideals of Y's subsets.  These tests walk no
-instance, so RULE_SCAN_CEILING bounds only the scans that do, `check_rule`
-and a search target: an n-ary one that would exceed it — Σₐ |rel(a)|ⁿ for
-AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is refused
-with CapacityExceeded before it starts.
+holds, read from I(Y) and the ideals of Y's subsets.  RatM and CM:omega
+read I(Y) and one I(t) per instance, so theirs are column tests
+(`setcore.Columns`).  These tests walk no instance, so RULE_SCAN_CEILING
+bounds only the scans that do, `check_rule` and a search target: an n-ary
+one that would exceed it — Σₐ |rel(a)|ⁿ for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n,
+(2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is refused with CapacityExceeded before
+it starts.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ from typing import Callable
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
 from .report import CheckReport, scan_report
-from .setcore import Subset, canon_rank, down_closed, submasks, union_closed, unions
+from .setcore import Columns, Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, full_domain_masks
 
 _PARAM_RULES = {"AND": 1, "OR": 2, "CM": 2}  # minimal n per family
@@ -513,16 +515,39 @@ def _or_omega_below(y: int, ideals) -> bool:
     return not any(_covered(y, ideals, t, 2) for t in submasks(y) if y & ~t not in ideals[y])
 
 
+def _stray(cols, y: int, t: int, fam_t) -> int:
+    """The candidates for I(Y) with a member whose trace on t is not in I(t)."""
+    out = 0
+    for x in submasks(y):
+        if x & t not in fam_t:
+            out |= cols[x]
+    return out
+
+
+def _ratm_cross(cols, p: int, t: int, fam_t) -> int:
+    """RatM below φ at one t ⊊ φ: its unit fails iff t ∉ I(φ) and some
+    x ∈ I(φ) has t ∩ x ∉ I(t).  At t = φ, t ∩ x = x holds."""
+    return ~(~cols[t] & _stray(cols, p, t, fam_t))
+
+
+def _cm_omega_cross(cols, a: int, t: int, fam_t) -> int:
+    """CM:omega below a at one t = a − x ⊊ a: its unit fails iff x ∈ I(a) and
+    some y ∈ I(a) has y − x = y ∩ t ∉ I(t).  At x = ∅, y − x = y holds."""
+    return ~(cols[a & ~t] & _stray(cols, a, t, fam_t))
+
+
 _BELOW = {"wOR": _grows_below, "PR'": _grows_below, "disjOR": _disj_or_below,
-          "OR": _or_below, "OR:omega": _or_omega_below}
+          "OR": _or_below, "OR:omega": _or_omega_below,
+          "RatM": Columns(_ratm_cross), "CM:omega": Columns(_cm_omega_cross)}
 
 
 def below(r: RuleId) -> Callable[[int, dict], bool]:
     """r's test below one set Y, below(Y, ideals), on a full domain: r holds
-    on a system iff it holds below every nonempty Y."""
+    on a system iff it holds below every nonempty Y.  RatM and CM:omega read
+    I(Y) and one I(t) per instance, so theirs is a `Columns`."""
     test, n = _BELOW.get(r.tag), () if r.param is None else (r.param,)
     if test is not None:
-        return partial(test, *n)
+        return partial(test, *n) if n else test
     unit = _UNITS[r.tag]
     return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
 

@@ -28,8 +28,10 @@ lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
 The walk also prunes by every required check.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
-(`properties.below`, `rules.below`), which sit in earlier blocks.  A
-relabeling that fixes the prefix maps a family that passes to one that
+(`properties.below`, `rules.below`), which sit in earlier blocks.  The
+two-level and pairwise rule tests below Y are column masks: one AND over bit
+columns of Y's families per subset of Y and its family (`setcore.Columns`).
+A relabeling that fixes the prefix maps a family that passes to one that
 passes, so the pruned walk yields exactly the leaders that have the checks,
 with their stabilizers.  Only the target is decided per leader, by its scan
 alone (`verdict`), and reported on the leader that fails it; with
@@ -52,7 +54,7 @@ from . import properties, rules
 from .properties import LOCAL_TAGS, PropertyId, _scan_property, check_property, holds_at
 from .report import CheckReport
 from .rules import RuleId, _scan_rule, check_rule
-from .setcore import Subset, Universe, submasks
+from .setcore import Columns, Subset, Universe, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
 T = TypeVar("T")
@@ -171,8 +173,21 @@ def _down_set_families(x: int) -> Iterator[frozenset[int]]:
     yield from rec(m - 1, [])
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _letters(n: int) -> list[str]:
     return [chr(ord("a") + i) for i in range(n)]
+
+
+def _bits(flags: Iterable[bool]) -> int:
+    """The int whose bit i is the i-th of the flags, at least one."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of a mask that is not negative, ascending."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
@@ -198,6 +213,9 @@ class _SystemSpace:
     entry by entry on first use (at |U| = 5 full ones would run to a million
     entries before the first system is out) and, like the `passing` lists,
     serve every query of the process.
+
+    Each position j also has bit columns of its families: bit i of
+    columns[j][a] is set iff per_set[j][i] holds a, for every a ⊆ domain[j].
     """
 
     def __init__(self, n: int, monotone: bool):
@@ -216,6 +234,10 @@ class _SystemSpace:
         self.relabelings = factorial(n)
         self._passing: dict[tuple[PropertyId, ...], list[list[int]]] = {}
         self.positions = [{fam: k for k, fam in enumerate(fams)} for fams in self.per_set]
+        self.columns = [
+            {a: _bits(map(operator.contains, fams, itertools.repeat(a))) for a in submasks(x)}
+            for x, fams in zip(domain, self.per_set)
+        ]
         pos = {x: j for j, x in enumerate(domain)}
         # Per position, the positions of the base sets below it: all in earlier blocks.
         self.below = [tuple(pos[m] for m in submasks(x)[1:-1]) for x in domain]
@@ -262,24 +284,52 @@ class _SystemSpace:
             ]
         return lists
 
-    def _options(self, allowed: list[list[int]], cross: tuple[Callable, ...]) -> Callable:
+    def _options(self, allowed: list[list[int]], checks: tuple[CheckId, ...]) -> Callable:
         """options(j, prefix): the indices in allowed[j] of the families that
-        pass every test in cross below the base set Y at position j, given
-        what prefix assigns to the subsets of Y, memoised for the walk."""
-        domain, per_set, below = self.domain, self.per_set, self.below
+        pass each check's test below the base set Y at position j, given
+        what prefix assigns to the subsets of Y, memoised for the walk.
+
+        A column test (`setcore.Columns`) gives a mask of Y's families per
+        subset X (or split) and its family, made once per walk; the other
+        tests run per family, on those every mask lets through."""
+        domain, per_set, below, columns = self.domain, self.per_set, self.below, self.columns
+        tests = [(properties if isinstance(c, PropertyId) else rules).below(c) for c in checks]
+        per_family = [test for test in tests if not isinstance(test, Columns)]
+        start = [_bits(map(set(ok).__contains__, range(r))) for ok, r in zip(allowed, self.radices)]
+        pos = {x: j for j, x in enumerate(domain)}
+        reads = [[] for _ in domain]  # per position: (masks made, cross, X, positions read)
+        for test in tests:
+            if isinstance(test, Columns):
+                for j, y in enumerate(domain):
+                    if test.alone is not None:
+                        start[j] &= test.alone(columns[j], y)
+                    for part in test.parts(y):
+                        reads[j].append(({}, test.cross, part[0], tuple(map(pos.get, part))))
         memo: dict[tuple[int, ...], list[int]] = {}
 
         def options(j: int, prefix: tuple[int, ...]) -> list[int]:
             key = (j, *map(prefix.__getitem__, below[j]))
             got = memo.get(key)
             if got is None:
-                y = domain[j]
-                ideals = {domain[k]: per_set[k][prefix[k]] for k in below[j]}
-                got = []
-                for i in allowed[j]:
-                    ideals[y] = per_set[j][i]
-                    if all(test(y, ideals) for test in cross):
-                        got.append(i)
+                y, mask = domain[j], start[j]
+                for made, cross, x, ks in reads[j]:
+                    at = tuple(map(prefix.__getitem__, ks))
+                    passed = made.get(at)
+                    if passed is None:
+                        fams = map(operator.getitem, map(per_set.__getitem__, ks), at)
+                        passed = made[at] = cross(columns[j], y, x, *fams)
+                    mask &= passed
+                    if not mask:
+                        break
+                got = _indices(mask)
+                if per_family and got:
+                    ideals = {domain[k]: per_set[k][prefix[k]] for k in below[j]}
+                    kept = []
+                    for i in got:
+                        ideals[y] = per_set[j][i]
+                        if all(test(y, ideals) for test in per_family):
+                            kept.append(i)
+                    got = kept
                 if len(below[j]) < len(prefix):  # else the key is the whole prefix, met once
                     memo[key] = got
             return got
@@ -301,11 +351,11 @@ class _SystemSpace:
         images are compared whether or not their families pass, so the
         stabilizers are those of the unpruned walk.  A position takes the
         families that pass each local property (`passing`) and every other
-        check's test below it (`_options`).
+        check's test below it (`_options`): a column mask per subset for the
+        two-level and pairwise checks, and a test per family for the others.
         """
         local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
-        rest = (c for c in checks if c not in local)
-        cross = tuple((properties if isinstance(c, PropertyId) else rules).below(c) for c in rest)
+        cross = tuple(c for c in checks if c not in local)
         allowed = self.passing(local)
         options = self._options(allowed, cross)
         image_index = self._image_index
@@ -349,16 +399,23 @@ class _SystemSpace:
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
 
-    def images_upto(self, idx: tuple[int, ...], bound: tuple[int, ...]) -> int:
+    def images_upto(self, idx: tuple[int, ...], stab: int, bound: tuple[int, ...]) -> int:
         """Distinct relabelings of the leader idx (itself included) whose
-        index tuple is at most bound, for a bound not below idx."""
-        images = {idx}
+        index tuple is at most bound, for a bound not below idx.  Each image
+        comes from stab relabelings (orbit-stabilizer), the identity's among
+        them, so count the relabelings and divide; an image is compared with
+        bound up to the first position where they differ."""
+        image_index = self._image_index
+        upto = 1  # the identity
         for perm in self.perms:
-            pre = perm[1]
-            image = tuple(self._image_index(perm, j, idx[k]) for j, k in enumerate(pre))
-            if image <= bound:
-                images.add(image)
-        return len(images)
+            for j, k in enumerate(perm[1]):
+                t = image_index(perm, j, idx[k])
+                if t != bound[j]:
+                    upto += t < bound[j]
+                    break
+            else:
+                upto += 1
+        return upto // stab
 
 
 _shared_space = lru_cache(maxsize=None)(_SystemSpace)
@@ -449,7 +506,8 @@ def scan_classes(
             if outcome == 2 and result is not True:
                 for (lead, stab), seen in zip(space.leaders(required), outcomes):
                     if seen:
-                        tally[seen] += space.images_upto(lead, idx) - space.relabelings // stab
+                        upto = space.images_upto(lead, stab, idx)
+                        tally[seen] += upto - space.relabelings // stab
                 return tally[2], tally[1], result
     return tally[2], tally[1], None
 

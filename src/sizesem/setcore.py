@@ -12,12 +12,13 @@ module fixes the two conventions the rest of the package relies on:
 Values are immutable; operations on subsets of different universes raise
 WidthMismatch instead of coercing.  `down_closed`, `union_closed` and
 `unions` test a family of masks; the local size properties and the rules
-decide a base set or antecedent by them.
+decide a base set or antecedent by them.  `Columns` tests many candidate
+families of one base set at once, one bit per family.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityExceeded, UnknownElementLabel, WidthMismatch
 
@@ -105,6 +106,35 @@ def unions(fam, j: int, stop: int) -> set[int]:
             break
         reach = grown
     return reach
+
+
+class Columns(NamedTuple):
+    """A check's test below a base set Y over bit columns of the candidates
+    for I(Y): cols[a] has bit i set iff the i-th candidate holds a ⊆ Y (Knuth,
+    TAOCP 4A §7.1.3).  cross(cols, y, x, I(X)) is the mask of the candidates
+    passing every instance that reads I(Y) and I(X) alone, X ⊊ Y; with
+    `pairs`, I(X) and I(Y − X).  alone(cols, y), if given, masks those reading
+    I(Y) alone.  Bits above the last candidate mean nothing, so a mask may be
+    negative.  Called as test(y, ideals), it decides one family I(Y).
+    """
+
+    cross: Callable[..., int]
+    pairs: bool = False
+    alone: Callable[[dict, int], int] | None = None
+
+    def parts(self, y: int) -> list[tuple[int, ...]]:
+        """The nonempty X ⊊ Y that cross reads, or the splits (X, Y − X), X < Y − X."""
+        xs = submasks(y)[1:-1]
+        return [(x, y & ~x) for x in xs if x < y & ~x] if self.pairs else [(x,) for x in xs]
+
+    def __call__(self, y: int, ideals) -> bool:
+        fam = ideals[y]
+        cols = {a: a in fam for a in submasks(y)}  # bools are one-bit ints
+        ok = -1 if self.alone is None else self.alone(cols, y)
+        for part in self.parts(y):
+            if all(x in ideals for x in part):
+                ok &= self.cross(cols, y, part[0], *map(ideals.__getitem__, part))
+        return bool(ok & 1)
 
 
 class Universe:

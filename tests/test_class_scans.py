@@ -368,4 +368,4 @@ def test_leaders_carry_their_raw_rank_and_class(monotone):
         mirror = {swap[x]: frozenset(swap[a] for a in fam) for x, fam in leader.ideals.items()}
         members = [s for s in raw if s.ideals in (leader.ideals, mirror)]
         assert members[0] is leader
-        assert len(members) == space.relabelings // stab == space.images_upto(idx, last)
+        assert len(members) == space.relabelings // stab == space.images_upto(idx, stab, last)

@@ -225,6 +225,17 @@ def test_search_verb_refuses_size_zero(capsys):
     assert "at least 1" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "name,message", [("M+n:2", "M+n needs n >= 3"), ("M++:4", "M++ variant must be 1..3")]
+)
+def test_search_verb_names_a_property_parameter_error(capsys, name, message):
+    for required, target in ((name, "eMI"), ("eMI", name)):
+        code, out, err = run_cli(capsys, "search", "--size", "2", "--required", required,
+                                 "--target", target)
+        assert code == 2
+        assert message in err and "unknown rule name" not in err and out == ""
+
+
 def test_search_verb_count_mode(capsys):
     # monotone eMI systems at |U| = 2: I({a}) and I({b}) are each {∅} or hold
     # their singleton, and I({a,b}) must hold those singletons: 5 + 3 + 3 + 2

@@ -18,8 +18,9 @@ from sizesem.properties import (
     m_plus_omega,
     m_plus_plus,
     n_star_s,
+    witness_violates,
 )
-from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, check_rule, cm_n, or_n
+from sizesem.rules import CM_OMEGA, CUM, OR_OMEGA, RATM, check_rule, cm_n, or_n
 from sizesem.search import (
     SearchSpec,
     count_systems,
@@ -239,6 +240,33 @@ def test_deep_find_pins_stream_label():
     )
     assert system.label == "u4#73333"
     assert not rep.holds
+
+
+@pytest.mark.parametrize(
+    "required,count",
+    # eMI + I-omega at n = 4 is also the number of mu-PR choice functions, as
+    # an independent choice walk counted them.
+    [((EMI, IOMEGA), 160_000), ((n_star_s(3), EMI), 369_796)],
+    ids=["eMI+I-omega", "n*s:3+eMI"],
+)
+def test_count_systems_pinned_at_size_4(required, count):
+    assert count_systems(SearchSpec(4, required, mode="count")).instances_checked == count
+
+
+def test_canonical_deep_find_pins_leader_label():
+    spec = SearchSpec(4, (m_plus_omega(2),), m_plus_omega(1), canonical_only=True)
+    system, rep = find_counterexample(spec)
+    assert system.label == "u4#22625"
+    assert check_property(system, m_plus_omega(2)).holds
+    assert witness_violates(system, m_plus_omega(1), rep.witness)
+
+
+def test_cumulativity_follows_at_size_4():
+    for canonical in (False, True):
+        required = (EMI, EMF, IOMEGA)
+        rep = verify_implication(SearchSpec(4, required, CUM, "verify-implication",
+                                            canonical_only=canonical))
+        assert rep.holds and rep.witness is None, canonical
 
 
 def test_find_counterexample_absent():
