@@ -28,14 +28,22 @@ small universes, the ten rows tying size properties to choice-function rules:
     9    eMI + I-omega + M+omega:4  ⇒  mu-CUM       (converse fails)
     10   eMI + I-omega + eMF        ⇒  mu-sub-sup   (converse fails)
 
-Forward runs over every monotone full-powerset system with principal filters
-(non-principal systems are counted and skipped, not silently dropped); the
-size side prunes the leader walk, so only the choice side is evaluated.
-Backward runs over every choice function on a full domain, which is the same
-walk pruned by I-omega: the I-omega family at X is P(M) for one M ⊆ X, read
-as f(X) = M, in the order of `enumerate_mu_functions`.  Rows 8–10 instead
-confirm the known non-implication witness: the choice function over {a,b,c}
-that picks {a} from {a,b} and is the identity elsewhere.
+Both directions are cell counts of leader walks (`search.scan_classes`), and
+no leader is expanded while a row holds.  On a monotone system the filters
+are principal iff I-omega holds: the I-omega family at X is P(M) for one
+M ⊆ X, the system of the choice function f(X) = X − M.  Each rule of the
+rows has a test below a base set on that reading (`below`), so it prunes the
+walk as a property does.  Forward runs over every monotone full-powerset
+system with principal filters: it counts left + I-omega, with and without
+the rule, and the row holds iff both counts agree; the non-principal systems
+with left are counted and skipped, not silently dropped.  Backward runs over
+every choice function on a full domain, the I-omega systems: it counts those
+with the rule, with and without left.  A row whose counts differ is scanned
+leader by leader for its first witness and the tallies up to it, backward
+reading f(X) = M so as to go in the order of `enumerate_mu_functions`.
+Rows 8–10 backward instead confirm the known non-implication witness: the
+choice function over {a,b,c} that picks {a} from {a,b} and is the identity
+elsewhere.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .errors import CapacityExceeded, DomainNotClosed, NotPrincipal
@@ -59,7 +68,7 @@ from .properties import (
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
 from .search import _letters, scan_classes, sizes_upto, verdict
-from .setcore import Universe, submasks
+from .setcore import Columns, Universe, submasks
 from .sizesys import MuFunction, _label_key, from_mu, full_domain_masks, principal_mu
 
 # --- choice-function rules ----------------------------------------------------
@@ -143,6 +152,16 @@ def _meets_rest(f, x, y):
     return f[y] & x & ~f[x]
 
 
+def _or_holds(f, x, y):
+    """f(X∪Y) ⊆ f(X) ∪ f(Y)."""
+    return not f[x | y] & ~(f[x] | f[y])
+
+
+def _same_choice(f, x, y):
+    """f(X) = f(Y)."""
+    return f[x] == f[y]
+
+
 def _parallel(f, x, y):
     """f(X∪Y) is f(X), f(Y) or f(X) ∪ f(Y)."""
     return f[x | y] in (f[x], f[y], f[x] | f[y])
@@ -202,15 +221,15 @@ def _scan_empty(mu: MuFunction) -> tuple[int, Witness, int]:
 # and the conclusion.
 _MU_RULES: dict[str, MuScan] = {
     "mu-wOR": _pair_scan("XY", _every_pair, None, lambda f, x, y: not f[x | y] & ~(f[x] | y)),
-    "mu-disjOR": _pair_scan("XY", _disjoint, None, lambda f, x, y: not f[x | y] & ~(f[x] | f[y])),
-    "mu-OR": _pair_scan("XY", _every_pair, None, lambda f, x, y: not f[x | y] & ~(f[x] | f[y])),
+    "mu-disjOR": _pair_scan("XY", _disjoint, None, _or_holds),
+    "mu-OR": _pair_scan("XY", _every_pair, None, _or_holds),
     "mu-PR": _pair_scan("XY", _inside, None, lambda f, x, y: not f[y] & x & ~f[x]),
     "mu-PR'": _pair_scan("XY", _every_pair, _meet, lambda f, x, y: not f[x] & y & ~f[x & y]),
     "mu-CM": _pair_scan("XY", _between, None, lambda f, x, y: not f[y] & ~f[x]),
     "mu-ResM": _scan_res_m,
     "mu-CUT": _pair_scan("XY", _between, None, lambda f, x, y: not f[x] & ~f[y]),
     "mu-CUM": _pair_scan("XY", _between, None, lambda f, x, y: f[y] == f[x]),
-    "mu-sub-sup": _pair_scan("XY", _choices_inside, None, lambda f, x, y: f[x] == f[y]),
+    "mu-sub-sup": _pair_scan("XY", _choices_inside, None, _same_choice),
     "mu-RatM": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: not f[x] & ~(f[y] & x)),
     "mu-eq": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: f[x] == f[y] & x),
     "mu-eq'": _pair_scan("YX", _choice_meets, None, lambda f, y, x: f[y & x] == f[y] & x),
@@ -296,6 +315,103 @@ def mu_to_rule_bridge(mu: MuFunction, r: RuleId) -> CheckReport:
     return check_rule(from_mu(mu), r)
 
 
+# --- below one set -------------------------------------------------------------
+#
+# On a monotone I-omega system over a full domain I(X) = P(M) with M = max I(X),
+# and the system stands for the choice function f(X) = X − M (`principal_mu`'s
+# reading; `from_mu` of f is the system again).  A pair rule's instance (X, Y)
+# reads f at sets inside Z = X ∪ Y alone, so the rule holds iff it holds below
+# every Z: at the pairs with X ∪ Y = Z.  As I(Z) is P(M), A ⊆ M iff A ∈ I(Z),
+# and f(X) meets M iff one of its points is in I(Z): most rules read I(Z) and
+# one I(X), or a split X, Z − X, so theirs are column tests (`setcore.Columns`).
+
+
+def _choice(x: int, fam) -> int:
+    """f(X) = X − max I(X)."""
+    return x & ~max(fam)
+
+
+def _meets(cols, m: int) -> int:
+    """The candidates for I(Z) with a point of m, so whose max meets m."""
+    hit = 0
+    while m:
+        low = m & -m
+        hit |= cols[low]
+        m ^= low
+    return hit
+
+
+def _pr_cross(cols, z: int, x: int, fam_x) -> int:
+    """mu-PR at X ⊊ Z, f(Z) ∩ X ⊆ f(X): max I(X) = X − f(X) is in I(Z).  mu-wOR
+    at the pairs (X, Y) covering Z asks the same, of its least Y, Z − X."""
+    return cols[max(fam_x)]
+
+
+def _cm_cross(cols, z: int, y: int, fam_y) -> int:
+    """mu-CM at Y ⊊ Z: f(Z) ⊆ Y, i.e. Z − Y ∈ I(Z), ⇒ f(Y) ⊆ f(Z), i.e. no
+    point of f(Y) is in I(Z)."""
+    return ~(cols[z & ~y] & _meets(cols, _choice(y, fam_y)))
+
+
+def _cut_cross(cols, z: int, y: int, fam_y) -> int:
+    """mu-CUT at Y ⊊ Z: f(Z) ⊆ Y ⇒ f(Z) ⊆ f(Y), i.e. Z − f(Y) ∈ I(Z)."""
+    return ~(cols[z & ~y] & ~cols[z & ~_choice(y, fam_y)])
+
+
+def _cum_cross(cols, z: int, y: int, fam_y) -> int:
+    """mu-CUM at Y ⊊ Z: mu-CM's and mu-CUT's tests."""
+    return _cm_cross(cols, z, y, fam_y) & _cut_cross(cols, z, y, fam_y)
+
+
+def _ratm_cross(cols, z: int, x: int, fam_x) -> int:
+    """mu-RatM at X ⊊ Z: X meets f(Z), i.e. X ∉ I(Z), ⇒ f(X) ⊆ f(Z) ∩ X, i.e.
+    no point of f(X) is in I(Z)."""
+    return ~(~cols[x] & _meets(cols, _choice(x, fam_x)))
+
+
+def _disj_or_cross(cols, z: int, x: int, fam_x, fam_y) -> int:
+    """mu-disjOR at a split Z = X ∪ Y: f(Z) ⊆ f(X) ∪ f(Y), i.e.
+    Z − f(X) − f(Y) ∈ I(Z)."""
+    return cols[z & ~_choice(x, fam_x) & ~_choice(z & ~x, fam_y)]
+
+
+@lru_cache(maxsize=None)
+def _covers(z: int) -> tuple[tuple[int, int], ...]:
+    """The pairs X, Y of nonempty subsets of Z with X ∪ Y = Z."""
+    subs = submasks(z)[1:]
+    return tuple((x, y) for x in subs for y in subs if x | y == z)
+
+
+def _pair_below(guard: PairTest, holds: PairTest, z: int, ideals) -> bool:
+    """Whether guard ⇒ holds at every pair covering Z, f read off each I(X)."""
+    f = {x: _choice(x, ideals[x]) for x in submasks(z)[1:]}
+    return all(holds(f, x, y) for x, y in _covers(z) if guard(f, x, y))
+
+
+_BELOW = {
+    "mu-wOR": Columns(_pr_cross),
+    "mu-PR": Columns(_pr_cross),
+    "mu-disjOR": Columns(_disj_or_cross, pairs=True),
+    "mu-OR": partial(_pair_below, _every_pair, _or_holds),
+    "mu-CM": Columns(_cm_cross),
+    "mu-CUT": Columns(_cut_cross),
+    "mu-CUM": Columns(_cum_cross),
+    "mu-sub-sup": partial(_pair_below, _choices_inside, _same_choice),
+    "mu-RatM": Columns(_ratm_cross),
+}
+
+
+def below(r: MuRuleId) -> Callable[[int, dict], bool]:
+    """r's test below(Z, ideals) of the instances inside Z that cover it, on
+    I(Z) and the ideals of Z's subsets read as f(X) = X − max I(X): on a
+    monotone I-omega system, r holds on its choice function iff the test
+    passes at every Z.  The rules of the correspondence rows have one."""
+    test = _BELOW.get(r.tag)
+    if test is None:
+        raise ValueError(f"{r.tag} has no test below a base set")
+    return test
+
+
 # --- correspondence rows ------------------------------------------------------
 
 ROW_LEFT: dict[int, tuple[PropertyId, ...]] = {
@@ -361,13 +477,32 @@ def _check_scan_size(max_universe: int) -> None:
         )
 
 
+def _count(sizes: range, checks: tuple) -> int:
+    """The monotone systems of the given sizes that have every check, counted
+    by cells: no leader is expanded."""
+    return scan_classes(sizes, True, tuple(dict.fromkeys(checks)), None)[0]
+
+
+def _first_failure(row: int, sizes: range, required: tuple, evaluate) -> tuple[int, int, object]:
+    """scan_classes leader by leader, for a row whose counts differ: it fails."""
+    checked, skipped, failure = scan_classes(sizes, True, required, evaluate)
+    if failure is None:
+        raise RuntimeError(f"row {row}: the cell counts differ, yet no leader fails")
+    return checked, skipped, failure
+
+
 def verify_correspondence_forward(row: int, max_universe: int) -> CorrespondenceReport:
-    """Left side ⇒ choice side, over monotone principal systems up to size max."""
+    """Left side ⇒ choice side, over monotone principal systems up to size max.
+
+    A monotone system is principal iff it has I-omega, so the row holds iff
+    the walks pruned by left + I-omega with and without the rule's test
+    (`below`) count the same systems; only a failing row is scanned leader
+    by leader, for its first witness and the tallies up to it."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
-    mu_rule = ROW_MU[row]
+    left, mu_rule = ROW_LEFT[row], ROW_MU[row]
 
     def evaluate(space, idx: tuple[int, ...]):
         s = space.leader(idx)
@@ -375,15 +510,16 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
             mu = principal_mu(s)
         except NotPrincipal:
             return False
-        # Row 7's choice side is structural: only count the systems it ranges over.
-        if mu_rule is None or mu_verdict(mu, mu_rule):
+        if mu_verdict(mu, mu_rule):
             return True
         return s, mu, check_mu_rule(mu, mu_rule)
 
-    checked, skipped, failure = scan_classes(sizes, True, ROW_LEFT[row], evaluate)
-    witness = None
-    if failure is not None:
-        s, mu, rep = failure
+    checked, witness = _count(sizes, left + (IOMEGA,)), None
+    # Row 7's choice side is structural: only count the systems it ranges over.
+    if mu_rule is None or _count(sizes, left + (IOMEGA, mu_rule)) == checked:
+        skipped = 0 if IOMEGA in left else _count(sizes, left) - checked
+    else:
+        checked, skipped, (s, mu, rep) = _first_failure(row, sizes, left, evaluate)
         witness = {"system": s.to_dict(), "mu": mu.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(
@@ -455,10 +591,12 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
         system = from_mu(mu)
         return mu, system, check_property(system, failing)
 
-    checked, _, failure = scan_classes(sizes, True, (IOMEGA,), evaluate)
-    witness = None
-    if failure is not None:
-        mu, system, rep = failure
+    # Read as f(X) = X − max I(X), each I-omega system is a choice function
+    # whose system is itself, so the row holds iff left prunes none of them.
+    pruned = (IOMEGA,) if mu_rule is None else (IOMEGA, mu_rule)
+    checked, witness = _count(sizes, pruned), None
+    if _count(sizes, pruned + left) != checked:
+        checked, _, (mu, system, rep) = _first_failure(row, sizes, (IOMEGA,), evaluate)
         witness = {"mu": mu.to_dict(), "system": system.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(

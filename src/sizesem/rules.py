@@ -100,7 +100,8 @@ A rule holds iff it holds below every nonempty Y (`below`): every unit
 whose antecedent, superset (wOR, PR') or union (disjOR, OR:n, OR:omega) is Y
 holds, read from I(Y) and the ideals of Y's subsets.  RatM and CM:omega
 read I(Y) and one I(t) per instance, so theirs are column tests
-(`setcore.Columns`).  These tests walk no instance, so RULE_SCAN_CEILING
+(`setcore.Columns`); wOR and PR' ask I(α) ⊆ I(Y) for every α ⊆ Y, which is
+eMI's column test.  These tests walk no instance, so RULE_SCAN_CEILING
 bounds only the scans that do, `check_rule` and a search target: an n-ary
 one that would exceed it — Σₐ |rel(a)|ⁿ for AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n,
 (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is refused with CapacityExceeded before
@@ -117,6 +118,7 @@ from typing import Callable
 
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
+from .properties import EMI, below as _property_below
 from .report import CheckReport, scan_report
 from .setcore import Columns, Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, full_domain_masks
@@ -484,12 +486,6 @@ def _m_plus_derived_unit(ideals, size: int, g: int) -> int | None:
 # --- below one set -------------------------------------------------------------
 
 
-def _grows_below(y: int, ideals) -> bool:
-    """wOR and PR' below Y: I(α) ⊆ I(Y) for every α ⊆ Y."""
-    fam = ideals[y]
-    return all(ideals[a] <= fam for a in submasks(y)[1:])
-
-
 def _disj_or_below(y: int, ideals) -> bool:
     """disjOR below Y: its unit at each split Y = φ ∪ φ'."""
     down = {p: {d for x in ideals[p] for d in submasks(x)} for p in submasks(y)[1:-1]}
@@ -536,7 +532,8 @@ def _cm_omega_cross(cols, a: int, t: int, fam_t) -> int:
     return ~(cols[a & ~t] & _stray(cols, a, t, fam_t))
 
 
-_BELOW = {"wOR": _grows_below, "PR'": _grows_below, "disjOR": _disj_or_below,
+# wOR and PR' below Y ask I(α) ⊆ I(Y) for every α ⊆ Y: eMI's test.
+_BELOW = {"wOR": _property_below(EMI), "PR'": _property_below(EMI), "disjOR": _disj_or_below,
           "OR": _or_below, "OR:omega": _or_omega_below,
           "RatM": Columns(_ratm_cross), "CM:omega": Columns(_cm_omega_cross)}
 
@@ -544,7 +541,8 @@ _BELOW = {"wOR": _grows_below, "PR'": _grows_below, "disjOR": _disj_or_below,
 def below(r: RuleId) -> Callable[[int, dict], bool]:
     """r's test below one set Y, below(Y, ideals), on a full domain: r holds
     on a system iff it holds below every nonempty Y.  RatM and CM:omega read
-    I(Y) and one I(t) per instance, so theirs is a `Columns`."""
+    I(Y) and one I(t) per instance, and wOR and PR' share eMI's test, so
+    theirs is a `Columns`."""
     test, n = _BELOW.get(r.tag), () if r.param is None else (r.param,)
     if test is not None:
         return partial(test, *n) if n else test

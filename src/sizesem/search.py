@@ -28,8 +28,9 @@ lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
 The walk also prunes by every required check.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
-(`properties.below`, `rules.below`), which sit in earlier blocks.  The
-two-level and pairwise rule tests below Y are column masks: one AND over bit
+(`properties.below`, `rules.below`), which sit in earlier blocks; so do the
+rules of the correspondence rows on I-omega systems (`preferential.below`).
+The two-level and pairwise tests below Y are column masks: one AND over bit
 columns of Y's families per subset of Y and its family (`setcore.Columns`).
 A relabeling that fixes the prefix maps a family that passes to one that
 passes, so the pruned walk yields exactly the leaders that have the checks,
@@ -198,6 +199,17 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def _below(c) -> Callable[[int, dict], bool]:
+    """The test below a base set of a property, rule or mu-rule."""
+    if isinstance(c, PropertyId):
+        return properties.below(c)
+    if isinstance(c, RuleId):
+        return rules.below(c)
+    from . import preferential  # which imports this module
+
+    return preferential.below(c)
+
+
 class _SystemSpace:
     """The systems of one universe size, as tuples of family indices.
 
@@ -293,7 +305,7 @@ class _SystemSpace:
         subset X (or split) and its family, made once per walk; the other
         tests run per family, on those every mask lets through."""
         domain, per_set, below, columns = self.domain, self.per_set, self.below, self.columns
-        tests = [(properties if isinstance(c, PropertyId) else rules).below(c) for c in checks]
+        tests = list(map(_below, checks))
         per_family = [test for test in tests if not isinstance(test, Columns)]
         start = [_bits(map(set(ok).__contains__, range(r))) for ok, r in zip(allowed, self.radices)]
         pos = {x: j for j, x in enumerate(domain)}
@@ -473,7 +485,9 @@ def scan_classes(
     required check up to the first failure, one system per relabeling class.
 
     The required checks prune the walk (`_SystemSpace.leaders`), so the
-    systems that fail one are neither built nor counted.  Each size's leaders
+    systems that fail one are neither built nor counted; beside properties
+    and rules they may be mu-rules with a test below a set, for I-omega
+    systems (`preferential.below`).  Each size's leaders
     are read through `scan_stream`, and evaluate(space, idx) judges the
     leader idx of a space, whose system `space.leader(idx)` builds: None
     when it is outside the scan (not counted), False when it is
@@ -534,10 +548,25 @@ def _scan_systems(
     for idx, _ in space.leaders(spec.required):
         satisfying += 1
         if not verdict(space.system(idx, ""), target):
-            earlier = itertools.takewhile(lambda leader: leader[0] < idx, space.leaders(()))
-            s = space.system(idx, f"u{n}#{sum(1 for _ in earlier)}")
+            s = space.system(idx, f"u{n}#{_leaders_before(space, idx)}")
             return satisfying, (s, evaluate_check(s, target))
     return satisfying, None
+
+
+def _leaders_before(space: _SystemSpace, idx: tuple[int, ...]) -> int:
+    """The position of the lex-leader idx among all leaders, counted by the
+    cells of the unpruned walk: whole cells before its own, then its rank
+    in its cell's product."""
+    before = 0
+    for prefix, _, lists in space.cells(()):
+        if prefix < idx[: len(prefix)]:
+            before += prod(map(len, lists))
+            continue
+        rank = 0  # the first cell not before idx is its own
+        for k, options in enumerate(lists, len(prefix)):
+            rank = rank * len(options) + options.index(idx[k])
+        return before + rank
+    raise ValueError(f"{idx} is not a lex-leader")
 
 
 def find_counterexample(

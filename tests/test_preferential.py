@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -344,17 +345,18 @@ def test_iomega_leader_stream_reads_as_every_choice_function():
 
 
 def test_backward_rows_evaluate_only_iomega_leaders(monkeypatch):
-    def no_raw_stream(*args):
-        raise AssertionError("a raw choice stream was walked")
+    # A holding row is decided by cell counts of I-omega walks: it walks no
+    # raw choice stream and reads no leader as a choice function.
+    def refuse(name, *args):
+        raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(preferential, "enumerate_mu_functions", no_raw_stream)
+    for name in ("enumerate_mu_functions", "mu_verdict", "principal_mu", "from_mu"):
+        monkeypatch.setattr(preferential, name, functools.partial(refuse, name))
     for row in range(1, 8):
+        assert verify_correspondence_forward(row, 3).holds, row
         assert verify_correspondence_backward(row, 3).holds, row
-    judged = []
-    real = preferential.mu_verdict
-    monkeypatch.setattr(preferential, "mu_verdict", lambda mu, r: judged.append(mu) or real(mu, r))
-    verify_correspondence_backward(1, 3)
-    assert len(judged) == 2 + 10 + 752  # relabeling classes at sizes 1, 2, 3
+    for row in (8, 9, 10):
+        assert verify_correspondence_forward(row, 3).holds, row
 
 
 @pytest.mark.parametrize("verify", [verify_correspondence_forward, verify_correspondence_backward])
