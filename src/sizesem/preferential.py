@@ -28,8 +28,8 @@ small universes, the ten rows tying size properties to choice-function rules:
     9    eMI + I-omega + M+omega:4  ⇒  mu-CUM       (converse fails)
     10   eMI + I-omega + eMF        ⇒  mu-sub-sup   (converse fails)
 
-Both directions are cell counts of leader walks (`search.scan_classes`), and
-no leader is expanded while a row holds.  On a monotone system the filters
+Both directions are cell counts of leader walks (`search.count`), and no
+leader is expanded while a row holds.  On a monotone system the filters
 are principal iff I-omega holds: the I-omega family at X is P(M) for one
 M ⊆ X, the system of the choice function f(X) = X − M.  Each rule of the
 rows has a test below a base set on that reading (`below`), so it prunes the
@@ -38,9 +38,12 @@ system with principal filters: it counts left + I-omega, with and without
 the rule, and the row holds iff both counts agree; the non-principal systems
 with left are counted and skipped, not silently dropped.  Backward runs over
 every choice function on a full domain, the I-omega systems: it counts those
-with the rule, with and without left.  A row whose counts differ is scanned
-leader by leader for its first witness and the tallies up to it, backward
-reading f(X) = M so as to go in the order of `enumerate_mu_functions`.
+with the rule, with and without left.  A row whose counts differ takes its
+first witness and the tallies up to it from where they part: forward, the
+first leader that the walk pruned by left + I-omega reaches and the one
+pruned by the rule as well does not; backward, the first function of the
+raw `enumerate_mu_functions` stream that has the rule but fails left, since
+the walks do not go in the order of its `mu<n>#<rank>` labels.
 Rows 8–10 backward instead confirm the known non-implication witness: the
 choice function over {a,b,c} that picks {a} from {a,b} and is the identity
 elsewhere.
@@ -49,12 +52,11 @@ elsewhere.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
-from .errors import CapacityExceeded, DomainNotClosed, NotPrincipal
+from .errors import CapacityExceeded, DomainNotClosed
 from .properties import (
     EMF,
     EMI,
@@ -67,7 +69,7 @@ from .properties import (
 )
 from .report import CheckReport, CorrespondenceReport, Witness, scan_report
 from .rules import RuleId, check_rule
-from .search import _letters, scan_classes, sizes_upto, verdict
+from .search import _first_parting, _letters, _systems_upto, count, sizes_upto, verdict
 from .setcore import Columns, Universe, submasks
 from .sizesys import MuFunction, _label_key, from_mu, full_domain_masks, principal_mu
 
@@ -477,49 +479,33 @@ def _check_scan_size(max_universe: int) -> None:
         )
 
 
-def _count(sizes: range, checks: tuple) -> int:
-    """The monotone systems of the given sizes that have every check, counted
-    by cells: no leader is expanded."""
-    return scan_classes(sizes, True, tuple(dict.fromkeys(checks)), None)[0]
-
-
-def _first_failure(row: int, sizes: range, required: tuple, evaluate) -> tuple[int, int, object]:
-    """scan_classes leader by leader, for a row whose counts differ: it fails."""
-    checked, skipped, failure = scan_classes(sizes, True, required, evaluate)
-    if failure is None:
-        raise RuntimeError(f"row {row}: the cell counts differ, yet no leader fails")
-    return checked, skipped, failure
-
-
 def verify_correspondence_forward(row: int, max_universe: int) -> CorrespondenceReport:
     """Left side ⇒ choice side, over monotone principal systems up to size max.
 
     A monotone system is principal iff it has I-omega, so the row holds iff
     the walks pruned by left + I-omega with and without the rule's test
-    (`below`) count the same systems; only a failing row is scanned leader
-    by leader, for its first witness and the tallies up to it."""
+    (`below`) count the same systems.  A failing row's first witness is the
+    first leader at which those walks part, and its tallies run up to it."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
     left, mu_rule = ROW_LEFT[row], ROW_MU[row]
 
-    def evaluate(space, idx: tuple[int, ...]):
-        s = space.leader(idx)
-        try:
-            mu = principal_mu(s)
-        except NotPrincipal:
-            return False
-        if mu_verdict(mu, mu_rule):
-            return True
-        return s, mu, check_mu_rule(mu, mu_rule)
-
-    checked, witness = _count(sizes, left + (IOMEGA,)), None
+    checked, witness = count(sizes, True, left + (IOMEGA,)), None
     # Row 7's choice side is structural: only count the systems it ranges over.
-    if mu_rule is None or _count(sizes, left + (IOMEGA, mu_rule)) == checked:
-        skipped = 0 if IOMEGA in left else _count(sizes, left) - checked
+    if mu_rule is None or count(sizes, True, left + (IOMEGA, mu_rule)) == checked:
+        skipped = 0 if IOMEGA in left else count(sizes, True, left) - checked
     else:
-        checked, skipped, (s, mu, rep) = _first_failure(row, sizes, left, evaluate)
+        walks = [left + (IOMEGA,), left + (IOMEGA, mu_rule)]
+        space, idx, checked = _first_parting(sizes, True, walks)
+        if idx is None:
+            raise RuntimeError(f"row {row}: the cell counts differ, yet no leader fails")
+        before = range(1, space.universe.size)
+        skipped = count(before, True, left) + _systems_upto(space, left, idx) - checked
+        s = space.leader(idx)
+        mu = principal_mu(s)
+        rep = check_mu_rule(mu, mu_rule)
         witness = {"system": s.to_dict(), "mu": mu.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(
@@ -573,30 +559,25 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
 
-    def evaluate(space, idx: tuple[int, ...]):
-        # The I-omega family at X is P(M) for one M ⊆ X: f(X) = M, its largest member.
-        u, dom = space.universe, space.domain
-        choice = dict(zip(dom, map(max, map(operator.getitem, space.per_set, idx))))
-        mu = MuFunction(u, dom, choice)
-        if mu_rule is not None and not mu_verdict(mu, mu_rule):
-            return None
-        system = from_mu(mu)
-        failing = next((p for p in left if not verdict(system, p)), None)
-        if failing is None:
-            return True
-        rank = 0  # in enumerate_mu_functions' stream
-        for x in dom:
-            rank = (rank << x.bit_count()) + submasks(x).index(choice[x])
-        mu = MuFunction(u, dom, choice, label=f"mu{u.size}#{rank}")
-        system = from_mu(mu)
-        return mu, system, check_property(system, failing)
-
     # Read as f(X) = X − max I(X), each I-omega system is a choice function
     # whose system is itself, so the row holds iff left prunes none of them.
     pruned = (IOMEGA,) if mu_rule is None else (IOMEGA, mu_rule)
-    checked, witness = _count(sizes, pruned), None
-    if _count(sizes, pruned + left) != checked:
-        checked, _, (mu, system, rep) = _first_failure(row, sizes, (IOMEGA,), evaluate)
+    checked, witness = count(sizes, True, pruned), None
+    if count(sizes, True, pruned + left) != checked:
+        # The walks do not go in the order of the mu<n>#<rank> labels: read
+        # the raw stream of choice functions up to the first that fails.
+        checked = 0
+        for mu in (mu for n in sizes for mu in enumerate_mu_functions(Universe(_letters(n)))):
+            if mu_rule is not None and not mu_verdict(mu, mu_rule):
+                continue
+            checked += 1
+            system = from_mu(mu)
+            failing = next((p for p in left if not verdict(system, p)), None)
+            if failing is not None:
+                break
+        else:
+            raise RuntimeError(f"row {row}: the cell counts differ, yet no function fails")
+        rep = check_property(system, failing)
         witness = {"mu": mu.to_dict(), "system": system.to_dict(), "violation": rep.to_dict()}
 
     return CorrespondenceReport(

@@ -5,8 +5,9 @@ X, of the ideal families allowed at X.  Every enumerated family contains ∅,
 and with `monotone_only` the families are the down-sets, which shrinks the
 space by orders of magnitude: 2, 5, 19, 167, ... per base-set size, and the
 product grows Dedekind-fast.  Hence the size ceilings: exhaustive runs stop
-at size 4, size 5 needs both `monotone_only` and `canonical_only`, and size
-6 is refused.  Each (size, monotone) has one shared `_SystemSpace`.
+at size 4 (at size 3 without `monotone_only`), size 5 needs both
+`monotone_only` and `canonical_only`, and size 6 is refused.  Each (size,
+monotone) has one shared `_SystemSpace`.
 
 Ordering is canonical everywhere: families are ordered by their code (the
 bitmask of their members, indexed in canonical subset order), assignments
@@ -17,16 +18,15 @@ at a time, so first findings are reproducible.
 
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
-`count_systems` without `canonical_only`, `verify_implication_upto`, the
-forward correspondence rows and backward rows 1–7) run on the lex-leaders
-alone, each weighted by its class size (`scan_classes`), sizes 1..n chained
-into one scan.  They
-report what a scan of every system would: the same first failing system
-with its raw label, and exact counts.  The leaders come from one walk that
-prunes block by block (the base sets of one cardinality), after the
-lex-leader constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
+`count_systems` without `canonical_only`, the `_upto` verifiers, the
+agreements and the correspondence rows) run on the lex-leaders alone, each
+weighted by its class size, sizes 1..n chained into one scan.  They report
+what a scan of every system would: the same first failing system with its
+raw label, and exact counts.  The leaders come from one walk that prunes
+block by block (the base sets of one cardinality), after the lex-leader
+constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
 
-The walk also prunes by every required check.  Each holds on a system iff
+The walk also prunes by every check it is given.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
 (`properties.below`, `rules.below`), which sit in earlier blocks; so do the
 rules of the correspondence rows on I-omega systems (`preferential.below`).
@@ -34,10 +34,13 @@ The two-level and pairwise tests below Y are column masks: one AND over bit
 columns of Y's families per subset of Y and its family (`setcore.Columns`).
 A relabeling that fixes the prefix maps a family that passes to one that
 passes, so the pruned walk yields exactly the leaders that have the checks,
-with their stabilizers.  Only the target is decided per leader, by its scan
-alone (`verdict`), and reported on the leader that fails it; with
-`canonical_only` a leader counts once, labelled by its position among all
-leaders.  An agreement merges the walks pruned by each id alone.
+with their stabilizers, and no check is decided per leader.  A count sums
+the weights of one walk's cells (`count`).  Every other search merges walks
+in raw order (`_parting`): an implication or a find those pruned by the
+required checks with and without the target, an agreement one per id.  The
+first leader that some but not all of them reach is the first failing
+system, and only it gets a report.  With `canonical_only` a leader counts
+once, labelled by its position among all leaders.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityExceeded
 from . import properties, rules
@@ -58,11 +61,9 @@ from .rules import RuleId, _scan_rule, check_rule
 from .setcore import Columns, Subset, Universe, submasks
 from .sizesys import SizeSystem, full_domain_masks
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 EXHAUSTIVE_CEILING = 4
 CANONICAL_CEILING = 5  # monotone lex-leader streams only
+NON_MONOTONE_CEILING = 3  # the full set of size 4 alone has 32 768 families with ∅
 
 CheckId = PropertyId | RuleId
 
@@ -245,6 +246,7 @@ class _SystemSpace:
         self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
         self.relabelings = factorial(n)
         self._passing: dict[tuple[PropertyId, ...], list[list[int]]] = {}
+        self._prepared: dict[CheckId, tuple] = {}
         self.positions = [{fam: k for k, fam in enumerate(fams)} for fams in self.per_set]
         self.columns = [
             {a: _bits(map(operator.contains, fams, itertools.repeat(a))) for a in submasks(x)}
@@ -296,27 +298,43 @@ class _SystemSpace:
             ]
         return lists
 
+    def _prepare(self, c: CheckId) -> tuple:
+        """(test, alone, reads) of c's test below a base set, kept per space as
+        `passing` is: for a column test, per position the families it alone
+        lets through and its column reads, (masks made, cross, X, positions
+        read) each, so every walk pruned by c shares the masks made."""
+        prepared = self._prepared.get(c)
+        if prepared is None:
+            test, domain = _below(c), self.domain
+            alone, reads = [-1] * len(domain), [[] for _ in domain]
+            if isinstance(test, Columns):
+                pos = {x: j for j, x in enumerate(domain)}
+                for j, y in enumerate(domain):
+                    if test.alone is not None:
+                        alone[j] = test.alone(self.columns[j], y)
+                    for part in test.parts(y):
+                        reads[j].append(({}, test.cross, part[0], tuple(map(pos.get, part))))
+            prepared = self._prepared[c] = test, alone, reads
+        return prepared
+
     def _options(self, allowed: list[list[int]], checks: tuple[CheckId, ...]) -> Callable:
         """options(j, prefix): the indices in allowed[j] of the families that
         pass each check's test below the base set Y at position j, given
         what prefix assigns to the subsets of Y, memoised for the walk.
 
         A column test (`setcore.Columns`) gives a mask of Y's families per
-        subset X (or split) and its family, made once per walk; the other
-        tests run per family, on those every mask lets through."""
+        subset X (or split) and its family, made once per space (`_prepare`);
+        the other tests run per family, on those every mask lets through."""
         domain, per_set, below, columns = self.domain, self.per_set, self.below, self.columns
-        tests = list(map(_below, checks))
-        per_family = [test for test in tests if not isinstance(test, Columns)]
         start = [_bits(map(set(ok).__contains__, range(r))) for ok, r in zip(allowed, self.radices)]
-        pos = {x: j for j, x in enumerate(domain)}
         reads = [[] for _ in domain]  # per position: (masks made, cross, X, positions read)
-        for test in tests:
-            if isinstance(test, Columns):
-                for j, y in enumerate(domain):
-                    if test.alone is not None:
-                        start[j] &= test.alone(columns[j], y)
-                    for part in test.parts(y):
-                        reads[j].append(({}, test.cross, part[0], tuple(map(pos.get, part))))
+        per_family = []
+        for test, alone, column_reads in map(self._prepare, checks):
+            if not isinstance(test, Columns):
+                per_family.append(test)
+            for j in range(len(domain)):
+                start[j] &= alone[j]
+                reads[j] += column_reads[j]
         memo: dict[tuple[int, ...], list[int]] = {}
 
         def options(j: int, prefix: tuple[int, ...]) -> list[int]:
@@ -366,6 +384,7 @@ class _SystemSpace:
         check's test below it (`_options`): a column mask per subset for the
         two-level and pairwise checks, and a test per family for the others.
         """
+        checks = tuple(dict.fromkeys(checks))
         local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
         cross = tuple(c for c in checks if c not in local)
         allowed = self.passing(local)
@@ -436,6 +455,8 @@ _shared_space = lru_cache(maxsize=None)(_SystemSpace)
 def _system_space(n: int, monotone: bool, canonical: bool) -> _SystemSpace:
     """The shared space of size n, refusing a size no scan over it can finish."""
     check_size(n)
+    if n > NON_MONOTONE_CEILING and not monotone:
+        raise CapacityExceeded(f"non-monotone enumeration is capped at size {NON_MONOTONE_CEILING}")
     if n > EXHAUSTIVE_CEILING and not (monotone and canonical):
         raise CapacityExceeded(
             f"exhaustive enumeration is capped at size {EXHAUSTIVE_CEILING}; "
@@ -467,90 +488,92 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
 # --- ordered stream scans -------------------------------------------------------
 
 
-def scan_stream(stream: Iterable[T], evaluate: Callable[[T], R]) -> Iterator[R]:
-    """Yield evaluate(item) in stream order, for as long as the caller reads;
-    scan_classes reads its leaders through it, and bench/tracing.py times it
-    by name."""
-    for item in stream:
-        yield evaluate(item)
+def scan_stream(stream: Iterable) -> Iterator:
+    """The stream's items in order, for as long as the caller reads: every
+    leader walk that a search merges or tallies is read through it, and
+    bench/tracing.py times it by name."""
+    yield from stream
 
 
-def scan_classes(
-    sizes: Iterable[int],
-    monotone: bool,
-    required: tuple[CheckId, ...],
-    evaluate: Callable[[_SystemSpace, tuple[int, ...]], object] | None,
-) -> tuple[int, int, object]:
-    """Scan the systems of the given sizes, in turn, that satisfy every
-    required check up to the first failure, one system per relabeling class.
-
-    The required checks prune the walk (`_SystemSpace.leaders`), so the
-    systems that fail one are neither built nor counted; beside properties
-    and rules they may be mu-rules with a test below a set, for I-omega
-    systems (`preferential.below`).  Each size's leaders
-    are read through `scan_stream`, and evaluate(space, idx) judges the
-    leader idx of a space, whose system `space.leader(idx)` builds: None
-    when it is outside the scan (not counted), False when it is
-    skipped but tallied, True when it is counted and passes, and any other
-    value as the failure, counted, that stops the scan.  An evaluate of None
-    counts every system left without building one.
-
-    A leader has its class's verdict and stands for n!/|Stab| systems.  The
-    first failing system of the raw stream leads its class, so it is found
-    with the same report and labelled u<n>#<raw rank>.  On a failure at raw
-    rank r the tallies are those of the raw stream up to r: each counted or
-    skipped leader of that size adds its distinct relabelings ranked at most
-    r (the failing one itself alone), found by walking the size's leaders
-    again beside their outcomes; an earlier size adds whole classes.
-    Returns (counted, skipped, failure or None).
-    """
+def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> int:
+    """The systems of the given sizes that have every check, counted by the
+    cells of the walk pruned by them: no leader is expanded."""
     spaces = [_system_space(n, monotone, False) for n in sizes]
-    if evaluate is None:
-        cells = (space.relabelings // stab * prod(map(len, lists))
-                 for space in spaces for _, stab, lists in space.cells(required))
-        return sum(cells), 0, None
-    tally = [0, 0, 0]  # weights outside the scan, skipped, counted
-    for space in spaces:
-        outcomes = bytearray()  # per leader read: its index into tally
-        judged = scan_stream(space.leaders(required), lambda lead: (lead, evaluate(space, lead[0])))
-        for (idx, stab), result in judged:
-            outcome = 0 if result is None else 1 if result is False else 2
-            outcomes.append(outcome)
-            tally[outcome] += space.relabelings // stab
-            if outcome == 2 and result is not True:
-                for (lead, stab), seen in zip(space.leaders(required), outcomes):
-                    if seen:
-                        upto = space.images_upto(lead, stab, idx)
-                        tally[seen] += upto - space.relabelings // stab
-                return tally[2], tally[1], result
-    return tally[2], tally[1], None
+    return sum(space.relabelings // stab * prod(map(len, lists))
+               for space in spaces for _, stab, lists in space.cells(checks))
+
+
+def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
+    """Merge in raw order the leader walks pruned by each tuple of checks, up
+    to the first leader that some but not all of them reach: a walk reaches
+    a leader iff the leader has its checks, so that is the first system on
+    which the tuples disagree.  Returns (its index tuple, per walk whether it
+    reaches it, the first walk's leaders read before it, the systems they
+    stand for); if the walks never part, the first two are None and the
+    counts are the first walk's whole."""
+    streams = (zip(scan_stream(space.leaders(checks)), itertools.repeat(k))
+               for k, checks in enumerate(walks))
+    leaders = systems = 0
+    for (idx, stab), reached in itertools.groupby(heapq.merge(*streams), operator.itemgetter(0)):
+        held = [False] * len(walks)
+        for _, k in reached:
+            held[k] = True
+        if not all(held):
+            return idx, held, leaders, systems
+        leaders += 1
+        systems += space.relabelings // stab
+    return None, None, leaders, systems
+
+
+def _systems_upto(space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...]) -> int:
+    """The systems of the raw stream up to the leader idx that have every
+    check: each leader of the walk pruned by them, up to idx, adds its
+    distinct relabelings ranked at most idx (idx itself alone)."""
+    leaders = itertools.takewhile(lambda lead: lead[0] <= idx, scan_stream(space.leaders(checks)))
+    return sum(space.images_upto(lead, stab, idx) for lead, stab in leaders)
+
+
+def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]]) -> tuple:
+    """(space, idx, systems): over the given sizes in turn, the first leader
+    idx at which the walks part, in its space, and the systems up to it in
+    the raw stream that have the first walk's checks, each earlier size's
+    whole.  A leader stands for its class, and the first system of the raw
+    stream on which the walks part leads its class, so idx is that system.
+    If the walks never part, space and idx are None and every system that
+    has the first walk's checks is counted."""
+    systems = 0
+    for space in [_system_space(n, monotone, False) for n in sizes]:
+        idx, _, _, whole = _parting(space, walks)
+        if idx is not None:
+            return space, idx, systems + _systems_upto(space, walks[0], idx)
+        systems += whole
+    return None, None, systems
 
 
 def _scan_systems(
     spec: SearchSpec, sizes: Iterable[int]
 ) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems of the given sizes satisfying the required checks, the first
-    of them violating the target with its report, or None).  The required
-    checks prune the leader walk; canonical_only counts each leader once."""
-    target = spec.target
-
-    def evaluate(s: SizeSystem):
-        return True if verdict(s, target) else (s, evaluate_check(s, target))
-
-    if not spec.canonical_only:
-        judge = None if target is None else lambda space, idx: evaluate(space.leader(idx))
-        satisfying, _, failure = scan_classes(sizes, spec.monotone_only, spec.required, judge)
-        return satisfying, failure
-    n, satisfying = spec.universe_size, 0
-    space = _system_space(n, spec.monotone_only, True)
+    of them violating the target with its report, or None).  The first is
+    where the walks pruned by the required checks, with and without the
+    target, part; canonical_only counts each leader once."""
+    n, monotone = spec.universe_size, spec.monotone_only
+    required, target = spec.required, spec.target
     if target is None:
-        return sum(prod(map(len, lists)) for _, _, lists in space.cells(spec.required)), None
-    for idx, _ in space.leaders(spec.required):
-        satisfying += 1
-        if not verdict(space.system(idx, ""), target):
-            s = space.system(idx, f"u{n}#{_leaders_before(space, idx)}")
-            return satisfying, (s, evaluate_check(s, target))
-    return satisfying, None
+        if not spec.canonical_only:
+            return count(sizes, monotone, required), None
+        cells = _system_space(n, monotone, True).cells(required)
+        return sum(prod(map(len, lists)) for _, _, lists in cells), None
+    walks = [required, required + (target,)]
+    if not spec.canonical_only:
+        space, idx, satisfying = _first_parting(sizes, monotone, walks)
+        s = None if idx is None else space.leader(idx)
+    else:
+        space = _system_space(n, monotone, True)
+        idx, _, satisfying, _ = _parting(space, walks)
+        s = None if idx is None else space.system(idx, f"u{n}#{_leaders_before(space, idx)}")
+        satisfying += s is not None
+    return satisfying, None if s is None else (s, evaluate_check(s, target))
 
 
 def _leaders_before(space: _SystemSpace, idx: tuple[int, ...]) -> int:
@@ -630,27 +653,21 @@ def count_systems(
 
 
 def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
-    """Per size, a merge in raw order of the walks pruned by each id alone:
-    the first leader that some but not all of them reach is the first
+    """Per size, the walks pruned by each id alone part at the first
     disagreeing system, and every system up to it is counted."""
-    count, failure = 0, None
+    checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
-        walks = (zip(map(operator.itemgetter(0), space.leaders((c,))), itertools.repeat(k))
-                 for k, c in enumerate(ids))
-        for idx, reached in itertools.groupby(heapq.merge(*walks), operator.itemgetter(0)):
-            held = {k for _, k in reached}
-            if len(held) < len(ids):
-                count += space.rank(idx) + 1
-                failure = space.leader(idx), [k in held for k in range(len(ids))]
-                break
-        if failure is not None:
+        idx, held, _, _ = _parting(space, [(c,) for c in ids])
+        if idx is not None:
+            checked += space.rank(idx) + 1
+            failure = space.leader(idx), held
             break
-        count += prod(space.radices)
+        checked += prod(space.radices)
     report = CheckReport(
         subject=subject,
         condition="agree:" + "=".join(c.name for c in ids),
         holds=failure is None,
-        instances_checked=count,
+        instances_checked=checked,
     )
     if failure is not None:
         s, verdicts = failure

@@ -219,6 +219,15 @@ def test_search_verb_capacity(capsys):
         assert "capacity" in err.lower()
 
 
+@pytest.mark.parametrize("canonical", [(), ("--canonical",)], ids=["raw", "canonical"])
+def test_search_verb_refuses_a_non_monotone_size_4(capsys, canonical):
+    # The full set of size 4 alone has 32 768 families with ∅.
+    code, out, err = run_cli(capsys, "search", "--size", "4", "--no-monotone", "--mode", "count",
+                             *canonical)
+    assert code == 3
+    assert "capped at size 3" in err and out == ""
+
+
 def test_search_verb_refuses_size_zero(capsys):
     code, out, err = run_cli(capsys, "search", "--size", "0", "--mode", "count")
     assert code == 2

@@ -3,10 +3,12 @@ verifiers they replaced and against the mu-rule scans.
 
 `per_leader_forward` and `per_leader_backward` are the verifiers as they were
 before the counts: every leader of the walk is read as a choice function and
-judged by `mu_verdict`.  The verifiers now compare cell counts of I-omega
-walks pruned by each mu-rule's test below a base set (`preferential.below`),
-and scan leader by leader only when a row fails, so both must give the same
-report bytes on every row, holding or failing.
+judged by `mu_verdict` (`leader_scan.scan_classes`).  The verifiers now
+compare cell counts of I-omega walks pruned by each mu-rule's test below a
+base set (`preferential.below`); a failing forward row takes its witness
+where the walks with and without the rule part, and a failing backward row
+from the raw stream of choice functions.  Both must give the same report
+bytes on every row, holding or failing.
 """
 
 import itertools
@@ -33,9 +35,11 @@ from sizesem.preferential import (
 )
 from sizesem.properties import EMF, EMI, IOMEGA, check_property, m_plus_plus
 from sizesem.report import CorrespondenceReport
-from sizesem.search import scan_classes, sizes_upto, verdict
+from sizesem.search import sizes_upto, verdict
 from sizesem.setcore import submasks
 from sizesem.sizesys import MuFunction, from_mu, principal_mu
+
+from leader_scan import scan_classes
 
 
 def per_leader_forward(row, max_universe):
@@ -213,10 +217,10 @@ def test_failing_rows_match_the_per_leader_verifiers(
 
 def test_counts_that_differ_without_a_failing_leader_are_an_internal_error(monkeypatch):
     # Miscount each walk by its number of checks: a holding row's counts differ.
-    real = preferential._count
-    monkeypatch.setattr(
-        preferential, "_count", lambda sizes, checks: real(sizes, checks) + len(checks)
-    )
+    def miscount(sizes, monotone, checks):
+        return search.count(sizes, monotone, checks) + len(checks)
+
+    monkeypatch.setattr(preferential, "count", miscount)
     with pytest.raises(RuntimeError, match="row 3: the cell counts differ"):
         verify_correspondence_forward(3, 2)
     with pytest.raises(RuntimeError, match="row 3: the cell counts differ"):
@@ -227,7 +231,7 @@ def test_mu_pr_counts_the_emi_iomega_systems_at_size_4():
     # Row 3 at |U| = 4: the I-omega systems with eMI, with mu-PR's test and
     # with both are the same 160 000, each counted by cells.
     counts = [
-        scan_classes([4], True, checks, None)[0]
+        search.count([4], True, checks)
         for checks in ((IOMEGA, EMI), (IOMEGA, MU_PR), (IOMEGA, EMI, MU_PR))
     ]
     assert counts == [160_000] * 3

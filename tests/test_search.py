@@ -269,6 +269,34 @@ def test_cumulativity_follows_at_size_4():
         assert rep.holds and rep.witness is None, canonical
 
 
+@pytest.mark.parametrize(
+    "required,target,count",
+    # fact-3.7:3's three cases, and fact-3.10's rows with eMI.
+    [((n_star_s(3), EMI), m_plus_n(3), 369_796),
+     ((n_star_s(3), EMI), cm_n(3), 369_796),
+     ((n_star_s(3), EMI), or_n(3), 369_796),
+     ((IOMEGA, EMI), OR_OMEGA, 160_000),
+     ((IOMEGA, EMI), m_plus_omega(1), 160_000),
+     ((IOMEGA, EMI), m_plus_omega(3), 160_000)],
+    ids=["fact-3.7:3:M+n:3", "fact-3.7:3:CM:3", "fact-3.7:3:OR:3",
+         "fact-3.10:OR:omega", "fact-3.10:M+omega:1", "fact-3.10:M+omega:3"],
+)
+def test_implications_hold_at_size_4(required, target, count):
+    rep = verify_implication(SearchSpec(4, required, target, "verify-implication"))
+    assert rep.holds and rep.witness is None
+    assert rep.instances_checked == count
+
+
+def test_an_nary_target_above_the_rule_scan_ceiling_prunes_the_walk():
+    # OR:10 would walk 3·10⁸ instances on one system, but its test below a
+    # set walks none: a holding target is decided.  A failing one is refused
+    # once its report is built.
+    rep = verify_implication(SearchSpec(3, (or_n(4),), or_n(10), "verify-implication"))
+    assert rep.holds and rep.instances_checked == 216
+    with pytest.raises(CapacityExceeded, match="OR:10 would examine"):
+        find_counterexample(SearchSpec(3, (EMI,), or_n(10)))
+
+
 def test_find_counterexample_absent():
     spec = SearchSpec(
         1,
@@ -421,10 +449,12 @@ def test_sizes_below_one_are_refused(scan):
         (lambda: count_systems(SearchSpec(6, (EMI,), mode="count", canonical_only=True)), 5),
         (lambda: verify_correspondence_forward(2, 4), 3),
         (lambda: verify_correspondence_backward(2, 4), 3),
+        (lambda: count_systems(SearchSpec(4, mode="count", monotone_only=False)), 3),
     ],
     ids=[
         "implication_upto", "agreement_upto", "two_s_breakdown", "canonical_find",
         "canonical_count", "correspondence_forward", "correspondence_backward",
+        "non_monotone_count",
     ],
 )
 def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monkeypatch):

@@ -44,6 +44,20 @@ def test_traced_names_exist_and_are_callable():
     assert missing == []
 
 
+def test_a_search_steps_through_the_traced_stream():
+    # The searches read their leader walks through `search.scan_stream`, so
+    # the traced name counts them and cannot silently read 0.
+    from sizesem.properties import EMI, n_star_s
+    from sizesem.rules import or_n
+    from sizesem.search import verify_implication_upto
+
+    with _load_tracing().Tracer() as tracer:
+        with tracer.query("implication"):
+            rep = verify_implication_upto((n_star_s(3), EMI), or_n(3), 3)
+    assert rep.holds
+    assert tracer.calls["scan_stream"] > 0
+
+
 WORKLOADS = TRACING.with_name("workloads.py")
 
 MU_TAGS_IN_SCAN_ORDER = [

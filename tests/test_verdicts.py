@@ -3,8 +3,9 @@
 `search.verdict` and `preferential.mu_verdict` run a check's scan and build
 no report; each must give the `.holds` of the report that `evaluate_check`
 or `check_mu_rule` builds, and raise what it raises.  The agreement scan
-merges the leader walks pruned by each id, and the implication, count and
-`canonical_only` scans prune by their required checks;
+merges the leader walks pruned by each id, the implication and
+`canonical_only` scans merge those pruned by the required checks with and
+without the target, and a count reads the cells of one;
 `reference_agreement`, `reference_implication` and `reference_canonical`
 decide every check on every leader instead, and each pair must give the
 same bytes.
@@ -39,7 +40,6 @@ from sizesem.search import (
     enumerate_systems,
     evaluate_check,
     find_counterexample,
-    scan_classes,
     verdict,
     verify_agreement,
     verify_agreement_upto,
@@ -48,6 +48,8 @@ from sizesem.search import (
 )
 from sizesem.setcore import Universe
 from sizesem.sizesys import build, build_mu
+
+from leader_scan import scan_classes
 
 CHECKS = [parse_property(n) for n in ALL_PROPS] + [parse_rule(n) for n in ALL_RULES]
 
@@ -315,27 +317,33 @@ def test_canonical_scans_match_the_per_leader_reference(n, monotone, required, t
 
 
 def test_a_canonical_scan_decides_the_target_alone(monkeypatch):
-    # The walk prunes by the required checks, and no scan reads the
-    # `enumerate_systems` stream.
-    decided = []
+    # The target prunes a walk as the required checks do: no scan calls
+    # `verdict` or reads the `enumerate_systems` stream, and only the
+    # reported system gets a report.
+    reported = []
 
     def spy(s, c):
-        decided.append(c)
-        return verdict(s, c)
+        reported.append((s.label, c))
+        return evaluate_check(s, c)
 
-    def no_stream(*args):
-        raise AssertionError("enumerate_systems was called")
+    def refuse(*args):
+        raise AssertionError("a search decided a check per leader")
 
-    monkeypatch.setattr(search, "verdict", spy)
-    monkeypatch.setattr(search, "enumerate_systems", no_stream)
+    monkeypatch.setattr(search, "evaluate_check", spy)
+    monkeypatch.setattr(search, "verdict", refuse)
+    monkeypatch.setattr(search, "enumerate_systems", refuse)
     for n, monotone, required, target in CANONICAL:
-        spec = _canonical(n, monotone, required, target)
-        find_counterexample(spec)
-        verify_implication(replace(spec, mode="verify-implication"))
-        assert decided and set(decided) == {target}, spec
-        decided.clear()
-        count_systems(_canonical(n, monotone, required, None))
-        assert decided == [], spec
+        for canonical in (True, False):
+            spec = replace(_canonical(n, monotone, required, target), canonical_only=canonical)
+            s, _ = find_counterexample(spec)
+            assert reported == ([] if s is None else [(s.label, target)]), spec
+            reported.clear()
+            rep = verify_implication(replace(spec, mode="verify-implication"))
+            label = None if rep.holds else rep.notes[0].removeprefix("violating system ")
+            assert reported == ([] if rep.holds else [(label, target)]), spec
+            reported.clear()
+            count_systems(replace(spec, target=None, mode="count"))
+            assert reported == [], spec
 
 
 def test_canonical_scans_match_the_per_leader_reference_at_size_2():
