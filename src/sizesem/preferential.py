@@ -170,7 +170,9 @@ def _parallel(f, x, y):
 
 
 def _scan_res_m(mu: MuFunction) -> tuple[int, Witness, int]:
-    """f(X) ⊆ A∩B ⇒ f(X∩A) ⊆ B, A and B over the supersets of f(X)."""
+    """f(X) ⊆ A∩B ⇒ f(X∩A) ⊆ B, A and B over the supersets of f(X).  Each
+    (X, A) is decided at once: if f(X∩A) ⊆ f(X) every B holds, else B = f(X)
+    fails, and the B loop finds the first B that fails."""
     f = mu.choice
     all_masks = mu.universe.all_masks()
     count = skipped = 0
@@ -183,6 +185,9 @@ def _scan_res_m(mu: MuFunction) -> tuple[int, Witness, int]:
                 skipped += len(supersets)
                 continue
             f_meet = f[meet]
+            if not f_meet & ~fx:
+                count += len(supersets)
+                continue
             for b in supersets:
                 count += 1
                 if f_meet & ~b:

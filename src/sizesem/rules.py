@@ -46,7 +46,8 @@ The relation is read in three forms.  `_Consequences` gives rel(a), every b
 with a |~ b in canonical order (every set when a = ∅), filled on first use:
 `derive_relation` and the instance walks but OR:n's read it.  `_Follows`
 holds rel(a) as a bit set, which OR:n and OR:omega intersect to decide or
-count a unit.  `_rel_size` gives |rel(a)| in closed form.
+count a unit, and `_Refutes` the b with a |~ ¬b, which OR:n's intersection
+must miss.  `_rel_size` gives |rel(a)| in closed form.
 
 Units.  A scan walks its instances in canonical order, grouped into units:
 one antecedent a (every a ⊆ U for REF, ∅ included), or, where walking a whole
@@ -71,7 +72,8 @@ premise:
     CP         a ∉ I                                         1
     AND:n      no n members of I have union a                |rel(a)|ⁿ
     AND:omega  I is closed under ∪                           |rel(a)|²
-    OR:n       no t ∈ I(∪αᵢ) has αᵢ − t ∈ I(αᵢ) for all i   |rel(α₁) ∩ … ∩ rel(α_{n−1})|
+    OR:n       rel(α₁) ∩ … ∩ rel(α_{n−1}) has no β with      |rel(α₁) ∩ … ∩ rel(α_{n−1})|
+               ∪αᵢ |~ ¬β
     OR:omega   rel(α) ∩ rel(α') ⊆ rel(α ∪ α') for α' ≠ ∅     Σ_{α'} |rel(α) ∩ rel(α')|
     CM:n       every t = a − v, v a union of n − 2 members   |rel(a)|ⁿ⁻¹
                of I (v = ∅ for n = 2), is nonempty and has
@@ -87,9 +89,9 @@ premise:
 
 with a the unit's antecedent (φ or γ where the rule names it so),
 |rel(a)| = |I(a)|·2ᵏ and |rel(∅)| = 2^|U|; OR:n and OR:omega count rel sets
-as bit sets (`_Follows`).  Members of I(a) are subsets of a, as `build`
-ensures.  RW, AND:omega, AND:n, CM:n and CCL read the tests of the local
-size properties: `setcore.down_closed`, `union_closed` and `unions`.
+as bit sets (`_Follows`, `_Refutes`).  Members of I(a) are subsets of a, as
+`build` ensures.  RW, AND:omega, AND:n, CM:n and CCL read the tests of the
+local size properties: `setcore.down_closed`, `union_closed` and `unions`.
 `_UNITS` maps each rule tag to its unit test, and `_scan_rule` runs every
 rule through one loop: it adds each unit's count until the first unit whose
 test returns None, then walks that unit alone, instance by instance.  So
@@ -251,11 +253,16 @@ def _rel_size(ideals, size: int, a: int) -> int:
 
 
 class _Follows(dict):
-    """a ↦ rel(a) as an int with bit b set iff a |~ b, filled on first use."""
+    """a ↦ rel(a) as an int with bit b set iff a |~ b, filled on first use:
+    the b whose trace b ∩ a is a − x for some x ∈ I(a)."""
 
     def __init__(self, s: SizeSystem):
         self.ideals = s.ideals
         self.full = s.universe.full_mask
+
+    @staticmethod
+    def trace(a: int, x: int) -> int:
+        return a & ~x
 
     def __missing__(self, a: int) -> int:
         outside = 1  # bit c for every c ⊆ U − a
@@ -266,9 +273,17 @@ class _Follows(dict):
             rest ^= low
         out = 0
         for x in self.ideals[a]:
-            out |= outside << (a & ~x)
+            out |= outside << self.trace(a, x)
         self[a] = out
         return out
+
+
+class _Refutes(_Follows):
+    """a ↦ the b with a |~ ¬b as a bit set: those whose trace b ∩ a is in I(a)."""
+
+    @staticmethod
+    def trace(a: int, x: int) -> int:
+        return x
 
 
 def _grows(ideals, size: int, a: int) -> bool:
@@ -355,25 +370,22 @@ def _and_omega_unit(ideals, size: int, a: int) -> int | None:
     return _rel_size(ideals, size, a) ** 2 if union_closed(ideals[a]) else None
 
 
-def _or_unit(ideals, size: int, bits, combo: tuple[int, ...]) -> int | None:
-    """OR:n at a combo: premises and conclusion read β only through
-    t = β ∩ ∪αᵢ, so an instance fails iff some t ∈ I(∪αᵢ) has αᵢ − t ∈ I(αᵢ)
-    for every i."""
-    union = 0
-    for a in combo:
-        union |= a
-    for t in ideals[union]:
-        for a in combo:
-            if a & ~t not in ideals[a]:
-                break
-        else:
-            return None
-    if len(combo) == 1:  # |rel(α₁)|, without building its bit set
-        return _rel_size(ideals, size, union)
-    shared = -1
+def _or_unit(ideals, size: int, bits, refutes, combo: tuple[int, ...]) -> int | None:
+    """OR:n at a combo: an instance fails iff every αᵢ |~ β while ∪αᵢ |~ ¬β,
+    so the unit holds iff rel(α₁) ∩ … ∩ rel(α_{n−1}) misses the β that ∪αᵢ
+    refutes."""
+    if len(combo) == 1:  # OR:2 without bit sets: some t ∈ I(α₁) has α₁ − t ∈ I(α₁)
+        a = combo[0]
+        fam = ideals[a]
+        for t in fam:
+            if a & ~t in fam:
+                return None
+        return _rel_size(ideals, size, a)
+    shared, union = -1, 0
     for a in combo:
         shared &= bits[a]
-    return shared.bit_count()
+        union |= a
+    return None if shared & refutes[union] else shared.bit_count()
 
 
 def _or_omega_unit(ideals, size: int, bits, nonempty, a: int) -> int | None:
@@ -622,7 +634,7 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
     elif tag == "OR":
         _refuse_above_ceiling(r, len(nonempty) ** (n - 1) * len(masks))
         units = product(nonempty, repeat=n - 1)
-        test = partial(test, _Follows(s))
+        test = partial(test, _Follows(s), _Refutes(s))
     elif tag in ("AND", "CM"):
         power = n if tag == "AND" else n - 1
         _refuse_above_ceiling(r, sum(_rel_size(ideals, size, a) ** power for a in nonempty))

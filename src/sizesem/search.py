@@ -35,17 +35,20 @@ columns of Y's families per subset of Y and its family (`setcore.Columns`).
 A relabeling that fixes the prefix maps a family that passes to one that
 passes, so the pruned walk yields exactly the leaders that have the checks,
 with their stabilizers, and no check is decided per leader.  A count sums
-the weights of one walk's cells (`count`).  Every other search merges walks
-in raw order (`_parting`): an implication or a find those pruned by the
-required checks with and without the target, an agreement one per id.  The
-first leader that some but not all of them reach is the first failing
-system, and only it gets a report.  With `canonical_only` a leader counts
-once, labelled by its position among all leaders.
+the weights of one walk's cells (`count`).  Every other search compares
+walks (`_parting`): an implication or a find those pruned by the required
+checks with and without the target, an agreement one per id.  The first
+leader that some but not all of them reach is the first failing system,
+and only it gets a report.  One walk over the union of their trees finds
+it (`_SystemSpace.union_cells`): each cell carries the tuples of checks
+that hold on its prefix, and marks its options with the tuples that allow
+them where the tuples' lists differ, so only the cells with marks, or that
+some tuple does not reach, are expanded.  With `canonical_only` a leader
+counts once, labelled by its position among all leaders.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -366,10 +369,15 @@ class _SystemSpace:
 
         return options
 
-    def cells(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int, list]]:
-        """(prefix, order of the stabilizer, lists) per cell of lex-leaders,
-        the systems no relabeling makes smaller, that have every check: each
-        completion of prefix by `itertools.product(*lists)`, in raw order.
+    def union_cells(self, walks: list[tuple[CheckId, ...]]) -> Iterator[tuple]:
+        """(prefix, order of the stabilizer, alive, lists, marks) per cell of
+        lex-leaders, the systems no relabeling makes smaller, that have every
+        check of some tuple in walks: each completion of prefix by
+        `itertools.product(*lists)`, in raw order.  Bit k of alive is set iff
+        tuple k's tests pass on the prefix.  marks is None when every tuple
+        in alive allows the same lists; else marks[p] maps each index in
+        lists[p] to the bits of the tuples that allow it, and a completion
+        has the checks of the tuples whose bits are in every index it takes.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
@@ -377,40 +385,61 @@ class _SystemSpace:
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer.  Once none
         is left, the last block (the full set alone) is one cell, and so is
-        the rest of the walk if only local properties are asked for.  The
-        images are compared whether or not their families pass, so the
-        stabilizers are those of the unpruned walk.  A position takes the
-        families that pass each local property (`passing`) and every other
-        check's test below it (`_options`): a column mask per subset for the
-        two-level and pairwise checks, and a test per family for the others.
+        the rest of the walk if the live tuples ask only for local
+        properties.  The images are compared whether or not their families
+        pass, so the stabilizers are those of the unpruned walk, and each
+        part of a block is tested once for every tuple.  A position takes,
+        per live tuple, the families that pass each local property
+        (`passing`) and every other check's test below it (`_options`): a
+        column mask per subset for the two-level and pairwise checks, and a
+        test per family for the others.  Where the live tuples' lists
+        differ, a block walks their union, and a part that no tuple allows
+        is pruned.
         """
-        checks = tuple(dict.fromkeys(checks))
-        local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
-        cross = tuple(c for c in checks if c not in local)
-        allowed = self.passing(local)
-        options = self._options(allowed, cross)
+        made, tuples = {}, []  # per walk: (allowed, options or None), shared by equal walks
+        for checks in walks:
+            checks = tuple(dict.fromkeys(checks))
+            local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
+            cross = tuple(c for c in checks if c not in local)
+            if (local, cross) not in made:
+                allowed = self.passing(local)
+                made[local, cross] = allowed, self._options(allowed, cross) if cross else None
+            tuples.append(made[local, cross])
+        members = {}  # alive ↦ (its tuples as (bit, allowed, options or None), any options)
         image_index = self._image_index
         last = len(self.blocks) - 1
 
-        def walk(b: int, prefix: tuple[int, ...], live: list) -> Iterator:
-            if not live and not cross:
-                yield prefix, 1, allowed[len(prefix):]
-                return
-            if b > last:
-                yield prefix, len(live) + 1, []
-                return
-            block = self.blocks[b]
+        def walk(b: int, prefix: tuple[int, ...], live: list, alive: int) -> Iterator:
+            entry = members.get(alive)
+            if entry is None:
+                tups = [(1 << k, *tuples[k]) for k in range(len(walks)) if alive >> k & 1]
+                entry = members[alive] = tups, any(options for _, _, options in tups)
+            tups, cross = entry
+            block = self.blocks[b] if live or cross else range(len(prefix), len(self.domain))
             lo = block.start
-            lists = [options(j, prefix) for j in block] if cross else allowed[lo : block.stop]
-            if not live and b == last:
-                yield prefix, 1, lists
+            if len(tups) == 1:  # one live tuple, as in a count: its own lists, no marks
+                _, allowed, options = tups[0]
+                lists = [options(j, prefix) for j in block] if options else allowed[lo : block.stop]
+                marks = None
+            else:
+                lists, marks = _union(tups, block, prefix)
+            if not live and (b == last or not cross):
+                yield prefix, 1, alive, lists, marks
                 return
+            reach = alive
             for part in itertools.product(*lists):
+                if marks is not None:
+                    reach = _allowing(marks, part)
+                    if not reach:
+                        continue  # no tuple allows the part
                 kept = []
                 for perm in live:
-                    pre = perm[1]
+                    _, pre, tables = perm
                     for j in block:
-                        t = image_index(perm, j, part[pre[j] - lo])
+                        i = part[pre[j] - lo]
+                        t = tables[j].get(i)  # `_image_index`, inlined where it is filled
+                        if t is None:
+                            t = image_index(perm, j, i)
                         if t != part[j - lo]:
                             break
                     else:
@@ -419,9 +448,18 @@ class _SystemSpace:
                     if t < part[j - lo]:
                         break  # a smaller relabeling: no completion is a leader
                 else:
-                    yield from walk(b + 1, prefix + part, kept)
+                    if b < last:
+                        yield from walk(b + 1, prefix + part, kept, reach)
+                    else:  # a whole system, its own cell
+                        yield prefix + part, len(kept) + 1, reach, [], None
 
-        return walk(0, (), self.perms)
+        return walk(0, (), self.perms, (1 << len(walks)) - 1)
+
+    def cells(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int, list]]:
+        """(prefix, order of the stabilizer, lists) per cell of the walk
+        pruned by one tuple of checks (`union_cells`)."""
+        for prefix, stab, _, lists, _ in self.union_cells([checks]):
+            yield prefix, stab, lists
 
     def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader on which
@@ -447,6 +485,34 @@ class _SystemSpace:
             else:
                 upto += 1
         return upto // stab
+
+
+def _union(tups: list, block: range, prefix: tuple[int, ...]) -> tuple[list, list | None]:
+    """(lists, marks) at the positions of block of two or more live tuples,
+    (bit, allowed, options or None) each: their lists and None if all are
+    equal, else per position the ascending union and a dict from each index
+    in it to the bits of the tuples that allow it (`union_cells`)."""
+    per = []
+    for bit, allowed, options in tups:
+        lists = [options(j, prefix) for j in block] if options else allowed[block.start : block.stop]
+        per.append((bit, lists))
+    (_, first), *rest = per
+    if all(lists == first for _, lists in rest):
+        return first, None
+    union, marks = [], []
+    for p in range(len(first)):
+        mask: dict[int, int] = {}
+        for bit, lists in per:
+            for i in lists[p]:
+                mask[i] = mask.get(i, 0) | bit
+        union.append(sorted(mask))
+        marks.append(mask)
+    return union, marks
+
+
+def _allowing(marks: list[dict[int, int]], part: tuple[int, ...]) -> int:
+    """The bits of the tuples that allow every entry of part (`union_cells`)."""
+    return reduce(operator.and_, map(dict.__getitem__, marks, part))
 
 
 _shared_space = lru_cache(maxsize=None)(_SystemSpace)
@@ -490,8 +556,8 @@ def enumerate_systems(spec: SearchSpec) -> Iterator[SizeSystem]:
 
 def scan_stream(stream: Iterable) -> Iterator:
     """The stream's items in order, for as long as the caller reads: every
-    leader walk that a search merges or tallies is read through it, and
-    bench/tracing.py times it by name."""
+    walk that a search reads cell by cell or leader by leader is read
+    through it, and bench/tracing.py times it by name."""
     yield from stream
 
 
@@ -500,28 +566,37 @@ def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> 
     cells of the walk pruned by them: no leader is expanded."""
     spaces = [_system_space(n, monotone, False) for n in sizes]
     return sum(space.relabelings // stab * prod(map(len, lists))
-               for space in spaces for _, stab, lists in space.cells(checks))
+               for space in spaces for _, stab, _, lists, _ in space.union_cells([checks]))
 
 
 def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
-    """Merge in raw order the leader walks pruned by each tuple of checks, up
-    to the first leader that some but not all of them reach: a walk reaches
-    a leader iff the leader has its checks, so that is the first system on
-    which the tuples disagree.  Returns (its index tuple, per walk whether it
-    reaches it, the first walk's leaders read before it, the systems they
-    stand for); if the walks never part, the first two are None and the
-    counts are the first walk's whole."""
-    streams = (zip(scan_stream(space.leaders(checks)), itertools.repeat(k))
-               for k, checks in enumerate(walks))
+    """The first leader, in raw order, that the walks pruned by some but not
+    all of the tuples of checks reach: a walk reaches a leader iff the
+    leader has its checks, so that is the first system on which the tuples
+    disagree.  One walk over their union (`union_cells`) finds it: a cell
+    that every tuple reaches without marks adds its leaders whole, and only
+    a cell with marks, or one that some tuple does not reach, is expanded.
+    Returns (its index tuple, per walk whether it reaches it, the first
+    walk's leaders read before it, the systems they stand for); if the walks
+    never part, the first two are None and the counts are the first walk's
+    whole."""
+    full = (1 << len(walks)) - 1
     leaders = systems = 0
-    for (idx, stab), reached in itertools.groupby(heapq.merge(*streams), operator.itemgetter(0)):
-        held = [False] * len(walks)
-        for _, k in reached:
-            held[k] = True
-        if not all(held):
-            return idx, held, leaders, systems
-        leaders += 1
-        systems += space.relabelings // stab
+    for prefix, stab, alive, lists, marks in scan_stream(space.union_cells(walks)):
+        weight = space.relabelings // stab
+        if alive == full and marks is None:
+            whole = prod(map(len, lists))
+            leaders += whole
+            systems += weight * whole
+            continue
+        for rest in itertools.product(*lists):
+            reach = alive if marks is None else _allowing(marks, rest)
+            if reach == full:
+                leaders += 1
+                systems += weight
+            elif reach:
+                held = [bool(reach >> k & 1) for k in range(len(walks))]
+                return prefix + rest, held, leaders, systems
     return None, None, leaders, systems
 
 
