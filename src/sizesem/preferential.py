@@ -5,13 +5,16 @@ It induces the principal-filter system F(X) = {A : f(X) ⊆ A ⊆ X}; conversely
 a system whose every filter has a least element yields a choice function.
 
 `_MU_RULES` maps each of the 19 mu-rule tags to its scan.  Fifteen rules
-quantify over pairs X, Y of domain members, and `_pair_scan` builds each of
-their scans from one table row: a premise, a carrier that must be nonempty,
-and a conclusion.  mu-ResM, mu-in and mu-empty(-fin) have scans of their own.
-The carrier policy sits in `check_mu_rule` alone: a composite set (X∪Y, X∩Y,
-X∩A, {a,b}) that an instance needs f at but the domain lacks raises
-DomainNotClosed naming it; an instance whose carrier is empty is skipped and
-counted in the report's `skipped`.
+quantify over pairs X, Y of domain members, and `_pair_rule` decides each one
+X at a time, from bit masks over the domain positions of the Y its guard
+admits and of the Y whose conclusion holds.  A row has one of three shapes:
+direct, reading f at X and Y alone; by the union Z = X ∪ Y; or by the meet
+W = X ∩ Y, deciding each class of Y with one Z or W at once.  mu-ResM, mu-in
+and mu-empty(-fin) have scans of their own.  The first instance in scan
+order that fails or needs f at a composite set (X∪Y, X∩Y, X∩A, {a,b}) outside
+the domain ends the scan: in the second case `_scan_mu_rule` raises
+DomainNotClosed naming that set.  An instance whose carrier is empty is
+skipped and counted in the report's `skipped`.
 
 `verify_correspondence_forward` and `_backward` check, by exhaustion over
 small universes, the ten rows tying size properties to choice-function rules:
@@ -54,6 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import and_, or_
 from typing import Callable, Iterator
 
 from .errors import CapacityExceeded, DomainNotClosed
@@ -76,82 +80,142 @@ from .sizesys import MuFunction, _label_key, from_mu, full_domain_masks, princip
 # --- choice-function rules ----------------------------------------------------
 #
 # A scan returns (instances_checked, witness, instances skipped for an empty
-# carrier) and looks f up at every composite carrier an instance needs.
+# carrier) and looks f up at every composite carrier an instance needs.  The
+# fifteen pair rules are decided one outer X at a time, by bit masks over the
+# domain positions (Knuth, TAOCP 4A §7.1.3).
 
 MuScan = Callable[[MuFunction], tuple[int, Witness, int]]
 PairTest = Callable[[dict, int, int], object]  # (f, X, Y) -> truthy or falsy
 
 
-def _pair_scan(
-    names: str, guard: PairTest, carrier: Callable[[int, int], int] | None, holds: PairTest
-) -> MuScan:
-    """The scan of "for all X, Y in the domain: guard ⇒ holds".
+@lru_cache(maxsize=None)
+def _sum_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """(S, S − b) for each bit b of U in turn and each S ⊆ U holding b."""
+    return tuple((s, s ^ 1 << b) for b in range(n) for s in range(1 << n) if s >> b & 1)
 
-    Pairs come in domain order, the first name's variable outermost.  A pair
-    the guard admits whose carrier is empty is skipped and tallied.
+
+def _sums(at: list[int], n: int) -> tuple[list[int], list[int]]:
+    """For every S ⊆ U, the OR of at[T] over the T ⊆ S and over the T ⊇ S."""
+    down, up = at[:], at[:]
+    for s, t in _sum_steps(n):
+        down[s] |= down[t]
+        up[t] |= up[s]
+    return down, up
+
+
+@lru_cache(maxsize=64)
+def _domain_rows(domain: tuple[int, ...], n: int) -> tuple:
+    """Per S ⊆ U, the positions of the Y ⊆ S and of the Y ⊇ S; per X in the
+    domain, its nonempty classes of Y by Z = X ∪ Y, the Y ⊆ Z and ⊇ Z − X, and
+    by W = X ∩ Y, the Y ⊇ W and ⊆ W ∪ (U − X), as (Z or W, mask of its Y).
+    Every choice function on the domain shares them: never change them."""
+    at = [0] * (1 << n)
+    for i, y in enumerate(domain):
+        at[y] = 1 << i
+    sub, sup = _sums(at, n)
+    full = (1 << n) - 1
+    unions = {x: [(x | r, ys) for r in submasks(full & ~x) if (ys := sub[x | r] & sup[r])]
+              for x in domain}
+    meets = {x: [(w, ys) for w in submasks(x) if (ys := sup[w] & sub[w | full & ~x])]
+             for x in domain}
+    return sub, sup, unions, meets
+
+
+class _Masks:
+    """A choice function's masks of domain positions, per S ⊆ U: sub and sup
+    hold the Y ⊆ S and ⊇ S; eq, fsub and fsup the Y with f(Y) = S, ⊆ S and
+    ⊇ S; every holds them all.  unions and meets list each X's classes of Y."""
+
+    __slots__ = ("full", "every", "sub", "sup", "unions", "meets", "eq", "fsub", "fsup")
+
+    def __init__(self, mu: MuFunction):
+        n, dom, f = mu.universe.size, mu.domain_masks, mu.choice
+        self.full, self.every = mu.universe.full_mask, (1 << len(dom)) - 1
+        self.sub, self.sup, self.unions, self.meets = _domain_rows(dom, n)
+        self.eq = [0] * (1 << n)
+        for i, y in enumerate(dom):
+            self.eq[f[y]] |= 1 << i
+        self.fsub, self.fsup = _sums(self.eq, n)
+
+
+def _pair_rule(names: str, carrier, admits, holds) -> MuScan:
+    """The scan of "for all X, Y in the domain: guard ⇒ conclusion".
+
+    Per X of the first name, admits(m, x, f(X)) masks the Y the guard admits
+    (None: every Y) and holds(m, x, f(X)) the Y whose conclusion holds.  A
+    conclusion that reads f at a carrier C, X ∪ Y (or_) or X ∩ Y (and_), is
+    decided per class of the Y with one C instead, by holds(m, f(X), C, f(C));
+    the Y of C = ∅ are skipped and those of a C outside the domain fail.
+    Pairs come in domain order, so the first that fails is at the lowest set
+    bit; if its carrier is outside the domain, its KeyError is raised instead.
     """
     outer, inner = names
 
     def scan(mu: MuFunction) -> tuple[int, Witness, int]:
-        f = mu.choice
-        dom = mu.domain_masks
+        if mu._masks is None:
+            mu._masks = _Masks(mu)
+        m, f = mu._masks, mu.choice
+        classes = m.unions if carrier is or_ else m.meets
         count = skipped = 0
-        for x in dom:
-            for y in dom:
-                if not guard(f, x, y):
-                    continue
-                if carrier is not None and not carrier(x, y):
-                    skipped += 1
-                    continue
-                count += 1
-                if not holds(f, x, y):
-                    return count, ((outer, x), (inner, y)), skipped
+        for x in mu.domain_masks:
+            fx = f[x]
+            admit = m.every if admits is None else admits(m, x, fx)
+            fail = skip = 0
+            if carrier is None:
+                fail = admit & ~holds(m, x, fx)
+            else:
+                for c, ys in classes[x]:
+                    if not c:
+                        skip = ys & admit
+                    elif ys & admit:
+                        fc = f.get(c)
+                        fail |= ys if fc is None else ys & ~holds(m, fx, c, fc)
+                fail &= admit
+            if not fail:
+                count += (admit & ~skip).bit_count()
+                skipped += skip.bit_count()
+                continue
+            low = fail & -fail
+            y = mu.domain_masks[low.bit_length() - 1]
+            if carrier is not None and carrier(x, y) not in f:
+                raise KeyError(carrier(x, y))
+            count += (admit & ~skip & low - 1).bit_count() + 1
+            skipped += (skip & low - 1).bit_count()
+            return count, ((outer, x), (inner, y)), skipped
         return count, None, skipped
 
     return scan
+
+
+def _between(m, x, fx):
+    """f(X) ⊆ Y ⊆ X."""
+    return m.sub[x] & m.sup[fx]
+
+
+def _inside_meeting(m, x, fx):
+    """X ⊆ Y and X ∩ f(Y) ≠ ∅."""
+    return m.sup[x] & ~m.fsub[m.full & ~x]
+
+
+def _meets_rest(m, x, fx):
+    """f(Y) ∩ (X − f(X)) ≠ ∅."""
+    return m.every & ~m.fsub[m.full & ~x | fx]
+
+
+def _parallel(m, fx, z, fz):
+    """f(X∪Y) is f(X), f(Y) or f(X) ∪ f(Y)."""
+    if fz == fx:
+        return m.every
+    return m.eq[fz] if fx & ~fz else m.fsub[fz] & m.fsup[fz & ~fx]
 
 
 def _every_pair(f, x, y):
     return True
 
 
-def _meet(x, y):
-    return x & y
-
-
-def _disjoint(f, x, y):
-    """X ∩ Y = ∅."""
-    return not x & y
-
-
-def _inside(f, x, y):
-    """X ⊆ Y."""
-    return not x & ~y
-
-
-def _between(f, x, y):
-    """f(X) ⊆ Y ⊆ X."""
-    return not f[x] & ~y and not y & ~x
-
-
 def _choices_inside(f, x, y):
     """f(X) ⊆ Y and f(Y) ⊆ X."""
     return not f[x] & ~y and not f[y] & ~x
-
-
-def _inside_meeting(f, x, y):
-    """X ⊆ Y and X ∩ f(Y) ≠ ∅."""
-    return not x & ~y and x & f[y]
-
-
-def _choice_meets(f, y, x):
-    """f(Y) ∩ X ≠ ∅."""
-    return f[y] & x
-
-
-def _meets_rest(f, x, y):
-    """f(Y) ∩ (X − f(X)) ≠ ∅."""
-    return f[y] & x & ~f[x]
 
 
 def _or_holds(f, x, y):
@@ -164,15 +228,10 @@ def _same_choice(f, x, y):
     return f[x] == f[y]
 
 
-def _parallel(f, x, y):
-    """f(X∪Y) is f(X), f(Y) or f(X) ∪ f(Y)."""
-    return f[x | y] in (f[x], f[y], f[x] | f[y])
-
-
 def _scan_res_m(mu: MuFunction) -> tuple[int, Witness, int]:
     """f(X) ⊆ A∩B ⇒ f(X∩A) ⊆ B, A and B over the supersets of f(X).  Each
-    (X, A) is decided at once: if f(X∩A) ⊆ f(X) every B holds, else B = f(X)
-    fails, and the B loop finds the first B that fails."""
+    (X, A) is decided at once: if f(X∩A) ⊆ f(X) every B holds, else the first
+    B in canonical order, f(X), fails."""
     f = mu.choice
     all_masks = mu.universe.all_masks()
     count = skipped = 0
@@ -184,14 +243,9 @@ def _scan_res_m(mu: MuFunction) -> tuple[int, Witness, int]:
             if not meet:
                 skipped += len(supersets)
                 continue
-            f_meet = f[meet]
-            if not f_meet & ~fx:
-                count += len(supersets)
-                continue
-            for b in supersets:
-                count += 1
-                if f_meet & ~b:
-                    return count, (("X", x), ("A", a), ("B", b)), skipped
+            if f[meet] & ~fx:
+                return count + 1, (("X", x), ("A", a), ("B", fx)), skipped
+            count += len(supersets)
     return count, None, skipped
 
 
@@ -223,26 +277,42 @@ def _scan_empty(mu: MuFunction) -> tuple[int, Witness, int]:
     return len(mu.domain_masks), None, 0
 
 
-# The choice-function rule vocabulary.  A pair-scan row reads: variable names,
-# the premise that makes (X, Y) an instance, the carrier that must be nonempty,
-# and the conclusion.
+# The choice-function rule vocabulary.  A pair rule's row reads: variable
+# names, carrier, the Y its guard admits, the Y whose conclusion holds.  In a
+# row, fx is f(X) (fz, fw: f at the carrier); m.sub[S], m.sup[S] mask the
+# Y ⊆ S, ⊇ S and m.fsub[S], m.fsup[S], m.eq[S] those with f(Y) ⊆ S, ⊇ S, = S.
 _MU_RULES: dict[str, MuScan] = {
-    "mu-wOR": _pair_scan("XY", _every_pair, None, lambda f, x, y: not f[x | y] & ~(f[x] | y)),
-    "mu-disjOR": _pair_scan("XY", _disjoint, None, _or_holds),
-    "mu-OR": _pair_scan("XY", _every_pair, None, _or_holds),
-    "mu-PR": _pair_scan("XY", _inside, None, lambda f, x, y: not f[y] & x & ~f[x]),
-    "mu-PR'": _pair_scan("XY", _every_pair, _meet, lambda f, x, y: not f[x] & y & ~f[x & y]),
-    "mu-CM": _pair_scan("XY", _between, None, lambda f, x, y: not f[y] & ~f[x]),
+    "mu-wOR": _pair_rule("XY", or_, None, lambda m, fx, z, fz: m.sup[fz & ~fx]),
+    "mu-disjOR": _pair_rule(
+        "XY", or_, lambda m, x, fx: m.sub[m.full & ~x], lambda m, fx, z, fz: m.fsup[fz & ~fx]
+    ),
+    "mu-OR": _pair_rule("XY", or_, None, lambda m, fx, z, fz: m.fsup[fz & ~fx]),
+    "mu-PR": _pair_rule(
+        "XY", None, lambda m, x, fx: m.sup[x], lambda m, x, fx: m.fsub[m.full & ~x | fx]
+    ),
+    "mu-PR'": _pair_rule("XY", and_, None, lambda m, fx, w, fw: 0 if fx & w & ~fw else m.every),
+    "mu-CM": _pair_rule("XY", None, _between, lambda m, x, fx: m.fsub[fx]),
     "mu-ResM": _scan_res_m,
-    "mu-CUT": _pair_scan("XY", _between, None, lambda f, x, y: not f[x] & ~f[y]),
-    "mu-CUM": _pair_scan("XY", _between, None, lambda f, x, y: f[y] == f[x]),
-    "mu-sub-sup": _pair_scan("XY", _choices_inside, None, _same_choice),
-    "mu-RatM": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: not f[x] & ~(f[y] & x)),
-    "mu-eq": _pair_scan("XY", _inside_meeting, None, lambda f, x, y: f[x] == f[y] & x),
-    "mu-eq'": _pair_scan("YX", _choice_meets, None, lambda f, y, x: f[y & x] == f[y] & x),
-    "mu-parallel": _pair_scan("XY", _every_pair, None, _parallel),
-    "mu-union": _pair_scan("XY", _meets_rest, None, lambda f, x, y: not f[x | y] & y),
-    "mu-union'": _pair_scan("XY", _meets_rest, None, lambda f, x, y: f[x | y] == f[x]),
+    "mu-CUT": _pair_rule("XY", None, _between, lambda m, x, fx: m.fsup[fx]),
+    "mu-CUM": _pair_rule("XY", None, _between, lambda m, x, fx: m.eq[fx]),
+    "mu-sub-sup": _pair_rule(
+        "XY", None, lambda m, x, fx: m.sup[fx] & m.fsub[x], lambda m, x, fx: m.eq[fx]
+    ),
+    "mu-RatM": _pair_rule("XY", None, _inside_meeting, lambda m, x, fx: m.fsup[fx]),
+    "mu-eq": _pair_rule(
+        "XY", None, _inside_meeting, lambda m, x, fx: m.fsup[fx] & m.fsub[m.full & ~x | fx]
+    ),
+    "mu-eq'": _pair_rule(
+        "YX",
+        and_,
+        lambda m, y, fy: m.every & ~m.sub[m.full & ~fy],
+        lambda m, fy, w, fw: m.every if fw == fy & w else 0,
+    ),
+    "mu-parallel": _pair_rule("XY", or_, None, _parallel),
+    "mu-union": _pair_rule("XY", or_, _meets_rest, lambda m, fx, z, fz: m.sub[m.full & ~fz]),
+    "mu-union'": _pair_rule(
+        "XY", or_, _meets_rest, lambda m, fx, z, fz: m.every if fz == fx else 0
+    ),
     "mu-in": _scan_in,
     "mu-empty": _scan_empty,
     "mu-empty-fin": _scan_empty,
@@ -296,8 +366,11 @@ def _scan_mu_rule(mu: MuFunction, r: MuRuleId) -> tuple[int, Witness, int]:
     """(instances_checked, first witness or None, instances skipped) of r on mu.
 
     X and Y range over the domain.  The carrier policy lives here: a scan
-    that looks f up at a composite carrier (X∪Y, X∩Y, X∩A, {a,b}) outside the
-    domain raises KeyError, reported as DomainNotClosed for that set; an
+    whose first failing instance needs f at a composite carrier (X∪Y, X∩Y,
+    X∩A, {a,b}) outside the domain raises KeyError, reported as
+    DomainNotClosed for that set.  The pair rules' mask scans find that
+    instance as their lowest failing bit, where a Y whose class carrier is
+    missing counts as failing; the other scans meet it at their lookup.  An
     instance whose carrier is empty was skipped, and tallied, before any lookup.
     """
     try:

@@ -114,7 +114,7 @@ class SizeSystem:
 class MuFunction:
     """A choice function f(X) ⊆ X over a domain family.  Immutable."""
 
-    __slots__ = ("universe", "domain_masks", "choice", "label")
+    __slots__ = ("universe", "domain_masks", "choice", "label", "_masks")
 
     def __init__(
         self,
@@ -127,6 +127,7 @@ class MuFunction:
         self.domain_masks = domain_masks
         self.choice = choice
         self.label = label
+        self._masks = None  # the mu-rule scans' bit masks, filled on first use
 
     @property
     def domain(self) -> tuple[Subset, ...]:
