@@ -30,21 +30,24 @@ The walk also prunes by every check it is given.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
 (`properties.below`, `rules.below`), which sit in earlier blocks; so do the
 rules of the correspondence rows on I-omega systems (`preferential.below`).
-The two-level and pairwise tests below Y are column masks: one AND over bit
-columns of Y's families per subset of Y and its family (`setcore.Columns`).
-A relabeling that fixes the prefix maps a family that passes to one that
-passes, so the pruned walk yields exactly the leaders that have the checks,
-with their stabilizers, and no check is decided per leader.  A count sums
-the weights of one walk's cells (`count`).  Every other search compares
-walks (`_parting`): an implication or a find those pruned by the required
-checks with and without the target, an agreement one per id.  The first
-leader that some but not all of them reach is the first failing system,
-and only it gets a report.  One walk over the union of their trees finds
-it (`_SystemSpace.union_cells`): each cell carries the tuples of checks
-that hold on its prefix, and marks its options with the tuples that allow
-them where the tuples' lists differ, so only the cells with marks, or that
-some tuple does not reach, are expanded.  With `canonical_only` a leader
-counts once, labelled by its position among all leaders.
+Every check enters the walk one way (`_SystemSpace._prepare`, once per
+space): a local property as a mask of Y's families, its test at Y
+(`holds_at`); a two-level or pairwise test as column masks, one AND over bit
+columns of Y's families per subset of Y and its family (`setcore.Columns`);
+any other as a test per family.  A relabeling that fixes the prefix maps a
+family that passes to one that passes, so the pruned walk yields exactly
+the leaders that have the checks, with their stabilizers.  Every search is
+read one way out, through `scan_stream`, where walks part (`_parting`): an
+implication or a find compares those pruned by the required checks with
+and without the target, an agreement one per id, and a count reads one
+walk, which never parts.  The first leader that some but not all of them
+reach is the first failing system, and only it gets a report.  One walk
+over the union of their trees finds it (`_SystemSpace.union_cells`): each
+cell carries the tuples of checks that hold on its prefix, and marks its
+options with the tuples that allow them where the tuples' lists differ, so
+only the cells with marks, or that some tuple does not reach, are
+expanded.  With `canonical_only` a leader counts once, labelled by its
+position among all leaders.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class SearchSpec:
     def __post_init__(self):
         if not isinstance(self.required, tuple):
             object.__setattr__(self, "required", tuple(self.required))
+        check_ids(self.required if self.target is None else (*self.required, self.target))
         if self.mode not in ("find-counterexample", "verify-implication", "count"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.target is None and self.mode != "count":
@@ -101,6 +105,14 @@ class SearchSpec:
             "monotone_only": self.monotone_only,
             "canonical_only": self.canonical_only,
         }
+
+
+def check_ids(ids: Iterable) -> None:
+    """Refuse an id that is not a size property or rule: a mu-rule's test
+    below a set means something on I-omega walks alone (`preferential`)."""
+    for c in ids:
+        if not isinstance(c, CheckId):
+            raise ValueError(f"{getattr(c, 'name', c)!r} is not a size property or rule")
 
 
 def check_size(size: int) -> None:
@@ -227,8 +239,8 @@ class _SystemSpace:
     of the family at p's pre-image of domain[j]; a table per position maps
     the pre-image family's index to the image's.  The tables are filled
     entry by entry on first use (at |U| = 5 full ones would run to a million
-    entries before the first system is out) and, like the `passing` lists,
-    serve every query of the process.
+    entries before the first system is out) and, like each check's masks
+    (`_prepare`), serve every query of the process.
 
     Each position j also has bit columns of its families: bit i of
     columns[j][a] is set iff per_set[j][i] holds a, for every a ⊆ domain[j].
@@ -248,7 +260,6 @@ class _SystemSpace:
         bounds = [0, *itertools.accumulate(comb(n, k) for k in range(1, n + 1))]
         self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
         self.relabelings = factorial(n)
-        self._passing: dict[tuple[PropertyId, ...], list[list[int]]] = {}
         self._prepared: dict[CheckId, tuple] = {}
         self.positions = [{fam: k for k, fam in enumerate(fams)} for fams in self.per_set]
         self.columns = [
@@ -290,54 +301,49 @@ class _SystemSpace:
             t = tables[j][i] = self.positions[j][frozenset([image[a] for a in fam])]
         return t
 
-    def passing(self, local: tuple[PropertyId, ...]) -> list[list[int]]:
-        """Per position, the indices of the families on which every local
-        property holds at its base set; each tuple is tested once per process."""
-        lists = self._passing.get(local)
-        if lists is None:
-            lists = self._passing[local] = [
-                [i for i, fam in enumerate(fams) if all(holds_at(x, fam, p) for p in local)]
-                for x, fams in zip(self.domain, self.per_set)
-            ]
-        return lists
-
     def _prepare(self, c: CheckId) -> tuple:
-        """(test, alone, reads) of c's test below a base set, kept per space as
-        `passing` is: for a column test, per position the families it alone
-        lets through and its column reads, (masks made, cross, X, positions
-        read) each, so every walk pruned by c shares the masks made."""
+        """(alone, reads, test or None) of c, kept per space for every walk
+        pruned by c: per position the families c lets through on I(Y) alone
+        (a local property's test at Y) and its column reads (`Columns`),
+        (masks made, cross, X, positions read) each; or its per-family test."""
         prepared = self._prepared.get(c)
         if prepared is None:
-            test, domain = _below(c), self.domain
-            alone, reads = [-1] * len(domain), [[] for _ in domain]
-            if isinstance(test, Columns):
+            domain, per_set = self.domain, self.per_set
+            alone, reads, test = [-1] * len(domain), [[] for _ in domain], None
+            if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS:
+                alone = [_bits(holds_at(x, fam, c) for fam in fams) for x, fams in zip(domain, per_set)]
+            elif isinstance(below := _below(c), Columns):
                 pos = {x: j for j, x in enumerate(domain)}
                 for j, y in enumerate(domain):
-                    if test.alone is not None:
-                        alone[j] = test.alone(self.columns[j], y)
-                    for part in test.parts(y):
-                        reads[j].append(({}, test.cross, part[0], tuple(map(pos.get, part))))
-            prepared = self._prepared[c] = test, alone, reads
+                    if below.alone is not None:
+                        alone[j] = below.alone(self.columns[j], y)
+                    for part in below.parts(y):
+                        reads[j].append(({}, below.cross, part[0], tuple(map(pos.get, part))))
+            else:
+                test = below
+            prepared = self._prepared[c] = alone, reads, test
         return prepared
 
-    def _options(self, allowed: list[list[int]], checks: tuple[CheckId, ...]) -> Callable:
-        """options(j, prefix): the indices in allowed[j] of the families that
+    def _options(self, checks: tuple[CheckId, ...]) -> tuple[list | None, Callable | None]:
+        """(lists, None) if no check reads below the base sets, lists per
+        position the indices of the families that pass every check; else
+        (None, options), options(j, prefix) the indices of the families that
         pass each check's test below the base set Y at position j, given
-        what prefix assigns to the subsets of Y, memoised for the walk.
-
-        A column test (`setcore.Columns`) gives a mask of Y's families per
-        subset X (or split) and its family, made once per space (`_prepare`);
-        the other tests run per family, on those every mask lets through."""
+        what prefix assigns to the subsets of Y, memoised for the walk.  The
+        masks come from `_prepare`; the per-family tests run on the families
+        every mask lets through."""
         domain, per_set, below, columns = self.domain, self.per_set, self.below, self.columns
-        start = [_bits(map(set(ok).__contains__, range(r))) for ok, r in zip(allowed, self.radices)]
+        start = [(1 << r) - 1 for r in self.radices]
         reads = [[] for _ in domain]  # per position: (masks made, cross, X, positions read)
         per_family = []
-        for test, alone, column_reads in map(self._prepare, checks):
-            if not isinstance(test, Columns):
+        for alone, column_reads, test in map(self._prepare, checks):
+            if test is not None:
                 per_family.append(test)
             for j in range(len(domain)):
                 start[j] &= alone[j]
                 reads[j] += column_reads[j]
+        if not per_family and not any(reads):
+            return list(map(_indices, start)), None
         memo: dict[tuple[int, ...], list[int]] = {}
 
         def options(j: int, prefix: tuple[int, ...]) -> list[int]:
@@ -367,7 +373,7 @@ class _SystemSpace:
                     memo[key] = got
             return got
 
-        return options
+        return None, options
 
     def union_cells(self, walks: list[tuple[CheckId, ...]]) -> Iterator[tuple]:
         """(prefix, order of the stabilizer, alive, lists, marks) per cell of
@@ -385,27 +391,24 @@ class _SystemSpace:
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer.  Once none
         is left, the last block (the full set alone) is one cell, and so is
-        the rest of the walk if the live tuples ask only for local
-        properties.  The images are compared whether or not their families
-        pass, so the stabilizers are those of the unpruned walk, and each
-        part of a block is tested once for every tuple.  A position takes,
-        per live tuple, the families that pass each local property
-        (`passing`) and every other check's test below it (`_options`): a
-        column mask per subset for the two-level and pairwise checks, and a
-        test per family for the others.  Where the live tuples' lists
-        differ, a block walks their union, and a part that no tuple allows
-        is pruned.
+        the rest of the walk if no live tuple's check reads below a base set
+        (its `_options` are static lists).  The images are compared whether
+        or not their families pass, so the stabilizers are those of the
+        unpruned walk, and each part of a block is tested once for every
+        tuple.  A position takes, per live tuple, the families that pass
+        every check's test below it (`_options`): a mask at the base set for
+        the local properties, a column mask per subset for the two-level and
+        pairwise checks, and a test per family for the others.  Where the
+        live tuples' lists differ, a block walks their union, and a part
+        that no tuple allows is pruned.
         """
-        made, tuples = {}, []  # per walk: (allowed, options or None), shared by equal walks
+        made, tuples = {}, []  # per walk: (lists, options), shared by equal walks
         for checks in walks:
             checks = tuple(dict.fromkeys(checks))
-            local = tuple(c for c in checks if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS)
-            cross = tuple(c for c in checks if c not in local)
-            if (local, cross) not in made:
-                allowed = self.passing(local)
-                made[local, cross] = allowed, self._options(allowed, cross) if cross else None
-            tuples.append(made[local, cross])
-        members = {}  # alive ↦ (its tuples as (bit, allowed, options or None), any options)
+            if checks not in made:
+                made[checks] = self._options(checks)
+            tuples.append(made[checks])
+        members = {}  # alive ↦ (its tuples as (bit, lists, options), any options)
         image_index = self._image_index
         last = len(self.blocks) - 1
 
@@ -414,16 +417,16 @@ class _SystemSpace:
             if entry is None:
                 tups = [(1 << k, *tuples[k]) for k in range(len(walks)) if alive >> k & 1]
                 entry = members[alive] = tups, any(options for _, _, options in tups)
-            tups, cross = entry
-            block = self.blocks[b] if live or cross else range(len(prefix), len(self.domain))
+            tups, reads = entry
+            block = self.blocks[b] if live or reads else range(len(prefix), len(self.domain))
             lo = block.start
             if len(tups) == 1:  # one live tuple, as in a count: its own lists, no marks
-                _, allowed, options = tups[0]
-                lists = [options(j, prefix) for j in block] if options else allowed[lo : block.stop]
+                _, static, options = tups[0]
+                lists = [options(j, prefix) for j in block] if options else static[lo : block.stop]
                 marks = None
             else:
                 lists, marks = _union(tups, block, prefix)
-            if not live and (b == last or not cross):
+            if not live and (b == last or not reads):
                 yield prefix, 1, alive, lists, marks
                 return
             reach = alive
@@ -455,16 +458,11 @@ class _SystemSpace:
 
         return walk(0, (), self.perms, (1 << len(walks)) - 1)
 
-    def cells(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int, list]]:
-        """(prefix, order of the stabilizer, lists) per cell of the walk
-        pruned by one tuple of checks (`union_cells`)."""
-        for prefix, stab, _, lists, _ in self.union_cells([checks]):
-            yield prefix, stab, lists
-
     def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader on which
-        every check holds, in raw-stream order: the cells, expanded."""
-        for prefix, stab, lists in self.cells(checks):
+        every check holds, in raw-stream order: the cells of the walk pruned
+        by them (`union_cells`), expanded."""
+        for prefix, stab, _, lists, _ in self.union_cells([checks]):
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
 
@@ -489,12 +487,12 @@ class _SystemSpace:
 
 def _union(tups: list, block: range, prefix: tuple[int, ...]) -> tuple[list, list | None]:
     """(lists, marks) at the positions of block of two or more live tuples,
-    (bit, allowed, options or None) each: their lists and None if all are
-    equal, else per position the ascending union and a dict from each index
-    in it to the bits of the tuples that allow it (`union_cells`)."""
+    (bit, lists, options) each: their lists and None if all are equal,
+    else per position the ascending union and a dict from each index in it
+    to the bits of the tuples that allow it (`union_cells`)."""
     per = []
-    for bit, allowed, options in tups:
-        lists = [options(j, prefix) for j in block] if options else allowed[block.start : block.stop]
+    for bit, static, options in tups:
+        lists = [options(j, prefix) for j in block] if options else static[block.start : block.stop]
         per.append((bit, lists))
     (_, first), *rest = per
     if all(lists == first for _, lists in rest):
@@ -561,14 +559,6 @@ def scan_stream(stream: Iterable) -> Iterator:
     yield from stream
 
 
-def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> int:
-    """The systems of the given sizes that have every check, counted by the
-    cells of the walk pruned by them: no leader is expanded."""
-    spaces = [_system_space(n, monotone, False) for n in sizes]
-    return sum(space.relabelings // stab * prod(map(len, lists))
-               for space in spaces for _, stab, _, lists, _ in space.union_cells([checks]))
-
-
 def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
     """The first leader, in raw order, that the walks pruned by some but not
     all of the tuples of checks reach: a walk reaches a leader iff the
@@ -580,15 +570,15 @@ def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
     walk's leaders read before it, the systems they stand for); if the walks
     never part, the first two are None and the counts are the first walk's
     whole."""
-    full = (1 << len(walks)) - 1
+    full, relabelings = (1 << len(walks)) - 1, space.relabelings
     leaders = systems = 0
     for prefix, stab, alive, lists, marks in scan_stream(space.union_cells(walks)):
-        weight = space.relabelings // stab
         if alive == full and marks is None:
             whole = prod(map(len, lists))
             leaders += whole
-            systems += weight * whole
+            systems += relabelings // stab * whole
             continue
+        weight = relabelings // stab
         for rest in itertools.product(*lists):
             reach = alive if marks is None else _allowing(marks, rest)
             if reach == full:
@@ -625,21 +615,23 @@ def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[Check
     return None, None, systems
 
 
+def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> int:
+    """The systems of the given sizes that have every check: the walk pruned
+    by them never parts from itself, so its cells count whole (`_parting`)."""
+    return _first_parting(sizes, monotone, [checks])[2]
+
+
 def _scan_systems(
     spec: SearchSpec, sizes: Iterable[int]
 ) -> tuple[int, tuple[SizeSystem, CheckReport] | None]:
     """(systems of the given sizes satisfying the required checks, the first
     of them violating the target with its report, or None).  The first is
     where the walks pruned by the required checks, with and without the
-    target, part; canonical_only counts each leader once."""
+    target, part; canonical_only counts each leader once.  Without a target
+    the one walk never parts, and every system that it reaches is counted."""
     n, monotone = spec.universe_size, spec.monotone_only
     required, target = spec.required, spec.target
-    if target is None:
-        if not spec.canonical_only:
-            return count(sizes, monotone, required), None
-        cells = _system_space(n, monotone, True).cells(required)
-        return sum(prod(map(len, lists)) for _, _, lists in cells), None
-    walks = [required, required + (target,)]
+    walks = [required] if target is None else [required, required + (target,)]
     if not spec.canonical_only:
         space, idx, satisfying = _first_parting(sizes, monotone, walks)
         s = None if idx is None else space.leader(idx)
@@ -656,7 +648,7 @@ def _leaders_before(space: _SystemSpace, idx: tuple[int, ...]) -> int:
     cells of the unpruned walk: whole cells before its own, then its rank
     in its cell's product."""
     before = 0
-    for prefix, _, lists in space.cells(()):
+    for prefix, _, _, lists, _ in scan_stream(space.union_cells([()])):
         if prefix < idx[: len(prefix)]:
             before += prod(map(len, lists))
             continue
@@ -730,6 +722,7 @@ def count_systems(
 def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) -> CheckReport:
     """Per size, the walks pruned by each id alone part at the first
     disagreeing system, and every system up to it is counted."""
+    check_ids(ids)
     checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
         idx, held, _, _ = _parting(space, [(c,) for c in ids])

@@ -2,8 +2,8 @@
 run, kept as the reference they are checked against.
 
 `scan_classes` decides each leader of a walk by a callback; the program now
-decides every search where the walks pruned by each tuple of checks part
-(`search._parting`), and counts by cells (`search.count`).
+decides every search, a count included, where the walks pruned by each tuple
+of checks part (`search._parting`), a count by its one walk's whole cells.
 """
 
 from math import prod
@@ -37,7 +37,7 @@ def scan_classes(sizes, monotone, required, evaluate):
     spaces = [_system_space(n, monotone, False) for n in sizes]
     if evaluate is None:
         cells = (space.relabelings // stab * prod(map(len, lists))
-                 for space in spaces for _, stab, lists in space.cells(required))
+                 for space in spaces for _, stab, _, lists, _ in space.union_cells([required]))
         return sum(cells), 0, None
     tally = [0, 0, 0]  # weights outside the scan, skipped, counted
     for space in spaces:

@@ -325,9 +325,9 @@ def test_cell_counts_are_the_sums_over_the_leaders(checks):
         for n in (1, 2, 3):
             space = _SystemSpace(n, monotone)
             leaders = list(space.leaders(checks))
-            cells = list(space.cells(checks))
-            completions = [prod(map(len, lists)) for _, _, lists in cells]
-            weights = [space.relabelings // stab for _, stab, _ in cells]
+            cells = list(space.union_cells([checks]))
+            completions = [prod(map(len, lists)) for _, _, _, lists, _ in cells]
+            weights = [space.relabelings // stab for _, stab, _, _, _ in cells]
             assert sum(completions) == len(leaders), (n, monotone)
             assert sum(map(operator.mul, completions, weights)) == sum(
                 space.relabelings // stab for _, stab in leaders

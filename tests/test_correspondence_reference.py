@@ -33,7 +33,7 @@ from sizesem.preferential import (
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from sizesem.properties import EMF, EMI, IOMEGA, check_property, m_plus_plus
+from sizesem.properties import EMF, EMI, IOMEGA, check_property, holds_at, m_plus_plus
 from sizesem.report import CorrespondenceReport
 from sizesem.search import sizes_upto, verdict
 from sizesem.setcore import submasks
@@ -153,7 +153,8 @@ def choice_functions(n):
     raw I-omega stream: the family P(M) at X as f(X) = M."""
     space = search._system_space(n, True, False)
     families = [
-        [fams[i] for i in ok] for fams, ok in zip(space.per_set, space.passing((IOMEGA,)))
+        [fam for fam in fams if holds_at(x, fam, IOMEGA)]
+        for x, fams in zip(space.domain, space.per_set)
     ]
     for fams in itertools.product(*families):
         yield MuFunction(space.universe, space.domain, dict(zip(space.domain, map(max, fams))))

@@ -173,6 +173,31 @@ def test_spec_validation():
         SearchSpec(2, required=(EMI,), target=EMF, mode="count")
 
 
+MU_PR = preferential.MuRuleId("mu-PR")
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: verify_agreement([MU_PR, EMI], 2),
+        lambda: verify_implication_upto((EMI,), MU_PR, 3),
+        lambda: verify_implication_upto((IOMEGA,), MU_PR, 3),
+        lambda: find_counterexample(SearchSpec(2, (MU_PR,), EMI)),
+        lambda: count_systems(SearchSpec(2, ("eMI",), mode="count")),
+    ],
+    ids=["agreement", "implication_target", "implication_iomega", "find_required", "count_name"],
+)
+def test_ids_that_are_not_size_checks_are_refused_before_any_walk(scan, monkeypatch):
+    # A mu-rule's test below a set reads a choice function off an I-omega
+    # system alone, and a name is no check: a search refuses both up front.
+    def no_walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(search._SystemSpace, "union_cells", no_walk)
+    with pytest.raises(ValueError, match="is not a size property or rule"):
+        scan()
+
+
 @pytest.mark.parametrize(
     "required,monotone,counts",
     [
@@ -469,8 +494,7 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monk
     monkeypatch.setattr(search, "_families_with_empty", no_check)
     monkeypatch.setattr(search, "_breakdown_columns", no_check)
     # No leader walk may start either: at |U| = 4 one runs for minutes.
-    monkeypatch.setattr(search._SystemSpace, "leaders", no_check)
-    monkeypatch.setattr(search._SystemSpace, "cells", no_check)
+    monkeypatch.setattr(search._SystemSpace, "union_cells", no_check)  # every walk's one way in
     with pytest.raises(CapacityExceeded, match=f"capped at size {ceiling}"):
         scan()
 

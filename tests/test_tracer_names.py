@@ -58,6 +58,24 @@ def test_a_search_steps_through_the_traced_stream():
     assert tracer.calls["scan_stream"] > 0
 
 
+def test_counts_step_through_the_traced_stream():
+    # A count is a walk that never parts from itself (`search._parting`): a
+    # correspondence row's counts and a canonical count step the traced name.
+    from sizesem.preferential import verify_correspondence_forward
+    from sizesem.search import SearchSpec, count_systems
+
+    scans = {
+        "forward-row-3": lambda: verify_correspondence_forward(3, 3),
+        "canonical-count": lambda: count_systems(SearchSpec(3, mode="count", canonical_only=True)),
+    }
+    for name, scan in scans.items():
+        with _load_tracing().Tracer() as tracer:
+            with tracer.query(name):
+                rep = scan()
+        assert rep.holds, name
+        assert tracer.calls["scan_stream"] > 0, name
+
+
 WORKLOADS = TRACING.with_name("workloads.py")
 
 MU_TAGS_IN_SCAN_ORDER = [

@@ -1,10 +1,12 @@
 """The leader walk's column masks against the per-family loop they replaced.
 
 `reference_options` is the loop `_SystemSpace._options` ran before the column
-tests: each candidate family at a base set Y is tested on its own, by the
-per-family test below Y that a column test replaced (copied here from the
-rows and units) or, for a check without a column test, by its `below`.  The
-walk with either must yield the same cells: prefix, stabilizer and lists.
+tests: each family at a base set Y is tested on its own, by the per-family
+test below Y that a column test replaced (copied here from the rows and
+units) or, for a check without a column test and for a local property, by its
+`below`.  The walk with either must yield the same cells: prefix, stabilizer
+and lists.  Every tuple of checks here has one that reads below Y, so the
+reference's options are never static lists.
 """
 
 from math import prod
@@ -114,9 +116,9 @@ def module_below(c):
     return (properties if isinstance(c, PropertyId) else rules).below(c)
 
 
-def reference_options(self, allowed, checks):
-    """options(j, prefix) as the walk had it: every family in allowed[j]
-    tested on its own, memoised for the walk."""
+def reference_options(self, checks):
+    """(None, options): options(j, prefix) as the walk had it, every family
+    at position j tested on its own, memoised for the walk."""
     cross = tuple(REFERENCE.get(c.name) or module_below(c) for c in checks)
     domain, per_set, below = self.domain, self.per_set, self.below
     memo = {}
@@ -128,15 +130,15 @@ def reference_options(self, allowed, checks):
             y = domain[j]
             ideals = {domain[k]: per_set[k][prefix[k]] for k in below[j]}
             got = []
-            for i in allowed[j]:
-                ideals[y] = per_set[j][i]
+            for i, fam in enumerate(per_set[j]):
+                ideals[y] = fam
                 if all(test(y, ideals) for test in cross):
                     got.append(i)
             if len(below[j]) < len(prefix):
                 memo[key] = got
         return got
 
-    return options
+    return None, options
 
 
 COLUMN_CHECKS = [
@@ -153,7 +155,7 @@ def first_cells(space, checks, leaders):
     """The cells of the walk up to the one that reaches the given number of
     leaders, with their lists as tuples."""
     out, seen = [], 0
-    for prefix, stab, lists in space.cells(checks):
+    for prefix, stab, _, lists, _ in space.union_cells([checks]):
         out.append((prefix, stab, [tuple(options) for options in lists]))
         seen += prod(map(len, lists))
         if seen >= leaders:
