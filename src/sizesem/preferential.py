@@ -31,20 +31,19 @@ small universes, the ten rows tying size properties to choice-function rules:
     9    eMI + I-omega + M+omega:4  ⇒  mu-CUM       (converse fails)
     10   eMI + I-omega + eMF        ⇒  mu-sub-sup   (converse fails)
 
-Both directions are cell counts of leader walks (`search.count`), and no
-leader is expanded while a row holds.  On a monotone system the filters
-are principal iff I-omega holds: the I-omega family at X is P(M) for one
-M ⊆ X, the system of the choice function f(X) = X − M.  Each rule of the
-rows has a test below a base set on that reading (`below`), so it prunes the
-walk as a property does.  Forward runs over every monotone full-powerset
-system with principal filters: it counts left + I-omega, with and without
-the rule, and the row holds iff both counts agree; the non-principal systems
-with left are counted and skipped, not silently dropped.  Backward runs over
-every choice function on a full domain, the I-omega systems: it counts those
-with the rule, with and without left.  A row whose counts differ takes its
-first witness and the tallies up to it from where they part: forward, the
-first leader that the walk pruned by left + I-omega reaches and the one
-pruned by the rule as well does not; backward, the first function of the
+Both directions are read where two leader walks part, in one walk over
+their union per size (`search._first_parting`).  On a monotone system the
+filters are principal iff I-omega holds: the I-omega family at X is P(M)
+for one M ⊆ X, the system of f(X) = X − M.  Each rule of the rows has a
+test below a base set on that reading (`below`), so it prunes the walk as a
+property does.  Forward, over the monotone systems with principal filters,
+the row holds iff the walks pruned by left + I-omega with and without the
+rule never part; the non-principal systems with left are counted and
+skipped, not silently dropped.  Backward, over the choice functions on a
+full domain, the I-omega systems, it holds iff the walks pruned by the rule
+with and without left never part.  A failing row's first witness and
+tallies are read where they part: forward, at the first leader that only
+the walk without the rule reaches; backward, at the first function of the
 raw `enumerate_mu_functions` stream that has the rule but fails left, since
 the walks do not go in the order of its `mu<n>#<rank>` labels.
 Rows 8–10 backward instead confirm the known non-implication witness: the
@@ -562,23 +561,21 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
 
     A monotone system is principal iff it has I-omega, so the row holds iff
     the walks pruned by left + I-omega with and without the rule's test
-    (`below`) count the same systems.  A failing row's first witness is the
-    first leader at which those walks part, and its tallies run up to it."""
+    (`below`) never part.  A failing row's first witness is the first
+    leader at which they part, and its tallies run up to it."""
     if row not in ROW_LEFT:
         raise ValueError("row must be 1..10")
     sizes = sizes_upto(max_universe)
     _check_scan_size(max_universe)
     left, mu_rule = ROW_LEFT[row], ROW_MU[row]
 
-    checked, witness = count(sizes, True, left + (IOMEGA,)), None
-    # Row 7's choice side is structural: only count the systems it ranges over.
-    if mu_rule is None or count(sizes, True, left + (IOMEGA, mu_rule)) == checked:
+    # Row 7's choice side is structural: its one walk never parts.
+    walks = [left + (IOMEGA,), left + (IOMEGA, mu_rule)] if mu_rule else [left + (IOMEGA,)]
+    space, idx, checked = _first_parting(sizes, True, walks)
+    witness = None
+    if idx is None:
         skipped = 0 if IOMEGA in left else count(sizes, True, left) - checked
     else:
-        walks = [left + (IOMEGA,), left + (IOMEGA, mu_rule)]
-        space, idx, checked = _first_parting(sizes, True, walks)
-        if idx is None:
-            raise RuntimeError(f"row {row}: the cell counts differ, yet no leader fails")
         before = range(1, space.universe.size)
         skipped = count(before, True, left) + _systems_upto(space, left, idx) - checked
         s = space.leader(idx)
@@ -640,10 +637,11 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
     # Read as f(X) = X − max I(X), each I-omega system is a choice function
     # whose system is itself, so the row holds iff left prunes none of them.
     pruned = (IOMEGA,) if mu_rule is None else (IOMEGA, mu_rule)
-    checked, witness = count(sizes, True, pruned), None
-    if count(sizes, True, pruned + left) != checked:
-        # The walks do not go in the order of the mu<n>#<rank> labels: read
-        # the raw stream of choice functions up to the first that fails.
+    _, idx, checked = _first_parting(sizes, True, [pruned, pruned + left])
+    witness = None
+    if idx is not None:
+        # The walks do not go in the order of the mu<n>#<rank> labels: drop their
+        # tally and read the raw stream of choice functions up to the first that fails.
         checked = 0
         for mu in (mu for n in sizes for mu in enumerate_mu_functions(Universe(_letters(n)))):
             if mu_rule is not None and not mu_verdict(mu, mu_rule):
@@ -654,7 +652,7 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
             if failing is not None:
                 break
         else:
-            raise RuntimeError(f"row {row}: the cell counts differ, yet no function fails")
+            raise RuntimeError(f"row {row}: the walks part, yet no function fails")
         rep = check_property(system, failing)
         witness = {"mu": mu.to_dict(), "system": system.to_dict(), "violation": rep.to_dict()}
 

@@ -1,13 +1,13 @@
-"""The correspondence rows decided by cell counts, against the per-leader
+"""The correspondence rows decided where their walks part, against the per-leader
 verifiers they replaced and against the mu-rule scans.
 
 `per_leader_forward` and `per_leader_backward` are the verifiers as they were
 before the counts: every leader of the walk is read as a choice function and
 judged by `mu_verdict` (`leader_scan.scan_classes`).  The verifiers now
-compare cell counts of I-omega walks pruned by each mu-rule's test below a
-base set (`preferential.below`); a failing forward row takes its witness
-where the walks with and without the rule part, and a failing backward row
-from the raw stream of choice functions.  Both must give the same report
+read where I-omega walks pruned by each mu-rule's test below a base set
+(`preferential.below`) part; a failing forward row takes its witness where
+the walks with and without the rule part, and a failing backward row from
+the raw stream of choice functions.  Both must give the same report
 bytes on every row, holding or failing.
 """
 
@@ -23,6 +23,7 @@ from sizesem.preferential import (
     MU_CM,
     MU_OR,
     MU_PR,
+    MU_WOR,
     NEGATIVE_BACKWARD_ROWS,
     ROW_LEFT,
     ROW_MU,
@@ -216,16 +217,33 @@ def test_failing_rows_match_the_per_leader_verifiers(
         assert outcome(verify, row, n) == want, n
 
 
-def test_counts_that_differ_without_a_failing_leader_are_an_internal_error(monkeypatch):
-    # Miscount each walk by its number of checks: a holding row's counts differ.
-    def miscount(sizes, monotone, checks):
-        return search.count(sizes, monotone, checks) + len(checks)
-
-    monkeypatch.setattr(preferential, "count", miscount)
-    with pytest.raises(RuntimeError, match="row 3: the cell counts differ"):
-        verify_correspondence_forward(3, 2)
-    with pytest.raises(RuntimeError, match="row 3: the cell counts differ"):
+def test_a_parting_without_a_failing_function_is_an_internal_error(monkeypatch):
+    # Report a parting on holding row 3: the raw stream has no function that fails.
+    monkeypatch.setattr(preferential, "_first_parting", lambda *args: (None, (0,), 0))
+    with pytest.raises(RuntimeError, match="row 3: the walks part, yet no function fails"):
         verify_correspondence_backward(3, 2)
+
+
+def test_a_holding_row_reads_one_walk_per_size(monkeypatch):
+    walks = []
+    union_cells = search._SystemSpace.union_cells
+
+    def recording(space, tuples):
+        walks.append((space.universe.size, tuple(tuples)))
+        return union_cells(space, tuples)
+
+    monkeypatch.setattr(search._SystemSpace, "union_cells", recording)
+    left = ROW_LEFT[3]
+    assert verify_correspondence_forward(3, 3).holds
+    assert walks == [(n, (left + (IOMEGA,), left + (IOMEGA, MU_PR))) for n in (1, 2, 3)]
+    walks.clear()
+    assert verify_correspondence_backward(3, 3).holds
+    assert walks == [(n, ((IOMEGA, MU_PR), (IOMEGA, MU_PR) + left)) for n in (1, 2, 3)]
+    walks.clear()
+    # Without I-omega in left, the systems with left are counted for skipped.
+    assert verify_correspondence_forward(1, 3).holds
+    wor = ((EMI, IOMEGA), (EMI, IOMEGA, MU_WOR))
+    assert walks == [(n, wor) for n in (1, 2, 3)] + [(n, ((EMI,),)) for n in (1, 2, 3)]
 
 
 def test_mu_pr_counts_the_emi_iomega_systems_at_size_4():

@@ -24,7 +24,7 @@ from sizesem.properties import (
     n_star_s,
     parse_property,
 )
-from sizesem.rules import OR_OMEGA, RATM, parse_rule
+from sizesem.rules import DISJ_OR, OR_OMEGA, RATM, parse_rule
 from sizesem.search import _SystemSpace
 from sizesem.setcore import Columns, submasks
 
@@ -94,6 +94,14 @@ def unit_below(unit):
     return lambda y, ideals: unit(ideals, y.bit_count(), y) is not None
 
 
+def disj_or_below(y: int, ideals) -> bool:
+    """disjOR below Y: its unit at each split Y = φ ∪ φ'."""
+    down = {p: {d for x in ideals[p] for d in submasks(x)} for p in submasks(y)[1:-1]}
+    size = y.bit_count()
+    pairs = ((p, y & ~p) for p in down if p < y & ~p)
+    return all(rules._disj_or_unit(ideals, size, down, pair) is not None for pair in pairs)
+
+
 # The per-family tests below Y that the column tests replaced, by check name.
 REFERENCE = {
     "eMI": nested_below(None, "XY", SMALL, SMALL),
@@ -109,6 +117,7 @@ REFERENCE = {
     "M++:3": nested_below(NOT_SMALL, "XY", NOT_SMALL, NOT_SMALL),
     "RatM": unit_below(rules._ratm_unit),
     "CM:omega": unit_below(rules._cm_omega_unit),
+    "disjOR": disj_or_below,
 }
 
 
@@ -142,11 +151,13 @@ def reference_options(self, checks):
 
 
 COLUMN_CHECKS = [
-    parse_rule(name) if name in ("RatM", "CM:omega") else parse_property(name) for name in REFERENCE
+    parse_rule(name) if name in ("RatM", "CM:omega", "disjOR") else parse_property(name)
+    for name in REFERENCE
 ]
 CHECK_SETS = (
     [(c,) for c in COLUMN_CHECKS]
     + [(IOMEGA, EMI), (IOMEGA, EMF), (EMI, m_plus_omega(4)), (n_star_s(3), EMI), (RATM, EMF)]
+    + [(DISJ_OR, IOMEGA)]
     + [(OR_OMEGA,), (m_plus_n(3),)]
 )
 
