@@ -25,9 +25,9 @@ whether or not those subsets are themselves in 𝒴).  The checkable vocabulary:
 where A, B ⊆ X ⊆ Y and M+(X) holds the subsets of X that are not small.
 Opt, iM, I-omega and n*s:k are local: each is a row of `_local_scan`, which
 decides every base set X from I(X) alone by one test in `_LOCAL`, ∅ ∈ I(X)
-or one of `setcore.down_closed`, `union_closed` and `unions`; the rules and
-fact-3.3 read the same tests or rows.  Eleven properties relate two base
-sets; each is a row (scan, column test) of one of three factories:
+or one of `setcore.down_closed`, `union_closed` and `unions`, which is its
+`below`'s `Columns.alone`, shared by seven rules.  Eleven properties relate
+two base sets; each is a row (scan, column test) of one of three factories:
 `_nested_row` (eMI, eMF, M+omega:1–3, M++:3), `_carrier_row` (M+omega:4,
 M++:1–2) and `_union_row` (I-union-disj, F-union-disj).  M+n reads a chain
 of sets and is decided per first set X1.
@@ -385,12 +385,10 @@ def _nested_row(link, sides: str, premise, conclusion) -> tuple[Scan, Columns]:
                 fail |= ~_members(cols, y, a, conclusion)
         return ~fail if link is None else ~(fail & _members(cols, y, x, link))
 
-    def alone(cols, y: int) -> int:
-        """The candidates for I(Y) that pass every instance (Y, Y, A)."""
-        fail = 0
-        for a in submasks(y):
-            fail |= _members(cols, y, a, premise) & ~_members(cols, y, a, conclusion)
-        return ~(fail & _members(cols, y, y, link))
+    def alone(y: int, fam) -> bool:
+        """Whether I(Y) = fam passes every instance (Y, Y, A)."""
+        subs = submasks(y) if _has(fam, y, y, link) else ()
+        return all(_has(fam, y, a, conclusion) for a in subs if _has(fam, y, a, premise))
 
     return scan, Columns(cross, alone=None if link is None or same else alone)
 
@@ -568,24 +566,18 @@ _SCANS = {
     "M++": lambda s, v: _ROWS["M++", v][0](s),
 }
 
-# The local tags: a system has the property iff its row holds at every X.
-LOCAL_TAGS = frozenset(_LOCAL)
 PROPERTY_TAGS = frozenset(_SCANS)
-
-
-def holds_at(x: int, fam: frozenset[int], p: PropertyId) -> bool:
-    """Whether the local property p holds at X on I(X) = fam, by its test."""
-    test = _LOCAL[p.tag][0]
-    return test(x, fam) if p.param is None else test(x, fam, p.param)
 
 
 def below(p: PropertyId) -> Below:
     """p's test below(Y, ideals) of the instances whose largest set is Y, on
-    I(Y) and the ideals of the domain's subsets of Y: a two-level row's
-    `Columns`, else a test of the one family.  On a domain closed under p's
-    carriers and disjoint unions, p holds iff it holds at every Y."""
+    I(Y) and the ideals of the domain's subsets of Y: a `Columns`, whose
+    `alone` is a local property's test at Y and whose column part is a
+    two-level row's; M+n's is a test of the one family.  On a domain closed
+    under p's carriers and disjoint unions, p holds iff it holds at every Y."""
     if p.tag in _LOCAL:
-        return lambda y, ideals: holds_at(y, ideals[y], p)
+        test, param = _LOCAL[p.tag][0], () if p.param is None else (p.param,)
+        return Columns(alone=lambda y, fam: test(y, fam, *param))
     if p.tag == "M+n":
         return partial(_m_plus_n_below, p.param)
     return _ROWS[p.tag, p.param][1]

@@ -100,15 +100,14 @@ and REF know their first violation without one).
 
 A rule holds iff it holds below every nonempty Y (`below`): every unit
 whose antecedent, superset (wOR, PR') or union (disjOR, OR:n, OR:omega) is Y
-holds, read from I(Y) and the ideals of Y's subsets.  RatM and CM:omega
-read I(Y) and one I(t) per instance, so theirs are column tests
-(`setcore.Columns`); wOR and PR' ask I(α) ⊆ I(Y) for every α ⊆ Y, which is
-eMI's column test; disjOR's at a split Y = φ ∪ φ' is I-union-disj's on the
-down-closures of I(φ) and I(φ').  These tests walk no instance, so
-RULE_SCAN_CEILING bounds only the scans that do, `check_rule` and a search
-target: an n-ary one that would exceed it — Σₐ |rel(a)|ⁿ for AND:n,
-Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is refused with
-CapacityExceeded before it starts.
+holds, read from I(Y) and the ideals of Y's subsets.  SC, REF, RW, CP,
+AND:n, AND:omega and CCL read I(Y) alone, by their local properties' tests
+(`setcore.Columns.alone`); RatM's, CM:omega's, wOR's and PR' (eMI's) and
+disjOR's (I-union-disj's on down-closures) are column tests.  These walk no
+instance, so RULE_SCAN_CEILING bounds only the scans that do, `check_rule`
+and a search target: an n-ary one that would exceed it — Σₐ |rel(a)|ⁿ for
+AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
+refused with CapacityExceeded before it starts.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ from typing import Callable
 
 from .errors import CapacityExceeded, DomainNotFull, SetNotInDomain
 from .logic import Formula, Interpretation, models
-from .properties import EMI, _union_cross, _union_holds, below as _property_below
+from .properties import EMI, IM, IOMEGA, OPT, _union_cross, _union_holds, below as _property_below, n_star_s
 from .report import CheckReport, scan_report
 from .setcore import Columns, Subset, canon_rank, down_closed, submasks, union_closed, unions
 from .sizesys import SizeSystem, full_domain_masks
@@ -546,17 +545,24 @@ def _cm_omega_cross(cols, a: int, t: int, fam_t) -> int:
     return ~(cols[a & ~t] & _stray(cols, a, t, fam_t))
 
 
-# wOR and PR' below Y ask I(α) ⊆ I(Y) for every α ⊆ Y: eMI's test.
-_BELOW = {"wOR": _property_below(EMI), "PR'": _property_below(EMI), "OR": _or_below,
+# SC and REF read Opt's test below Y, RW iM's, CP 1*s's, AND:omega I-omega's, CCL iM's
+# and I-omega's, AND:n n*s:n's (in `below`); wOR and PR' eMI's, I(α) ⊆ I(Y) for α ⊆ Y.
+_BELOW = {"SC": _property_below(OPT), "REF": _property_below(OPT), "RW": _property_below(IM),
+          "CP": _property_below(n_star_s(1)), "AND:omega": _property_below(IOMEGA),
+          "CCL": Columns(alone=lambda y, fam: down_closed(fam) and union_closed(fam)),
+          "wOR": _property_below(EMI), "PR'": _property_below(EMI), "OR": _or_below,
           "OR:omega": _or_omega_below, "disjOR": Columns(_disj_or_cross, pairs=True),
           "RatM": Columns(_ratm_cross), "CM:omega": Columns(_cm_omega_cross)}
 
 
 def below(r: RuleId) -> Callable[[int, dict], bool]:
     """r's test below one set Y, below(Y, ideals), on a full domain: r holds
-    on a system iff it holds below every nonempty Y.  RatM and CM:omega read
-    I(Y) and one I(t) per instance, wOR and PR' share eMI's test and disjOR
-    reads I-union-disj's on down-closures, so theirs is a `Columns`."""
+    on a system iff it holds below every nonempty Y.  Seven rules share a local
+    property's test of I(Y) alone (`Columns.alone`), RatM and CM:omega read one
+    I(t) per instance besides, wOR and PR' share eMI's and disjOR reads
+    I-union-disj's on down-closures; the others test a family by their unit."""
+    if r.tag == "AND":
+        return _property_below(n_star_s(r.param))
     test, n = _BELOW.get(r.tag), () if r.param is None else (r.param,)
     if test is not None:
         return partial(test, *n) if n else test

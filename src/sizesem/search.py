@@ -31,21 +31,21 @@ it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
 (`properties.below`, `rules.below`), which sit in earlier blocks; so do the
 rules of the correspondence rows on I-omega systems (`preferential.below`).
 Every check enters the walk one way (`_SystemSpace._prepare`, once per
-space): a local property as a mask of Y's families, its test at Y
-(`holds_at`); a two-level or pairwise test as column masks, one AND over bit
-columns of Y's families per subset of Y and its family (`setcore.Columns`);
-any other as a test per family.  A relabeling that fixes the prefix maps a
-family that passes to one that passes, so the pruned walk yields exactly
-the leaders that have the checks, with their stabilizers.  Every search is
-read one way out, through `scan_stream`, where walks part (`_parting`): an
-implication or a find compares those pruned by the required checks with
-and without the target, an agreement one per id, and a count reads one
-walk, which never parts.  The first leader that some but not all of them
-reach is the first failing system, and only it gets a report.  One walk
-over the union of their trees finds it (`_SystemSpace.union_cells`): each
-cell carries the tuples of checks that hold on its prefix, and marks its
-options with the tuples that allow them where the tuples' lists differ, so
-only the cells with marks, or that some tuple does not reach, are
+space): a test that is a `setcore.Columns` as a mask of Y's families passing
+its test of I(Y) alone (a local property's, shared by seven rules) and
+column masks, one AND over bit columns of Y's families per subset of Y and
+its family; any other as a test per family.  A relabeling that fixes the
+prefix maps a family that passes to one that passes, so the pruned walk
+yields exactly the leaders that have the checks, with their stabilizers.
+Every search is read one way out, through `scan_stream`, where walks part
+(`_parting`): an implication or a find compares those pruned by the required
+checks with and without the target, an agreement one per id, and a count
+reads one walk, which never parts.  The first leader that some but not all
+of them reach is the first failing system, and only it gets a report.  One
+walk over the union of their trees finds it (`_SystemSpace.union_cells`):
+each cell carries the tuples of checks that hold on its prefix, and marks
+its options with the tuples that allow them where the tuples' lists differ,
+so only the cells with marks, or that some tuple does not reach, are
 expanded.  With `canonical_only` a leader counts once, labelled by its
 position among all leaders.
 """
@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityExceeded
 from . import properties, rules
-from .properties import LOCAL_TAGS, PropertyId, _scan_property, check_property, holds_at
+from .properties import PropertyId, _scan_property, check_property
 from .report import CheckReport
 from .rules import RuleId, _scan_rule, check_rule
 from .setcore import Columns, Subset, Universe, submasks
@@ -303,20 +303,18 @@ class _SystemSpace:
 
     def _prepare(self, c: CheckId) -> tuple:
         """(alone, reads, test or None) of c, kept per space for every walk
-        pruned by c: per position the families c lets through on I(Y) alone
-        (a local property's test at Y) and its column reads (`Columns`),
-        (masks made, cross, X, positions read) each; or its per-family test."""
+        pruned by c: if its test below Y is a `Columns`, per position the
+        mask of the families its `alone` lets through and its column reads,
+        (masks made, cross, X, positions read) each; else its per-family test."""
         prepared = self._prepared.get(c)
         if prepared is None:
             domain, per_set = self.domain, self.per_set
             alone, reads, test = [-1] * len(domain), [[] for _ in domain], None
-            if isinstance(c, PropertyId) and c.tag in LOCAL_TAGS:
-                alone = [_bits(holds_at(x, fam, c) for fam in fams) for x, fams in zip(domain, per_set)]
-            elif isinstance(below := _below(c), Columns):
+            if isinstance(below := _below(c), Columns):
                 pos = {x: j for j, x in enumerate(domain)}
-                for j, y in enumerate(domain):
+                for j, (y, fams) in enumerate(zip(domain, per_set)):
                     if below.alone is not None:
-                        alone[j] = below.alone(self.columns[j], y)
+                        alone[j] = _bits(below.alone(y, fam) for fam in fams)
                     for part in below.parts(y):
                         reads[j].append(({}, below.cross, part[0], tuple(map(pos.get, part))))
             else:
@@ -397,8 +395,8 @@ class _SystemSpace:
         unpruned walk, and each part of a block is tested once for every
         tuple.  A position takes, per live tuple, the families that pass
         every check's test below it (`_options`): a mask at the base set for
-        the local properties, a column mask per subset for the two-level and
-        pairwise checks, and a test per family for the others.  Where the
+        the tests of I(Y) alone, a column mask per subset for the two-level
+        and pairwise checks, and a test per family for the others.  Where the
         live tuples' lists differ, a block walks their union, and a part
         that no tuple allows is pruned.
         """
@@ -723,6 +721,8 @@ def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) ->
     """Per size, the walks pruned by each id alone part at the first
     disagreeing system, and every system up to it is counted."""
     check_ids(ids)
+    if not ids:
+        raise ValueError("an agreement needs at least one check")
     checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
         idx, held, _, _ = _parting(space, [(c,) for c in ids])

@@ -12,8 +12,8 @@ module fixes the two conventions the rest of the package relies on:
 Values are immutable; operations on subsets of different universes raise
 WidthMismatch instead of coercing.  `down_closed`, `union_closed` and
 `unions` test a family of masks; the local size properties and the rules
-decide a base set or antecedent by them.  `Columns` tests many candidate
-families of one base set at once, one bit per family.
+decide a base set or antecedent by them.  `Columns` is a check's test below a
+base set: of its family alone, and over bit columns of many candidates at once.
 """
 
 from __future__ import annotations
@@ -109,28 +109,29 @@ def unions(fam, j: int, stop: int) -> set[int]:
 
 
 class Columns(NamedTuple):
-    """A check's test below a base set Y over bit columns of the candidates
-    for I(Y): cols[a] has bit i set iff the i-th candidate holds a ⊆ Y (Knuth,
-    TAOCP 4A §7.1.3).  cross(cols, y, x, I(X)) is the mask of the candidates
-    passing every instance that reads I(Y) and I(X) alone, X ⊊ Y; with
-    `pairs`, I(X) and I(Y − X).  alone(cols, y), if given, masks those reading
-    I(Y) alone.  Bits above the last candidate mean nothing, so a mask may be
-    negative.  Called as test(y, ideals), it decides one family I(Y).
+    """A check's test below a base set Y, in two parts.  alone(y, I(Y)), if
+    given, decides the instances that read I(Y) alone.  The column part tests
+    the candidates for I(Y) over bit columns: cols[a] has bit i set iff the
+    i-th candidate holds a ⊆ Y (Knuth, TAOCP 4A §7.1.3).  cross(cols, y, x,
+    I(X)), if given, is the mask of the candidates passing every instance that
+    reads I(Y) and I(X), X ⊊ Y; with `pairs`, I(X) and I(Y − X).  Bits above
+    the last candidate mean nothing, so a mask may be negative.  Called as
+    test(y, ideals), it decides one family I(Y).
     """
 
-    cross: Callable[..., int]
+    cross: Callable[..., int] | None = None
     pairs: bool = False
-    alone: Callable[[dict, int], int] | None = None
+    alone: Callable[[int, frozenset], bool] | None = None
 
     def parts(self, y: int) -> list[tuple[int, ...]]:
         """The nonempty X ⊊ Y that cross reads, or the splits (X, Y − X), X < Y − X."""
-        xs = submasks(y)[1:-1]
+        xs = submasks(y)[1:-1] if self.cross else ()
         return [(x, y & ~x) for x in xs if x < y & ~x] if self.pairs else [(x,) for x in xs]
 
     def __call__(self, y: int, ideals) -> bool:
         fam = ideals[y]
         cols = {a: a in fam for a in submasks(y)}  # bools are one-bit ints
-        ok = -1 if self.alone is None else self.alone(cols, y)
+        ok = -1 if self.alone is None or self.alone(y, fam) else 0
         for part in self.parts(y):
             if all(x in ideals for x in part):
                 ok &= self.cross(cols, y, part[0], *map(ideals.__getitem__, part))

@@ -27,11 +27,10 @@ from sizesem.properties import (
     EMI,
     IM,
     IOMEGA,
-    LOCAL_TAGS,
     OPT,
     PropertyId,
     check_property,
-    holds_at,
+    below,
     m_plus_n,
     m_plus_plus,
     n_star_s,
@@ -48,7 +47,7 @@ from sizesem.search import (
     verify_agreement,
     verify_implication,
 )
-from sizesem.setcore import submasks
+from sizesem.setcore import Columns, submasks
 from sizesem.sizesys import principal_mu
 
 PROPS = [parse_property(n) for n in ALL_PROPS]
@@ -221,7 +220,7 @@ def local_split_mismatches(systems):
     mismatches = []
     for s in systems:
         for p in LOCAL_PROPS:
-            per_family = all(holds_at(x, s.ideals[x], p) for x in s.domain_masks)
+            per_family = all(below(p).alone(x, s.ideals[x]) for x in s.domain_masks)
             if check_property(s, p).holds != per_family:
                 mismatches.append((s.label, p.name))
     return mismatches
@@ -243,7 +242,9 @@ def split_corpus() -> list:
 
 
 def test_local_properties_split_by_base_set():
-    assert {p.tag for p in LOCAL_PROPS} == LOCAL_TAGS
+    # The local properties are those whose test below Y reads I(Y) alone.
+    alone = {p.tag for p in PROPS if isinstance(below(p), Columns) and below(p).cross is None}
+    assert {p.tag for p in LOCAL_PROPS} == alone
     assert local_split_mismatches(split_corpus()) == []
 
 

@@ -34,7 +34,7 @@ from sizesem.preferential import (
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from sizesem.properties import EMF, EMI, IOMEGA, check_property, holds_at, m_plus_plus
+from sizesem.properties import EMF, EMI, IOMEGA, below, check_property, m_plus_plus
 from sizesem.report import CorrespondenceReport
 from sizesem.search import sizes_upto, verdict
 from sizesem.setcore import submasks
@@ -154,7 +154,7 @@ def choice_functions(n):
     raw I-omega stream: the family P(M) at X as f(X) = M."""
     space = search._system_space(n, True, False)
     families = [
-        [fam for fam in fams if holds_at(x, fam, IOMEGA)]
+        [fam for fam in fams if below(IOMEGA).alone(x, fam)]
         for x, fams in zip(space.domain, space.per_set)
     ]
     for fams in itertools.product(*families):

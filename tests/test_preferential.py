@@ -30,7 +30,7 @@ from sizesem.preferential import (
     verify_correspondence_backward,
     verify_correspondence_forward,
 )
-from sizesem.properties import EMF, EMI, IOMEGA, check_property, holds_at, m_plus_plus
+from sizesem.properties import EMF, EMI, IOMEGA, below, check_property, m_plus_plus
 from sizesem.report import CorrespondenceReport
 from sizesem.rules import AND_OMEGA, CP, CUT, RW, SC
 from sizesem.search import SearchSpec, _permute_mask, enumerate_systems, verdict
@@ -338,7 +338,7 @@ def test_iomega_leader_stream_reads_as_every_choice_function():
     # M, so the raw I-omega stream read as f(X) = max I(X) is the mu stream.
     for n in (1, 2, 3):
         space = search._system_space(n, True, False)
-        families = [[fam for fam in fams if holds_at(x, fam, IOMEGA)]
+        families = [[fam for fam in fams if below(IOMEGA).alone(x, fam)]
                     for x, fams in zip(space.domain, space.per_set)]
         read = [dict(zip(space.domain, map(max, fams))) for fams in itertools.product(*families)]
         assert read == [mu.choice for mu in enumerate_mu_functions(space.universe)]

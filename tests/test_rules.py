@@ -296,7 +296,7 @@ def test_rules_agree_with_their_local_size_properties():
     pairs = [
         ([RW], [IM]),
         ([AND_OMEGA], [IOMEGA]),
-        ([SC], [OPT]),
+        ([SC, REF], [OPT]),
         ([CP, and_n(1)], [n_star_s(1)]),
         ([and_n(2)], [n_star_s(2)]),
         ([and_n(3)], [n_star_s(3)]),

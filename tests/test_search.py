@@ -20,7 +20,22 @@ from sizesem.properties import (
     n_star_s,
     witness_violates,
 )
-from sizesem.rules import CM_OMEGA, CUM, OR_OMEGA, RATM, check_rule, cm_n, or_n
+from sizesem.rules import (
+    AND_OMEGA,
+    CCL,
+    CM_OMEGA,
+    CP,
+    CUM,
+    OR_OMEGA,
+    RATM,
+    REF,
+    RW,
+    SC,
+    and_n,
+    check_rule,
+    cm_n,
+    or_n,
+)
 from sizesem.search import (
     SearchSpec,
     count_systems,
@@ -199,6 +214,29 @@ def test_ids_that_are_not_size_checks_are_refused_before_any_walk(scan, monkeypa
 
 
 @pytest.mark.parametrize(
+    "agree",
+    [lambda: verify_agreement([], 2), lambda: verify_agreement_upto([], 3)],
+    ids=["agreement", "agreement_upto"],
+)
+def test_an_empty_agreement_is_refused_before_any_walk(agree, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(search._SystemSpace, "union_cells", no_walk)
+    with pytest.raises(ValueError, match="an agreement needs at least one check"):
+        agree()
+
+
+@pytest.mark.parametrize("n,monotone", [(3, True), (2, False)])
+def test_rules_that_read_i_y_alone_enter_the_walk_as_masks(n, monotone):
+    # Each of these rules holds below Y iff a local property holds at Y, so
+    # the walk takes static lists of families for them, as for the properties.
+    space = search._SystemSpace(n, monotone)
+    lists, options = space._options((SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL))
+    assert lists is not None and options is None
+
+
+@pytest.mark.parametrize(
     "required,monotone,counts",
     [
         ((EMI,), True, (13, 2171)),
@@ -214,10 +252,17 @@ def test_ids_that_are_not_size_checks_are_refused_before_any_walk(scan, monkeypa
         ((m_plus_plus(1),), True, (20, 7_336)),
         ((I_UNION_DISJ,), True, (12, 1_603)),
         ((EMI,), False, (18, 11_664)),
+        # Rules that read I(Y) alone: the walk prunes by their properties' masks.
+        ((SC, RW), False, (20, 19_000)),
+        ((and_n(2),), False, (3, 540)),
+        ((CCL,), True, (16, 4_096)),
+        ((CP, AND_OMEGA), True, (3, 189)),
+        ((REF, and_n(3)), False, (3, 513)),
     ],
     # The ids of the first two rows predate the monotone column.
     ids=[f"required{i}-counts{i}" for i in range(5)]
-    + ["I-omega+eMF", "M+omega:2", "M+omega:4", "M++:1", "I-union-disj", "eMI-non-monotone"],
+    + ["I-omega+eMF", "M+omega:2", "M+omega:4", "M++:1", "I-union-disj", "eMI-non-monotone"]
+    + ["SC+RW-non-monotone", "AND:2-non-monotone", "CCL", "CP+AND:omega", "REF+AND:3-non-monotone"],
 )
 def test_count_systems_pinned(required, monotone, counts):
     got = tuple(

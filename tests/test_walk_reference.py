@@ -1,11 +1,11 @@
-"""The leader walk's column masks against the per-family loop they replaced.
+"""The leader walk's masks against the per-family loop they replaced.
 
 `reference_options` is the loop `_SystemSpace._options` ran before the column
-tests: each family at a base set Y is tested on its own, by the per-family
-test below Y that a column test replaced (copied here from the rows and
-units) or, for a check without a column test and for a local property, by its
-`below`.  The walk with either must yield the same cells: prefix, stabilizer
-and lists.  Every tuple of checks here has one that reads below Y, so the
+tests and the masks of the rules that read I(Y) alone: each family at a base
+set Y is tested on its own, by the per-family test below Y that a column test
+or a mask replaced (copied here from the rows and units) or, for a check
+without a column test and for a local property, by its `below`.  The walk
+with either must yield the same cells: prefix, stabilizer and lists.  Every tuple of checks here has one that reads below Y, so the
 reference's options are never static lists.
 """
 
@@ -24,7 +24,7 @@ from sizesem.properties import (
     n_star_s,
     parse_property,
 )
-from sizesem.rules import DISJ_OR, OR_OMEGA, RATM, parse_rule
+from sizesem.rules import AND_OMEGA, CCL, CP, DISJ_OR, OR_OMEGA, RATM, REF, RW, SC, and_n, parse_rule
 from sizesem.search import _SystemSpace
 from sizesem.setcore import Columns, submasks
 
@@ -90,8 +90,8 @@ def union_below(u, ideals):
     return True
 
 
-def unit_below(unit):
-    return lambda y, ideals: unit(ideals, y.bit_count(), y) is not None
+def unit_below(unit, *n):
+    return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
 
 
 def disj_or_below(y: int, ideals) -> bool:
@@ -118,6 +118,14 @@ REFERENCE = {
     "RatM": unit_below(rules._ratm_unit),
     "CM:omega": unit_below(rules._cm_omega_unit),
     "disjOR": disj_or_below,
+    # The rules that read I(Y) alone, each by its unit at Y.
+    "SC": unit_below(rules._sc_unit),
+    "REF": unit_below(rules._ref_unit),
+    "RW": unit_below(rules._superset_unit),
+    "CP": unit_below(rules._cp_unit),
+    "AND:2": unit_below(rules._and_unit, 2),
+    "AND:omega": unit_below(rules._and_omega_unit),
+    "CCL": unit_below(rules._ccl_unit),
 }
 
 
@@ -150,15 +158,19 @@ def reference_options(self, checks):
     return None, options
 
 
+LOCAL_RULES = [SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL]
 COLUMN_CHECKS = [
     parse_rule(name) if name in ("RatM", "CM:omega", "disjOR") else parse_property(name)
     for name in REFERENCE
+    if name not in {r.name for r in LOCAL_RULES}
 ]
 CHECK_SETS = (
     [(c,) for c in COLUMN_CHECKS]
     + [(IOMEGA, EMI), (IOMEGA, EMF), (EMI, m_plus_omega(4)), (n_star_s(3), EMI), (RATM, EMF)]
     + [(DISJ_OR, IOMEGA)]
     + [(OR_OMEGA,), (m_plus_n(3),)]
+    # A local rule alone walks static lists, so each is paired with a check that reads below Y.
+    + [(RW, EMI), (CCL, EMF), (and_n(2), EMI), (CP, m_plus_omega(4)), (SC, REF, EMF), (AND_OMEGA, EMI)]
 )
 
 
@@ -175,8 +187,12 @@ def first_cells(space, checks, leaders):
 
 
 def test_each_check_has_one_test_below_y():
-    for c in COLUMN_CHECKS + [OR_OMEGA, m_plus_n(3)]:
-        assert isinstance(module_below(c), Columns) == (c in COLUMN_CHECKS), c.name
+    for c in COLUMN_CHECKS + LOCAL_RULES + [OR_OMEGA, m_plus_n(3)]:
+        below = module_below(c)
+        if c in (OR_OMEGA, m_plus_n(3)):  # a test per family
+            assert not isinstance(below, Columns), c.name
+        else:  # column reads, or for a local rule a mask read from I(Y) alone
+            assert isinstance(below, Columns) and (below.cross is None) == (c in LOCAL_RULES), c.name
 
 
 @pytest.mark.parametrize("checks", CHECK_SETS, ids=lambda cs: "+".join(c.name for c in cs))
