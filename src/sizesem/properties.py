@@ -119,9 +119,9 @@ def m_plus_plus(variant: int) -> PropertyId:
 
 def parse_property(text: str) -> PropertyId:
     text = text.strip()
-    base, _, arg = text.partition(":")
+    base, colon, arg = text.partition(":")
     if base in _SCANS and base not in _PARAM_TAGS:
-        if arg:
+        if colon:  # a bare "eMI:" too
             raise ValueError(f"{base} takes no parameter")
         return PropertyId(base)
     if text.endswith("*s") and not arg and text[:-2].isdecimal():

@@ -102,8 +102,9 @@ A rule holds iff it holds below every nonempty Y (`below`): every unit
 whose antecedent, superset (wOR, PR') or union (disjOR, OR:n, OR:omega) is Y
 holds, read from I(Y) and the ideals of Y's subsets.  SC, REF, RW, CP,
 AND:n, AND:omega and CCL read I(Y) alone, by their local properties' tests
-(`setcore.Columns.alone`); RatM's, CM:omega's, wOR's and PR' (eMI's) and
-disjOR's (I-union-disj's on down-closures) are column tests.  These walk no
+(`setcore.Columns.alone`), and so do OR:2 and CM:2, by one test; RatM's,
+CM:omega's, wOR's and PR' (eMI's) and disjOR's (I-union-disj's on
+down-closures) are column tests.  These walk no
 instance, so RULE_SCAN_CEILING bounds only the scans that do, `check_rule`
 and a search target: an n-ary one that would exceed it — Σₐ |rel(a)|ⁿ for
 AND:n, Σₐ |rel(a)|ⁿ⁻¹ for CM:n, (2^|U| − 1)ⁿ⁻¹ · 2^|U| for OR:n — is
@@ -375,15 +376,11 @@ def _or_unit(ideals, size: int, bits, refutes, combo: tuple[int, ...]) -> int | 
     """OR:n at a combo: an instance fails iff every αᵢ |~ β while ∪αᵢ |~ ¬β,
     so the unit holds iff rel(α₁) ∩ … ∩ rel(α_{n−1}) misses the β that ∪αᵢ
     refutes."""
-    if len(combo) == 1:  # OR:2 without bit sets: some t ∈ I(α₁) has α₁ − t ∈ I(α₁)
+    if len(combo) == 1:  # OR:2 without bit sets, by its test of I(α₁) alone
         # Not a second path to fold into the bit sets below: building them makes OR:2
         # on a |U| = 4 or 5 document about 2.5 times slower (12 µs against 30 µs).
         a = combo[0]
-        fam = ideals[a]
-        for t in fam:
-            if a & ~t in fam:
-                return None
-        return _rel_size(ideals, size, a)
+        return _rel_size(ideals, size, a) if _or_2_alone(a, ideals[a]) else None
     shared, union = -1, 0
     for a in combo:
         shared &= bits[a]
@@ -512,6 +509,11 @@ def _covered(y: int, ideals, t: int, j: int) -> bool:
     return y in unions([a for a in submasks(y)[1:] if a & ~t in ideals[a]], j, y)
 
 
+def _or_2_alone(y: int, fam) -> bool:
+    """OR:2 and CM:2 below Y, from I(Y) alone: no t ∈ I(Y) has Y − t ∈ I(Y)."""
+    return not any(y & ~t in fam for t in fam)
+
+
 def _or_below(n: int, y: int, ideals) -> bool:
     """OR:n below Y, reading β through its trace t on Y = ∪αᵢ: no t ∈ I(Y)
     has n − 1 premises αᵢ covering Y."""
@@ -545,12 +547,14 @@ def _cm_omega_cross(cols, a: int, t: int, fam_t) -> int:
     return ~(cols[a & ~t] & _stray(cols, a, t, fam_t))
 
 
-# SC and REF read Opt's test below Y, RW iM's, CP 1*s's, AND:omega I-omega's, CCL iM's
-# and I-omega's, AND:n n*s:n's (in `below`); wOR and PR' eMI's, I(α) ⊆ I(Y) for α ⊆ Y.
+# By rule name.  SC and REF read Opt's test below Y, RW iM's, CP 1*s's, AND:omega
+# I-omega's, CCL iM's and I-omega's, AND:n n*s:n's (in `below`); OR:2 and CM:2 read
+# I(Y) alone too; wOR and PR' read eMI's, I(α) ⊆ I(Y) for α ⊆ Y.
+_OR_2 = Columns(alone=_or_2_alone)
 _BELOW = {"SC": _property_below(OPT), "REF": _property_below(OPT), "RW": _property_below(IM),
           "CP": _property_below(n_star_s(1)), "AND:omega": _property_below(IOMEGA),
           "CCL": Columns(alone=lambda y, fam: down_closed(fam) and union_closed(fam)),
-          "wOR": _property_below(EMI), "PR'": _property_below(EMI), "OR": _or_below,
+          "OR:2": _OR_2, "CM:2": _OR_2, "wOR": _property_below(EMI), "PR'": _property_below(EMI),
           "OR:omega": _or_omega_below, "disjOR": Columns(_disj_or_cross, pairs=True),
           "RatM": Columns(_ratm_cross), "CM:omega": Columns(_cm_omega_cross)}
 
@@ -558,15 +562,17 @@ _BELOW = {"SC": _property_below(OPT), "REF": _property_below(OPT), "RW": _proper
 def below(r: RuleId) -> Callable[[int, dict], bool]:
     """r's test below one set Y, below(Y, ideals), on a full domain: r holds
     on a system iff it holds below every nonempty Y.  Seven rules share a local
-    property's test of I(Y) alone (`Columns.alone`), RatM and CM:omega read one
-    I(t) per instance besides, wOR and PR' share eMI's and disjOR reads
-    I-union-disj's on down-closures; the others test a family by their unit."""
+    property's test of I(Y) alone (`Columns.alone`), and OR:2 and CM:2 share
+    one; RatM and CM:omega read one I(t) per instance besides, wOR and PR'
+    share eMI's and disjOR reads I-union-disj's on down-closures; OR:n reads
+    the sets that cover Y, and the others test a family by their unit."""
     if r.tag == "AND":
         return _property_below(n_star_s(r.param))
-    test, n = _BELOW.get(r.tag), () if r.param is None else (r.param,)
-    if test is not None:
-        return partial(test, *n) if n else test
-    unit = _UNITS[r.tag]
+    if r.name in _BELOW:
+        return _BELOW[r.name]
+    if r.tag == "OR":
+        return partial(_or_below, r.param)
+    unit, n = _UNITS[r.tag], () if r.param is None else (r.param,)
     return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
 
 

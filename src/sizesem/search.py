@@ -24,7 +24,8 @@ weighted by its class size, sizes 1..n chained into one scan.  They report
 what a scan of every system would: the same first failing system with its
 raw label, and exact counts.  The leaders come from one walk that prunes
 block by block (the base sets of one cardinality), after the lex-leader
-constraints of Crawford, Ginsberg, Luks and Roy (KR 1996).
+constraints of Crawford, Ginsberg, Luks and Roy (KR 1996); the same walk
+without relabelings yields every system, in raw order.
 
 The walk also prunes by every check it is given.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
@@ -32,22 +33,25 @@ it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
 rules of the correspondence rows on I-omega systems (`preferential.below`).
 Every check enters the walk one way (`_SystemSpace._prepare`, once per
 space): a test that is a `setcore.Columns` as a mask of Y's families passing
-its test of I(Y) alone (a local property's, shared by seven rules) and
-column masks, one AND over bit columns of Y's families per subset of Y and
-its family; any other as a test per family.  A relabeling that fixes the
-prefix maps a family that passes to one that passes, so the pruned walk
-yields exactly the leaders that have the checks, with their stabilizers.
-Every search is read one way out, through `scan_stream`, where walks part
-(`_parting`): an implication or a find compares those pruned by the required
-checks with and without the target, an agreement one per id, and a count
-reads one walk, which never parts.  The first leader that some but not all
-of them reach is the first failing system, and only it gets a report.  One
-walk over the union of their trees finds it (`_SystemSpace.union_cells`):
-each cell carries the tuples of checks that hold on its prefix, and marks
-its options with the tuples that allow them where the tuples' lists differ,
-so only the cells with marks, or that some tuple does not reach, are
-expanded.  With `canonical_only` a leader counts once, labelled by its
-position among all leaders.
+its test of I(Y) alone (a local property's, shared by seven rules, or the
+one of OR:2 and CM:2) and column masks, one AND over bit columns of Y's
+families per subset of Y and its family; any other as a test per family.
+A relabeling that fixes the prefix maps a family that passes to one that
+passes, so the pruned walk yields exactly the leaders that have the checks,
+with their stabilizers.  Every search is read one way out, through
+`scan_stream`, where walks part (`_parting`): an implication or a find
+compares those pruned by the required checks with and without the target,
+an agreement one per id, and a count reads one walk, which never parts.
+The first leader that some but not all of them reach is the first failing
+system, and only it gets a report.  One walk over the union of their trees
+finds it (`_SystemSpace.union_cells`): each cell carries the tuples of
+checks that hold on its prefix, and marks its options with the tuples that
+allow them where the tuples' lists differ, so only the cells with marks, or
+that some tuple does not reach, are expanded.  With `canonical_only` a
+leader counts once.  One reader counts positions off cells (`_position`): a
+failing `canonical_only` leader's label is its position among all leaders,
+and a failing raw search's tally its position in the first tuple's walk
+without relabelings.
 """
 
 from __future__ import annotations
@@ -373,11 +377,13 @@ class _SystemSpace:
 
         return None, options
 
-    def union_cells(self, walks: list[tuple[CheckId, ...]]) -> Iterator[tuple]:
+    def union_cells(self, walks: list[tuple[CheckId, ...]], perms: list) -> Iterator[tuple]:
         """(prefix, order of the stabilizer, alive, lists, marks) per cell of
-        lex-leaders, the systems no relabeling makes smaller, that have every
-        check of some tuple in walks: each completion of prefix by
-        `itertools.product(*lists)`, in raw order.  Bit k of alive is set iff
+        the systems that no relabeling in perms makes smaller and that have
+        every check of some tuple in walks: each completion of prefix by
+        `itertools.product(*lists)`, in raw order.  With `perms` the space's
+        relabelings they are the lex-leaders; with none, every system that
+        has the checks, each cell's stabilizer 1.  Bit k of alive is set iff
         tuple k's tests pass on the prefix.  marks is None when every tuple
         in alive allows the same lists; else marks[p] maps each index in
         lists[p] to the bits of the tuples that allow it, and a completion
@@ -388,12 +394,12 @@ class _SystemSpace:
         One whose image is smaller on a block prunes every completion of
         that prefix; one whose image is larger drops out.  The relabelings
         left at the end, with the identity, are the stabilizer.  Once none
-        is left, the last block (the full set alone) is one cell, and so is
-        the rest of the walk if no live tuple's check reads below a base set
-        (its `_options` are static lists).  The images are compared whether
-        or not their families pass, so the stabilizers are those of the
-        unpruned walk, and each part of a block is tested once for every
-        tuple.  A position takes, per live tuple, the families that pass
+        is left (from the start without perms), the last block (the full set
+        alone) is one cell, and so is the rest of the walk if no live tuple's
+        check reads below a base set (its `_options` are static lists).  The
+        images are compared whether or not their families pass, so the
+        stabilizers are those of the unpruned walk, and each part of a block
+        is tested once for every tuple.  A position takes, per live tuple, the families that pass
         every check's test below it (`_options`): a mask at the base set for
         the tests of I(Y) alone, a column mask per subset for the two-level
         and pairwise checks, and a test per family for the others.  Where the
@@ -454,33 +460,15 @@ class _SystemSpace:
                     else:  # a whole system, its own cell
                         yield prefix + part, len(kept) + 1, reach, [], None
 
-        return walk(0, (), self.perms, (1 << len(walks)) - 1)
+        return walk(0, (), perms, (1 << len(walks)) - 1)
 
     def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader on which
         every check holds, in raw-stream order: the cells of the walk pruned
         by them (`union_cells`), expanded."""
-        for prefix, stab, _, lists, _ in self.union_cells([checks]):
+        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms):
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
-
-    def images_upto(self, idx: tuple[int, ...], stab: int, bound: tuple[int, ...]) -> int:
-        """Distinct relabelings of the leader idx (itself included) whose
-        index tuple is at most bound, for a bound not below idx.  Each image
-        comes from stab relabelings (orbit-stabilizer), the identity's among
-        them, so count the relabelings and divide; an image is compared with
-        bound up to the first position where they differ."""
-        image_index = self._image_index
-        upto = 1  # the identity
-        for perm in self.perms:
-            for j, k in enumerate(perm[1]):
-                t = image_index(perm, j, idx[k])
-                if t != bound[j]:
-                    upto += t < bound[j]
-                    break
-            else:
-                upto += 1
-        return upto // stab
 
 
 def _union(tups: list, block: range, prefix: tuple[int, ...]) -> tuple[list, list | None]:
@@ -570,7 +558,7 @@ def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
     whole."""
     full, relabelings = (1 << len(walks)) - 1, space.relabelings
     leaders = systems = 0
-    for prefix, stab, alive, lists, marks in scan_stream(space.union_cells(walks)):
+    for prefix, stab, alive, lists, marks in scan_stream(space.union_cells(walks, space.perms)):
         if alive == full and marks is None:
             whole = prod(map(len, lists))
             leaders += whole
@@ -588,12 +576,30 @@ def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
     return None, None, leaders, systems
 
 
+def _position(cells: Iterable[tuple], idx: tuple[int, ...]) -> int:
+    """The position of the system idx among those the cells of a walk over
+    one tuple of checks yield (`union_cells`): the whole cells before its
+    own, then its rank in its cell's product.  The unpruned leader walk gives
+    a canonical label, a walk without relabelings a raw tally (`_systems_upto`)."""
+    before = 0
+    for prefix, _, _, lists, _ in scan_stream(cells):
+        if prefix < idx[: len(prefix)]:
+            before += prod(map(len, lists))
+        elif prefix == idx[: len(prefix)] and all(map(operator.contains, lists, idx[len(prefix):])):
+            rank = 0  # mixed radix over the lists, as `itertools.product` runs
+            for k, options in enumerate(lists, len(prefix)):
+                rank = rank * len(options) + options.index(idx[k])
+            return before + rank
+        else:
+            break
+    raise ValueError(f"the walk does not reach {idx}")
+
+
 def _systems_upto(space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...]) -> int:
-    """The systems of the raw stream up to the leader idx that have every
-    check: each leader of the walk pruned by them, up to idx, adds its
-    distinct relabelings ranked at most idx (idx itself alone)."""
-    leaders = itertools.takewhile(lambda lead: lead[0] <= idx, scan_stream(space.leaders(checks)))
-    return sum(space.images_upto(lead, stab, idx) for lead, stab in leaders)
+    """The systems of the raw stream up to the system idx, which has every
+    check, that have every check: idx's position in the walk pruned by them
+    without relabelings, which yields those systems in raw order, plus one."""
+    return _position(space.union_cells([checks], []), idx) + 1
 
 
 def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]]) -> tuple:
@@ -602,8 +608,9 @@ def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[Check
     the raw stream that have the first walk's checks, each earlier size's
     whole.  A leader stands for its class, and the first system of the raw
     stream on which the walks part leads its class, so idx is that system.
-    If the walks never part, space and idx are None and every system that
-    has the first walk's checks is counted."""
+    Every caller's walks are nested, so idx has the first walk's checks
+    (`_systems_upto`).  If the walks never part, space and idx are None and
+    every system that has the first walk's checks is counted."""
     systems = 0
     for space in [_system_space(n, monotone, False) for n in sizes]:
         idx, _, _, whole = _parting(space, walks)
@@ -636,25 +643,11 @@ def _scan_systems(
     else:
         space = _system_space(n, monotone, True)
         idx, _, satisfying, _ = _parting(space, walks)
-        s = None if idx is None else space.system(idx, f"u{n}#{_leaders_before(space, idx)}")
-        satisfying += s is not None
+        s = None
+        if idx is not None:  # labelled by its position among all leaders
+            s = space.system(idx, f"u{n}#{_position(space.union_cells([()], space.perms), idx)}")
+            satisfying += 1
     return satisfying, None if s is None else (s, evaluate_check(s, target))
-
-
-def _leaders_before(space: _SystemSpace, idx: tuple[int, ...]) -> int:
-    """The position of the lex-leader idx among all leaders, counted by the
-    cells of the unpruned walk: whole cells before its own, then its rank
-    in its cell's product."""
-    before = 0
-    for prefix, _, _, lists, _ in scan_stream(space.union_cells([()])):
-        if prefix < idx[: len(prefix)]:
-            before += prod(map(len, lists))
-            continue
-        rank = 0  # the first cell not before idx is its own
-        for k, options in enumerate(lists, len(prefix)):
-            rank = rank * len(options) + options.index(idx[k])
-        return before + rank
-    raise ValueError(f"{idx} is not a lex-leader")
 
 
 def find_counterexample(

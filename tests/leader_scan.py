@@ -11,6 +11,25 @@ from math import prod
 from sizesem.search import _system_space
 
 
+def images_upto(space, idx, stab, bound):
+    """Distinct relabelings of the leader idx (itself included) whose
+    index tuple is at most bound, for a bound not below idx.  Each image
+    comes from stab relabelings (orbit-stabilizer), the identity's among
+    them, so count the relabelings and divide; an image is compared with
+    bound up to the first position where they differ."""
+    image_index = space._image_index
+    upto = 1  # the identity
+    for perm in space.perms:
+        for j, k in enumerate(perm[1]):
+            t = image_index(perm, j, idx[k])
+            if t != bound[j]:
+                upto += t < bound[j]
+                break
+        else:
+            upto += 1
+    return upto // stab
+
+
 def scan_classes(sizes, monotone, required, evaluate):
     """Scan the systems of the given sizes, in turn, that satisfy every
     required check up to the first failure, one system per relabeling class.
@@ -37,7 +56,7 @@ def scan_classes(sizes, monotone, required, evaluate):
     spaces = [_system_space(n, monotone, False) for n in sizes]
     if evaluate is None:
         cells = (space.relabelings // stab * prod(map(len, lists))
-                 for space in spaces for _, stab, _, lists, _ in space.union_cells([required]))
+                 for space in spaces for _, stab, _, lists, _ in space.union_cells([required], space.perms))
         return sum(cells), 0, None
     tally = [0, 0, 0]  # weights outside the scan, skipped, counted
     for space in spaces:
@@ -50,7 +69,7 @@ def scan_classes(sizes, monotone, required, evaluate):
             if outcome == 2 and result is not True:
                 for (lead, stab), seen in zip(space.leaders(required), outcomes):
                     if seen:
-                        upto = space.images_upto(lead, stab, idx)
+                        upto = images_upto(space, lead, stab, idx)
                         tally[seen] += upto - space.relabelings // stab
                 return tally[2], tally[1], result
     return tally[2], tally[1], None

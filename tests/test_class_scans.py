@@ -7,6 +7,7 @@ the middle of a relabeling class.  The brute force below walks the raw
 stream itself and shares no code with the scans beyond the checks.
 """
 
+import itertools
 import operator
 from functools import lru_cache
 from math import prod
@@ -40,15 +41,22 @@ from sizesem.rules import CM_OMEGA, DISJ_OR, OR_OMEGA, RATM, WOR, and_n, cm_n, o
 from sizesem.search import (
     SearchSpec,
     _SystemSpace,
+    _parting,
+    _system_space,
+    _systems_upto,
     count_systems,
     enumerate_systems,
     evaluate_check,
+    find_counterexample,
     verdict,
     verify_agreement,
     verify_implication,
+    verify_implication_upto,
 )
 from sizesem.setcore import Columns, submasks
 from sizesem.sizesys import principal_mu
+
+from leader_scan import images_upto
 
 PROPS = [parse_property(n) for n in ALL_PROPS]
 CHECKS = PROPS + [parse_rule(n) for n in ALL_RULES]
@@ -214,6 +222,86 @@ def test_forward_row_failure_tallies_match_the_raw_stream(monkeypatch, row, left
     assert rep.witness["violation"]["subject"] == failing.label
 
 
+def refuse_leaders(monkeypatch):
+    """Make `_SystemSpace.leaders` raise: a raw tally is the failing system's
+    position in the walk without relabelings, read off its cells."""
+
+    def refuse(space, checks):
+        raise AssertionError("a search expanded the leader walk")
+
+    monkeypatch.setattr(_SystemSpace, "leaders", refuse)
+
+
+def test_failing_searches_tally_without_expanding_the_leader_walk(monkeypatch):
+    refuse_leaders(monkeypatch)
+    required, target = (EMI,), parse_property("I-union-disj")
+    _, failing = raw_implication(raw_verdicts(3, True), required, target)
+    system, rep = find_counterexample(SearchSpec(3, required, target))
+    assert (system.label, system.to_dict(), rep.holds) == (failing.label, failing.to_dict(), False)
+
+    required, target = (EMF,), parse_property("1*s")
+    stream = itertools.chain.from_iterable(raw_verdicts(n, True) for n in (1, 2, 3))
+    counted, failing = raw_implication(stream, required, target)
+    rep = verify_implication_upto(required, target, 3)
+    got = (rep.holds, rep.instances_checked, rep.notes)
+    assert got == (False, counted, (f"violating system {failing.label}",))
+
+    row, left = 9, (EMF,)
+    monkeypatch.setitem(ROW_LEFT, row, left)
+    checked, skipped, failing = raw_forward(left, ROW_MU[row], 3)
+    rep = verify_correspondence_forward(row, 3)
+    got = (rep.holds, rep.systems_checked, rep.skipped_non_principal, rep.witness["system"])
+    assert got == (False, checked, skipped, failing.to_dict())
+
+
+def leader_tally(space, checks, idx):
+    """The raw tally up to the leader idx as it was counted leader by leader:
+    each leader of the walk pruned by checks, up to idx, adds its distinct
+    relabelings ranked at most idx (`leader_scan.images_upto`)."""
+    leaders = itertools.takewhile(lambda lead: lead[0] <= idx, space.leaders(checks))
+    return sum(images_upto(space, lead, stab, idx) for lead, stab in leaders)
+
+
+@pytest.mark.parametrize("n,monotone", [(2, True), (3, True), (2, False), (3, False)])
+def test_raw_tallies_match_the_leader_by_leader_count(n, monotone):
+    # Every check as a target, with no required check, one and two.
+    space = _system_space(n, monotone, False)
+    mismatches, failures = [], 0
+    for k, target in enumerate(CHECKS):
+        for required in ((), (CHECKS[k - 1],), (CHECKS[k - 2], CHECKS[k - 7])):
+            idx, _, _, _ = _parting(space, [required, required + (target,)])
+            if idx is None:
+                continue
+            failures += 1
+            got, want = _systems_upto(space, required, idx), leader_tally(space, required, idx)
+            if got != want:
+                mismatches.append(([c.name for c in required], target.name, got, want))
+    assert mismatches == []
+    assert failures > len(CHECKS)
+
+
+@pytest.mark.parametrize(
+    "required,target,checked",
+    [
+        ((OPT, IM, EMI, IOMEGA), EMF, 6),
+        ((OPT, IM, EMF, IOMEGA), EMI, 6),
+        ((parse_property("M+omega:2"),), parse_property("M+omega:1"), 167),
+        ((EMI,), OR_OMEGA, 1_989),
+        ((n_star_s(3),), or_n(3), 107),
+    ],
+    ids=["Opt+iM+eMI+I-omega", "Opt+iM+eMF+I-omega", "M+omega:2", "eMI", "n*s:3"],
+)
+def test_raw_tallies_at_size_4_match_the_leader_by_leader_count(monkeypatch, required, target, checked):
+    # Raw enumeration cannot reach |U| = 4: the count over the leaders is the reference.
+    space = _system_space(4, True, False)
+    idx, _, _, _ = _parting(space, [required, required + (target,)])
+    assert leader_tally(space, required, idx) == checked
+    refuse_leaders(monkeypatch)
+    assert _systems_upto(space, required, idx) == checked
+    rep = verify_implication(SearchSpec(4, required, target, "verify-implication"))
+    assert (rep.holds, rep.instances_checked) == (False, checked)
+
+
 def local_split_mismatches(systems):
     """(system, property) where a local property's verdict is not the
     conjunction of its verdicts on the one-base-set systems."""
@@ -326,7 +414,7 @@ def test_cell_counts_are_the_sums_over_the_leaders(checks):
         for n in (1, 2, 3):
             space = _SystemSpace(n, monotone)
             leaders = list(space.leaders(checks))
-            cells = list(space.union_cells([checks]))
+            cells = list(space.union_cells([checks], space.perms))
             completions = [prod(map(len, lists)) for _, _, _, lists, _ in cells]
             weights = [space.relabelings // stab for _, stab, _, _, _ in cells]
             assert sum(completions) == len(leaders), (n, monotone)
@@ -369,4 +457,4 @@ def test_leaders_carry_their_raw_rank_and_class(monotone):
         mirror = {swap[x]: frozenset(swap[a] for a in fam) for x, fam in leader.ideals.items()}
         members = [s for s in raw if s.ideals in (leader.ideals, mirror)]
         assert members[0] is leader
-        assert len(members) == space.relabelings // stab == space.images_upto(idx, stab, last)
+        assert len(members) == space.relabelings // stab == images_upto(space, idx, stab, last)

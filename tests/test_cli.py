@@ -245,6 +245,18 @@ def test_search_verb_names_a_property_parameter_error(capsys, name, message):
         assert message in err and "unknown rule name" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--system", data_path("fact34-1.json"), "--props", "eMI:"),
+     ("search", "--size", "2", "--required", "Opt:,iM:", "--target", "eMI")],
+    ids=["check-eMI", "search-Opt-iM"],
+)
+def test_a_bare_colon_after_a_property_without_a_parameter_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "takes no parameter" in err and out == ""
+
+
 def test_search_verb_count_mode(capsys):
     # monotone eMI systems at |U| = 2: I({a}) and I({b}) are each {∅} or hold
     # their singleton, and I({a,b}) must hold those singletons: 5 + 3 + 3 + 2

@@ -46,6 +46,13 @@ def test_property_names_roundtrip():
     assert n_star_s(3).name == "n*s:3"
 
 
+@pytest.mark.parametrize("text", ["eMI:", "Opt:", "I-omega: "])
+def test_a_colon_after_a_tag_without_a_parameter_is_refused(text):
+    # A bare colon used to be dropped, and "eMI:" read as eMI.
+    with pytest.raises(ValueError, match=f"^{text.partition(':')[0]} takes no parameter$"):
+        parse_property(text)
+
+
 def test_property_id_validation():
     with pytest.raises(ValueError):
         PropertyId("M+n", 2)

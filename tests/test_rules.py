@@ -86,6 +86,7 @@ RULE_NAME_ERRORS = [
     (parse_rule, ("AND:0",), "AND:n needs n >= 1"),
     (parse_rule, ("OR:1",), "OR:n needs n >= 2"),
     (parse_rule, ("SC:1",), "unknown rule name 'SC:1'"),
+    (parse_rule, ("SC:",), "unknown rule name 'SC:'"),
     (parse_rule, ("OR:x",), "unknown rule name 'OR:x'"),
 ]
 

@@ -229,10 +229,11 @@ def test_an_empty_agreement_is_refused_before_any_walk(agree, monkeypatch):
 
 @pytest.mark.parametrize("n,monotone", [(3, True), (2, False)])
 def test_rules_that_read_i_y_alone_enter_the_walk_as_masks(n, monotone):
-    # Each of these rules holds below Y iff a local property holds at Y, so
-    # the walk takes static lists of families for them, as for the properties.
+    # Each of these rules holds below Y iff a local property holds at Y (OR:2
+    # and CM:2, one formula, iff no t ∈ I(Y) has Y − t ∈ I(Y)), so the walk
+    # takes static lists of families for them, as for the properties.
     space = search._SystemSpace(n, monotone)
-    lists, options = space._options((SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL))
+    lists, options = space._options((SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL, or_n(2), cm_n(2)))
     assert lists is not None and options is None
 
 
@@ -258,11 +259,16 @@ def test_rules_that_read_i_y_alone_enter_the_walk_as_masks(n, monotone):
         ((CCL,), True, (16, 4_096)),
         ((CP, AND_OMEGA), True, (3, 189)),
         ((REF, and_n(3)), False, (3, 513)),
+        ((or_n(2),), True, (3, 297)),
+        ((cm_n(2),), True, (3, 297)),
+        ((or_n(2),), False, (3, 729)),
+        ((cm_n(2),), False, (3, 729)),
     ],
     # The ids of the first two rows predate the monotone column.
     ids=[f"required{i}-counts{i}" for i in range(5)]
     + ["I-omega+eMF", "M+omega:2", "M+omega:4", "M++:1", "I-union-disj", "eMI-non-monotone"]
-    + ["SC+RW-non-monotone", "AND:2-non-monotone", "CCL", "CP+AND:omega", "REF+AND:3-non-monotone"],
+    + ["SC+RW-non-monotone", "AND:2-non-monotone", "CCL", "CP+AND:omega", "REF+AND:3-non-monotone"]
+    + ["OR:2", "CM:2", "OR:2-non-monotone", "CM:2-non-monotone"],
 )
 def test_count_systems_pinned(required, monotone, counts):
     got = tuple(

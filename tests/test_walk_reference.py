@@ -24,7 +24,21 @@ from sizesem.properties import (
     n_star_s,
     parse_property,
 )
-from sizesem.rules import AND_OMEGA, CCL, CP, DISJ_OR, OR_OMEGA, RATM, REF, RW, SC, and_n, parse_rule
+from sizesem.rules import (
+    AND_OMEGA,
+    CCL,
+    CP,
+    DISJ_OR,
+    OR_OMEGA,
+    RATM,
+    REF,
+    RW,
+    SC,
+    and_n,
+    cm_n,
+    or_n,
+    parse_rule,
+)
 from sizesem.search import _SystemSpace
 from sizesem.setcore import Columns, submasks
 
@@ -118,7 +132,7 @@ REFERENCE = {
     "RatM": unit_below(rules._ratm_unit),
     "CM:omega": unit_below(rules._cm_omega_unit),
     "disjOR": disj_or_below,
-    # The rules that read I(Y) alone, each by its unit at Y.
+    # The rules that read I(Y) alone, each by its unit at Y, and OR:2 by OR:n's test.
     "SC": unit_below(rules._sc_unit),
     "REF": unit_below(rules._ref_unit),
     "RW": unit_below(rules._superset_unit),
@@ -126,6 +140,8 @@ REFERENCE = {
     "AND:2": unit_below(rules._and_unit, 2),
     "AND:omega": unit_below(rules._and_omega_unit),
     "CCL": unit_below(rules._ccl_unit),
+    "OR:2": lambda y, ideals: rules._or_below(2, y, ideals),
+    "CM:2": unit_below(rules._cm_unit, 2),
 }
 
 
@@ -158,7 +174,7 @@ def reference_options(self, checks):
     return None, options
 
 
-LOCAL_RULES = [SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL]
+LOCAL_RULES = [SC, REF, RW, CP, and_n(2), AND_OMEGA, CCL, or_n(2), cm_n(2)]
 COLUMN_CHECKS = [
     parse_rule(name) if name in ("RatM", "CM:omega", "disjOR") else parse_property(name)
     for name in REFERENCE
@@ -171,6 +187,7 @@ CHECK_SETS = (
     + [(OR_OMEGA,), (m_plus_n(3),)]
     # A local rule alone walks static lists, so each is paired with a check that reads below Y.
     + [(RW, EMI), (CCL, EMF), (and_n(2), EMI), (CP, m_plus_omega(4)), (SC, REF, EMF), (AND_OMEGA, EMI)]
+    + [(or_n(2), EMI), (cm_n(2), EMF)]
 )
 
 
@@ -178,7 +195,7 @@ def first_cells(space, checks, leaders):
     """The cells of the walk up to the one that reaches the given number of
     leaders, with their lists as tuples."""
     out, seen = [], 0
-    for prefix, stab, _, lists, _ in space.union_cells([checks]):
+    for prefix, stab, _, lists, _ in space.union_cells([checks], space.perms):
         out.append((prefix, stab, [tuple(options) for options in lists]))
         seen += prod(map(len, lists))
         if seen >= leaders:
