@@ -19,13 +19,22 @@ at a time, so first findings are reproducible.
 Every property and rule is invariant under relabeling the elements, so the
 scans over the raw stream (`find_counterexample`, `verify_implication` and
 `count_systems` without `canonical_only`, the `_upto` verifiers, the
-agreements and the correspondence rows) run on the lex-leaders alone, each
-weighted by its class size, sizes 1..n chained into one scan.  They report
-what a scan of every system would: the same first failing system with its
-raw label, and exact counts.  The leaders come from one walk that prunes
+agreements and the correspondence rows) walk only the prefixes that no
+relabeling makes smaller, sizes 1..n chained into one scan.  The walk prunes
 block by block (the base sets of one cardinality), after the lex-leader
 constraints of Crawford, Ginsberg, Luks and Roy (KR 1996); the same walk
-without relabelings yields every system, in raw order.
+without relabelings yields every system, in raw order.  A raw scan reads it
+by orbits: a prefix p is settled at the last block, or once no check of a
+live walk reads below a base set, and the rest of the walk from p is one
+cell whatever relabelings H fix p (the identity among them).  It reports
+what a scan of every system would, for two reasons.  Every relabeling
+outside H makes p larger, so the lex-leaders among p's completions are the
+least of their H-orbits and stand for n!/|H| systems per completion
+(orbit–stabilizer): counts are exact.  And the completions on which the
+checks disagree form an H-invariant set, so the first of them leads its
+class: it is the raw stream's first failing system, with its raw label.
+`canonical_only` reads the walk by leaders instead, each cell only once no
+relabeling is live.
 
 The walk also prunes by every check it is given.  Each holds on a system iff
 it holds below every base set Y, on I(Y) and the ideals of the subsets of Y
@@ -37,12 +46,13 @@ its test of I(Y) alone (a local property's, shared by seven rules, or the
 one of OR:2 and CM:2) and column masks, one AND over bit columns of Y's
 families per subset of Y and its family; any other as a test per family.
 A relabeling that fixes the prefix maps a family that passes to one that
-passes, so the pruned walk yields exactly the leaders that have the checks,
-with their stabilizers.  Every search is read one way out, through
-`scan_stream`, where walks part (`_parting`): an implication or a find
-compares those pruned by the required checks with and without the target,
-an agreement one per id, and a count reads one walk, which never parts.
-The first leader that some but not all of them reach is the first failing
+passes, so the pruned walk read by leaders yields exactly the leaders that
+have the checks, with their stabilizers.  Every search is read one way
+out, through `scan_stream`, where walks part (`_parting`): an implication
+or a find compares those pruned by the required checks with and without
+the target, an agreement one per id, and a count reads one walk, which
+never parts.
+The first system that some but not all of them reach is the first failing
 system, and only it gets a report.  One walk over the union of their trees
 finds it (`_SystemSpace.union_cells`): each cell carries the tuples of
 checks that hold on its prefix, and marks its options with the tuples that
@@ -377,34 +387,53 @@ class _SystemSpace:
 
         return None, options
 
-    def union_cells(self, walks: list[tuple[CheckId, ...]], perms: list) -> Iterator[tuple]:
+    def union_cells(
+        self, walks: list[tuple[CheckId, ...]], perms: list, orbits: bool
+    ) -> Iterator[tuple]:
         """(prefix, order of the stabilizer, alive, lists, marks) per cell of
-        the systems that no relabeling in perms makes smaller and that have
-        every check of some tuple in walks: each completion of prefix by
-        `itertools.product(*lists)`, in raw order.  With `perms` the space's
-        relabelings they are the lex-leaders; with none, every system that
-        has the checks, each cell's stabilizer 1.  Bit k of alive is set iff
-        tuple k's tests pass on the prefix.  marks is None when every tuple
-        in alive allows the same lists; else marks[p] maps each index in
-        lists[p] to the bits of the tuples that allow it, and a completion
-        has the checks of the tuples whose bits are in every index it takes.
+        the walk over the systems that have every check of some tuple in
+        walks: each completion of prefix by `itertools.product(*lists)`, in
+        raw order.  Read by leaders (`orbits` false), the completions are the
+        systems that no relabeling in perms makes smaller: with `perms` the
+        space's relabelings the lex-leaders, each with its stabilizer; with
+        none, every system that has the checks, each cell's stabilizer 1.
+        Read by orbits, a cell may hold systems that are not leaders.  Bit k
+        of alive is set iff tuple k's tests pass on the prefix.  marks is
+        None when every tuple in alive allows the same lists; else marks[p]
+        maps each index in lists[p] to the bits of the tuples that allow it,
+        and a completion has the checks of the tuples whose bits are in every
+        index it takes.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
         One whose image is smaller on a block prunes every completion of
-        that prefix; one whose image is larger drops out.  The relabelings
-        left at the end, with the identity, are the stabilizer.  Once none
-        is left (from the start without perms), the last block (the full set
-        alone) is one cell, and so is the rest of the walk if no live tuple's
-        check reads below a base set (its `_options` are static lists).  The
-        images are compared whether or not their families pass, so the
+        that prefix; one whose image is larger drops out.  A prefix is
+        settled at the last block (the full set alone), or once no live
+        tuple's check reads below a base set (its `_options` are static
+        lists); the rest of the walk from a settled prefix is one cell.
+        Read by leaders, a prefix settles only once no relabeling is left
+        (from the start without perms), and the relabelings left at the end,
+        with the identity, are each whole system's stabilizer.
+
+        Read by orbits (`orbits` true), a settled prefix p is one cell
+        whatever relabelings H are live, with stabilizer |H| (the identity
+        counted): the cell holds every completion of p, leader or not.  This
+        is exact for two reasons.  Every relabeling outside H makes p larger,
+        so the leaders among the completions are the least of their H-orbits
+        and stand for n!/|H| systems per completion (orbit–stabilizer), the
+        weight `_parting` gives each.  And the completions on which the
+        tuples disagree form an H-invariant set, so the first of them in
+        product order is a leader: the raw stream's first such system, the
+        one the leader reading finds.
+
+        The images are compared whether or not their families pass, so the
         stabilizers are those of the unpruned walk, and each part of a block
-        is tested once for every tuple.  A position takes, per live tuple, the families that pass
-        every check's test below it (`_options`): a mask at the base set for
-        the tests of I(Y) alone, a column mask per subset for the two-level
-        and pairwise checks, and a test per family for the others.  Where the
-        live tuples' lists differ, a block walks their union, and a part
-        that no tuple allows is pruned.
+        is tested once for every tuple.  A position takes, per live tuple, the
+        families that pass every check's test below it (`_options`): a mask at
+        the base set for the tests of I(Y) alone, a column mask per subset for
+        the two-level and pairwise checks, and a test per family for the
+        others.  Where the live tuples' lists differ, a block walks their
+        union, and a part that no tuple allows is pruned.
         """
         made, tuples = {}, []  # per walk: (lists, options), shared by equal walks
         for checks in walks:
@@ -422,7 +451,8 @@ class _SystemSpace:
                 tups = [(1 << k, *tuples[k]) for k in range(len(walks)) if alive >> k & 1]
                 entry = members[alive] = tups, any(options for _, _, options in tups)
             tups, reads = entry
-            block = self.blocks[b] if live or reads else range(len(prefix), len(self.domain))
+            settled = (orbits or not live) and (b == last or not reads)
+            block = range(len(prefix), len(self.domain)) if settled else self.blocks[b]
             lo = block.start
             if len(tups) == 1:  # one live tuple, as in a count: its own lists, no marks
                 _, static, options = tups[0]
@@ -430,8 +460,8 @@ class _SystemSpace:
                 marks = None
             else:
                 lists, marks = _union(tups, block, prefix)
-            if not live and (b == last or not reads):
-                yield prefix, 1, alive, lists, marks
+            if settled:
+                yield prefix, len(live) + 1, alive, lists, marks
                 return
             reach = alive
             for part in itertools.product(*lists):
@@ -466,7 +496,7 @@ class _SystemSpace:
         """(index tuple, order of its stabilizer) of every lex-leader on which
         every check holds, in raw-stream order: the cells of the walk pruned
         by them (`union_cells`), expanded."""
-        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms):
+        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms, False):
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
 
@@ -545,35 +575,40 @@ def scan_stream(stream: Iterable) -> Iterator:
     yield from stream
 
 
-def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]]) -> tuple:
-    """The first leader, in raw order, that the walks pruned by some but not
-    all of the tuples of checks reach: a walk reaches a leader iff the
-    leader has its checks, so that is the first system on which the tuples
-    disagree.  One walk over their union (`union_cells`) finds it: a cell
-    that every tuple reaches without marks adds its leaders whole, and only
-    a cell with marks, or one that some tuple does not reach, is expanded.
-    Returns (its index tuple, per walk whether it reaches it, the first
-    walk's leaders read before it, the systems they stand for); if the walks
-    never part, the first two are None and the counts are the first walk's
-    whole."""
+def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool) -> tuple:
+    """The first system, in raw order, on which the tuples of checks
+    disagree: the first that the walks pruned by some but not all of them
+    reach (a walk reaches a system iff the system has its checks).  The
+    systems on which the tuples disagree are closed under relabeling, so it
+    leads its class, and within a cell read by orbits it is the first of
+    the cell's completions on which they disagree.  One walk over their
+    union finds it (`union_cells`, read by orbits or by leaders as `orbits`
+    says): a cell that every tuple reaches without marks is counted whole,
+    and only a cell with marks, or one that some tuple does not reach, is
+    expanded.  Returns (its index tuple, per walk whether it reaches it,
+    what the first walk reached before it); if the walks never part, the
+    first two are None and the count is the first walk's whole.  Read by
+    leaders, the count is of leaders.  Read by orbits, it is of systems, and
+    is read only where the walks never part: each completion of a cell with
+    stabilizer order stab stands for n!/stab systems, since the leaders
+    among the completions of a settled prefix are the least of their orbits
+    under the stab relabelings that fix it (orbit–stabilizer)."""
     full, relabelings = (1 << len(walks)) - 1, space.relabelings
-    leaders = systems = 0
-    for prefix, stab, alive, lists, marks in scan_stream(space.union_cells(walks, space.perms)):
+    reached = 0
+    cells = space.union_cells(walks, space.perms, orbits)
+    for prefix, stab, alive, lists, marks in scan_stream(cells):
+        weight = relabelings // stab if orbits else 1
         if alive == full and marks is None:
-            whole = prod(map(len, lists))
-            leaders += whole
-            systems += relabelings // stab * whole
+            reached += weight * prod(map(len, lists))
             continue
-        weight = relabelings // stab
         for rest in itertools.product(*lists):
             reach = alive if marks is None else _allowing(marks, rest)
             if reach == full:
-                leaders += 1
-                systems += weight
+                reached += weight
             elif reach:
                 held = [bool(reach >> k & 1) for k in range(len(walks))]
-                return prefix + rest, held, leaders, systems
-    return None, None, leaders, systems
+                return prefix + rest, held, reached
+    return None, None, reached
 
 
 def _position(cells: Iterable[tuple], idx: tuple[int, ...]) -> int:
@@ -599,7 +634,7 @@ def _systems_upto(space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[i
     """The systems of the raw stream up to the system idx, which has every
     check, that have every check: idx's position in the walk pruned by them
     without relabelings, which yields those systems in raw order, plus one."""
-    return _position(space.union_cells([checks], []), idx) + 1
+    return _position(space.union_cells([checks], [], False), idx) + 1
 
 
 def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]]) -> tuple:
@@ -613,7 +648,7 @@ def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[Check
     every system that has the first walk's checks is counted."""
     systems = 0
     for space in [_system_space(n, monotone, False) for n in sizes]:
-        idx, _, _, whole = _parting(space, walks)
+        idx, _, whole = _parting(space, walks, True)
         if idx is not None:
             return space, idx, systems + _systems_upto(space, walks[0], idx)
         systems += whole
@@ -642,10 +677,11 @@ def _scan_systems(
         s = None if idx is None else space.leader(idx)
     else:
         space = _system_space(n, monotone, True)
-        idx, _, satisfying, _ = _parting(space, walks)
+        idx, _, satisfying = _parting(space, walks, False)
         s = None
         if idx is not None:  # labelled by its position among all leaders
-            s = space.system(idx, f"u{n}#{_position(space.union_cells([()], space.perms), idx)}")
+            index = _position(space.union_cells([()], space.perms, False), idx)
+            s = space.system(idx, f"u{n}#{index}")
             satisfying += 1
     return satisfying, None if s is None else (s, evaluate_check(s, target))
 
@@ -718,7 +754,7 @@ def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) ->
         raise ValueError("an agreement needs at least one check")
     checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
-        idx, held, _, _ = _parting(space, [(c,) for c in ids])
+        idx, held, _ = _parting(space, [(c,) for c in ids], True)
         if idx is not None:
             checked += space.rank(idx) + 1
             failure = space.leader(idx), held

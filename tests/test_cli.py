@@ -257,6 +257,13 @@ def test_a_bare_colon_after_a_property_without_a_parameter_exits_2(capsys, argv)
     assert "takes no parameter" in err and out == ""
 
 
+def test_search_verb_counts_every_system_at_size_4(capsys):
+    # No check reads below a base set, so the walk is one cell from the start.
+    code, out, _ = run_cli(capsys, "search", "--size", "4", "--mode", "count")
+    assert code == 0
+    assert out == "5440901750000 systems\n"
+
+
 def test_search_verb_count_mode(capsys):
     # monotone eMI systems at |U| = 2: I({a}) and I({b}) are each {∅} or hold
     # their singleton, and I({a,b}) must hold those singletons: 5 + 3 + 3 + 2

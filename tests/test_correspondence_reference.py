@@ -228,9 +228,9 @@ def test_a_holding_row_reads_one_walk_per_size(monkeypatch):
     walks = []
     union_cells = search._SystemSpace.union_cells
 
-    def recording(space, tuples, perms):
+    def recording(space, tuples, *args):
         walks.append((space.universe.size, tuple(tuples)))
-        return union_cells(space, tuples, perms)
+        return union_cells(space, tuples, *args)
 
     monkeypatch.setattr(search._SystemSpace, "union_cells", recording)
     left = ROW_LEFT[3]

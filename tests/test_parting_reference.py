@@ -3,10 +3,15 @@ leader merge it replaced (`tests/leader_merge.py`).
 
 `search._parting` walks the union of the walks pruned by each tuple of
 checks once and expands only the cells where the tuples' options differ.
-It must return what merging the expanded walks leader by leader returned:
-the first leader that some but not all of them reach, which walks reach it,
-and the first walk's leaders and systems before it.
+Read by leaders, it must return what merging the expanded walks leader by
+leader returned: the first leader that some but not all of them reach,
+which walks reach it, and the first walk's leaders before it.  Read by
+orbits, as every raw search reads it, it must part at the same system with
+the same walks reaching it, and where the walks never part count the
+systems that the first walk's leaders stand for.
 """
+
+from math import prod
 
 import pytest
 
@@ -66,19 +71,45 @@ def _name(walks):
     return "|".join("+".join(c.name for c in checks) or "(all)" for checks in walks)
 
 
+def _leader_reading(space, walks):
+    """(index, held, leaders) of the merge, the leader reading's reference."""
+    return merged_parting(space, walks)[:3]
+
+
 @pytest.mark.parametrize("walks", WALKS, ids=_name)
 def test_the_union_walk_parts_where_the_merge_did(walks):
     for monotone, sizes in ((True, (1, 2, 3)), (False, (1, 2))):
         for n in sizes:
             space = _system_space(n, monotone, False)
-            assert _parting(space, walks) == merged_parting(space, walks), (n, monotone)
+            assert _parting(space, walks, False) == _leader_reading(space, walks), (n, monotone)
 
 
 @pytest.mark.parametrize("walks", ROWS, ids=_name)
 def test_the_correspondence_rows_part_where_the_merge_did(walks):
     for n in (1, 2, 3):
         space = _system_space(n, True, False)
-        assert _parting(space, walks) == merged_parting(space, walks), n
+        assert _parting(space, walks, False) == _leader_reading(space, walks), n
+
+
+def _systems(space, checks):
+    """The systems that have every check, off the leader walk's cells."""
+    cells = space.union_cells([checks], space.perms, False)
+    return sum(space.relabelings // stab * prod(map(len, lists)) for _, stab, _, lists, _ in cells)
+
+
+@pytest.mark.parametrize("walks", WALKS + ROWS, ids=_name)
+def test_the_orbit_reading_parts_where_the_leader_reading_does(walks):
+    # A settled rest is one cell whatever relabelings are live: the first
+    # system where the tuples disagree, which walks reach it, and the
+    # systems counted where they never part are those of the leader reading.
+    for monotone in (True, False):
+        for n in (1, 2, 3):
+            space = _system_space(n, monotone, False)
+            idx, held, _ = _parting(space, walks, False)
+            got = _parting(space, walks, True)
+            assert got[:2] == (idx, held), (n, monotone)
+            if idx is None:
+                assert got[2] == _systems(space, walks[0]), (n, monotone)
 
 
 @pytest.mark.parametrize(
@@ -93,6 +124,7 @@ def test_the_correspondence_rows_part_where_the_merge_did(walks):
 def test_the_benchmark_finds_at_u4_part_where_the_merge_did(required, target):
     space = _system_space(4, True, True)
     walks = [required, required + (target,)]
-    got = _parting(space, walks)
+    got = _parting(space, walks, False)
     assert got[0] is not None
-    assert got == merged_parting(space, walks)
+    assert got == _leader_reading(space, walks)
+    assert _parting(space, walks, True)[:2] == got[:2]

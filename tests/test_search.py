@@ -321,9 +321,12 @@ def test_deep_find_pins_stream_label():
 @pytest.mark.parametrize(
     "required,count",
     # eMI + I-omega at n = 4 is also the number of mu-PR choice functions, as
-    # an independent choice walk counted them.
-    [((EMI, IOMEGA), 160_000), ((n_star_s(3), EMI), 369_796)],
-    ids=["eMI+I-omega", "n*s:3+eMI"],
+    # an independent choice walk counted them.  I-omega alone is every choice
+    # function, I(X) = P(M) for each M ⊆ X, and no check is every system:
+    # 2, 5, 19 and 167 families per base set of 1, 2, 3 and 4 elements.
+    [((EMI, IOMEGA), 160_000), ((n_star_s(3), EMI), 369_796),
+     ((IOMEGA,), 2**32), ((), 2**4 * 5**6 * 19**4 * 167)],
+    ids=["eMI+I-omega", "n*s:3+eMI", "I-omega", "none"],
 )
 def test_count_systems_pinned_at_size_4(required, count):
     assert count_systems(SearchSpec(4, required, mode="count")).instances_checked == count
@@ -353,9 +356,10 @@ def test_cumulativity_follows_at_size_4():
      ((n_star_s(3), EMI), or_n(3), 369_796),
      ((IOMEGA, EMI), OR_OMEGA, 160_000),
      ((IOMEGA, EMI), m_plus_omega(1), 160_000),
-     ((IOMEGA, EMI), m_plus_omega(3), 160_000)],
+     ((IOMEGA, EMI), m_plus_omega(3), 160_000),
+     ((or_n(2),), CP, 853_863_120)],
     ids=["fact-3.7:3:M+n:3", "fact-3.7:3:CM:3", "fact-3.7:3:OR:3",
-         "fact-3.10:OR:omega", "fact-3.10:M+omega:1", "fact-3.10:M+omega:3"],
+         "fact-3.10:OR:omega", "fact-3.10:M+omega:1", "fact-3.10:M+omega:3", "OR:2=>CP"],
 )
 def test_implications_hold_at_size_4(required, target, count):
     rep = verify_implication(SearchSpec(4, required, target, "verify-implication"))
@@ -591,6 +595,13 @@ def test_agreement_failure_is_pinned():
             "ideals": {"a,b": [[], ["a"], ["b"], ["a", "b"]]},
         },
     })
+
+
+def test_and_omega_agrees_with_iomega_at_size_4():
+    # Both read I(Y) alone, so the walks never part and every system counts.
+    rep = verify_agreement([AND_OMEGA, IOMEGA], 4)
+    assert rep.holds and rep.witness_system is None
+    assert rep.instances_checked == 5_440_901_750_000
 
 
 def test_two_s_breakdown_small_sizes():

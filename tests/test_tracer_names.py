@@ -76,6 +76,21 @@ def test_counts_step_through_the_traced_stream():
         assert tracer.calls["scan_stream"] > 0, name
 
 
+def test_a_settled_count_is_one_step_of_the_traced_stream():
+    # Opt reads I(Y) alone, so the raw walk is settled at its first prefix:
+    # its rest is one cell whatever relabelings are live, counted n!/n! = 1
+    # time per completion, where the leader reading yielded 10 732 cells.
+    from sizesem.properties import OPT
+    from sizesem.search import SearchSpec, count_systems
+
+    spec = SearchSpec(3, (OPT,), mode="count", monotone_only=False)
+    with _load_tracing().Tracer() as tracer:
+        with tracer.query("count-opt-nonmono-u3"):
+            rep = count_systems(spec)
+    assert rep.instances_checked == 2**3 * 8**3 * 128
+    assert tracer.calls["scan_stream"] == 1
+
+
 WORKLOADS = TRACING.with_name("workloads.py")
 
 MU_TAGS_IN_SCAN_ORDER = [
