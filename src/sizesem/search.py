@@ -62,6 +62,24 @@ leader counts once.  One reader counts positions off cells (`_position`): a
 failing `canonical_only` leader's label is its position among all leaders,
 and a failing raw search's tally its position in the first tuple's walk
 without relabelings.
+
+A raw count of checks whose tests are all `Columns` without pairs, one of
+them reading below a base set, sums the last two blocks out at n ≥ 2
+(`_SystemSpace.count`, bucket elimination after Dechter, AIJ 1999).  A
+relabeling maps a block onto itself, so orbit–stabilizer holds at any
+block boundary: the walk read by orbits stops at the sets of size n − 2,
+and each leader prefix p with stabilizer H stands for n!/|H| prefixes with
+as many completions as p.  Those are counted without being walked: the
+sets of size n − 1 read only p, so each takes its options apart from the
+others, and the full set's families are summed over, each weighted by the
+product of how many options of each size-(n − 1) set let it through.  So a
+raw implication, agreement or correspondence row whose walks never part,
+the usual case, is decided by counts where every walk's checks are such
+column tests (`_counted`): nested walks never part iff they count as many
+systems, and ids agree iff each counts as many as all of them together.
+Only where the counts differ is the union walked, for the first failing
+system.  A find expects a parting and walks at once, and a `canonical_only`
+search counts leaders, so it walks too.
 """
 
 from __future__ import annotations
@@ -388,16 +406,18 @@ class _SystemSpace:
         return None, options
 
     def union_cells(
-        self, walks: list[tuple[CheckId, ...]], perms: list, orbits: bool
+        self, walks: list[tuple[CheckId, ...]], perms: list, settle: int | None, made: dict
     ) -> Iterator[tuple]:
         """(prefix, order of the stabilizer, alive, lists, marks) per cell of
         the walk over the systems that have every check of some tuple in
         walks: each completion of prefix by `itertools.product(*lists)`, in
-        raw order.  Read by leaders (`orbits` false), the completions are the
+        raw order.  Read by leaders (settle None), the completions are the
         systems that no relabeling in perms makes smaller: with `perms` the
         space's relabelings the lex-leaders, each with its stabilizer; with
         none, every system that has the checks, each cell's stabilizer 1.
-        Read by orbits, a cell may hold systems that are not leaders.  Bit k
+        Read by orbits (settle a block), a cell may hold systems that are
+        not leaders.  made maps each tuple of checks to its `_options`,
+        filled on first use, so walks handed one dict share their memos.  Bit k
         of alive is set iff tuple k's tests pass on the prefix.  marks is
         None when every tuple in alive allows the same lists; else marks[p]
         maps each index in lists[p] to the bits of the tuples that allow it,
@@ -415,9 +435,12 @@ class _SystemSpace:
         (from the start without perms), and the relabelings left at the end,
         with the identity, are each whole system's stabilizer.
 
-        Read by orbits (`orbits` true), a settled prefix p is one cell
-        whatever relabelings H are live, with stabilizer |H| (the identity
-        counted): the cell holds every completion of p, leader or not.  This
+        Read by orbits, a prefix also settles at block settle, and a settled
+        prefix p is one cell whatever relabelings H are live, with stabilizer
+        |H| (the identity counted): the cell holds every completion of p,
+        leader or not.  Settled before the last block (an elimination count
+        settles one tuple at the sets of size n − 1, `count`), it lists
+        that block alone and leaves the full set to its reader.  This
         is exact for two reasons.  Every relabeling outside H makes p larger,
         so the leaders among the completions are the least of their H-orbits
         and stand for n!/|H| systems per completion (orbit–stabilizer), the
@@ -435,7 +458,7 @@ class _SystemSpace:
         others.  Where the live tuples' lists differ, a block walks their
         union, and a part that no tuple allows is pruned.
         """
-        made, tuples = {}, []  # per walk: (lists, options), shared by equal walks
+        tuples = []  # per walk: (lists, options), shared by equal walks
         for checks in walks:
             checks = tuple(dict.fromkeys(checks))
             if checks not in made:
@@ -451,8 +474,11 @@ class _SystemSpace:
                 tups = [(1 << k, *tuples[k]) for k in range(len(walks)) if alive >> k & 1]
                 entry = members[alive] = tups, any(options for _, _, options in tups)
             tups, reads = entry
-            settled = (orbits or not live) and (b == last or not reads)
-            block = range(len(prefix), len(self.domain)) if settled else self.blocks[b]
+            if b == settle < last:  # an elimination count's cell: this block alone
+                settled, block = True, self.blocks[b]
+            else:
+                settled = (settle is not None or not live) and (b == last or not reads)
+                block = range(len(prefix), len(self.domain)) if settled else self.blocks[b]
             lo = block.start
             if len(tups) == 1:  # one live tuple, as in a count: its own lists, no marks
                 _, static, options = tups[0]
@@ -496,9 +522,83 @@ class _SystemSpace:
         """(index tuple, order of its stabilizer) of every lex-leader on which
         every check holds, in raw-stream order: the cells of the walk pruned
         by them (`union_cells`), expanded."""
-        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms, False):
+        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms, None, {}):
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
+
+    def count(self, checks: tuple[CheckId, ...], made: dict) -> int:
+        """The systems of the space that have every check.  If every check's
+        test is a `Columns` without pairs, one of them reads below a base set
+        and n ≥ 2, the last two blocks are summed out, not walked (bucket
+        elimination, Dechter, AIJ 1999).  The walk read by orbits stops at
+        the sets of size n − 2 (`union_cells`), and each leader prefix p
+        there, with stabilizer H, stands for n!/|H| prefixes with as many
+        completions as p: the checks are invariant, and a relabeling maps
+        each block onto itself (orbit–stabilizer at a block boundary).  The
+        sets Y_i of size n − 1 read only p, so each takes its options V_i(p)
+        apart from the others.  The full set U takes the families F in M(p),
+        U's `alone` mask and column reads of p, that every Y_i's family f
+        lets through (R_i[f], U's column reads of Y_i holding f).  So p has
+        Σ_{F ∈ M(p)} Π_i c_i(F) completions, where c_i(F) counts the f in
+        V_i(p) with F in R_i[f].  Else the walk counts (`_parting`).  The
+        masks are `_prepare`'s; made is `union_cells`'."""
+        last, n = len(self.blocks) - 1, self.universe.size
+        tests = list(map(_below, checks))
+        if n < 2 or not all(map(_columns, tests)) or not any(test.cross for test in tests):
+            return _parting(self, [checks], True, made)[2]
+        u, top = len(self.domain) - 1, self.blocks[last - 1]  # U, and the Y_i
+        full = (1 << self.radices[u]) - 1
+        mask, reads_of = full, {}  # position k ↦ U's column reads of k
+        for alone, reads, _ in map(self._prepare, checks):
+            mask &= alone[u]
+            for made_u, cross, x, (k,) in reads[u]:
+                reads_of.setdefault(k, []).append((made_u, cross, x))
+        low = [k for k in reads_of if k not in top]
+        passing = {k: {} for k in reads_of}  # k ↦ its family i ↦ U's families passing its reads
+
+        def through(k: int, i: int) -> int:
+            got = full
+            for made_u, cross, x in reads_of[k]:
+                one = made_u.get((i,))
+                if one is None:
+                    one = made_u[(i,)] = cross(self.columns[u], self.domain[u], x, self.per_set[k][i])
+                got &= one
+            passing[k][i] = got
+            return got
+
+        counts: dict[tuple, list[int]] = {}  # (j, V) ↦ c per family of U
+
+        def reading(j: int, options: tuple[int, ...]) -> list[int]:
+            c = counts.get((j, options))
+            if c is None:
+                c = counts[j, options] = [0] * self.radices[u]
+                for f in options:
+                    got = passing[j].get(f)
+                    for big in _indices(through(j, f) if got is None else got):
+                        c[big] += 1
+            return c
+
+        weights: dict[tuple, int] = {}  # (M(p), V_i(p) per i) ↦ the prefixes p stands for
+        for prefix, stab, _, lists, _ in scan_stream(self.union_cells([checks], self.perms, last - 1, made)):
+            m = mask
+            for k in low:
+                got = passing[k].get(prefix[k])
+                m &= through(k, prefix[k]) if got is None else got
+            if m:
+                key = (m, *map(tuple, lists))
+                weights[key] = weights.get(key, 0) + self.relabelings // stab
+        total = 0
+        for (m, *vs), weight in weights.items():
+            bigs = _indices(m)
+            cs = [map(reading(j, v).__getitem__, bigs) for j, v in zip(top, vs)]
+            total += weight * sum(map(prod, zip(*cs)))
+        return total
+
+
+def _columns(test) -> bool:
+    """Whether a test below a base set is a `Columns` without pairs, so one
+    whose reads below each set are of one set each (`_SystemSpace.count`)."""
+    return isinstance(test, Columns) and not test.pairs
 
 
 def _union(tups: list, block: range, prefix: tuple[int, ...]) -> tuple[list, list | None]:
@@ -575,7 +675,7 @@ def scan_stream(stream: Iterable) -> Iterator:
     yield from stream
 
 
-def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool) -> tuple:
+def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool, made: dict) -> tuple:
     """The first system, in raw order, on which the tuples of checks
     disagree: the first that the walks pruned by some but not all of them
     reach (a walk reaches a system iff the system has its checks).  The
@@ -583,19 +683,20 @@ def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool
     leads its class, and within a cell read by orbits it is the first of
     the cell's completions on which they disagree.  One walk over their
     union finds it (`union_cells`, read by orbits or by leaders as `orbits`
-    says): a cell that every tuple reaches without marks is counted whole,
-    and only a cell with marks, or one that some tuple does not reach, is
-    expanded.  Returns (its index tuple, per walk whether it reaches it,
-    what the first walk reached before it); if the walks never part, the
-    first two are None and the count is the first walk's whole.  Read by
-    leaders, the count is of leaders.  Read by orbits, it is of systems, and
-    is read only where the walks never part: each completion of a cell with
-    stabilizer order stab stands for n!/stab systems, since the leaders
-    among the completions of a settled prefix are the least of their orbits
-    under the stab relabelings that fix it (orbit–stabilizer)."""
+    says, with the memos in made): a cell that every tuple reaches without
+    marks is counted whole, and only a cell with marks, or one that some
+    tuple does not reach, is expanded.  Returns (its index tuple, per walk
+    whether it reaches it, what the first walk reached before it); if the
+    walks never part, the first two are None and the count is the first
+    walk's whole.  Read by leaders, the count is of leaders.  Read by
+    orbits, it is of systems, and is read only where the walks never part:
+    each completion of a cell with stabilizer order stab stands for n!/stab
+    systems, since the leaders among the completions of a settled prefix
+    are the least of their orbits under the stab relabelings that fix it
+    (orbit–stabilizer)."""
     full, relabelings = (1 << len(walks)) - 1, space.relabelings
     reached = 0
-    cells = space.union_cells(walks, space.perms, orbits)
+    cells = space.union_cells(walks, space.perms, len(space.blocks) - 1 if orbits else None, made)
     for prefix, stab, alive, lists, marks in scan_stream(cells):
         weight = relabelings // stab if orbits else 1
         if alive == full and marks is None:
@@ -630,14 +731,33 @@ def _position(cells: Iterable[tuple], idx: tuple[int, ...]) -> int:
     raise ValueError(f"the walk does not reach {idx}")
 
 
-def _systems_upto(space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...]) -> int:
+def _systems_upto(
+    space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...], made: dict
+) -> int:
     """The systems of the raw stream up to the system idx, which has every
     check, that have every check: idx's position in the walk pruned by them
-    without relabelings, which yields those systems in raw order, plus one."""
-    return _position(space.union_cells([checks], [], False), idx) + 1
+    without relabelings, which yields those systems in raw order, plus one.
+    made holds the `_options` of the walks the search read before."""
+    return _position(space.union_cells([checks], [], None, made), idx) + 1
 
 
-def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]]) -> tuple:
+def _counted(space: _SystemSpace, walks: list[tuple[CheckId, ...]], made: dict) -> int | None:
+    """The systems that the first walk reaches, if every walk's checks have
+    column tests without pairs and the walks never part; else None.  They
+    never part iff each walk reaches as many systems as the checks of all of
+    them together do, since it reaches those and more: counts
+    (`_SystemSpace.count`) decide it with no walk over their union."""
+    if not all(_columns(_below(c)) for checks in walks for c in checks):
+        return None
+    walks = [tuple(dict.fromkeys(checks)) for checks in walks]
+    every = tuple(dict.fromkeys(itertools.chain(*walks)))
+    whole = space.count(every, made)
+    return whole if all(space.count(w, made) == whole for w in walks if w != every) else None
+
+
+def _first_parting(
+    sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]], by_counts: bool
+) -> tuple:
     """(space, idx, systems): over the given sizes in turn, the first leader
     idx at which the walks part, in its space, and the systems up to it in
     the raw stream that have the first walk's checks, each earlier size's
@@ -645,20 +765,27 @@ def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[Check
     stream on which the walks part leads its class, so idx is that system.
     Every caller's walks are nested, so idx has the first walk's checks
     (`_systems_upto`).  If the walks never part, space and idx are None and
-    every system that has the first walk's checks is counted."""
+    every system that has the first walk's checks is counted.  With
+    by_counts a size whose walks never part is decided by counts where they
+    can (`_counted`), and walked only where the counts differ; a find, which
+    expects a parting, walks at once."""
     systems = 0
     for space in [_system_space(n, monotone, False) for n in sizes]:
-        idx, _, whole = _parting(space, walks, True)
-        if idx is not None:
-            return space, idx, systems + _systems_upto(space, walks[0], idx)
+        made: dict = {}  # the `_options` of each walk, shared by every walk at this size
+        whole = _counted(space, walks, made) if by_counts else None
+        if whole is None:
+            idx, _, whole = _parting(space, walks, True, made)
+            if idx is not None:
+                return space, idx, systems + _systems_upto(space, walks[0], idx, made)
         systems += whole
     return None, None, systems
 
 
 def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> int:
     """The systems of the given sizes that have every check: the walk pruned
-    by them never parts from itself, so its cells count whole (`_parting`)."""
-    return _first_parting(sizes, monotone, [checks])[2]
+    by them never parts from itself, so it is counted (`_counted`) or its
+    cells count whole (`_parting`)."""
+    return _first_parting(sizes, monotone, [checks], True)[2]
 
 
 def _scan_systems(
@@ -673,14 +800,20 @@ def _scan_systems(
     required, target = spec.required, spec.target
     walks = [required] if target is None else [required, required + (target,)]
     if not spec.canonical_only:
-        space, idx, satisfying = _first_parting(sizes, monotone, walks)
+        by_counts = spec.mode != "find-counterexample"
+        space, idx, satisfying = _first_parting(sizes, monotone, walks, by_counts)
         s = None if idx is None else space.leader(idx)
     else:
         space = _system_space(n, monotone, True)
-        idx, _, satisfying = _parting(space, walks, False)
+        if n == CANONICAL_CEILING and target is None and not required:
+            raise CapacityExceeded(
+                f"a canonical count at size {n} needs a required check: "
+                "unpruned, its walk reads more than 10^34 leaders"
+            )
+        idx, _, satisfying = _parting(space, walks, False, {})
         s = None
         if idx is not None:  # labelled by its position among all leaders
-            index = _position(space.union_cells([()], space.perms, False), idx)
+            index = _position(space.union_cells([()], space.perms, None, {}), idx)
             s = space.system(idx, f"u{n}#{index}")
             satisfying += 1
     return satisfying, None if s is None else (s, evaluate_check(s, target))
@@ -754,7 +887,11 @@ def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) ->
         raise ValueError("an agreement needs at least one check")
     checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
-        idx, held, _ = _parting(space, [(c,) for c in ids], True)
+        walks, made = [(c,) for c in ids], {}
+        if _counted(space, walks, made) is not None:
+            checked += prod(space.radices)
+            continue
+        idx, held, _ = _parting(space, walks, True, made)
         if idx is not None:
             checked += space.rank(idx) + 1
             failure = space.leader(idx), held

@@ -219,6 +219,20 @@ def test_search_verb_capacity(capsys):
         assert "capacity" in err.lower()
 
 
+def test_search_verb_refuses_an_unpruned_canonical_count_at_size_5(capsys, monkeypatch):
+    # With no required check the walk of size 5 reads every leader, more than
+    # 10^34 of them: refused before it starts.
+    from sizesem import search
+
+    def no_walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(search._SystemSpace, "union_cells", no_walk)
+    code, out, err = run_cli(capsys, "search", "--size", "5", "--mode", "count", "--canonical")
+    assert code == 3
+    assert "needs a required check" in err and out == ""
+
+
 @pytest.mark.parametrize("canonical", [(), ("--canonical",)], ids=["raw", "canonical"])
 def test_search_verb_refuses_a_non_monotone_size_4(capsys, canonical):
     # The full set of size 4 alone has 32 768 families with ∅.

@@ -224,7 +224,8 @@ def test_a_parting_without_a_failing_function_is_an_internal_error(monkeypatch):
         verify_correspondence_backward(3, 2)
 
 
-def test_a_holding_row_reads_one_walk_per_size(monkeypatch):
+def record_walks(monkeypatch) -> list:
+    """(size, tuples of checks) of every walk `union_cells` opens from now on."""
     walks = []
     union_cells = search._SystemSpace.union_cells
 
@@ -233,17 +234,37 @@ def test_a_holding_row_reads_one_walk_per_size(monkeypatch):
         return union_cells(space, tuples, *args)
 
     monkeypatch.setattr(search._SystemSpace, "union_cells", recording)
-    left = ROW_LEFT[3]
+    return walks
+
+
+def test_a_holding_row_of_column_tests_is_decided_by_counts(monkeypatch):
+    # mu-PR's test below a set is a column test, so each size counts the
+    # systems with every check of the row, then those of the walk without
+    # the rule (`search._counted`): no walk is over the union of two tuples.
+    walks = record_walks(monkeypatch)
     assert verify_correspondence_forward(3, 3).holds
-    assert walks == [(n, (left + (IOMEGA,), left + (IOMEGA, MU_PR))) for n in (1, 2, 3)]
+    counted = [(EMI, IOMEGA, MU_PR), (EMI, IOMEGA)]
+    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted]
     walks.clear()
     assert verify_correspondence_backward(3, 3).holds
-    assert walks == [(n, ((IOMEGA, MU_PR), (IOMEGA, MU_PR) + left)) for n in (1, 2, 3)]
+    counted = [(IOMEGA, MU_PR, EMI), (IOMEGA, MU_PR)]
+    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted]
     walks.clear()
     # Without I-omega in left, the systems with left are counted for skipped.
     assert verify_correspondence_forward(1, 3).holds
-    wor = ((EMI, IOMEGA), (EMI, IOMEGA, MU_WOR))
-    assert walks == [(n, wor) for n in (1, 2, 3)] + [(n, ((EMI,),)) for n in (1, 2, 3)]
+    counted = [(EMI, IOMEGA, MU_WOR), (EMI, IOMEGA)]
+    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted] + [
+        (n, ((EMI,),)) for n in (1, 2, 3)
+    ]
+
+
+def test_a_holding_row_with_a_per_family_test_reads_one_walk_per_size(monkeypatch):
+    # mu-OR's test below a set is per family, so its row is read where the
+    # walks with and without it part, in one walk over their union per size.
+    walks = record_walks(monkeypatch)
+    left = ROW_LEFT[2]
+    assert verify_correspondence_forward(2, 3).holds
+    assert walks == [(n, (left + (IOMEGA,), left + (IOMEGA, MU_OR))) for n in (1, 2, 3)]
 
 
 def test_mu_pr_counts_the_emi_iomega_systems_at_size_4():

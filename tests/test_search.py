@@ -324,9 +324,15 @@ def test_deep_find_pins_stream_label():
     # an independent choice walk counted them.  I-omega alone is every choice
     # function, I(X) = P(M) for each M ⊆ X, and no check is every system:
     # 2, 5, 19 and 167 families per base set of 1, 2, 3 and 4 elements.
+    # eMI, I-omega + eMF and the fact-3.9 counts read below a base set, so the
+    # last two blocks are summed out (`_SystemSpace.count`), not walked.
     [((EMI, IOMEGA), 160_000), ((n_star_s(3), EMI), 369_796),
-     ((IOMEGA,), 2**32), ((), 2**4 * 5**6 * 19**4 * 167)],
-    ids=["eMI+I-omega", "n*s:3+eMI", "I-omega", "none"],
+     ((IOMEGA,), 2**32), ((), 2**4 * 5**6 * 19**4 * 167),
+     ((EMI,), 2_700_626_494), ((IOMEGA, EMF), 48_045_274),
+     ((CM_OMEGA,), 374_388_328), ((m_plus_omega(4),), 374_388_328),
+     ((CM_OMEGA, m_plus_omega(4)), 374_388_328)],
+    ids=["eMI+I-omega", "n*s:3+eMI", "I-omega", "none", "eMI", "I-omega+eMF", "CM:omega",
+         "M+omega:4", "CM:omega+M+omega:4"],
 )
 def test_count_systems_pinned_at_size_4(required, count):
     assert count_systems(SearchSpec(4, required, mode="count")).instances_checked == count
@@ -600,6 +606,13 @@ def test_agreement_failure_is_pinned():
 def test_and_omega_agrees_with_iomega_at_size_4():
     # Both read I(Y) alone, so the walks never part and every system counts.
     rep = verify_agreement([AND_OMEGA, IOMEGA], 4)
+    assert rep.holds and rep.witness_system is None
+    assert rep.instances_checked == 5_440_901_750_000
+
+
+def test_cm_omega_agrees_with_m_plus_omega_4_at_size_4():
+    # Fact 3.9 at |U| = 4: each id's count equals the count of both, 374 388 328.
+    rep = verify_agreement([CM_OMEGA, m_plus_omega(4)], 4)
     assert rep.holds and rep.witness_system is None
     assert rep.instances_checked == 5_440_901_750_000
 
