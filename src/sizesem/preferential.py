@@ -571,13 +571,13 @@ def verify_correspondence_forward(row: int, max_universe: int) -> Correspondence
 
     # Row 7's choice side is structural: its one walk never parts.
     walks = [left + (IOMEGA,), left + (IOMEGA, mu_rule)] if mu_rule else [left + (IOMEGA,)]
-    space, idx, checked = _first_parting(sizes, True, walks, True)
+    space, idx, checked = _first_parting(sizes, True, walks)
     witness = None
     if idx is None:
         skipped = 0 if IOMEGA in left else count(sizes, True, left) - checked
     else:
         before = range(1, space.universe.size)
-        skipped = count(before, True, left) + _systems_upto(space, left, idx, {}) - checked
+        skipped = count(before, True, left) + _systems_upto(space, left, idx) - checked
         s = space.leader(idx)
         mu = principal_mu(s)
         rep = check_mu_rule(mu, mu_rule)
@@ -637,7 +637,7 @@ def verify_correspondence_backward(row: int, max_universe: int) -> Correspondenc
     # Read as f(X) = X − max I(X), each I-omega system is a choice function
     # whose system is itself, so the row holds iff left prunes none of them.
     pruned = (IOMEGA,) if mu_rule is None else (IOMEGA, mu_rule)
-    _, idx, checked = _first_parting(sizes, True, [pruned, pruned + left], True)
+    _, idx, checked = _first_parting(sizes, True, [pruned, pruned + left])
     witness = None
     if idx is not None:
         # The walks do not go in the order of the mu<n>#<rank> labels: drop their

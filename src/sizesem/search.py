@@ -45,13 +45,14 @@ space): a test that is a `setcore.Columns` as a mask of Y's families passing
 its test of I(Y) alone (a local property's, shared by seven rules, or the
 one of OR:2 and CM:2) and column masks, one AND over bit columns of Y's
 families per subset of Y and its family; any other as a test per family.
-A relabeling that fixes the prefix maps a family that passes to one that
-passes, so the pruned walk read by leaders yields exactly the leaders that
-have the checks, with their stabilizers.  Every search is read one way
-out, through `scan_stream`, where walks part (`_parting`): an implication
-or a find compares those pruned by the required checks with and without
-the target, an agreement one per id, and a count reads one walk, which
-never parts.
+Each tuple of checks' options (`_options`) and counts (`_elimination`) are
+kept per space too.  A relabeling that fixes the prefix maps a family that
+passes to one that passes, so the pruned walk read by leaders yields
+exactly the leaders that have the checks, with their stabilizers.  Every
+search is read one way out, through `scan_stream`, where walks part
+(`_parting`): an implication or a find compares those pruned by the
+required checks with and without the target, an agreement one per id, and
+a count reads one walk, which never parts.
 The first system that some but not all of them reach is the first failing
 system, and only it gets a report.  One walk over the union of their trees
 finds it (`_SystemSpace.union_cells`): each cell carries the tuples of
@@ -63,23 +64,22 @@ failing `canonical_only` leader's label is its position among all leaders,
 and a failing raw search's tally its position in the first tuple's walk
 without relabelings.
 
-A raw count of checks whose tests are all `Columns` without pairs, one of
-them reading below a base set, sums the last two blocks out at n ≥ 2
-(`_SystemSpace.count`, bucket elimination after Dechter, AIJ 1999).  A
-relabeling maps a block onto itself, so orbit–stabilizer holds at any
-block boundary: the walk read by orbits stops at the sets of size n − 2,
-and each leader prefix p with stabilizer H stands for n!/|H| prefixes with
-as many completions as p.  Those are counted without being walked: the
-sets of size n − 1 read only p, so each takes its options apart from the
-others, and the full set's families are summed over, each weighted by the
-product of how many options of each size-(n − 1) set let it through.  So a
-raw implication, agreement or correspondence row whose walks never part,
-the usual case, is decided by counts where every walk's checks are such
-column tests (`_counted`): nested walks never part iff they count as many
-systems, and ids agree iff each counts as many as all of them together.
-Only where the counts differ is the union walked, for the first failing
-system.  A find expects a parting and walks at once, and a `canonical_only`
-search counts leaders, so it walks too.
+Read by orbits, the walk also sums the last two blocks out
+(`_SystemSpace._elimination`, bucket elimination after Dechter, AIJ 1999)
+where every check of every live tuple is a `Columns` without pairs and
+n ≥ 2.  A relabeling maps a block onto itself, so orbit–stabilizer holds at
+any block boundary: a leader prefix p that ends before the sets Y_i of size
+n − 1, with stabilizer H, stands for n!/|H| prefixes with as many
+completions as p.  Each Y_i reads only p, so it takes its options V_i(p)
+apart from the others, and the full set takes the families F in M(p), its
+`alone` mask and column reads of p, that each Y_i's family lets through.  So
+p has Σ_{F ∈ M(p)} Π_i c_i(F) completions, where c_i(F) counts the families
+in V_i(p) that let F through.  p is one whole cell if each live tuple
+completes it as often as all their checks together do, so that no
+completion tells them apart, and every tuple is alive there or none
+completes it; else the walk goes on.  So a search whose walks never part,
+the usual case, reads no prefix past the sets of size n − 2, and a find
+whose target holds reads the walk of its implication.
 """
 
 from __future__ import annotations
@@ -293,6 +293,8 @@ class _SystemSpace:
         self.blocks = [range(a, b) for a, b in itertools.pairwise(bounds)]
         self.relabelings = factorial(n)
         self._prepared: dict[CheckId, tuple] = {}
+        self._tuples: dict[tuple, tuple] = {}  # per tuple of checks: its `_options`
+        self._counters: dict[tuple, Callable | None] = {}  # and its `_elimination`
         self.positions = [{fam: k for k, fam in enumerate(fams)} for fams in self.per_set]
         self.columns = [
             {a: _bits(map(operator.contains, fams, itertools.repeat(a))) for a in submasks(x)}
@@ -359,9 +361,11 @@ class _SystemSpace:
         position the indices of the families that pass every check; else
         (None, options), options(j, prefix) the indices of the families that
         pass each check's test below the base set Y at position j, given
-        what prefix assigns to the subsets of Y, memoised for the walk.  The
-        masks come from `_prepare`; the per-family tests run on the families
-        every mask lets through."""
+        what prefix assigns to the subsets of Y, memoised.  Kept per space
+        for every walk pruned by the checks.  The masks come from `_prepare`;
+        the per-family tests run on the families every mask lets through."""
+        if (tup := self._tuples.get(checks)) is not None:
+            return tup
         domain, per_set, below, columns = self.domain, self.per_set, self.below, self.columns
         start = [(1 << r) - 1 for r in self.radices]
         reads = [[] for _ in domain]  # per position: (masks made, cross, X, positions read)
@@ -373,7 +377,8 @@ class _SystemSpace:
                 start[j] &= alone[j]
                 reads[j] += column_reads[j]
         if not per_family and not any(reads):
-            return list(map(_indices, start)), None
+            tup = self._tuples[checks] = list(map(_indices, start)), None
+            return tup
         memo: dict[tuple[int, ...], list[int]] = {}
 
         def options(j: int, prefix: tuple[int, ...]) -> list[int]:
@@ -403,26 +408,87 @@ class _SystemSpace:
                     memo[key] = got
             return got
 
-        return None, options
+        tup = self._tuples[checks] = None, options
+        return tup
+
+    def _elimination(self, checks: tuple[CheckId, ...]) -> Callable | None:
+        """completions(prefix), the number of ways to complete a prefix that
+        ends before the sets of size n − 1 to a system with every check, by
+        summing those sets and the full set out; None unless n ≥ 2 and every
+        check's test below a base set is a `Columns` without pairs.  Kept per
+        space, like `_options`; the module docstring gives the sum."""
+        if checks in self._counters:
+            return self._counters[checks]
+        if self.universe.size < 2 or not all(_columns(_below(c)) for c in checks):
+            self._counters[checks] = None
+            return None
+        tup, top, u = (1, *self._options(checks)), self.blocks[-2], len(self.domain) - 1
+        full = (1 << self.radices[u]) - 1
+        mask, reads_of = full, {}  # position k ↦ U's column reads of k
+        for alone, reads, _ in map(self._prepare, checks):
+            mask &= alone[u]
+            for made_u, cross, x, (k,) in reads[u]:
+                reads_of.setdefault(k, []).append((made_u, cross, x))
+        low = [k for k in reads_of if k not in top]
+        passing: dict[tuple, int] = {}  # (k, its family) ↦ U's families passing U's reads of k
+        counts: dict[tuple, list[int]] = {}  # (j, V) ↦ c per family of U
+        totals: dict[tuple, int] = {}  # (M, V per size-(n − 1) set) ↦ completions
+
+        def through(k: int, i: int) -> int:
+            got = passing.get((k, i))
+            if got is None:
+                got = full
+                for made_u, cross, x in reads_of.get(k, ()):
+                    one = made_u.get((i,))
+                    if one is None:
+                        one = made_u[(i,)] = cross(self.columns[u], self.domain[u], x, self.per_set[k][i])
+                    got &= one
+                passing[k, i] = got
+            return got
+
+        def reading(j: int, options: tuple[int, ...]) -> list[int]:
+            c = counts.get((j, options))
+            if c is None:
+                c = counts[j, options] = [0] * self.radices[u]
+                for f in options:
+                    for big in _indices(through(j, f)):
+                        c[big] += 1
+            return c
+
+        def completions(prefix: tuple[int, ...]) -> int:
+            m = mask
+            for k in low:
+                m &= through(k, prefix[k])
+            if not m:
+                return 0
+            key = (m, *map(tuple, _union([tup], top, prefix)[0]))
+            total = totals.get(key)
+            if total is None:
+                bigs = _indices(m)
+                cs = [map(reading(j, v).__getitem__, bigs) for j, v in zip(top, key[1:])]
+                total = totals[key] = sum(map(prod, zip(*cs)))
+            return total
+
+        self._counters[checks] = completions
+        return completions
 
     def union_cells(
-        self, walks: list[tuple[CheckId, ...]], perms: list, settle: int | None, made: dict
+        self, walks: list[tuple[CheckId, ...]], perms: list, orbits: bool
     ) -> Iterator[tuple]:
-        """(prefix, order of the stabilizer, alive, lists, marks) per cell of
-        the walk over the systems that have every check of some tuple in
-        walks: each completion of prefix by `itertools.product(*lists)`, in
-        raw order.  Read by leaders (settle None), the completions are the
-        systems that no relabeling in perms makes smaller: with `perms` the
-        space's relabelings the lex-leaders, each with its stabilizer; with
-        none, every system that has the checks, each cell's stabilizer 1.
-        Read by orbits (settle a block), a cell may hold systems that are
-        not leaders.  made maps each tuple of checks to its `_options`,
-        filled on first use, so walks handed one dict share their memos.  Bit k
-        of alive is set iff tuple k's tests pass on the prefix.  marks is
-        None when every tuple in alive allows the same lists; else marks[p]
-        maps each index in lists[p] to the bits of the tuples that allow it,
-        and a completion has the checks of the tuples whose bits are in every
-        index it takes.
+        """(prefix, order of the stabilizer, alive, lists, marks, whole) per
+        cell of the walk over the systems that have every check of some tuple
+        in walks: each completion of prefix by `itertools.product(*lists)`, in
+        raw order.  Read by leaders, the completions are the systems that no
+        relabeling in perms makes smaller: with `perms` the space's
+        relabelings the lex-leaders, each with its stabilizer; with none,
+        every system that has the checks, each cell's stabilizer 1.  Read by
+        orbits, a cell may hold systems that are not leaders.  Bit k of alive
+        is set iff tuple k's tests pass on the prefix.  marks is None when
+        every tuple in alive allows the same lists; else marks[p] maps each
+        index in lists[p] to the bits of the tuples that allow it, and a
+        completion has the checks of the tuples whose bits are in every index
+        it takes.  whole is the number of completions if every tuple reaches
+        each of them, else None; lists is None where they were summed out.
 
         The walk runs block by block, each block's tuples in product order,
         and carries the relabelings whose image still equals the prefix.
@@ -433,61 +499,52 @@ class _SystemSpace:
         lists); the rest of the walk from a settled prefix is one cell.
         Read by leaders, a prefix settles only once no relabeling is left
         (from the start without perms), and the relabelings left at the end,
-        with the identity, are each whole system's stabilizer.
-
-        Read by orbits, a prefix also settles at block settle, and a settled
-        prefix p is one cell whatever relabelings H are live, with stabilizer
-        |H| (the identity counted): the cell holds every completion of p,
-        leader or not.  Settled before the last block (an elimination count
-        settles one tuple at the sets of size n − 1, `count`), it lists
-        that block alone and leaves the full set to its reader.  This
-        is exact for two reasons.  Every relabeling outside H makes p larger,
-        so the leaders among the completions are the least of their H-orbits
-        and stand for n!/|H| systems per completion (orbit–stabilizer), the
-        weight `_parting` gives each.  And the completions on which the
-        tuples disagree form an H-invariant set, so the first of them in
-        product order is a leader: the raw stream's first such system, the
-        one the leader reading finds.
+        with the identity, are each whole system's stabilizer.  Read by
+        orbits, a settled prefix is one cell whatever relabelings are live,
+        and so is a prefix at the sets of size n − 1 whose completions no
+        live tuple tells apart from the others by their counts
+        (`_elimination`): each live tuple completes it as often as all of
+        them together, and every tuple is alive or none completes it.
 
         The images are compared whether or not their families pass, so the
         stabilizers are those of the unpruned walk, and each part of a block
         is tested once for every tuple.  A position takes, per live tuple, the
-        families that pass every check's test below it (`_options`): a mask at
-        the base set for the tests of I(Y) alone, a column mask per subset for
-        the two-level and pairwise checks, and a test per family for the
-        others.  Where the live tuples' lists differ, a block walks their
-        union, and a part that no tuple allows is pruned.
+        families that pass every check's test below it (`_options`).  Where
+        the live tuples' lists differ, a block walks their union, and a part
+        that no tuple allows is pruned.
         """
-        tuples = []  # per walk: (lists, options), shared by equal walks
-        for checks in walks:
-            checks = tuple(dict.fromkeys(checks))
-            if checks not in made:
-                made[checks] = self._options(checks)
-            tuples.append(made[checks])
-        members = {}  # alive ↦ (its tuples as (bit, lists, options), any options)
+        walks = [tuple(dict.fromkeys(checks)) for checks in walks]
+        tuples = list(map(self._options, walks))
+        members = {}  # alive ↦ (its tuples as (bit, lists, options), any options, counters)
         image_index = self._image_index
-        last = len(self.blocks) - 1
+        full, last = (1 << len(walks)) - 1, len(self.blocks) - 1
 
         def walk(b: int, prefix: tuple[int, ...], live: list, alive: int) -> Iterator:
             entry = members.get(alive)
             if entry is None:
-                tups = [(1 << k, *tuples[k]) for k in range(len(walks)) if alive >> k & 1]
-                entry = members[alive] = tups, any(options for _, _, options in tups)
-            tups, reads = entry
-            if b == settle < last:  # an elimination count's cell: this block alone
-                settled, block = True, self.blocks[b]
-            else:
-                settled = (settle is not None or not live) and (b == last or not reads)
-                block = range(len(prefix), len(self.domain)) if settled else self.blocks[b]
+                ks = [k for k in range(len(walks)) if alive >> k & 1]
+                tups = [(1 << k, *tuples[k]) for k in ks]
+                reads, summed = any(options for _, _, options in tups), None
+                if orbits and reads:  # each live tuple's counter, and that of all their checks
+                    live_walks = [walks[k] for k in ks]
+                    every = tuple(dict.fromkeys(itertools.chain(*live_walks)))
+                    summed = list(map(self._elimination, dict.fromkeys([*live_walks, every])))
+                    if None in summed:
+                        summed = None
+                entry = members[alive] = tups, reads, summed
+            tups, reads, summed = entry
+            if summed and b == last - 1:
+                counts = {completions(prefix) for completions in summed}
+                if len(counts) == 1 and (alive == full or 0 in counts):
+                    yield prefix, len(live) + 1, alive, None, None, counts.pop()
+                    return
+            settled = (orbits or not live) and (b == last or not reads)
+            block = range(len(prefix), len(self.domain)) if settled else self.blocks[b]
             lo = block.start
-            if len(tups) == 1:  # one live tuple, as in a count: its own lists, no marks
-                _, static, options = tups[0]
-                lists = [options(j, prefix) for j in block] if options else static[lo : block.stop]
-                marks = None
-            else:
-                lists, marks = _union(tups, block, prefix)
+            lists, marks = _union(tups, block, prefix)
             if settled:
-                yield prefix, len(live) + 1, alive, lists, marks
+                whole = prod(map(len, lists)) if alive == full and marks is None else None
+                yield prefix, len(live) + 1, alive, lists, marks, whole
                 return
             reach = alive
             for part in itertools.product(*lists):
@@ -514,98 +571,31 @@ class _SystemSpace:
                     if b < last:
                         yield from walk(b + 1, prefix + part, kept, reach)
                     else:  # a whole system, its own cell
-                        yield prefix + part, len(kept) + 1, reach, [], None
+                        whole = 1 if reach == full else None
+                        yield prefix + part, len(kept) + 1, reach, [], None, whole
 
-        return walk(0, (), perms, (1 << len(walks)) - 1)
+        return walk(0, (), perms, full)
 
     def leaders(self, checks: tuple[CheckId, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, order of its stabilizer) of every lex-leader on which
         every check holds, in raw-stream order: the cells of the walk pruned
         by them (`union_cells`), expanded."""
-        for prefix, stab, _, lists, _ in self.union_cells([checks], self.perms, None, {}):
+        for prefix, stab, _, lists, _, _ in self.union_cells([checks], self.perms, False):
             for rest in itertools.product(*lists):
                 yield prefix + rest, stab
-
-    def count(self, checks: tuple[CheckId, ...], made: dict) -> int:
-        """The systems of the space that have every check.  If every check's
-        test is a `Columns` without pairs, one of them reads below a base set
-        and n ≥ 2, the last two blocks are summed out, not walked (bucket
-        elimination, Dechter, AIJ 1999).  The walk read by orbits stops at
-        the sets of size n − 2 (`union_cells`), and each leader prefix p
-        there, with stabilizer H, stands for n!/|H| prefixes with as many
-        completions as p: the checks are invariant, and a relabeling maps
-        each block onto itself (orbit–stabilizer at a block boundary).  The
-        sets Y_i of size n − 1 read only p, so each takes its options V_i(p)
-        apart from the others.  The full set U takes the families F in M(p),
-        U's `alone` mask and column reads of p, that every Y_i's family f
-        lets through (R_i[f], U's column reads of Y_i holding f).  So p has
-        Σ_{F ∈ M(p)} Π_i c_i(F) completions, where c_i(F) counts the f in
-        V_i(p) with F in R_i[f].  Else the walk counts (`_parting`).  The
-        masks are `_prepare`'s; made is `union_cells`'."""
-        last, n = len(self.blocks) - 1, self.universe.size
-        tests = list(map(_below, checks))
-        if n < 2 or not all(map(_columns, tests)) or not any(test.cross for test in tests):
-            return _parting(self, [checks], True, made)[2]
-        u, top = len(self.domain) - 1, self.blocks[last - 1]  # U, and the Y_i
-        full = (1 << self.radices[u]) - 1
-        mask, reads_of = full, {}  # position k ↦ U's column reads of k
-        for alone, reads, _ in map(self._prepare, checks):
-            mask &= alone[u]
-            for made_u, cross, x, (k,) in reads[u]:
-                reads_of.setdefault(k, []).append((made_u, cross, x))
-        low = [k for k in reads_of if k not in top]
-        passing = {k: {} for k in reads_of}  # k ↦ its family i ↦ U's families passing its reads
-
-        def through(k: int, i: int) -> int:
-            got = full
-            for made_u, cross, x in reads_of[k]:
-                one = made_u.get((i,))
-                if one is None:
-                    one = made_u[(i,)] = cross(self.columns[u], self.domain[u], x, self.per_set[k][i])
-                got &= one
-            passing[k][i] = got
-            return got
-
-        counts: dict[tuple, list[int]] = {}  # (j, V) ↦ c per family of U
-
-        def reading(j: int, options: tuple[int, ...]) -> list[int]:
-            c = counts.get((j, options))
-            if c is None:
-                c = counts[j, options] = [0] * self.radices[u]
-                for f in options:
-                    got = passing[j].get(f)
-                    for big in _indices(through(j, f) if got is None else got):
-                        c[big] += 1
-            return c
-
-        weights: dict[tuple, int] = {}  # (M(p), V_i(p) per i) ↦ the prefixes p stands for
-        for prefix, stab, _, lists, _ in scan_stream(self.union_cells([checks], self.perms, last - 1, made)):
-            m = mask
-            for k in low:
-                got = passing[k].get(prefix[k])
-                m &= through(k, prefix[k]) if got is None else got
-            if m:
-                key = (m, *map(tuple, lists))
-                weights[key] = weights.get(key, 0) + self.relabelings // stab
-        total = 0
-        for (m, *vs), weight in weights.items():
-            bigs = _indices(m)
-            cs = [map(reading(j, v).__getitem__, bigs) for j, v in zip(top, vs)]
-            total += weight * sum(map(prod, zip(*cs)))
-        return total
 
 
 def _columns(test) -> bool:
     """Whether a test below a base set is a `Columns` without pairs, so one
-    whose reads below each set are of one set each (`_SystemSpace.count`)."""
+    whose reads below each set are of one set each (`_elimination`)."""
     return isinstance(test, Columns) and not test.pairs
 
 
 def _union(tups: list, block: range, prefix: tuple[int, ...]) -> tuple[list, list | None]:
-    """(lists, marks) at the positions of block of two or more live tuples,
-    (bit, lists, options) each: their lists and None if all are equal,
-    else per position the ascending union and a dict from each index in it
-    to the bits of the tuples that allow it (`union_cells`)."""
+    """(lists, marks) at the positions of block of the live tuples, (bit,
+    lists, options) each: their lists and None if all are equal, as one
+    tuple's are, else per position the ascending union and a dict from each
+    index in it to the bits of the tuples that allow it (`union_cells`)."""
     per = []
     for bit, static, options in tups:
         lists = [options(j, prefix) for j in block] if options else static[block.start : block.stop]
@@ -675,32 +665,23 @@ def scan_stream(stream: Iterable) -> Iterator:
     yield from stream
 
 
-def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool, made: dict) -> tuple:
+def _parting(space: _SystemSpace, walks: list[tuple[CheckId, ...]], orbits: bool) -> tuple:
     """The first system, in raw order, on which the tuples of checks
     disagree: the first that the walks pruned by some but not all of them
-    reach (a walk reaches a system iff the system has its checks).  The
-    systems on which the tuples disagree are closed under relabeling, so it
-    leads its class, and within a cell read by orbits it is the first of
-    the cell's completions on which they disagree.  One walk over their
-    union finds it (`union_cells`, read by orbits or by leaders as `orbits`
-    says, with the memos in made): a cell that every tuple reaches without
-    marks is counted whole, and only a cell with marks, or one that some
-    tuple does not reach, is expanded.  Returns (its index tuple, per walk
-    whether it reaches it, what the first walk reached before it); if the
-    walks never part, the first two are None and the count is the first
-    walk's whole.  Read by leaders, the count is of leaders.  Read by
-    orbits, it is of systems, and is read only where the walks never part:
-    each completion of a cell with stabilizer order stab stands for n!/stab
-    systems, since the leaders among the completions of a settled prefix
-    are the least of their orbits under the stab relabelings that fix it
-    (orbit–stabilizer)."""
+    reach (a walk reaches a system iff the system has its checks).  One walk
+    over their union finds it (`union_cells`, read by orbits or by leaders as
+    `orbits` says): a whole cell is counted, and only the others are
+    expanded.  Returns (its index tuple, per walk whether it reaches it, what
+    the first walk reached before it); if the walks never part, the first two
+    are None and the count is the first walk's whole, of leaders or, read by
+    orbits, of systems."""
     full, relabelings = (1 << len(walks)) - 1, space.relabelings
     reached = 0
-    cells = space.union_cells(walks, space.perms, len(space.blocks) - 1 if orbits else None, made)
-    for prefix, stab, alive, lists, marks in scan_stream(cells):
+    cells = space.union_cells(walks, space.perms, orbits)
+    for prefix, stab, alive, lists, marks, whole in scan_stream(cells):
         weight = relabelings // stab if orbits else 1
-        if alive == full and marks is None:
-            reached += weight * prod(map(len, lists))
+        if whole is not None:
+            reached += weight * whole
             continue
         for rest in itertools.product(*lists):
             reach = alive if marks is None else _allowing(marks, rest)
@@ -718,9 +699,9 @@ def _position(cells: Iterable[tuple], idx: tuple[int, ...]) -> int:
     own, then its rank in its cell's product.  The unpruned leader walk gives
     a canonical label, a walk without relabelings a raw tally (`_systems_upto`)."""
     before = 0
-    for prefix, _, _, lists, _ in scan_stream(cells):
+    for prefix, _, _, lists, _, whole in scan_stream(cells):
         if prefix < idx[: len(prefix)]:
-            before += prod(map(len, lists))
+            before += whole
         elif prefix == idx[: len(prefix)] and all(map(operator.contains, lists, idx[len(prefix):])):
             rank = 0  # mixed radix over the lists, as `itertools.product` runs
             for k, options in enumerate(lists, len(prefix)):
@@ -731,33 +712,14 @@ def _position(cells: Iterable[tuple], idx: tuple[int, ...]) -> int:
     raise ValueError(f"the walk does not reach {idx}")
 
 
-def _systems_upto(
-    space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...], made: dict
-) -> int:
+def _systems_upto(space: _SystemSpace, checks: tuple[CheckId, ...], idx: tuple[int, ...]) -> int:
     """The systems of the raw stream up to the system idx, which has every
     check, that have every check: idx's position in the walk pruned by them
-    without relabelings, which yields those systems in raw order, plus one.
-    made holds the `_options` of the walks the search read before."""
-    return _position(space.union_cells([checks], [], None, made), idx) + 1
+    without relabelings, which yields those systems in raw order, plus one."""
+    return _position(space.union_cells([checks], [], False), idx) + 1
 
 
-def _counted(space: _SystemSpace, walks: list[tuple[CheckId, ...]], made: dict) -> int | None:
-    """The systems that the first walk reaches, if every walk's checks have
-    column tests without pairs and the walks never part; else None.  They
-    never part iff each walk reaches as many systems as the checks of all of
-    them together do, since it reaches those and more: counts
-    (`_SystemSpace.count`) decide it with no walk over their union."""
-    if not all(_columns(_below(c)) for checks in walks for c in checks):
-        return None
-    walks = [tuple(dict.fromkeys(checks)) for checks in walks]
-    every = tuple(dict.fromkeys(itertools.chain(*walks)))
-    whole = space.count(every, made)
-    return whole if all(space.count(w, made) == whole for w in walks if w != every) else None
-
-
-def _first_parting(
-    sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]], by_counts: bool
-) -> tuple:
+def _first_parting(sizes: Iterable[int], monotone: bool, walks: list[tuple[CheckId, ...]]) -> tuple:
     """(space, idx, systems): over the given sizes in turn, the first leader
     idx at which the walks part, in its space, and the systems up to it in
     the raw stream that have the first walk's checks, each earlier size's
@@ -765,27 +727,20 @@ def _first_parting(
     stream on which the walks part leads its class, so idx is that system.
     Every caller's walks are nested, so idx has the first walk's checks
     (`_systems_upto`).  If the walks never part, space and idx are None and
-    every system that has the first walk's checks is counted.  With
-    by_counts a size whose walks never part is decided by counts where they
-    can (`_counted`), and walked only where the counts differ; a find, which
-    expects a parting, walks at once."""
+    every system that has the first walk's checks is counted."""
     systems = 0
     for space in [_system_space(n, monotone, False) for n in sizes]:
-        made: dict = {}  # the `_options` of each walk, shared by every walk at this size
-        whole = _counted(space, walks, made) if by_counts else None
-        if whole is None:
-            idx, _, whole = _parting(space, walks, True, made)
-            if idx is not None:
-                return space, idx, systems + _systems_upto(space, walks[0], idx, made)
+        idx, _, whole = _parting(space, walks, True)
+        if idx is not None:
+            return space, idx, systems + _systems_upto(space, walks[0], idx)
         systems += whole
     return None, None, systems
 
 
 def count(sizes: Iterable[int], monotone: bool, checks: tuple[CheckId, ...]) -> int:
     """The systems of the given sizes that have every check: the walk pruned
-    by them never parts from itself, so it is counted (`_counted`) or its
-    cells count whole (`_parting`)."""
-    return _first_parting(sizes, monotone, [checks], True)[2]
+    by them never parts from itself, so its cells count whole (`_parting`)."""
+    return _first_parting(sizes, monotone, [checks])[2]
 
 
 def _scan_systems(
@@ -800,8 +755,7 @@ def _scan_systems(
     required, target = spec.required, spec.target
     walks = [required] if target is None else [required, required + (target,)]
     if not spec.canonical_only:
-        by_counts = spec.mode != "find-counterexample"
-        space, idx, satisfying = _first_parting(sizes, monotone, walks, by_counts)
+        space, idx, satisfying = _first_parting(sizes, monotone, walks)
         s = None if idx is None else space.leader(idx)
     else:
         space = _system_space(n, monotone, True)
@@ -810,10 +764,10 @@ def _scan_systems(
                 f"a canonical count at size {n} needs a required check: "
                 "unpruned, its walk reads more than 10^34 leaders"
             )
-        idx, _, satisfying = _parting(space, walks, False, {})
+        idx, _, satisfying = _parting(space, walks, False)
         s = None
         if idx is not None:  # labelled by its position among all leaders
-            index = _position(space.union_cells([()], space.perms, None, {}), idx)
+            index = _position(space.union_cells([()], space.perms, False), idx)
             s = space.system(idx, f"u{n}#{index}")
             satisfying += 1
     return satisfying, None if s is None else (s, evaluate_check(s, target))
@@ -887,11 +841,7 @@ def _agreement_report(ids: list[CheckId], sizes: Iterable[int], subject: str) ->
         raise ValueError("an agreement needs at least one check")
     checked, failure = 0, None
     for space in [_system_space(n, True, False) for n in sizes]:
-        walks, made = [(c,) for c in ids], {}
-        if _counted(space, walks, made) is not None:
-            checked += prod(space.radices)
-            continue
-        idx, held, _ = _parting(space, walks, True, made)
+        idx, held, _ = _parting(space, [(c,) for c in ids], True)
         if idx is not None:
             checked += space.rank(idx) + 1
             failure = space.leader(idx), held

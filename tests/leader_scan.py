@@ -56,7 +56,7 @@ def scan_classes(sizes, monotone, required, evaluate):
     spaces = [_system_space(n, monotone, False) for n in sizes]
     if evaluate is None:
         cells = (space.relabelings // stab * prod(map(len, lists))
-                 for space in spaces for _, stab, _, lists, _ in space.union_cells([required], space.perms, None, {}))
+                 for space in spaces for _, stab, _, lists, _, _ in space.union_cells([required], space.perms, False))
         return sum(cells), 0, None
     tally = [0, 0, 0]  # weights outside the scan, skipped, counted
     for space in spaces:

@@ -269,12 +269,11 @@ def test_raw_tallies_match_the_leader_by_leader_count(n, monotone):
     mismatches, failures = [], 0
     for k, target in enumerate(CHECKS):
         for required in ((), (CHECKS[k - 1],), (CHECKS[k - 2], CHECKS[k - 7])):
-            made = {}  # the parting walk's memos, read again by the tally, as a search does
-            idx, _, _ = _parting(space, [required, required + (target,)], True, made)
+            idx, _, _ = _parting(space, [required, required + (target,)], True)
             if idx is None:
                 continue
             failures += 1
-            got, want = _systems_upto(space, required, idx, made), leader_tally(space, required, idx)
+            got, want = _systems_upto(space, required, idx), leader_tally(space, required, idx)
             if got != want:
                 mismatches.append(([c.name for c in required], target.name, got, want))
     assert mismatches == []
@@ -295,10 +294,10 @@ def test_raw_tallies_match_the_leader_by_leader_count(n, monotone):
 def test_raw_tallies_at_size_4_match_the_leader_by_leader_count(monkeypatch, required, target, checked):
     # Raw enumeration cannot reach |U| = 4: the count over the leaders is the reference.
     space = _system_space(4, True, False)
-    idx, _, _ = _parting(space, [required, required + (target,)], True, {})
+    idx, _, _ = _parting(space, [required, required + (target,)], True)
     assert leader_tally(space, required, idx) == checked
     refuse_leaders(monkeypatch)
-    assert _systems_upto(space, required, idx, {}) == checked
+    assert _systems_upto(space, required, idx) == checked
     rep = verify_implication(SearchSpec(4, required, target, "verify-implication"))
     assert (rep.holds, rep.instances_checked) == (False, checked)
 
@@ -415,9 +414,9 @@ def test_cell_counts_are_the_sums_over_the_leaders(checks):
         for n in (1, 2, 3):
             space = _SystemSpace(n, monotone)
             leaders = list(space.leaders(checks))
-            cells = list(space.union_cells([checks], space.perms, None, {}))
-            completions = [prod(map(len, lists)) for _, _, _, lists, _ in cells]
-            weights = [space.relabelings // stab for _, stab, _, _, _ in cells]
+            cells = list(space.union_cells([checks], space.perms, False))
+            completions = [prod(map(len, lists)) for _, _, _, lists, _, _ in cells]
+            weights = [space.relabelings // stab for _, stab, _, _, _, _ in cells]
             assert sum(completions) == len(leaders), (n, monotone)
             assert sum(map(operator.mul, completions, weights)) == sum(
                 space.relabelings // stab for _, stab in leaders

@@ -278,6 +278,15 @@ def test_search_verb_counts_every_system_at_size_4(capsys):
     assert out == "5440901750000 systems\n"
 
 
+def test_search_verb_finds_no_counterexample_where_the_target_holds(capsys):
+    # I-omega + eMF => M+omega:2 at |U| = 4, decided by counts inside the walk.
+    code, out, _ = run_cli(
+        capsys, "search", "--size", "4", "--required", "I-omega,eMF", "--target", "M+omega:2"
+    )
+    assert code == 0
+    assert "no counterexample at this size" in out
+
+
 def test_search_verb_count_mode(capsys):
     # monotone eMI systems at |U| = 2: I({a}) and I({b}) are each {∅} or hold
     # their singleton, and I({a,b}) must hold those singletons: 5 + 3 + 3 + 2

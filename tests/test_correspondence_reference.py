@@ -224,38 +224,55 @@ def test_a_parting_without_a_failing_function_is_an_internal_error(monkeypatch):
         verify_correspondence_backward(3, 2)
 
 
-def record_walks(monkeypatch) -> list:
-    """(size, tuples of checks) of every walk `union_cells` opens from now on."""
+def record_walks(monkeypatch, cells=None) -> list:
+    """(size, tuples of checks) of every walk `union_cells` opens from now on;
+    with a list cells, also (size, cell) for each cell the walks yield."""
     walks = []
     union_cells = search._SystemSpace.union_cells
 
+    def read(n, yielded):
+        for cell in yielded:
+            cells.append((n, cell))
+            yield cell
+
     def recording(space, tuples, *args):
         walks.append((space.universe.size, tuple(tuples)))
-        return union_cells(space, tuples, *args)
+        yielded = union_cells(space, tuples, *args)
+        return yielded if cells is None else read(space.universe.size, yielded)
 
     monkeypatch.setattr(search._SystemSpace, "union_cells", recording)
     return walks
 
 
 def test_a_holding_row_of_column_tests_is_decided_by_counts(monkeypatch):
-    # mu-PR's test below a set is a column test, so each size counts the
-    # systems with every check of the row, then those of the walk without
-    # the rule (`search._counted`): no walk is over the union of two tuples.
-    walks = record_walks(monkeypatch)
+    # mu-PR's test below a set is a column test.  So each size reads one walk
+    # over the union of the row's two tuples, and none of its cells is walked
+    # past the sets of size n − 1: there both tuples complete each prefix as
+    # often (`search._SystemSpace._elimination`), and the cell counts whole.
+    def summed_before_the_last_two_blocks(cells):
+        for n, (prefix, _, _, lists, _, whole) in cells:
+            if n > 1:  # at n = 1 the full set is the one block
+                assert len(prefix) <= 2**n - n - 2 and lists is None and whole is not None, n
+
+    cells = []
+    walks = record_walks(monkeypatch, cells)
     assert verify_correspondence_forward(3, 3).holds
-    counted = [(EMI, IOMEGA, MU_PR), (EMI, IOMEGA)]
-    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted]
+    left = ROW_LEFT[3] + (IOMEGA,)
+    assert walks == [(n, (left, left + (MU_PR,))) for n in (1, 2, 3)]
+    summed_before_the_last_two_blocks(cells)
     walks.clear()
+    cells.clear()
     assert verify_correspondence_backward(3, 3).holds
-    counted = [(IOMEGA, MU_PR, EMI), (IOMEGA, MU_PR)]
-    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted]
+    assert walks == [(n, ((IOMEGA, MU_PR), (IOMEGA, MU_PR) + ROW_LEFT[3])) for n in (1, 2, 3)]
+    summed_before_the_last_two_blocks(cells)
     walks.clear()
+    cells.clear()
     # Without I-omega in left, the systems with left are counted for skipped.
     assert verify_correspondence_forward(1, 3).holds
-    counted = [(EMI, IOMEGA, MU_WOR), (EMI, IOMEGA)]
-    assert walks == [(n, (checks,)) for n in (1, 2, 3) for checks in counted] + [
+    assert walks == [(n, ((EMI, IOMEGA), (EMI, IOMEGA, MU_WOR))) for n in (1, 2, 3)] + [
         (n, ((EMI,),)) for n in (1, 2, 3)
     ]
+    summed_before_the_last_two_blocks(cells)
 
 
 def test_a_holding_row_with_a_per_family_test_reads_one_walk_per_size(monkeypatch):

@@ -1,6 +1,7 @@
-"""`search._SystemSpace.count` sums the last two blocks out where every
-check's test below a base set is a `Columns` without pairs; the orbit walk
-(`search._parting` over the one tuple, which never parts) is its reference.
+"""The walk read by orbits sums the sets of size n − 1 and the full set out
+where every check's test below a base set is a `Columns` without pairs
+(`search._SystemSpace._elimination`); the leader reading, which never sums
+out, is its reference, each leader weighted by n!/|stabilizer|.
 
 Every tuple of one or two such checks among the CLI's properties and rules is
 counted both ways at |U| = 1..3, monotone and not, and so is I-omega with each
@@ -8,6 +9,7 @@ rule of the correspondence rows whose test is a `Columns`.
 """
 
 import itertools
+from math import prod
 
 import pytest
 
@@ -24,9 +26,15 @@ MU_RULES = [preferential.MuRuleId(tag) for tag, test in preferential._BELOW.item
             if isinstance(test, Columns)]
 
 
-def walked(space, checks):
-    """The systems that have every check, counted off the orbit walk's cells."""
-    return _parting(space, [checks], True, {})[2]
+def summed(space, checks):
+    """The systems that have every check, off the orbit walk's cells."""
+    return _parting(space, [checks], True)[2]
+
+
+def by_leaders(space, checks):
+    """The same, off the leader walk's cells: n!/stab systems per leader."""
+    cells = space.union_cells([checks], space.perms, False)
+    return sum(space.relabelings // stab * prod(map(len, lists)) for _, stab, _, lists, _, _ in cells)
 
 
 def test_the_sweep_covers_thirty_checks():
@@ -39,12 +47,12 @@ def test_the_sweep_covers_thirty_checks():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "non-monotone"])
-def test_elimination_counts_what_the_orbit_walk_counts(n, monotone):
+def test_elimination_counts_what_the_leader_walk_counts(n, monotone):
     space = _system_space(n, monotone, False)
     mismatches = [
         ([c.name for c in checks], got, want)
         for checks in TUPLES
-        if (got := space.count(checks, {})) != (want := walked(space, checks))
+        if (got := summed(space, checks)) != (want := by_leaders(space, checks))
     ]
     assert mismatches == []
 
@@ -55,4 +63,4 @@ def test_elimination_counts_the_iomega_systems_of_each_column_mu_rule(n):
     space = _system_space(n, True, False)
     for rule in MU_RULES:
         checks = (IOMEGA, rule)
-        assert space.count(checks, {}) == walked(space, checks), (n, rule.tag)
+        assert summed(space, checks) == by_leaders(space, checks), (n, rule.tag)

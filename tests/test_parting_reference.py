@@ -81,20 +81,20 @@ def test_the_union_walk_parts_where_the_merge_did(walks):
     for monotone, sizes in ((True, (1, 2, 3)), (False, (1, 2))):
         for n in sizes:
             space = _system_space(n, monotone, False)
-            assert _parting(space, walks, False, {}) == _leader_reading(space, walks), (n, monotone)
+            assert _parting(space, walks, False) == _leader_reading(space, walks), (n, monotone)
 
 
 @pytest.mark.parametrize("walks", ROWS, ids=_name)
 def test_the_correspondence_rows_part_where_the_merge_did(walks):
     for n in (1, 2, 3):
         space = _system_space(n, True, False)
-        assert _parting(space, walks, False, {}) == _leader_reading(space, walks), n
+        assert _parting(space, walks, False) == _leader_reading(space, walks), n
 
 
 def _systems(space, checks):
     """The systems that have every check, off the leader walk's cells."""
-    cells = space.union_cells([checks], space.perms, None, {})
-    return sum(space.relabelings // stab * prod(map(len, lists)) for _, stab, _, lists, _ in cells)
+    cells = space.union_cells([checks], space.perms, False)
+    return sum(space.relabelings // stab * prod(map(len, lists)) for _, stab, _, lists, _, _ in cells)
 
 
 @pytest.mark.parametrize("walks", WALKS + ROWS, ids=_name)
@@ -105,8 +105,8 @@ def test_the_orbit_reading_parts_where_the_leader_reading_does(walks):
     for monotone in (True, False):
         for n in (1, 2, 3):
             space = _system_space(n, monotone, False)
-            idx, held, _ = _parting(space, walks, False, {})
-            got = _parting(space, walks, True, {})
+            idx, held, _ = _parting(space, walks, False)
+            got = _parting(space, walks, True)
             assert got[:2] == (idx, held), (n, monotone)
             if idx is None:
                 assert got[2] == _systems(space, walks[0]), (n, monotone)
@@ -124,7 +124,7 @@ def test_the_orbit_reading_parts_where_the_leader_reading_does(walks):
 def test_the_benchmark_finds_at_u4_part_where_the_merge_did(required, target):
     space = _system_space(4, True, True)
     walks = [required, required + (target,)]
-    got = _parting(space, walks, False, {})
+    got = _parting(space, walks, False)
     assert got[0] is not None
     assert got == _leader_reading(space, walks)
-    assert _parting(space, walks, True, {})[:2] == got[:2]
+    assert _parting(space, walks, True)[:2] == got[:2]

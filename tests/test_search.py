@@ -338,6 +338,28 @@ def test_count_systems_pinned_at_size_4(required, count):
     assert count_systems(SearchSpec(4, required, mode="count")).instances_checked == count
 
 
+def test_a_holding_find_reads_the_walk_of_its_implication(monkeypatch):
+    # I-omega + eMF => M+omega:2 holds at |U| = 4 (fact 3.10).  A find leaves
+    # the walk where its implication does: every cell of both counts whole
+    # where the two tuples complete a prefix alike, so they step the same
+    # cells, and no completion is walked one system at a time.
+    steps = []
+    scan_stream = search.scan_stream
+
+    def counting(stream):
+        for item in scan_stream(stream):
+            steps[-1] += 1
+            yield item
+
+    monkeypatch.setattr(search, "scan_stream", counting)
+    required, target = (IOMEGA, EMF), m_plus_omega(2)
+    steps.append(0)
+    assert find_counterexample(SearchSpec(4, required, target)) == (None, None)
+    steps.append(0)
+    assert verify_implication(SearchSpec(4, required, target, "verify-implication")).holds
+    assert steps[0] == steps[1] > 0
+
+
 def test_canonical_deep_find_pins_leader_label():
     spec = SearchSpec(4, (m_plus_omega(2),), m_plus_omega(1), canonical_only=True)
     system, rep = find_counterexample(spec)

@@ -195,7 +195,7 @@ def first_cells(space, checks, leaders):
     """The cells of the walk up to the one that reaches the given number of
     leaders, with their lists as tuples."""
     out, seen = [], 0
-    for prefix, stab, _, lists, _ in space.union_cells([checks], space.perms, None, {}):
+    for prefix, stab, _, lists, _, _ in space.union_cells([checks], space.perms, False):
         out.append((prefix, stab, [tuple(options) for options in lists]))
         seen += prod(map(len, lists))
         if seen >= leaders:
