@@ -246,17 +246,18 @@ def cmd_repro(args) -> int:
     table = fixtures.expected_table()
     status = 0
     payloads = []
+    log = sys.stderr if args.json else sys.stdout  # with --json, stdout is the JSON alone
     for fid in ids:
         produced = fixtures.run_fixture(fid)
         payloads.append(produced)
         mismatches = fixtures.compare_records(produced, table[fid])
         if mismatches:
             status = 1
-            print(f"FAIL {fid}")
+            print(f"FAIL {fid}", file=log)
             for m in mismatches:
-                print(f"  {m}")
+                print(f"  {m}", file=log)
         else:
-            print(f"PASS {fid}")
+            print(f"PASS {fid}", file=log)
     if args.json:
         print(json.dumps(payloads if args.all else payloads[0], indent=2))
     return status

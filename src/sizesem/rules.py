@@ -61,7 +61,7 @@ premise:
 
     rule       the unit holds iff                            its instances
     SC         ∅ ∈ I                                         2ᵏ
-    REF        ∅ ∈ I(t) for every ∅ ≠ t ⊆ a                  2^|U|
+    REF        a = ∅ or ∅ ∈ I; earlier units decide t ⊊ a    2^|U|
     RW         I is down-closed                              3ᵏ·Σ_{x∈I} 2^|x|
     wOR        I ⊆ I(a ∪ d) for every d ⊆ U − a              3ᵏ·Σ_{x∈I} 2^|a−x|
     PR'        as wOR                                        |I|·3ᵏ
@@ -300,11 +300,10 @@ def _sc_unit(ideals, size: int, a: int) -> int | None:
 
 def _ref_unit(ideals, size: int, a: int) -> int | None:
     """REF at α: (α ∩ γ) − γ = ∅ for each of the 2^|U| choices of γ, and
-    α ∩ γ is every t ⊆ α (t = ∅ holds by convention)."""
-    for t in submasks(a):
-        if t and 0 not in ideals[t]:
-            return None
-    return 1 << size
+    α ∩ γ is every t ⊆ α (t = ∅ holds by convention).  Each t ⊆ α comes no
+    later than α, so the units before α have decided every t ⊊ α: α's unit
+    fails iff Opt fails at α."""
+    return 1 << size if not a or 0 in ideals[a] else None
 
 
 def _superset_unit(ideals, size: int, a: int) -> int | None:
@@ -676,10 +675,9 @@ def _scan_rule(s: SizeSystem, r: RuleId) -> tuple:
         return count + 1, (("phi", a),), notes
 
     elif tag == "REF":
-        # γ fails iff t = α ∩ γ ≠ ∅ has ∅ ∉ I(t); then t fails too and comes
-        # no later than γ, so the first failing γ is the first such t ⊆ α.
-        g = next(t for t in submasks(a) if t and 0 not in ideals[t])
-        return count + canon_rank(size)[g] + 1, (("alpha", a), ("gamma", g)), notes
+        # γ fails iff t = α ∩ γ ≠ ∅ has ∅ ∉ I(t).  Every t ⊊ α held as an
+        # earlier unit, so γ fails iff α ⊆ γ, first at γ = α.
+        return count + canon_rank(size)[a] + 1, (("alpha", a), ("gamma", a)), notes
 
     elif tag == "RW":
         for b in rel[a]:

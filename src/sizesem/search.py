@@ -175,51 +175,21 @@ def verdict(s: SizeSystem, c: CheckId) -> bool:
 # --- family enumeration -------------------------------------------------------
 
 
-def _families_with_empty(x: int) -> Iterator[frozenset[int]]:
-    """All subset families over P(x) that contain ∅, ascending family code."""
-    others = [m for m in submasks(x) if m]
-    for bits in range(1 << len(others)):
-        fam = [0]
-        for i, m in enumerate(others):
-            if bits >> i & 1:
-                fam.append(m)
-        yield frozenset(fam)
-
-
-def _down_set_families(x: int) -> Iterator[frozenset[int]]:
-    """All downward-closed families over P(x) containing ∅, ascending code.
-
-    Membership is decided from the largest subset down, excluding before
-    including (so smaller family codes come first); including a set forces
-    every submask of it, all of which sit at lower positions.
-    """
-    subs = submasks(x)  # canonical order; subs[0] == 0
-    m = len(subs)
-    forced = [0] * m
-
-    def rec(pos: int, picked: list[int]) -> Iterator[frozenset[int]]:
-        if pos < 0:
-            yield frozenset(picked)
-            return
-        if pos == 0 or forced[pos]:
-            picked.append(subs[pos])
-            yield from rec(pos - 1, picked)
-            picked.pop()
-            return
-        yield from rec(pos - 1, picked)  # exclude first
-        picked.append(subs[pos])
-        sm = subs[pos]
-        newly = []
-        for q in range(pos):
-            if subs[q] & ~sm == 0 and not forced[q]:
-                forced[q] = 1
-                newly.append(q)
-        yield from rec(pos - 1, picked)
-        for q in newly:
-            forced[q] = 0
-        picked.pop()
-
-    yield from rec(m - 1, [])
+def _families(x: int, monotone: bool) -> list[frozenset[int]]:
+    """The families over P(x) that contain ∅, the down-sets alone if
+    monotone, ascending family code.  Each element e of x turns families D,
+    D′ over P(S) into D ∪ {m ∪ e : m ∈ D′} over P(S ∪ e): every family once,
+    and every down-set once from down-sets D′ ⊆ D (a monotone Boolean
+    function split on one variable)."""
+    fams, rest = [frozenset(), frozenset([0])], x  # over P(∅)
+    while rest:
+        e = rest & -rest
+        raised = [frozenset(m | e for m in low) for low in fams]
+        fams = [d | up for d in fams for low, up in zip(fams, raised) if not monotone or low <= d]
+        rest ^= e
+    weight = {m: 1 << k for k, m in enumerate(submasks(x))}  # m's bit in a family code
+    with_empty = [fam for fam in fams if 0 in fam]
+    return sorted(with_empty, key=lambda fam: sum(map(weight.__getitem__, fam)))
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -262,7 +232,7 @@ class _SystemSpace:
     """The systems of one universe size, as tuples of family indices.
 
     A system is a tuple of indices, one per base set in domain order, into
-    that base set's family list.  The lists ascend by family code, so
+    that base set's family list.  `_families` sorts each by family code, so
     comparing index tuples lexicographically compares code tuples, and the
     raw stream (`itertools.product` order) is ascending in the tuple's
     mixed-radix rank.
@@ -281,8 +251,7 @@ class _SystemSpace:
     def __init__(self, n: int, monotone: bool):
         self.universe = Universe(_letters(n))
         self.domain = domain = full_domain_masks(self.universe)
-        gen = _down_set_families if monotone else _families_with_empty
-        self.per_set = [tuple(gen(x)) for x in domain]
+        self.per_set = [_families(x, monotone) for x in domain]
         self.radices = [len(fams) for fams in self.per_set]
         self.strides = [1] * len(domain)
         for j in range(len(domain) - 1, 0, -1):
@@ -459,8 +428,6 @@ class _SystemSpace:
             m = mask
             for k in low:
                 m &= through(k, prefix[k])
-            if not m:
-                return 0
             key = (m, *map(tuple, _union([tup], top, prefix)[0]))
             total = totals.get(key)
             if total is None:
@@ -759,10 +726,13 @@ def _scan_systems(
         s = None if idx is None else space.leader(idx)
     else:
         space = _system_space(n, monotone, True)
-        if n == CANONICAL_CEILING and target is None and not required:
+        if n == CANONICAL_CEILING and all(
+            (lists := space._options(checks)[0]) and list(map(len, lists)) == space.radices
+            for checks in walks
+        ):
             raise CapacityExceeded(
-                f"a canonical count at size {n} needs a required check: "
-                "unpruned, its walk reads more than 10^34 leaders"
+                f"a canonical search at size {n} needs a required check or target that prunes "
+                "its walk: unpruned, it reads more than 10^34 leaders"
             )
         idx, _, satisfying = _parting(space, walks, False)
         s = None

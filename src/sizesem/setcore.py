@@ -141,7 +141,7 @@ class Columns(NamedTuple):
 class Universe:
     """An ordered list of distinct element labels; positions index bit vectors."""
 
-    __slots__ = ("elements", "full_mask", "_index", "_all_masks")
+    __slots__ = ("elements", "full_mask", "_index")
 
     def __init__(self, elements: Iterable[str]):
         elems = tuple(elements)
@@ -161,7 +161,6 @@ class Universe:
         self.elements = elems
         self.full_mask = (1 << len(elems)) - 1
         self._index = {label: i for i, label in enumerate(elems)}
-        self._all_masks: tuple[int, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -191,10 +190,8 @@ class Universe:
         return Subset(self, self.full_mask)
 
     def all_masks(self) -> tuple[int, ...]:
-        """Every subset mask, canonical order.  Cached; universes are immutable."""
-        if self._all_masks is None:
-            self._all_masks = tuple(sorted(range(1 << self.size), key=canon_key))
-        return self._all_masks
+        """Every subset mask, canonical order."""
+        return submasks(self.full_mask)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Universe) and self.elements == other.elements

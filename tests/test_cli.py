@@ -233,6 +233,33 @@ def test_search_verb_refuses_an_unpruned_canonical_count_at_size_5(capsys, monke
     assert "needs a required check" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--mode", "count", "--required", "Opt"), ("--mode", "count", "--required", "iM"),
+     ("--target", "iM"), ("--mode", "verify-implication", "--required", "Opt", "--target", "iM")],
+    ids=["count-Opt", "count-iM", "find-iM", "implication-Opt-iM"],
+)
+def test_search_verb_refuses_a_canonical_size_5_search_that_no_check_prunes(capsys, monkeypatch,
+                                                                             argv):
+    # Every family of the space holds ∅ and every down-set is inner-monotone,
+    # so Opt and iM let every family through: each walk reads every leader.
+    from sizesem import search
+
+    def no_walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(search._SystemSpace, "union_cells", no_walk)
+    code, out, err = run_cli(capsys, "search", "--size", "5", "--canonical", *argv)
+    assert code == 3
+    assert "needs a required check" in err and out == ""
+
+
+def test_search_verb_finds_a_canonical_size_5_counterexample_whose_walks_part_early(capsys):
+    code, out, _ = run_cli(capsys, "search", "--size", "5", "--canonical", "--target", "eMI")
+    assert code == 0
+    assert out.startswith("counterexample: u5#209\n")
+
+
 @pytest.mark.parametrize("canonical", [(), ("--canonical",)], ids=["raw", "canonical"])
 def test_search_verb_refuses_a_non_monotone_size_4(capsys, canonical):
     # The full set of size 4 alone has 32 768 families with ∅.
@@ -385,6 +412,64 @@ def test_repro_pass(capsys):
 def test_repro_unknown_id(capsys):
     code, _, err = run_cli(capsys, "repro", "zzz")
     assert code == 2
+
+
+@pytest.mark.parametrize("which", [("fact-3.4-1",), ("--all",)], ids=["one", "all"])
+def test_repro_json_writes_the_json_alone_to_stdout(capsys, which):
+    from sizesem import fixtures
+
+    code, out, err = run_cli(capsys, "repro", *which, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    if which == ("--all",):
+        assert [p["fixture"] for p in payload] == list(fixtures.FIXTURE_IDS) and len(payload) == 36
+        assert err.splitlines() == [f"PASS {fid}" for fid in fixtures.FIXTURE_IDS]
+    else:
+        assert payload["fixture"] == "fact-3.4-1" and err == "PASS fact-3.4-1\n"
+
+
+@pytest.mark.parametrize("as_json", [(), ("--json",)], ids=["text", "json"])
+def test_repro_mismatch_exits_one(capsys, monkeypatch, as_json):
+    from sizesem import fixtures
+
+    table = fixtures.expected_table()
+    table["fact-3.4-1"]["records"][4]["holds"] = True  # eMF fails on it
+    monkeypatch.setattr(fixtures, "expected_table", lambda: table)
+    code, out, err = run_cli(capsys, "repro", "fact-3.4-1", *as_json)
+    assert code == 1
+    log = err if as_json else out
+    assert log.splitlines() == ["FAIL fact-3.4-1", "  record 4 field 'holds': expected True, got False"]
+    if as_json:
+        assert json.loads(out)["fixture"] == "fact-3.4-1"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("validate",), None, "validate needs --system or --mu"),
+        (("check", "--system", data_path("fact34-1.json"), "--props", ""), None,
+         "check needs --props or --all"),
+        (("mu", "--row", "8"), None, "mu --row needs --direction fwd|bwd"),
+        (("mu",), None, "mu needs --mu or --row"),
+        (("repro",), None, "repro needs a fixture id or --all"),
+        (("validate", "--system"), '{"ideals": {}}', 'MalformedDocument: missing key "universe"'),
+        (("validate", "--system"), '{"universe": ["x"], "domain": "all"}',
+         'MalformedDocument: "domain" must be "full" or a list of subsets'),
+        (("validate", "--system"), '{"universe": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "nested too deeply"),
+    ],
+    ids=["validate-neither", "check-empty-props", "mu-row-no-direction", "mu-neither",
+         "repro-no-id", "no-universe", "domain-neither", "nested-too-deeply"],
+)
+def test_a_refused_command_line_or_document_exits_two_with_one_line(tmp_path, capsys, argv, text,
+                                                                    message):
+    if text is not None:
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        argv = (*argv, str(doc))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and message in err
 
 
 def test_expect_mismatch_exits_one(tmp_path, capsys):

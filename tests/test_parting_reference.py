@@ -11,6 +11,7 @@ the same walks reaching it, and where the walks never part count the
 systems that the first walk's leaders stand for.
 """
 
+import itertools
 from math import prod
 
 import pytest
@@ -28,7 +29,7 @@ from sizesem.properties import (
     n_star_s,
 )
 from sizesem.rules import CM_OMEGA, OR_OMEGA, RATM, or_n
-from sizesem.search import _parting, _system_space
+from sizesem.search import _SystemSpace, _allowing, _parting, _system_space
 
 IMPLICATIONS = [
     # holding
@@ -128,3 +129,23 @@ def test_the_benchmark_finds_at_u4_part_where_the_merge_did(required, target):
     assert got[0] is not None
     assert got == _leader_reading(space, walks)
     assert _parting(space, walks, True)[:2] == got[:2]
+
+
+def test_a_part_that_no_tuple_allows_is_pruned(monkeypatch):
+    # At |U| = 2 the singletons are one block.  Each tuple allows an index at
+    # one of them that the other does not, so the part (1, 1) of the union's
+    # product is allowed by neither tuple and is never walked.
+    lists = {(OPT,): [[0], [0, 1], [0, 1, 2]], (IM,): [[0, 1], [0], [1, 3]]}
+    monkeypatch.setattr(
+        _SystemSpace, "_options", lambda self, checks: (None, lambda j, prefix: lists[checks][j])
+    )
+    got, space = {}, _SystemSpace(2, True)
+    for prefix, stab, alive, options, marks, _ in space.union_cells(list(lists), [], False):
+        assert stab == 1
+        for rest in itertools.product(*options):
+            got[prefix + rest] = alive if marks is None else _allowing(marks, rest)
+    want = {}
+    for bit, per in enumerate(lists.values()):
+        for idx in itertools.product(*per):
+            want[idx] = want.get(idx, 0) | 1 << bit
+    assert got == want

@@ -46,8 +46,7 @@ from sizesem.search import (
     verify_implication,
     verify_implication_upto,
     verify_two_s_breakdown,
-    _down_set_families,
-    _families_with_empty,
+    _families,
 )
 from sizesem.setcore import submasks
 
@@ -57,28 +56,52 @@ def family_code(x, fam):
     return sum(1 << submasks(x).index(m) for m in fam)
 
 
+def families_with_empty(x):
+    """Oracle: every family over P(x) that contains ∅, by code: bit i of
+    the code past ∅'s stands for the i-th nonempty submask of x."""
+    others = submasks(x)[1:]
+    return [
+        frozenset([0, *(m for i, m in enumerate(others) if bits >> i & 1)])
+        for bits in range(1 << len(others))
+    ]
+
+
 def brute_force_down_sets(x):
     """Oracle: filter every ∅-containing family for downward closure."""
-    out = []
-    for fam in _families_with_empty(x):
-        if all(sub in fam for m in fam for sub in submasks(m)):
-            out.append(fam)
-    return out
+    return [
+        fam for fam in families_with_empty(x)
+        if all(sub in fam for m in fam for sub in submasks(m))
+    ]
 
 
 @pytest.mark.parametrize("bits,count", [(1, 2), (3, 5), (7, 19), (15, 167)])
 def test_down_set_counts_match_oracle(bits, count):
-    fams = list(_down_set_families(bits))
+    fams = _families(bits, True)
     assert len(fams) == count
-    assert set(fams) == set(brute_force_down_sets(bits))
-    codes = [family_code(bits, f) for f in fams]
-    assert codes == sorted(codes)  # ascending family-code order
+    assert fams == brute_force_down_sets(bits)
     assert all(0 in f for f in fams)
     # The canonicity filter compares family indices in place of codes, which
-    # needs both generators to list families in strictly ascending code.
-    all_codes = [family_code(bits, f) for f in _families_with_empty(bits)]
-    assert all_codes == sorted(set(all_codes))
-    assert len(all_codes) == 2 ** (2 ** bin(bits).count("1") - 1)
+    # needs both lists in strictly ascending code.
+    for monotone in (True, False):
+        codes = [family_code(bits, f) for f in _families(bits, monotone)]
+        assert codes == sorted(set(codes))
+    assert len(_families(bits, False)) == 2 ** (2 ** bin(bits).count("1") - 1)
+
+
+@pytest.mark.parametrize("x", range(1, 16), ids=lambda x: f"{x:04b}")
+def test_families_match_the_oracle(x):
+    # Both lists, in order, for every x of up to 4 bits, non-contiguous ones
+    # such as 0b1011 among them; without monotony up to 3 bits, as far as a
+    # space lists them (NON_MONOTONE_CEILING).
+    assert _families(x, True) == brute_force_down_sets(x)
+    if x.bit_count() <= 3:
+        assert _families(x, False) == families_with_empty(x)
+
+
+def test_the_down_sets_of_five_elements_ascend_by_code():
+    codes = [family_code(0b11111, f) for f in _families(0b11111, True)]
+    assert len(codes) == 7_580
+    assert all(a < b for a, b in itertools.pairwise(codes))
 
 
 def test_enumeration_counts():
@@ -574,7 +597,7 @@ def test_sizes_above_the_ceiling_are_refused_before_any_scan(scan, ceiling, monk
     monkeypatch.setattr(search, "scan_stream", no_check)
     monkeypatch.setattr(preferential, "enumerate_mu_functions", no_check)
     # No family may be listed and no column built: one of size 5 has 2³¹ bits.
-    monkeypatch.setattr(search, "_families_with_empty", no_check)
+    monkeypatch.setattr(search, "_families", no_check)
     monkeypatch.setattr(search, "_breakdown_columns", no_check)
     # No leader walk may start either: at |U| = 4 one runs for minutes.
     monkeypatch.setattr(search._SystemSpace, "union_cells", no_check)  # every walk's one way in
@@ -671,7 +694,7 @@ def test_two_s_breakdown_matches_whole_system_scan_at_size_2():
 
     u = Universe(["a", "b"])
     domain = tuple(m for m in u.all_masks() if m)
-    per_set = [list(_families_with_empty(x)) for x in domain]
+    per_set = [families_with_empty(x) for x in domain]
     premise_hits = 0
     for fams in itertools.product(*per_set):
         s = SizeSystem(u, domain, dict(zip(domain, fams)))
@@ -705,7 +728,7 @@ def test_breakdown_columns_match_a_per_family_evaluation():
     for n in (1, 2, 3):
         x = (1 << n) - 1
         premise, failing = search._breakdown_columns(x)
-        for code, fam in enumerate(_families_with_empty(x)):
+        for code, fam in enumerate(families_with_empty(x)):
             fires = any(a | b not in fam for a in fam for b in fam)
             covers = any(
                 z not in fam for a in fam for b in fam for z in submasks(a | b)
@@ -745,7 +768,7 @@ def test_two_s_breakdown_walks_no_family(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a family was walked")
 
-    for name in ("_families_with_empty", "scan_stream", "frozenset"):
+    for name in ("_families", "scan_stream", "frozenset"):
         monkeypatch.setattr(search, name, no_walk, raising=False)
     counts = [verify_two_s_breakdown(n).instances_checked for n in (1, 2, 3, 4)]
     assert counts == [0, 1, 68, 30356]

@@ -108,6 +108,14 @@ def unit_below(unit, *n):
     return lambda y, ideals: unit(ideals, y.bit_count(), *n, y) is not None
 
 
+def ref_unit(ideals, size, a):
+    """REF at a, every t ⊆ a tested: the loop that Opt's test at a replaced."""
+    for t in submasks(a):
+        if t and 0 not in ideals[t]:
+            return None
+    return 1 << size
+
+
 def disj_or_below(y: int, ideals) -> bool:
     """disjOR below Y: its unit at each split Y = φ ∪ φ'."""
     down = {p: {d for x in ideals[p] for d in submasks(x)} for p in submasks(y)[1:-1]}
@@ -134,7 +142,7 @@ REFERENCE = {
     "disjOR": disj_or_below,
     # The rules that read I(Y) alone, each by its unit at Y, and OR:2 by OR:n's test.
     "SC": unit_below(rules._sc_unit),
-    "REF": unit_below(rules._ref_unit),
+    "REF": unit_below(ref_unit),
     "RW": unit_below(rules._superset_unit),
     "CP": unit_below(rules._cp_unit),
     "AND:2": unit_below(rules._and_unit, 2),
